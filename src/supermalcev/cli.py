@@ -216,6 +216,11 @@ def _need(doc: AlgebraDocument, what: str):
     return value
 
 
+def _need_mul(doc: AlgebraDocument, what: str) -> None:
+    if "mul" not in doc.algebra.product_names():
+        raise InputError(f"{what} needs a 'mul' product")
+
+
 def _operator_context(doc: AlgebraDocument, args):
     """Pick the representation or bimodule context for O-operator commands."""
     choice = getattr(args, "context", "auto")
@@ -237,8 +242,8 @@ def _cmd_check(args) -> int:
         if identity == "pre-alternative":
             if set(doc.algebra.product_names()) != {"prec", "succ"}:
                 raise InputError("pre-alternative check needs prec/succ products")
-        elif "mul" not in doc.algebra.product_names():
-            raise InputError(f"{identity} check needs a 'mul' product")
+        else:
+            _need_mul(doc, f"{identity} check")
         report = _IDENTITY_CHECKS[identity](doc, args.witness_limit)
     elif identity == "representation":
         report = check_malcev_representation(
@@ -247,9 +252,9 @@ def _cmd_check(args) -> int:
         report = check_alternative_bimodule(
             _need(doc, "bimodule"), witness_limit=args.witness_limit)
     elif identity == "symplectic":
-        report = check_symplectic(
-            _need(doc, "bilinear_form"), doc.algebra,
-            witness_limit=args.witness_limit)
+        form = _need(doc, "bilinear_form")
+        _need_mul(doc, "symplectic check")
+        report = check_symplectic(form, doc.algebra, witness_limit=args.witness_limit)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown identity {identity!r}")
     status = PASS if report.ok else FAIL
@@ -469,6 +474,7 @@ def _cmd_report(args) -> int:
         checks.append(check_alternative_bimodule(doc.bimodule,
                                                  witness_limit=args.witness_limit))
     if doc.bilinear_form is not None and include("symplectic"):
+        _need_mul(doc, "symplectic check")
         checks.append(check_symplectic(doc.bilinear_form, doc.algebra,
                                        witness_limit=args.witness_limit))
     if doc.tensor2 is not None and doc.tensor2.is_skew_supersymmetric() and include("mybe"):

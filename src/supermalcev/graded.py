@@ -369,12 +369,6 @@ class Tensor3:
             return NotImplemented
         return self.space == other.space and dict(self.coeffs) == dict(other.coeffs)
 
-    def slice_23(self, j: int, k: int) -> dict[int, Fraction]:
-        """First-slot coefficients of all entries with the given last two indices."""
-        return {
-            i: c for (i, jj, kk), c in self.coeffs.items() if jj == j and kk == k
-        }
-
 
 def pair(x_star: GradedVector, y: GradedVector) -> Fraction:
     """Canonical pairing <x*, y>; on dual-basis pairs <b_i*, b_j> = delta_ij."""

@@ -1,11 +1,24 @@
 """Super O-operators, Rota-Baxter operators, bilinear forms, and the
 constructions that turn them into pre-Malcev / pre-alternative structures.
 
-An O-operator candidate is just an even graded linear map T together with
-its context (a Malcev representation or an alternative bimodule); there is
-no wrapper type.  Constructions validate their precondition and raise
-``IdentityViolation`` carrying the offending report instead of returning a
-broken algebra.
+An O-operator candidate is just an even graded linear map T : V -> A
+together with its context; there is no wrapper type.  Every context is an
+action of A on V: a Malcev representation, an alternative bimodule, or A
+acting on itself (a Rota-Baxter operator is an O-operator for that action).
+One engine serves them all: the residual
+
+    m(T a, T b) - T(left(T a) b + s(a, b) right(T b) a)
+
+on basis pairs of V, and the induced product x.y = action(T x) y, are each
+written once.  Checkers, grid searches and constructions share them.
+
+A grid search returns exactly the candidates its checker accepts, in
+lexicographic order of the entry tuples.  Every ``support`` entry must be
+parity-0 (``ParityViolation`` before any candidate is tried), and ``limit``
+caps the number of results.
+
+Constructions validate their precondition and raise ``IdentityViolation``
+carrying the offending report instead of returning a broken algebra.
 """
 
 from __future__ import annotations
@@ -13,12 +26,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _linalg
 from .graded import (
     GradedLinearMap,
     GradedVector,
+    ParityViolation,
     SuperSpace,
     koszul_sign,
     vector_from_sparse,
@@ -48,67 +62,119 @@ class IdentityViolation(Exception):
         )
 
 
-def _require_even(T: GradedLinearMap, col: _WitnessCollector) -> bool:
+# -- the O-operator engine ------------------------------------------------
+
+# _Columns[k][j]: the action of the algebra basis element b_k on the module
+# basis vector b_j, as a sparse vector of V
+_Columns = tuple[tuple[Sparse, ...], ...]
+
+
+@dataclass(frozen=True)
+class _Context:
+    """The action an O-operator T : V -> A is taken against."""
+
+    identity: str
+    algebra: Superalgebra
+    product: str
+    module: SuperSpace
+    left: _Columns
+    right: _Columns
+    signs: tuple[tuple[Fraction, ...], ...]  # factor of the right term on (a, b)
+
+
+def _sparse_columns(matrix: _linalg.Matrix, ncols: int) -> tuple[Sparse, ...]:
+    cols: tuple[Sparse, ...] = tuple({} for _ in range(ncols))
+    for r, row in enumerate(matrix):
+        for c, v in enumerate(row):
+            if v != 0:
+                cols[c][r] = v
+    return cols
+
+
+def _signs(space: SuperSpace, sign) -> tuple[tuple[Fraction, ...], ...]:
+    par = space.parities()
+    return tuple(tuple(Fraction(sign(p, q)) for q in par) for p in par)
+
+
+def _rep_context(R: Representation) -> _Context:
+    cols = tuple(_sparse_columns(m.matrix, R.space.dim) for m in R.action)
+    return _Context("o-operator", R.algebra, "mul", R.space, cols, cols,
+                    _signs(R.space, lambda p, q: -koszul_sign(p, q)))
+
+
+def _bimodule_context(B: Bimodule) -> _Context:
+    return _Context("o-operator-alternative", B.algebra, "mul", B.space,
+                    tuple(_sparse_columns(m.matrix, B.space.dim) for m in B.left),
+                    tuple(_sparse_columns(m.matrix, B.space.dim) for m in B.right),
+                    _signs(B.space, lambda p, q: 1))
+
+
+def _rota_baxter_context(A: Superalgebra, sign_variant: bool, product: str) -> _Context:
+    """A acting on itself: left(x) y = x y and right(x) y = y x."""
+    n = A.space.dim
+    return _Context(
+        "rota-baxter-signed" if sign_variant else "rota-baxter", A, product, A.space,
+        tuple(tuple(A.mul_basis(k, j, product) for j in range(n)) for k in range(n)),
+        tuple(tuple(A.mul_basis(j, k, product) for j in range(n)) for k in range(n)),
+        _signs(A.space, koszul_sign if sign_variant else lambda p, q: 1),
+    )
+
+
+def _act(columns: _Columns, x: Sparse, j: int) -> Sparse:
+    """action(x) b_j for an algebra element x given by sparse coordinates."""
+    out: Sparse = {}
+    for k, c in x.items():
+        _add_scaled(out, columns[k][j], c)
+    return out
+
+
+def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:
+    """(a, b, residual) over basis pairs of V in lexicographic order; ``T``
+    holds the sparse columns of the operator."""
+    n = ctx.module.dim
+    for a, b in itertools.product(range(n), repeat=2):
+        res = ctx.algebra.mul_sparse(T[a], T[b], ctx.product)
+        inner = _act(ctx.left, T[a], b)
+        _add_scaled(inner, _act(ctx.right, T[b], a), ctx.signs[a][b])
+        for k, c in inner.items():
+            _add_scaled(res, T[k], -c)
+        yield a, b, res
+
+
+def _induced_product(columns: _Columns,
+                     T: GradedLinearMap) -> dict[tuple[int, int, int], Fraction]:
+    """Structure constants of x.y = action(T x) y on V."""
+    n = T.domain.dim
+    cols = _sparse_columns(T.matrix, n)
+    return {
+        (i, j, k): c
+        for i, j in itertools.product(range(n), repeat=2)
+        for k, c in _act(columns, cols[i], j).items()
+    }
+
+
+def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationReport:
+    col = _WitnessCollector(ctx.identity, witness_limit)
     if T.parity != 0:
         col.preconditions.append("operator candidate is not even")
-        return False
-    return True
-
-
-def _apply_T(T: GradedLinearMap, v: Mapping[int, Fraction]) -> Sparse:
-    return T.apply_sparse(v)
+        return col.report()
+    for a, b, res in _residuals(ctx, _sparse_columns(T.matrix, ctx.module.dim)):
+        col.tick()
+        if res:
+            col.add((a, b), vector_from_sparse(ctx.algebra.space, res))
+    return col.report()
 
 
 def check_o_operator_malcev(T: GradedLinearMap, R: Representation,
                             witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """[T(a), T(b)] = T(rho(T(a))b - (-1)^{|a||b|} rho(T(b))a) on basis pairs of V."""
-    col = _WitnessCollector("o-operator", witness_limit)
-    if not _require_even(T, col):
-        return col.report()
-    A = R.algebra
-    V = R.space
-    n = V.dim
-    par = V.parities()
-    timg = [_apply_T(T, {j: ONE}) for j in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        col.tick()
-        lhs = A.mul_sparse(timg[i], timg[j])
-        inner = R.act_sparse(timg[i], {j: ONE})
-        _add_scaled(inner, R.act_sparse(timg[j], {i: ONE}),
-                    Fraction(-koszul_sign(par[i], par[j])))
-        res = lhs
-        _add_scaled(res, _apply_T(T, inner), Fraction(-1))
-        if res:
-            col.add((i, j), vector_from_sparse(A.space, res))
-    return col.report()
+    return _check(_rep_context(R), T, witness_limit)
 
 
 def check_o_operator_alternative(T: GradedLinearMap, B: Bimodule,
                                  witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """T(a) * T(b) = T(l(T(a))b + r(T(b))a) on basis pairs of V."""
-    col = _WitnessCollector("o-operator-alternative", witness_limit)
-    if not _require_even(T, col):
-        return col.report()
-    A = B.algebra
-    n = B.space.dim
-    timg = [_apply_T(T, {j: ONE}) for j in range(n)]
-
-    def act(maps: tuple[GradedLinearMap, ...], coords: Sparse, v: Sparse) -> Sparse:
-        out: Sparse = {}
-        for k, c in coords.items():
-            _add_scaled(out, maps[k].apply_sparse(v), c)
-        return out
-
-    for i, j in itertools.product(range(n), repeat=2):
-        col.tick()
-        lhs = A.mul_sparse(timg[i], timg[j])
-        inner = act(B.left, timg[i], {j: ONE})
-        _add_scaled(inner, act(B.right, timg[j], {i: ONE}), ONE)
-        res = lhs
-        _add_scaled(res, _apply_T(T, inner), Fraction(-1))
-        if res:
-            col.add((i, j), vector_from_sparse(A.space, res))
-    return col.report()
+    return _check(_bimodule_context(B), T, witness_limit)
 
 
 def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
@@ -121,31 +187,10 @@ def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
     carries the Koszul factor (-1)^{|x||y|}; the two variants differ only
     when both arguments are odd.
     """
-    name = "rota-baxter-signed" if sign_variant else "rota-baxter"
-    col = _WitnessCollector(name, witness_limit)
-    if not _require_even(Rop, col):
-        return col.report()
-    n = A.space.dim
-    par = A.space.parities()
-    rimg = [_apply_T(Rop, {i: ONE}) for i in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        col.tick()
-        lhs = A.mul_sparse(rimg[i], rimg[j], product)
-        inner = A.mul_sparse(rimg[i], {j: ONE}, product)
-        s = Fraction(koszul_sign(par[i], par[j])) if sign_variant else ONE
-        _add_scaled(inner, A.mul_sparse({i: ONE}, rimg[j], product), s)
-        res = lhs
-        _add_scaled(res, _apply_T(Rop, inner), Fraction(-1))
-        if res:
-            col.add((i, j), vector_from_sparse(A.space, res))
-    return col.report()
+    return _check(_rota_baxter_context(A, sign_variant, product), Rop, witness_limit)
 
 
 # -- constructions into pre-Malcev / pre-alternative ---------------------
-
-
-def _table_from_products(space: SuperSpace, product_of: Mapping[str, object]) -> Superalgebra:
-    return Superalgebra.from_entries(space, product_of)
 
 
 def pre_malcev_from_o_operator(T: GradedLinearMap, R: Representation) -> Superalgebra:
@@ -153,14 +198,8 @@ def pre_malcev_from_o_operator(T: GradedLinearMap, R: Representation) -> Superal
     report = check_o_operator_malcev(T, R)
     if not report.ok:
         raise IdentityViolation(report)
-    n = R.space.dim
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        ti = _apply_T(T, {i: ONE})
-        for j in range(n):
-            for k, c in R.act_sparse(ti, {j: ONE}).items():
-                entries[(i, j, k)] = c
-    return _table_from_products(R.space, {"mul": entries})
+    return Superalgebra.from_entries(
+        R.space, {"mul": _induced_product(_rep_context(R).left, T)})
 
 
 @dataclass(frozen=True)
@@ -191,7 +230,7 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
             # a . k with T(k) = 0: T(a.k) must vanish (k.a vanishes already
             # because the product reads the algebra through T).
             prod = product.mul_sparse({j: ONE}, kv_sparse)
-            res = _apply_T(T, prod)
+            res = T.apply_sparse(prod)
             if res:
                 col.add((j,), vector_from_sparse(R.algebra.space, res))
     if col.count:
@@ -214,7 +253,7 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     entries: dict[tuple[int, int, int], Fraction] = {}
     for a, pa in enumerate(ordered):
         for b, pb in enumerate(ordered):
-            img = _apply_T(T, product.mul_sparse({pa: ONE}, {pb: ONE}))
+            img = T.apply_sparse(product.mul_sparse({pa: ONE}, {pb: ONE}))
             if not img:
                 continue
             vec = [ZERO] * R.algebra.space.dim
@@ -225,7 +264,7 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
             for k, c in enumerate(coords):
                 if c != 0:
                     entries[(a, b, k)] = c
-    algebra = _table_from_products(image_space, {"mul": entries})
+    algebra = Superalgebra.from_entries(image_space, {"mul": entries})
     embedding = GradedLinearMap(
         image_space, R.algebra.space,
         tuple(tuple(col[r] for col in cols) for r in range(R.algebra.space.dim)),
@@ -249,9 +288,9 @@ def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
     for i in range(n):
         for j in range(n):
             inner = R.act_sparse({i: ONE}, tinv.apply_sparse({j: ONE}))
-            for k, c in _apply_T(T, inner).items():
+            for k, c in T.apply_sparse(inner).items():
                 entries[(i, j, k)] = c
-    return _table_from_products(A.space, {"mul": entries})
+    return Superalgebra.from_entries(A.space, {"mul": entries})
 
 
 def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
@@ -260,14 +299,8 @@ def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
     report = check_rota_baxter(Rop, A, product=product)
     if not report.ok:
         raise IdentityViolation(report)
-    n = A.space.dim
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        ri = _apply_T(Rop, {i: ONE})
-        for j in range(n):
-            for k, c in A.mul_sparse(ri, {j: ONE}, product).items():
-                entries[(i, j, k)] = c
-    return _table_from_products(A.space, {"mul": entries})
+    return Superalgebra.from_entries(
+        A.space, {"mul": _induced_product(_rota_baxter_context(A, False, product).left, Rop)})
 
 
 def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
@@ -284,9 +317,9 @@ def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap, A: Superalgebra
     for i in range(n):
         for j in range(n):
             inner = A.mul_sparse({i: ONE}, rinv.apply_sparse({j: ONE}), product)
-            for k, c in _apply_T(Rop, inner).items():
+            for k, c in Rop.apply_sparse(inner).items():
                 entries[(i, j, k)] = c
-    return _table_from_products(A.space, {"mul": entries})
+    return Superalgebra.from_entries(A.space, {"mul": entries})
 
 
 def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalgebra:
@@ -294,26 +327,10 @@ def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalg
     report = check_o_operator_alternative(T, B)
     if not report.ok:
         raise IdentityViolation(report)
-    n = B.space.dim
-    succ: dict[tuple[int, int, int], Fraction] = {}
-    prec: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        ti = _apply_T(T, {i: ONE})
-        for j in range(n):
-            out: Sparse = {}
-            for k, c in ti.items():
-                _add_scaled(out, B.left[k].apply_sparse({j: ONE}), c)
-            for k, c in out.items():
-                succ[(i, j, k)] = c
-    for j in range(n):
-        tj = _apply_T(T, {j: ONE})
-        for i in range(n):
-            out = {}
-            for k, c in tj.items():
-                _add_scaled(out, B.right[k].apply_sparse({i: ONE}), c)
-            for k, c in out.items():
-                prec[(i, j, k)] = c
-    return _table_from_products(B.space, {"prec": prec, "succ": succ})
+    ctx = _bimodule_context(B)
+    prec = {(i, j, k): c for (j, i, k), c in _induced_product(ctx.right, T).items()}
+    return Superalgebra.from_entries(B.space, {
+        "prec": prec, "succ": _induced_product(ctx.left, T)})
 
 
 # -- bilinear forms -------------------------------------------------------
@@ -441,45 +458,37 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra,
             for k, c in enumerate(coords):
                 if c != 0:
                     entries[(i, j, k)] = c
-    return _table_from_products(A.space, {"mul": entries})
+    return Superalgebra.from_entries(A.space, {"mul": entries})
 
 
 # -- grid search (test/example utility, not a stability guarantee) --------
 
 
-def _parity_zero_support(space: SuperSpace) -> tuple[tuple[int, int], ...]:
-    n = space.dim
-    return tuple(
-        (i, j) for i in range(n) for j in range(n)
-        if space.parity(i) == space.parity(j)
-    )
+def _search(ctx: _Context, values: Iterable[int],
+            support: Sequence[tuple[int, int]] | None,
+            limit: int | None) -> list[GradedLinearMap]:
+    """Every even integer matrix T : V -> A with entries drawn from
+    ``values`` on ``support`` whose residual vanishes on all basis pairs,
+    in lexicographic order of the entry tuples, at most ``limit`` of them."""
+    A, V = ctx.algebra.space, ctx.module
+    if support is None:
+        support = tuple((i, j) for i in range(A.dim) for j in range(V.dim)
+                        if A.parity(i) == V.parity(j))
+    for i, j in support:
+        if A.parity(i) != V.parity(j):
+            raise ParityViolation(f"support entry ({i}, {j}) is not parity-0")
 
+    def hits() -> Iterator[GradedLinearMap]:
+        for combo in itertools.product(values, repeat=len(support)):
+            cols: list[Sparse] = [{} for _ in range(V.dim)]
+            for (i, j), v in dict(zip(support, combo)).items():
+                if v:
+                    cols[j][i] = Fraction(v)
+            if not any(res for _, _, res in _residuals(ctx, cols)):
+                yield GradedLinearMap(V, A, tuple(
+                    tuple(col.get(i, ZERO) for col in cols) for i in range(A.dim)), 0)
 
-def search_operators(check, builder, space_pairs: Sequence[tuple[int, int]],
-                     values: Iterable[int], limit: int | None = None):
-    """Exhaustive search over integer matrices supported on ``space_pairs``.
-
-    ``builder`` turns an entry assignment into a candidate map; ``check``
-    returns True when the candidate satisfies the identity.  Results come
-    back in deterministic (lexicographic) order.
-    """
-    values = tuple(values)
-    found = []
-    for combo in itertools.product(values, repeat=len(space_pairs)):
-        candidate = builder(dict(zip(space_pairs, combo)))
-        if check(candidate):
-            found.append(candidate)
-            if limit is not None and len(found) >= limit:
-                break
-    return found
-
-
-def _map_from_entries(domain: SuperSpace, codomain: SuperSpace,
-                      entries: Mapping[tuple[int, int], int]) -> GradedLinearMap:
-    rows = [[ZERO] * domain.dim for _ in range(codomain.dim)]
-    for (i, j), v in entries.items():
-        rows[i][j] = Fraction(v)
-    return GradedLinearMap(domain, codomain, tuple(tuple(r) for r in rows), 0)
+    return list(itertools.islice(hits(), limit))
 
 
 def search_rota_baxter(A: Superalgebra, values: Iterable[int] = range(-2, 3),
@@ -488,71 +497,7 @@ def search_rota_baxter(A: Superalgebra, values: Iterable[int] = range(-2, 3),
                        limit: int | None = None) -> list[GradedLinearMap]:
     """All even integer-matrix Rota-Baxter operators with entries drawn from
     ``values`` on the given support (default: every parity-0 position)."""
-    if support is None:
-        support = _parity_zero_support(A.space)
-    n = A.space.dim
-    rows = A._rows(product)
-
-    def quick_check(entries: dict[tuple[int, int], int]) -> bool:
-        cols: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-        for (i, j), v in entries.items():
-            if v:
-                cols[j][i] = Fraction(v)
-
-        def apply_r(vec: Sparse) -> Sparse:
-            out: Sparse = {}
-            for j, c in vec.items():
-                _add_scaled(out, cols[j], c)
-            return out
-
-        for i in range(n):
-            ri = cols[i]
-            for j in range(n):
-                lhs = A.mul_sparse(ri, cols[j], product)
-                inner = A.mul_sparse(ri, {j: ONE}, product)
-                _add_scaled(inner, A.mul_sparse({i: ONE}, cols[j], product), ONE)
-                _add_scaled(lhs, apply_r(inner), Fraction(-1))
-                if lhs:
-                    return False
-        return True
-
-    found = []
-    for combo in itertools.product(tuple(values), repeat=len(support)):
-        entries = dict(zip(support, combo))
-        if quick_check(entries):
-            found.append(_map_from_entries(A.space, A.space, entries))
-            if limit is not None and len(found) >= limit:
-                break
-    return found
-
-
-def _default_support(A_space: SuperSpace, V: SuperSpace) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (i, j) for i in range(A_space.dim) for j in range(V.dim)
-        if A_space.parity(i) == V.parity(j)
-    )
-
-
-def _columns_from_entries(ncols: int, entries: Mapping[tuple[int, int], int]) -> list[Sparse]:
-    cols: list[Sparse] = [dict() for _ in range(ncols)]
-    for (i, j), v in entries.items():
-        if v:
-            cols[j][i] = Fraction(v)
-    return cols
-
-
-def _action_columns(maps: tuple[GradedLinearMap, ...]) -> list[list[Sparse]]:
-    """action_cols[i][j] = sparse column j of the map for basis element i."""
-    out = []
-    for m in maps:
-        ncols = m.domain.dim
-        cols = [dict() for _ in range(ncols)]
-        for r, row in enumerate(m.matrix):
-            for c, val in enumerate(row):
-                if val != 0:
-                    cols[c][r] = val
-        out.append(cols)
-    return out
+    return _search(_rota_baxter_context(A, False, product), values, support, limit)
 
 
 def search_o_operators_malcev(R: Representation,
@@ -560,80 +505,12 @@ def search_o_operators_malcev(R: Representation,
                               support: Sequence[tuple[int, int]] | None = None,
                               limit: int | None = None) -> list[GradedLinearMap]:
     """All even integer-matrix O-operators V -> A for the representation R."""
-    V, A = R.space, R.algebra
-    if support is None:
-        support = _default_support(A.space, V)
-    n = V.dim
-    par = V.parities()
-    rho_cols = _action_columns(R.action)
-
-    def act(a_coords: Sparse, j: int) -> Sparse:
-        out: Sparse = {}
-        for k, c in a_coords.items():
-            _add_scaled(out, rho_cols[k][j], c)
-        return out
-
-    found = []
-    for combo in itertools.product(tuple(values), repeat=len(support)):
-        entries = dict(zip(support, combo))
-        cols = _columns_from_entries(n, entries)
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                res = A.mul_sparse(cols[i], cols[j])
-                inner = act(cols[i], j)
-                _add_scaled(inner, act(cols[j], i),
-                            Fraction(-koszul_sign(par[i], par[j])))
-                for jj, c in inner.items():
-                    _add_scaled(res, cols[jj], -c)
-                if res:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(_map_from_entries(V, A.space, entries))
-            if limit is not None and len(found) >= limit:
-                break
-    return found
+    return _search(_rep_context(R), values, support, limit)
 
 
 def search_o_operators_alternative(B: Bimodule,
                                    values: Iterable[int] = range(-2, 3),
                                    support: Sequence[tuple[int, int]] | None = None,
                                    limit: int | None = None) -> list[GradedLinearMap]:
-    V, A = B.space, B.algebra
-    if support is None:
-        support = _default_support(A.space, V)
-    n = V.dim
-    left_cols = _action_columns(B.left)
-    right_cols = _action_columns(B.right)
-
-    def act(cols_table, a_coords: Sparse, j: int) -> Sparse:
-        out: Sparse = {}
-        for k, c in a_coords.items():
-            _add_scaled(out, cols_table[k][j], c)
-        return out
-
-    found = []
-    for combo in itertools.product(tuple(values), repeat=len(support)):
-        entries = dict(zip(support, combo))
-        cols = _columns_from_entries(n, entries)
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                res = A.mul_sparse(cols[i], cols[j])
-                inner = act(left_cols, cols[i], j)
-                _add_scaled(inner, act(right_cols, cols[j], i), ONE)
-                for jj, c in inner.items():
-                    _add_scaled(res, cols[jj], -c)
-                if res:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(_map_from_entries(V, A.space, entries))
-            if limit is not None and len(found) >= limit:
-                break
-    return found
+    """All even integer-matrix O-operators V -> A for the bimodule B."""
+    return _search(_bimodule_context(B), values, support, limit)

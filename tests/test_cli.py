@@ -211,6 +211,17 @@ def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "mybe-check", str(nons))
     assert code == 2
     assert "skew" in err
+    # a bilinear form on a prec/succ document: the symplectic check needs 'mul'
+    prealt = tmp_path / "prealt_form.json"
+    prealt.write_text('{"format": "superalg/1", "even_dim": 1, "odd_dim": 0, '
+                      '"basis_labels": ["e1"], '
+                      '"products": {"prec": [[0, 0, 0, "1"]], "succ": [[0, 0, 0, "1"]]}, '
+                      '"bilinear_form": {"matrix": [["1"]]}}')
+    for argv in (["check", str(prealt), "--identity", "symplectic"],
+                 ["report", str(prealt)]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == "error: symplectic check needs a 'mul' product\n"
 
 
 def test_console_script_subprocess():

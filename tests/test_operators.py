@@ -2,14 +2,19 @@
 pre-alternative constructions, with grid searches as example generators."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from supermalcev import (
     BilinearForm,
+    Bimodule,
     GradedLinearMap,
     IdentityViolation,
+    ParityViolation,
+    Representation,
+    SuperSpace,
     adjoint_representation,
     check_malcev,
     check_o_operator_alternative,
@@ -23,6 +28,7 @@ from supermalcev import (
     commutator_superalgebra,
     compatible_pre_malcev_from_invertible_oop,
     induced_structure_on_image,
+    koszul_sign,
     left_multiplication_representation,
     pre_alternative_from_o_operator,
     pre_malcev_from_invertible_rota_baxter,
@@ -147,6 +153,125 @@ def test_rb_is_o_operator_for_adjoint():
     A = fixtures.sl2()
     rb = fixtures.rb_sl2_nilpotent()
     assert check_o_operator_malcev(rb, adjoint_representation(A)).ok
+
+
+# -- oracle: the O-operator identity expanded from dense matrices ---------------
+
+
+def _mat_comb(mats, coords, n):
+    out = _linalg.zero_matrix(n, n)
+    for m, c in zip(mats, coords):
+        if c != 0:
+            out = _linalg.mat_add(out, _linalg.mat_scale(c, m))
+    return out
+
+
+def oracle_o_operator_failures(T, context, sign_variant=False, product="mul"):
+    """Failing basis pairs (a, b) of m(Ta, Tb) = T(left(Ta) b + s right(Tb) a),
+    in lexicographic order with their leftovers, and the number of pairs.
+
+    A Representation acts on both sides with s = -(-1)^{|a||b|}; a Bimodule
+    uses its left and right actions with s = 1; an algebra acts on itself
+    (the Rota-Baxter identity) by left and right multiplication with s = 1,
+    or s = (-1)^{|a||b|} for the signed variant.
+    """
+    if isinstance(context, Representation):
+        A, V = context.algebra, context.space
+        left = right = [m.matrix for m in context.action]
+        sign = lambda p, q: -koszul_sign(p, q)
+    elif isinstance(context, Bimodule):
+        A, V = context.algebra, context.space
+        left = [m.matrix for m in context.left]
+        right = [m.matrix for m in context.right]
+        sign = lambda p, q: 1
+    else:
+        A, V = context, context.space
+        table = A.table(product)
+        n = V.dim
+        left = [tuple(tuple(table[k][c][r] for c in range(n)) for r in range(n))
+                for k in range(n)]
+        right = [tuple(tuple(table[c][k][r] for c in range(n)) for r in range(n))
+                 for k in range(n)]
+        sign = koszul_sign if sign_variant else (lambda p, q: 1)
+    table = A.table(product)
+    nA, nV = A.space.dim, V.dim
+    cols = _linalg.transpose(T.matrix)
+    fails = []
+    for a, b in itertools.product(range(nV), repeat=2):
+        Ta, Tb = cols[a], cols[b]
+        lhs = [sum((Ta[p] * Tb[q] * table[p][q][k]
+                    for p in range(nA) for q in range(nA)), Z) for k in range(nA)]
+        la, rb = _mat_comb(left, Ta, nV), _mat_comb(right, Tb, nV)
+        s = sign(V.parity(a), V.parity(b))
+        inner = [la[r][b] + s * rb[r][a] for r in range(nV)]
+        res = [x - y for x, y in zip(lhs, _linalg.mat_vec(T.matrix, inner))]
+        if any(res):
+            fails.append(((a, b), A.space.vector(res)))
+    return fails, nV * nV
+
+
+def assert_matches_oracle(report, oracle, limit):
+    fails, checked = oracle
+    assert report.violation_count == len(fails)
+    assert report.checked_tuples == checked
+    assert report.witnesses == tuple(fails[:limit])
+    assert not report.precondition_failures
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_o_operator_checkers_match_oracle_on_random_2_2(seed):
+    S = SuperSpace(2, 2)
+    A = fixtures.random_product(S, seed)
+    A2 = fixtures.random_product(S, seed, two_products=True)
+    V = SuperSpace(2, 2)
+    R = Representation(A, V, fixtures.random_action_maps(A, V, seed))
+    B = Bimodule(A, V, fixtures.random_action_maps(A, V, seed + 10),
+                 fixtures.random_action_maps(A, V, seed + 20))
+    rng = random.Random(seed)
+    T = fixtures.random_even_matrix(V, S, 0, rng)
+    Rop = fixtures.random_even_matrix(S, S, 0, rng)
+    for limit in (3, 64):
+        cases = [
+            (check_o_operator_malcev(T, R, witness_limit=limit),
+             oracle_o_operator_failures(T, R)),
+            (check_o_operator_alternative(T, B, witness_limit=limit),
+             oracle_o_operator_failures(T, B)),
+            (check_rota_baxter(Rop, A, witness_limit=limit),
+             oracle_o_operator_failures(Rop, A)),
+            (check_rota_baxter(Rop, A, sign_variant=True, witness_limit=limit),
+             oracle_o_operator_failures(Rop, A, sign_variant=True)),
+            (check_rota_baxter(Rop, A2, product="succ", witness_limit=limit),
+             oracle_o_operator_failures(Rop, A2, product="succ")),
+        ]
+        for report, oracle in cases:
+            assert oracle[0], "seeded inputs must violate the identity"
+            assert_matches_oracle(report, oracle, limit)
+
+
+def test_o_operator_checkers_match_oracle_on_passing_cases():
+    sl2, heis = fixtures.sl2(), fixtures.heisenberg_1_1()
+    rb = fixtures.rb_sl2_nilpotent()
+    P = fixtures.pre_malcev_1_1()
+    L = left_multiplication_representation(P)
+    ident = GradedLinearMap.identity(P.space)
+    Zorn, BZ, found = _zorn_rb_operators()
+    d12 = diag_map(heis.space, [1, 2])
+    cases = [
+        (check_o_operator_malcev(ident, L), oracle_o_operator_failures(ident, L)),
+        (check_o_operator_malcev(rb, adjoint_representation(sl2)),
+         oracle_o_operator_failures(rb, adjoint_representation(sl2))),
+        (check_o_operator_alternative(found[0], BZ), oracle_o_operator_failures(found[0], BZ)),
+        (check_rota_baxter(rb, sl2, sign_variant=True),
+         oracle_o_operator_failures(rb, sl2, sign_variant=True)),
+        (check_rota_baxter(d12, heis), oracle_o_operator_failures(d12, heis)),
+    ]
+    for report, oracle in cases:
+        assert report.ok
+        assert_matches_oracle(report, oracle, 16)
+    # the signed variant fails diag(1, 2) on the odd-odd pair only
+    signed = oracle_o_operator_failures(d12, heis, sign_variant=True)
+    assert [ab for ab, _ in signed[0]] == [(1, 1)]
+    assert_matches_oracle(check_rota_baxter(d12, heis, sign_variant=True), signed, 16)
 
 
 # -- constructions ----------------------------------------------------------------
@@ -450,3 +575,83 @@ def test_rb_corollary_prec_succ_shape():
         succ_expect = Zorn.mul_sparse(ri, {j: Fraction(1)})
         assert prec_expect == {k: c for k, c in enumerate(P.table("prec")[i][j]) if c}
         assert succ_expect == {k: c for k, c in enumerate(P.table("succ")[i][j]) if c}
+
+
+# -- grid searches ------------------------------------------------------------------
+
+
+def grid(domain, codomain, values, support):
+    """Every candidate of a search, in its lexicographic order."""
+    for combo in itertools.product(values, repeat=len(support)):
+        rows = [[Z] * domain.dim for _ in range(codomain.dim)]
+        for (i, j), v in zip(support, combo):
+            rows[i][j] = Fraction(v)
+        yield GradedLinearMap(domain, codomain, rows, 0)
+
+
+def parity_zero_support(domain, codomain):
+    return tuple((i, j) for i in range(codomain.dim) for j in range(domain.dim)
+                 if codomain.parity(i) == domain.parity(j))
+
+
+SL2_SUPPORT = ((0, 0), (0, 2), (1, 1), (1, 2), (2, 1))
+
+
+def _search_cases():
+    sl2, heis = fixtures.sl2(), fixtures.heisenberg_1_1()
+    ad_sl2, ad_heis = adjoint_representation(sl2), adjoint_representation(heis)
+    coad_aff = coadjoint_representation(fixtures.affine_1_1())
+    BZ = regular_bimodule(fixtures.zorn_split_octonions())
+    small = (-1, 0, 1)
+    wide = tuple(range(-2, 3))
+    return [
+        # (search with keyword arguments, checker, domain, codomain, values, support)
+        (lambda **kw: search_rota_baxter(sl2, small, **kw),
+         lambda T: check_rota_baxter(T, sl2), sl2.space, sl2.space, small, SL2_SUPPORT),
+        (lambda **kw: search_o_operators_malcev(ad_sl2, small, **kw),
+         lambda T: check_o_operator_malcev(T, ad_sl2), sl2.space, sl2.space, small,
+         SL2_SUPPORT),
+        (lambda **kw: search_rota_baxter(heis, wide, **kw),
+         lambda T: check_rota_baxter(T, heis), heis.space, heis.space, wide, None),
+        (lambda **kw: search_o_operators_malcev(ad_heis, wide, **kw),
+         lambda T: check_o_operator_malcev(T, ad_heis), heis.space, heis.space, wide, None),
+        (lambda **kw: search_o_operators_malcev(coad_aff, wide, **kw),
+         lambda T: check_o_operator_malcev(T, coad_aff), coad_aff.space,
+         coad_aff.algebra.space, wide, None),
+        (lambda **kw: search_o_operators_alternative(BZ, small, **kw),
+         lambda T: check_o_operator_alternative(T, BZ), BZ.space, BZ.algebra.space, small,
+         ((2, 3),)),
+        (lambda **kw: search_o_operators_alternative(BZ, small, **kw),
+         lambda T: check_o_operator_alternative(T, BZ), BZ.space, BZ.algebra.space, small,
+         ((0, 0),)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_search_returns_exactly_what_its_checker_accepts(case):
+    search, check, domain, codomain, values, support = _search_cases()[case]
+    full = parity_zero_support(domain, codomain) if support is None else support
+    expected = [T.matrix for T in grid(domain, codomain, values, full) if check(T).ok]
+    found = search(support=support)
+    assert [T.matrix for T in found] == expected
+    assert all(T.parity == 0 and T.domain == domain and T.codomain == codomain
+               for T in found)
+    assert [T.matrix for T in search(support=support, limit=2)] == expected[:2]
+    assert search(support=support, limit=0) == []
+
+
+def test_search_rejects_odd_support_before_searching():
+    heis = fixtures.heisenberg_1_1()
+    searches = (
+        lambda values: search_rota_baxter(heis, values, support=((0, 1),)),
+        lambda values: search_o_operators_malcev(
+            adjoint_representation(heis), values, support=((0, 0), (1, 0))),
+        lambda values: search_o_operators_alternative(
+            regular_bimodule(heis), values, support=((0, 1),)),
+    )
+    for search in searches:
+        # with only the zero value every candidate passes, so nothing but the
+        # up-front check can reject the support
+        for values in ((0,), (0, 1)):
+            with pytest.raises(ParityViolation):
+                search(values)
