@@ -19,7 +19,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from ._linalg import as_scalar
+from ._linalg import ONE, ZERO, as_scalar
 from .graded import (
     GradedVector,
     ParityViolation,
@@ -27,9 +27,6 @@ from .graded import (
     koszul_sign,
     vector_from_sparse,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
 Sparse = dict[int, Fraction]

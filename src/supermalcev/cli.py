@@ -4,6 +4,18 @@ Exit codes: 0 all requested verdicts pass, 1 identity violation, 2 input
 error, 3 internal-consistency alarm (tensor and operator forms of the MYBE
 disagree; unreachable unless the package itself is broken).
 
+Exit 1 comes only from a failing ``ViolationReport``: a checker's verdict or
+a construction whose precondition fails.  Every malformed or unsupported
+input (an unreadable or invalid document, a missing block or product,
+mismatched dimensions, an unknown ``--identities`` name) exits 2 with one
+``error:`` line on stderr and no traceback.  With ``--json`` every verdict,
+including a failed construction precondition, is printed as a JSON report.
+
+One ordered table, ``_IDENTITIES``, lists the identities.  It drives
+``check``, ``report``, the ``--identity`` choices and the validation of the
+``--identities`` names; ``mybe`` is the entry for the tensor and operator
+forms of the MYBE.
+
 Reports on stdout are byte-identical across runs for the same input; the
 optional ``--timings`` flag fills the wall-time field and is therefore
 excluded from the byte-stability guarantee.
@@ -17,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from .graded import GradedVector, ParityViolation
+from .graded import GradedVector
 from .algebras import (
     ViolationReport,
     check_left_alternative,
@@ -74,15 +86,6 @@ _TUPLE_NOUNS = {
     "operator-form": "pairs",
     "mybe-tensor": "entry pairs",
 }
-
-_IDENTITY_CHECKS = {
-    "left-alt": lambda doc, limit: check_left_alternative(doc.algebra, witness_limit=limit),
-    "right-alt": lambda doc, limit: check_right_alternative(doc.algebra, witness_limit=limit),
-    "malcev": lambda doc, limit: check_malcev(doc.algebra, witness_limit=limit),
-    "pre-malcev": lambda doc, limit: check_pre_malcev(doc.algebra, witness_limit=limit),
-    "pre-alternative": lambda doc, limit: check_pre_alternative(doc.algebra, witness_limit=limit),
-}
-
 
 class InputError(Exception):
     pass
@@ -158,55 +161,131 @@ def _tensor_report(candidate: MybeCandidate, witness_limit: int) -> ViolationRep
     return ViolationReport("mybe-tensor", witnesses, len(entries), npairs)
 
 
-def _emit(out_stream, args, command: str, checks: list[ViolationReport],
-          exit_status: int, agreement: bool | None = None,
-          document: str | None = None, started: float | None = None) -> int:
+def _mybe_reports(candidate: MybeCandidate, witness_limit: int) -> list[ViolationReport]:
+    """The tensor and the operator form of the MYBE for one candidate."""
+    return [_tensor_report(candidate, witness_limit),
+            check_operator_form(candidate, witness_limit=witness_limit)]
+
+
+def _mybe_agreement(checks: list[ViolationReport]) -> bool | None:
+    """Whether the two MYBE forms among ``checks`` agree; None if absent."""
+    verdicts = {r.identity: r.ok for r in checks}
+    if "mybe-tensor" not in verdicts:
+        return None
+    return verdicts["mybe-tensor"] == verdicts["operator-form"]
+
+
+def _mybe(doc: AlgebraDocument, limit: int) -> list[ViolationReport]:
+    # report skips a tensor that is not skew-supersymmetric; mybe-check rejects it
+    if not doc.tensor2.is_skew_supersymmetric():
+        return []
+    return _mybe_reports(MybeCandidate(doc.algebra, doc.tensor2), limit)
+
+
+# name -> (document block the identity reads, or None for the algebra alone;
+#          the product it needs, "mul" or "prec/succ";
+#          reports(doc, witness_limit)), in the order ``report`` runs them
+_IDENTITIES = {
+    "left-alt": (None, "mul", lambda doc, limit: [
+        check_left_alternative(doc.algebra, witness_limit=limit)]),
+    "right-alt": (None, "mul", lambda doc, limit: [
+        check_right_alternative(doc.algebra, witness_limit=limit)]),
+    "malcev": (None, "mul", lambda doc, limit: [
+        check_malcev(doc.algebra, witness_limit=limit)]),
+    "pre-malcev": (None, "mul", lambda doc, limit: [
+        check_pre_malcev(doc.algebra, witness_limit=limit)]),
+    "pre-alternative": (None, "prec/succ", lambda doc, limit: [
+        check_pre_alternative(doc.algebra, witness_limit=limit)]),
+    "representation": ("representation", "mul", lambda doc, limit: [
+        check_malcev_representation(doc.representation, witness_limit=limit)]),
+    "bimodule": ("bimodule", "mul", lambda doc, limit: [
+        check_alternative_bimodule(doc.bimodule, witness_limit=limit)]),
+    "symplectic": ("bilinear_form", "mul", lambda doc, limit: [
+        check_symplectic(doc.bilinear_form, doc.algebra, witness_limit=limit)]),
+    "mybe": ("tensor2", "mul", _mybe),
+}
+
+
+def _emit(args, checks: list[ViolationReport], agreement: bool | None = None,
+          document: AlgebraDocument | None = None) -> int:
+    """Write the report and return the exit status.
+
+    ``agreement`` False (two forms of one verdict disagree) is the internal
+    alarm.  ``document`` goes to ``--out`` if given, else after the text
+    report; a JSON report on stdout leaves it out.
+    """
+    if document is not None and getattr(args, "out", None):
+        _write_document(args, document)  # first, so a failed write prints no report
+        document = None
+    if agreement is False:
+        status = ALARM
+    elif all(r.ok for r in checks):
+        status = PASS
+    else:
+        status = FAIL
     wall = None
-    if getattr(args, "timings", False) and started is not None:
-        wall = round((time.perf_counter() - started) * 1000.0, 3)
-    if getattr(args, "json", False):
+    if args.timings:
+        wall = round((time.perf_counter() - args.started) * 1000.0, 3)
+    if args.json:
         payload = {
-            "command": command,
+            "command": args.command,
             "input": args.file,
             "checks": [_check_json(r) for r in checks],
         }
         if agreement is not None:
             payload["agreement"] = agreement
-        payload["exit_status"] = exit_status
+        payload["exit_status"] = status
         payload["wall_time_ms"] = wall
-        out_stream.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for r in checks:
-            out_stream.write(_check_text(r) + "\n")
+            sys.stdout.write(_check_text(r) + "\n")
         if agreement is not None:
-            out_stream.write(
+            sys.stdout.write(
                 f"agreement: {'yes' if agreement else 'NO (internal alarm)'}\n"
             )
         if document is not None:
-            out_stream.write(document)
+            sys.stdout.write(serialize(document))
         if wall is not None:
-            out_stream.write(f"wall_time_ms: {wall}\n")
-    return exit_status
+            sys.stdout.write(f"wall_time_ms: {wall}\n")
+    return status
 
 
 def _write_document(args, doc: AlgebraDocument) -> None:
     text = serialize(doc)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
 
-def _load(args) -> AlgebraDocument:
+def _has(doc: AlgebraDocument, product: str) -> bool:
+    return set(product.split("/")) <= set(doc.algebra.product_names())
+
+
+def _need_product(doc: AlgebraDocument, product: str, what: str) -> None:
+    if not _has(doc, product):
+        noun = f"a {product!r} product" if "/" not in product else f"{product} products"
+        raise InputError(f"{what} needs {noun}")
+
+
+def _load(args, product: str | None = "mul") -> AlgebraDocument:
+    """Parse the input document and check it has the product the command needs."""
     path = Path(args.file)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from None
     try:
-        return parse(data)
+        doc = parse(data)
     except ParseError as exc:
         raise InputError(f"{args.file}: {exc}") from None
+    if product is not None:
+        _need_product(doc, product, args.command)
+    return doc
 
 
 def _need(doc: AlgebraDocument, what: str):
@@ -216,9 +295,13 @@ def _need(doc: AlgebraDocument, what: str):
     return value
 
 
-def _need_mul(doc: AlgebraDocument, what: str) -> None:
-    if "mul" not in doc.algebra.product_names():
-        raise InputError(f"{what} needs a 'mul' product")
+def _run(doc: AlgebraDocument, name: str, limit: int) -> list[ViolationReport]:
+    """The reports of one identity of the table."""
+    block, product, reports = _IDENTITIES[name]
+    if block is not None:
+        _need(doc, block)
+    _need_product(doc, product, f"{name} check")
+    return reports(doc, limit)
 
 
 def _operator_context(doc: AlgebraDocument, args):
@@ -235,38 +318,12 @@ def _operator_context(doc: AlgebraDocument, args):
 
 
 def _cmd_check(args) -> int:
-    started = time.perf_counter()
-    doc = _load(args)
-    identity = args.identity
-    if identity in _IDENTITY_CHECKS:
-        if identity == "pre-alternative":
-            if set(doc.algebra.product_names()) != {"prec", "succ"}:
-                raise InputError("pre-alternative check needs prec/succ products")
-        else:
-            _need_mul(doc, f"{identity} check")
-        report = _IDENTITY_CHECKS[identity](doc, args.witness_limit)
-    elif identity == "representation":
-        report = check_malcev_representation(
-            _need(doc, "representation"), witness_limit=args.witness_limit)
-    elif identity == "bimodule":
-        report = check_alternative_bimodule(
-            _need(doc, "bimodule"), witness_limit=args.witness_limit)
-    elif identity == "symplectic":
-        form = _need(doc, "bilinear_form")
-        _need_mul(doc, "symplectic check")
-        report = check_symplectic(form, doc.algebra, witness_limit=args.witness_limit)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown identity {identity!r}")
-    status = PASS if report.ok else FAIL
-    return _emit(sys.stdout, args, "check", [report], status, started=started)
+    doc = _load(args, product=None)
+    return _emit(args, _run(doc, args.identity, args.witness_limit))
 
 
 def _cmd_commutator(args) -> int:
-    doc = _load(args)
-    product = "mul" if "mul" in doc.algebra.product_names() else None
-    if product is None:
-        raise InputError("commutator needs a 'mul' product")
-    _write_document(args, AlgebraDocument(commutator_superalgebra(doc.algebra)))
+    _write_document(args, AlgebraDocument(commutator_superalgebra(_load(args).algebra)))
     return PASS
 
 
@@ -291,86 +348,59 @@ def _cmd_dual_rep(args) -> int:
 
 
 def _cmd_oop_check(args) -> int:
-    started = time.perf_counter()
     doc = _load(args)
     T = _need(doc, "linear_map")
     kind, context = _operator_context(doc, args)
-    if kind == "rep":
-        report = check_o_operator_malcev(T, context, witness_limit=args.witness_limit)
-    else:
-        report = check_o_operator_alternative(T, context, witness_limit=args.witness_limit)
-    status = PASS if report.ok else FAIL
-    return _emit(sys.stdout, args, "oop-check", [report], status, started=started)
+    check = check_o_operator_malcev if kind == "rep" else check_o_operator_alternative
+    return _emit(args, [check(T, context, witness_limit=args.witness_limit)])
 
 
 def _cmd_rb_check(args) -> int:
-    started = time.perf_counter()
     doc = _load(args)
     Rop = _need(doc, "linear_map")
     if doc.linear_map_domain == "module":
         raise InputError("rb-check expects a linear map with domain 'algebra'")
-    report = check_rota_baxter(Rop, doc.algebra, sign_variant=args.sign_variant,
-                               witness_limit=args.witness_limit)
-    status = PASS if report.ok else FAIL
-    return _emit(sys.stdout, args, "rb-check", [report], status, started=started)
+    return _emit(args, [check_rota_baxter(Rop, doc.algebra, sign_variant=args.sign_variant,
+                                          witness_limit=args.witness_limit)])
 
 
 def _cmd_construct(args) -> int:
     doc = _load(args)
-    try:
-        if args.via == "oop":
-            kind, context = _operator_context(doc, args)
-            T = _need(doc, "linear_map")
-            if kind != "rep":
-                raise InputError("construct --via oop needs a representation block")
-            result = pre_malcev_from_o_operator(T, context)
-        elif args.via == "rb":
-            result = pre_malcev_from_rota_baxter(_need(doc, "linear_map"), doc.algebra)
-        elif args.via == "rb-inv":
-            result = pre_malcev_from_invertible_rota_baxter(
-                _need(doc, "linear_map"), doc.algebra)
-        elif args.via == "symplectic":
-            result = pre_malcev_from_symplectic(
-                _need(doc, "bilinear_form"), doc.algebra)
-        elif args.via == "prealt-oop":
-            kind, context = _operator_context(doc, args)
-            T = _need(doc, "linear_map")
-            if kind != "bimodule":
-                raise InputError("construct --via prealt-oop needs a bimodule block")
-            result = pre_alternative_from_o_operator(T, context)
-        else:  # pragma: no cover
-            raise InputError(f"unknown construction {args.via!r}")
-    except IdentityViolation as exc:
-        sys.stdout.write(_check_text(exc.report) + "\n")
-        return FAIL
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if args.via == "oop":
+        kind, context = _operator_context(doc, args)
+        T = _need(doc, "linear_map")
+        if kind != "rep":
+            raise InputError("construct --via oop needs a representation block")
+        result = pre_malcev_from_o_operator(T, context)
+    elif args.via == "rb":
+        result = pre_malcev_from_rota_baxter(_need(doc, "linear_map"), doc.algebra)
+    elif args.via == "rb-inv":
+        result = pre_malcev_from_invertible_rota_baxter(
+            _need(doc, "linear_map"), doc.algebra)
+    elif args.via == "symplectic":
+        result = pre_malcev_from_symplectic(
+            _need(doc, "bilinear_form"), doc.algebra)
+    else:  # prealt-oop
+        kind, context = _operator_context(doc, args)
+        T = _need(doc, "linear_map")
+        if kind != "bimodule":
+            raise InputError("construct --via prealt-oop needs a bimodule block")
+        result = pre_alternative_from_o_operator(T, context)
     _write_document(args, AlgebraDocument(result))
     return PASS
 
 
 def _cmd_mybe_check(args) -> int:
-    started = time.perf_counter()
     doc = _load(args)
     tensor = _need(doc, "tensor2")
     candidate = MybeCandidate(doc.algebra, tensor)
     if not tensor.is_skew_supersymmetric():
         raise InputError("tensor2 is not skew-supersymmetric")
-    tensor_report = _tensor_report(candidate, args.witness_limit)
-    operator_report = check_operator_form(candidate, witness_limit=args.witness_limit)
-    agreement = tensor_report.ok == operator_report.ok
-    if not agreement:
-        status = ALARM
-    elif tensor_report.ok:
-        status = PASS
-    else:
-        status = FAIL
-    return _emit(sys.stdout, args, "mybe-check", [tensor_report, operator_report],
-                 status, agreement=agreement, started=started)
+    checks = _mybe_reports(candidate, args.witness_limit)
+    return _emit(args, checks, _mybe_agreement(checks))
 
 
 def _cmd_build_r(args) -> int:
-    started = time.perf_counter()
     doc = _load(args)
     T = _need(doc, "linear_map")
     if doc.linear_map_domain != "module":
@@ -379,121 +409,41 @@ def _cmd_build_r(args) -> int:
     oop_report = check_o_operator_malcev(T, R, witness_limit=args.witness_limit)
     candidate = r_from_o_operator(T, R)
     tensor_report = _tensor_report(candidate, args.witness_limit)
-    skew = candidate.r.is_skew_supersymmetric()
-    agreement = oop_report.ok == tensor_report.ok and skew
-    if not agreement:
-        status = ALARM
-    elif tensor_report.ok:
-        status = PASS
-    else:
-        status = FAIL
-    out_doc = AlgebraDocument(candidate.algebra, tensor2=candidate.r)
-    document = None
-    if getattr(args, "out", None):
-        Path(args.out).write_text(serialize(out_doc), encoding="utf-8")
-    elif not args.json:
-        document = serialize(out_doc)
-    return _emit(sys.stdout, args, "build-r", [oop_report, tensor_report],
-                 status, agreement=agreement, document=document, started=started)
+    # T is an O-operator iff r = T - sigma(T) is a skew solution of the MYBE
+    agreement = oop_report.ok == tensor_report.ok and candidate.r.is_skew_supersymmetric()
+    return _emit(args, [oop_report, tensor_report], agreement,
+                 AlgebraDocument(candidate.algebra, tensor2=candidate.r))
 
 
 def _cmd_canonical_r(args) -> int:
-    started = time.perf_counter()
-    doc = _load(args)
-    try:
-        candidate = canonical_r(doc.algebra)
-    except IdentityViolation as exc:
-        sys.stdout.write(_check_text(exc.report) + "\n")
-        return FAIL
-    tensor_report = _tensor_report(candidate, args.witness_limit)
-    operator_report = check_operator_form(candidate, witness_limit=args.witness_limit)
-    agreement = tensor_report.ok == operator_report.ok
-    if not agreement:
-        status = ALARM
-    elif tensor_report.ok:
-        status = PASS
-    else:
-        status = FAIL
-    out_doc = AlgebraDocument(candidate.algebra, tensor2=candidate.r)
-    document = None
-    if getattr(args, "out", None):
-        Path(args.out).write_text(serialize(out_doc), encoding="utf-8")
-    elif not args.json:
-        document = serialize(out_doc)
-    return _emit(sys.stdout, args, "canonical-r", [tensor_report, operator_report],
-                 status, agreement=agreement, document=document, started=started)
+    candidate = canonical_r(_load(args).algebra)
+    checks = _mybe_reports(candidate, args.witness_limit)
+    return _emit(args, checks, _mybe_agreement(checks),
+                 AlgebraDocument(candidate.algebra, tensor2=candidate.r))
 
 
 def _cmd_symplectic(args) -> int:
-    started = time.perf_counter()
     doc = _load(args)
-    tensor = _need(doc, "tensor2")
-    candidate = MybeCandidate(doc.algebra, tensor)
-    try:
-        omega = symplectic_from_r(candidate)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    omega = symplectic_from_r(MybeCandidate(doc.algebra, _need(doc, "tensor2")))
     report = check_symplectic(omega, doc.algebra, witness_limit=args.witness_limit)
-    status = PASS if report.ok else FAIL
-    out_doc = AlgebraDocument(doc.algebra, bilinear_form=omega)
-    document = None
-    if getattr(args, "out", None):
-        Path(args.out).write_text(serialize(out_doc), encoding="utf-8")
-    elif not args.json:
-        document = serialize(out_doc)
-    return _emit(sys.stdout, args, "symplectic", [report], status,
-                 document=document, started=started)
+    return _emit(args, [report], document=AlgebraDocument(doc.algebra, bilinear_form=omega))
 
 
 def _cmd_report(args) -> int:
-    started = time.perf_counter()
-    doc = _load(args)
-    wanted = set(args.identities.split(",")) if args.identities else None
+    doc = _load(args, product=None)
+    wanted = set(args.identities.split(",")) if args.identities else set(_IDENTITIES)
+    unknown = sorted(wanted - _IDENTITIES.keys())
+    if unknown:
+        raise InputError(f"unknown identity {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(_IDENTITIES)}")
     checks: list[ViolationReport] = []
-    agreement = None
-    names = set(doc.algebra.product_names())
-
-    def include(name: str) -> bool:
-        return wanted is None or name in wanted
-
-    if "mul" in names:
-        if include("left-alt"):
-            checks.append(check_left_alternative(doc.algebra, witness_limit=args.witness_limit))
-        if include("right-alt"):
-            checks.append(check_right_alternative(doc.algebra, witness_limit=args.witness_limit))
-        if include("malcev"):
-            checks.append(check_malcev(doc.algebra, witness_limit=args.witness_limit))
-        if include("pre-malcev"):
-            checks.append(check_pre_malcev(doc.algebra, witness_limit=args.witness_limit))
-    if {"prec", "succ"} <= names and include("pre-alternative"):
-        checks.append(check_pre_alternative(doc.algebra, witness_limit=args.witness_limit))
-    if doc.representation is not None and include("representation"):
-        checks.append(check_malcev_representation(doc.representation,
-                                                  witness_limit=args.witness_limit))
-    if doc.bimodule is not None and include("bimodule"):
-        checks.append(check_alternative_bimodule(doc.bimodule,
-                                                 witness_limit=args.witness_limit))
-    if doc.bilinear_form is not None and include("symplectic"):
-        _need_mul(doc, "symplectic check")
-        checks.append(check_symplectic(doc.bilinear_form, doc.algebra,
-                                       witness_limit=args.witness_limit))
-    if doc.tensor2 is not None and doc.tensor2.is_skew_supersymmetric() and include("mybe"):
-        candidate = MybeCandidate(doc.algebra, doc.tensor2)
-        tensor_report = _tensor_report(candidate, args.witness_limit)
-        operator_report = check_operator_form(candidate, witness_limit=args.witness_limit)
-        checks.extend([tensor_report, operator_report])
-        agreement = tensor_report.ok == operator_report.ok
+    for name, (block, product, _) in _IDENTITIES.items():
+        applies = getattr(doc, block) is not None if block else _has(doc, product)
+        if name in wanted and applies:
+            checks += _run(doc, name, args.witness_limit)
     if not checks:
         raise InputError("nothing to check (empty identity selection?)")
-    if agreement is False:
-        status = ALARM
-    elif all(r.ok for r in checks):
-        status = PASS
-    else:
-        status = FAIL
-    return _emit(sys.stdout, args, "report", checks, status,
-                 agreement=agreement, started=started)
-
+    return _emit(args, checks, _mybe_agreement(checks))
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -514,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("check", _cmd_check, help="run one identity checker")
-    p.add_argument("--identity", required=True, choices=(
-        "left-alt", "right-alt", "malcev", "pre-malcev", "pre-alternative",
-        "representation", "bimodule", "symplectic"))
+    # mybe has its own subcommand, which also reports the agreement of its two forms
+    p.add_argument("--identity", required=True,
+                   choices=[name for name in _IDENTITIES if name != "mybe"])
 
     p = add("commutator", _cmd_commutator, help="commutator superalgebra")
     p.add_argument("--out")
@@ -560,14 +510,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except ParityViolation as exc:
+    except IdentityViolation as exc:  # a construction's precondition fails
+        return _emit(args, [exc.report])
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

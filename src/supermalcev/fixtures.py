@@ -7,11 +7,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from ._linalg import ONE, ZERO
 from .graded import GradedLinearMap, SuperSpace
 from .algebras import Superalgebra
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def zero_algebra(even_dim: int = 1, odd_dim: int = 0) -> Superalgebra:

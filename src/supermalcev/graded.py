@@ -22,11 +22,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from ._linalg import Matrix, as_scalar, freeze, mat_mul, mat_vec, zero_matrix
+from ._linalg import ONE, ZERO, Matrix, as_scalar, freeze, mat_mul, mat_vec, zero_matrix
 from . import _linalg
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def koszul_sign(p: int, q: int) -> int:

@@ -17,8 +17,10 @@ lexicographic order of the entry tuples.  Every ``support`` entry must be
 parity-0 (``ParityViolation`` before any candidate is tried), and ``limit``
 caps the number of results.
 
-Constructions validate their precondition and raise ``IdentityViolation``
-carrying the offending report instead of returning a broken algebra.
+A checker raises ``DimensionMismatch`` when the (even, odd) dimensions of
+the operator's domain and codomain are not those of V and A.  Constructions
+validate their precondition and raise ``IdentityViolation`` carrying the
+offending report instead of returning a broken algebra.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _linalg
+from ._linalg import ONE, ZERO
 from .graded import (
+    DimensionMismatch,
     GradedLinearMap,
     GradedVector,
     ParityViolation,
@@ -46,9 +50,6 @@ from .algebras import (
     _WitnessCollector,
 )
 from .reps import Bimodule, Representation
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class IdentityViolation(Exception):
@@ -153,7 +154,16 @@ def _induced_product(columns: _Columns,
     }
 
 
+def _shape(space: SuperSpace) -> tuple[int, int]:
+    return space.even_dim, space.odd_dim
+
+
 def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationReport:
+    got = _shape(T.domain), _shape(T.codomain)
+    want = _shape(ctx.module), _shape(ctx.algebra.space)
+    if got != want:
+        raise DimensionMismatch(f"{ctx.identity}: operator has (even, odd) dimensions "
+                                f"{got[0]} -> {got[1]}, expected {want[0]} -> {want[1]}")
     col = _WitnessCollector(ctx.identity, witness_limit)
     if T.parity != 0:
         col.preconditions.append("operator candidate is not even")

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import _linalg
+from ._linalg import ONE, ZERO
 from .graded import (
     GradedLinearMap,
     GradedVector,
@@ -33,9 +34,6 @@ from .algebras import (
     _WitnessCollector,
     commutator_superalgebra,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _validate_action(algebra: Superalgebra, space: SuperSpace,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
+from ._linalg import ONE, ZERO
 from .graded import (
     GradedLinearMap,
     Tensor2,
@@ -40,9 +41,6 @@ from .reps import (
     semidirect_malcev,
 )
 from .operators import BilinearForm, IdentityViolation, classify_form, check_o_operator_malcev
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

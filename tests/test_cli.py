@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from supermalcev.cli import main
 from supermalcev.serialize import parse
 
@@ -240,3 +242,115 @@ def test_timings_flag_fills_wall_time(capsys):
     assert code == 0
     payload = json.loads(out)
     assert isinstance(payload["wall_time_ms"], float)
+
+
+def prec_succ_document(dim, blocks):
+    """A dim|0 document with zero prec/succ products and the named blocks:
+    linear_map (domain 'algebra'), module_map (a linear_map with domain
+    'module'), bilinear_form, tensor2, bimodule; every matrix is zero."""
+    zeros = [["0"] * dim for _ in range(dim)]
+    doc = {"format": "superalg/1", "even_dim": dim, "odd_dim": 0,
+           "basis_labels": [f"e{i + 1}" for i in range(dim)],
+           "products": {"prec": [], "succ": []}}
+    for block in blocks:
+        if block in ("linear_map", "module_map"):
+            domain = "algebra" if block == "linear_map" else "module"
+            doc["linear_map"] = {"domain": domain, "matrix": zeros}
+        elif block == "bilinear_form":
+            doc["bilinear_form"] = {"matrix": zeros}
+        elif block == "tensor2":
+            doc["tensor2"] = {"parity": 0, "coeffs": zeros}
+        elif block == "bimodule":
+            doc["bimodule"] = {"even_dim": dim, "odd_dim": 0,
+                               "basis_labels": [f"v{i + 1}" for i in range(dim)],
+                               "left": [zeros] * dim, "right": [zeros] * dim}
+    return doc
+
+
+# (command and options, blocks of the prec/succ document, what needs 'mul')
+MISSING_MUL_CASES = [
+    (["rb-check"], ["linear_map"], "rb-check"),
+    (["rb-check", "--sign-variant"], ["linear_map"], "rb-check"),
+    (["construct", "--via", "rb"], ["linear_map"], "construct"),
+    (["construct", "--via", "rb-inv"], ["linear_map"], "construct"),
+    (["construct", "--via", "symplectic"], ["bilinear_form"], "construct"),
+    (["construct", "--via", "prealt-oop"], ["bimodule", "module_map"], "construct"),
+    (["mybe-check"], ["tensor2"], "mybe-check"),
+    (["canonical-r"], [], "canonical-r"),
+    (["symplectic"], ["tensor2"], "symplectic"),
+    (["check", "--identity", "bimodule"], ["bimodule"], "bimodule check"),
+    (["oop-check"], ["bimodule", "module_map"], "oop-check"),
+    (["semidirect"], ["bimodule"], "semidirect"),
+    (["report"], ["bimodule"], "bimodule check"),
+    (["report"], ["tensor2"], "mybe check"),
+    (["commutator"], [], "commutator"),
+]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("argv, blocks, what", MISSING_MUL_CASES,
+                         ids=[" ".join(c[0]) + "/" + ",".join(c[1]) for c in MISSING_MUL_CASES])
+def test_missing_mul_product_exits_2(capsys, tmp_path, dim, argv, blocks, what):
+    path = tmp_path / "prec_succ.json"
+    path.write_text(json.dumps(prec_succ_document(dim, blocks)))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} needs a 'mul' product\n"
+    assert "Traceback" not in err
+
+
+def test_operator_dimension_mismatch_exits_2(capsys, tmp_path):
+    # a 1-dim algebra, a 2-dim representation, and T defined on the algebra
+    doc = {"format": "superalg/1", "even_dim": 1, "odd_dim": 0, "basis_labels": ["a"],
+           "products": {"mul": []},
+           "representation": {"even_dim": 2, "odd_dim": 0, "basis_labels": ["v1", "v2"],
+                              "matrices": [[["0", "0"], ["0", "0"]]]},
+           "linear_map": {"domain": "algebra", "matrix": [["1"]]}}
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["oop-check", str(path)], ["construct", str(path), "--via", "oop"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: o-operator: operator has (even, odd) dimensions")
+        assert err.count("\n") == 1
+
+
+def test_failed_precondition_prints_json_report(capsys, tmp_path):
+    code, out, _ = run(capsys, "canonical-r", str(FIX / "broken_premalcev.json"), "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["command"] == "canonical-r"
+    assert payload["exit_status"] == 1
+    assert [(c["identity"], c["verdict"]) for c in payload["checks"]] == [("pre-malcev", "fail")]
+    bad = tmp_path / "bad_rb.json"
+    doc = json.loads((FIX / "sl2_rb.json").read_text())
+    doc["linear_map"]["matrix"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "construct", str(bad), "--via", "rb", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["command"] == "construct"
+    assert payload["exit_status"] == 1
+    assert [(c["identity"], c["verdict"]) for c in payload["checks"]] == [("rota-baxter", "fail")]
+
+
+def test_report_rejects_unknown_identity(capsys):
+    code, out, err = run(capsys, "report", str(FIX / "sl2.json"),
+                         "--identities", "malcev,bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown identity 'bogus'")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    out_file = str(tmp_path / "missing" / "out.json")
+    for argv in (["commutator", str(FIX / "sl2.json")],
+                 ["build-r", str(FIX / "sl2_adjoint_rb.json")]):
+        code, out, err = run(capsys, *argv, "--out", out_file)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_file}: ")
+        assert err.count("\n") == 1

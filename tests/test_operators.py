@@ -10,6 +10,7 @@ import pytest
 from supermalcev import (
     BilinearForm,
     Bimodule,
+    DimensionMismatch,
     GradedLinearMap,
     IdentityViolation,
     ParityViolation,
@@ -94,6 +95,30 @@ def test_seeded_operator_candidate_generically_fails():
     R = adjoint_representation(A)
     T = fixtures.random_even_matrix(A.space, A.space, 0, __import__("random").Random(1))
     assert not check_o_operator_malcev(T, R).ok
+
+
+def test_operator_dimensions_must_match_module_and_algebra():
+    A = fixtures.zero_algebra(1, 0)
+    V = SuperSpace(2, 0)
+    R = Representation(A, V, (GradedLinearMap.zero(V, V, 0),))
+    B = Bimodule(A, V, R.action, R.action)
+    wrong = (
+        GradedLinearMap.identity(A.space),  # domain A (1|0) instead of V (2|0)
+        GradedLinearMap.zero(V, SuperSpace(2, 0), 0),  # codomain (2|0), A is (1|0)
+        GradedLinearMap.zero(SuperSpace(1, 1), A.space, 0),  # same total dim as V
+    )
+    for T in wrong:
+        with pytest.raises(DimensionMismatch):
+            check_o_operator_malcev(T, R)
+        with pytest.raises(DimensionMismatch):
+            check_o_operator_alternative(T, B)
+        with pytest.raises(DimensionMismatch):
+            pre_malcev_from_o_operator(T, R)
+    with pytest.raises(DimensionMismatch):
+        check_rota_baxter(GradedLinearMap.zero(V, A.space, 0), A)
+    # dimensions are compared, not basis labels
+    relabelled = SuperSpace(2, 0, ("u", "w"))
+    assert check_o_operator_malcev(GradedLinearMap.zero(relabelled, A.space, 0), R).ok
 
 
 def test_odd_candidate_flagged():
