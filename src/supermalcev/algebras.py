@@ -1,9 +1,13 @@
 """Structure-constant superalgebras and the defining-identity checkers.
 
-A ``Superalgebra`` stores one product table per product name; the table
-entry ``c[i][j][k]`` is the coefficient of ``b_k`` in ``b_i * b_j``.
-Single-product algebras use the name ``"mul"``; pre-alternative algebras
-carry the two products ``"prec"`` and ``"succ"``.
+A ``Superalgebra`` stores each product as sparse rows: the row of the
+basis pair (i, j) maps k to the nonzero coefficient of ``b_k`` in
+``b_i * b_j``, and pairs with ``b_i * b_j = 0`` have no row.  The rows are
+built once, when the algebra is, and the storage grows with the nonzero
+structure constants, not with the cube of the dimension; ``table()``
+derives the dense ``c[i][j][k]`` on demand.  Single-product algebras use
+the name ``"mul"``; pre-alternative algebras carry the two products
+``"prec"`` and ``"succ"``.
 
 Every checker walks homogeneous basis tuples only: the identities are
 multilinear and parity-homogeneous, so vanishing on basis tuples is
@@ -30,6 +34,7 @@ from .graded import (
 
 Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
 Sparse = dict[int, Fraction]
+Rows = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
 DEFAULT_WITNESS_LIMIT = 16
 
@@ -84,17 +89,6 @@ class _WitnessCollector:
         )
 
 
-def _freeze_table(dim: int, table) -> Table:
-    frozen = tuple(
-        tuple(tuple(as_scalar(c) for c in row) for row in plane) for plane in table
-    )
-    if len(frozen) != dim or any(
-        len(plane) != dim or any(len(row) != dim for row in plane) for plane in frozen
-    ):
-        raise ValueError("structure table shape does not match the space dimension")
-    return frozen
-
-
 def _add_scaled(dst: Sparse, src: Mapping[int, Fraction], factor: Fraction):
     if factor == 0:
         return
@@ -108,45 +102,48 @@ def _add_scaled(dst: Sparse, src: Mapping[int, Fraction], factor: Fraction):
 
 @dataclass(frozen=True)
 class Superalgebra:
+    """Structure constants as sparse rows: ``products[name][(i, j)]`` maps
+    each k with a nonzero coefficient of b_k in b_i * b_j to that
+    coefficient.  Rows are stored sorted, zeros dropped and frozen."""
+
     space: SuperSpace
-    products: Mapping[str, Table]
+    products: Mapping[str, Rows]
 
     def __post_init__(self):
-        n = self.space.dim
-        frozen = {name: _freeze_table(n, t) for name, t in self.products.items()}
+        par = self.space.parity
+        frozen = {}
+        for name, rows in self.products.items():
+            cleaned: dict[tuple[int, int], dict[int, Fraction]] = {}
+            for (i, j), row in sorted(rows.items()):
+                for k, c in sorted(row.items()):
+                    c = as_scalar(c)
+                    if par(k) != (par(i) + par(j)) % 2 and c != 0:
+                        raise ParityViolation(
+                            f"product {name!r}: entry ({i}, {j}, {k}) = {c} maps "
+                            f"parities ({par(i)}, {par(j)}) to parity {par(k)}"
+                        )
+                    if c:
+                        cleaned.setdefault((i, j), {})[k] = c
+            frozen[name] = MappingProxyType(
+                {key: MappingProxyType(row) for key, row in cleaned.items()})
         object.__setattr__(self, "products", MappingProxyType(frozen))
-        for name, table in frozen.items():
-            for i, plane in enumerate(table):
-                pi = self.space.parity(i)
-                for j, row in enumerate(plane):
-                    target = (pi + self.space.parity(j)) % 2
-                    for k, c in enumerate(row):
-                        if c != 0 and self.space.parity(k) != target:
-                            raise ParityViolation(
-                                f"product {name!r}: entry ({i}, {j}, {k}) = {c} "
-                                f"maps parities ({pi}, {self.space.parity(j)}) "
-                                f"to parity {self.space.parity(k)}"
-                            )
 
     @staticmethod
     def from_entries(
         space: SuperSpace, entries: Mapping[str, Mapping[tuple[int, int, int], object]]
     ) -> "Superalgebra":
-        n = space.dim
-        products = {}
+        products: dict[str, dict[tuple[int, int], dict[int, object]]] = {}
         for name, sparse in entries.items():
-            table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+            rows = products[name] = {}
             for (i, j, k), c in sparse.items():
-                table[i][j][k] = as_scalar(c)
-            products[name] = tuple(
-                tuple(tuple(row) for row in plane) for plane in table
-            )
+                rows.setdefault((i, j), {})[k] = c
         return Superalgebra(space, products)
 
     def product_names(self) -> tuple[str, ...]:
         return tuple(self.products.keys())
 
-    def table(self, product: str = "mul") -> Table:
+    def rows(self, product: str = "mul") -> Rows:
+        """The stored sparse rows of one product."""
         try:
             return self.products[product]
         except KeyError:
@@ -154,29 +151,23 @@ class Superalgebra:
                 f"unknown product {product!r}; algebra has {self.product_names()}"
             ) from None
 
+    def table(self, product: str = "mul") -> Table:
+        """The dense table ``c[i][j][k]``, derived from the rows on each call."""
+        n = self.space.dim
+        table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), row in self.rows(product).items():
+            for k, c in row.items():
+                table[i][j][k] = c
+        return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
     # -- sparse product evaluation -------------------------------------
 
-    def _rows(self, product: str) -> dict[tuple[int, int], Sparse]:
-        cache = self.__dict__.setdefault("_row_cache", {})
-        rows = cache.get(product)
-        if rows is None:
-            table = self.table(product)
-            rows = {}
-            n = self.space.dim
-            for i in range(n):
-                for j in range(n):
-                    entries = {k: c for k, c in enumerate(table[i][j]) if c != 0}
-                    if entries:
-                        rows[(i, j)] = entries
-            cache[product] = rows
-        return rows
-
     def mul_basis(self, i: int, j: int, product: str = "mul") -> Sparse:
-        return dict(self._rows(product).get((i, j), {}))
+        return self.rows(product).get((i, j), {}).copy()
 
     def mul_sparse(self, xs: Mapping[int, Fraction], ys: Mapping[int, Fraction],
                    product: str = "mul") -> Sparse:
-        rows = self._rows(product)
+        rows = self.rows(product)
         out: Sparse = {}
         for i, a in xs.items():
             for j, b in ys.items():
@@ -189,16 +180,16 @@ class Superalgebra:
         """Bilinear extension of the structure constants to whole vectors."""
         if x.space.dim != self.space.dim or y.space.dim != self.space.dim:
             raise ValueError("vectors do not live in the algebra's space")
-        self.table(product)
         return vector_from_sparse(
             self.space, self.mul_sparse(x.sparse(), y.sparse(), product)
         )
 
     def bracket_basis(self, i: int, j: int, product: str = "mul") -> Sparse:
         """[b_i, b_j] = b_i*b_j - (-1)^{|b_i||b_j|} b_j*b_i."""
-        out = dict(self._rows(product).get((i, j), {}))
+        rows = self.rows(product)
+        out = rows.get((i, j), {}).copy()
         sign = koszul_sign(self.space.parity(i), self.space.parity(j))
-        _add_scaled(out, self._rows(product).get((j, i), {}), Fraction(-sign))
+        _add_scaled(out, rows.get((j, i), {}), Fraction(-sign))
         return out
 
 
@@ -239,7 +230,7 @@ def check_right_alternative(A: Superalgebra, product: str = "mul",
 
 
 def _associator(A: Superalgebra, product: str, i: int, j: int, k: int) -> Sparse:
-    rows = A._rows(product)
+    rows = A.rows(product)
     out = A.mul_sparse(rows.get((i, j), {}), {k: ONE}, product)
     _add_scaled(out, A.mul_sparse({i: ONE}, rows.get((j, k), {}), product), Fraction(-1))
     return out
@@ -256,9 +247,9 @@ def check_malcev(A: Superalgebra, product: str = "mul",
     col = _WitnessCollector("malcev", witness_limit)
     n = A.space.dim
     par = A.space.parities()
-    rows = A._rows(product)
+    rows = A.rows(product)
     for i, j in itertools.product(range(n), repeat=2):
-        res = dict(rows.get((i, j), {}))
+        res = rows.get((i, j), {}).copy()
         _add_scaled(res, rows.get((j, i), {}), Fraction(koszul_sign(par[i], par[j])))
         if res:
             col.add((i, j), vector_from_sparse(A.space, res))
@@ -293,7 +284,7 @@ def check_pre_malcev(A: Superalgebra, product: str = "mul",
     col = _WitnessCollector("pre-malcev", witness_limit)
     n = A.space.dim
     par = A.space.parities()
-    rows = A._rows(product)
+    rows = A.rows(product)
     for i, j, k, l in itertools.product(range(n), repeat=4):
         # (-1)^{|x|(|y|+|z|)} [y,z].(x.t)
         res = A.mul_sparse(A.bracket_basis(j, k, product), rows.get((i, l), {}), product)
@@ -387,51 +378,36 @@ def check_pre_alternative(A: Superalgebra,
 # -- functors ------------------------------------------------------------
 
 
+def _add_rows(out: dict[tuple[int, int, int], Fraction], rows: Rows,
+              flip: tuple[int, ...] | None = None):
+    """Add the entries of ``rows`` into the triples ``out``.  Given the
+    parities as ``flip``, entry (i, j, k) goes to (j, i, k) times
+    -(-1)^{|b_i||b_j|} instead."""
+    for (i, j), row in rows.items():
+        key, sign = ((j, i), -koszul_sign(flip[i], flip[j])) if flip else ((i, j), 1)
+        for k, c in row.items():
+            out[key + (k,)] = out.get(key + (k,), ZERO) + sign * c
+
+
 def commutator_superalgebra(A: Superalgebra, product: str = "mul") -> Superalgebra:
     """[x,y] = x*y - (-1)^{|x||y|} y*x, as a new single-product algebra."""
-    table = A.table(product)
-    n = A.space.dim
-    par = A.space.parities()
-    bracket = tuple(
-        tuple(
-            tuple(
-                table[i][j][k] - koszul_sign(par[i], par[j]) * table[j][i][k]
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Superalgebra(A.space, {"mul": bracket})
+    bracket: dict[tuple[int, int, int], Fraction] = {}
+    _add_rows(bracket, A.rows(product))
+    _add_rows(bracket, A.rows(product), A.space.parities())
+    return Superalgebra.from_entries(A.space, {"mul": bracket})
 
 
 def sum_pre_alternative(A: Superalgebra) -> Superalgebra:
     """x*y = x prec y + x succ y collapses (prec, succ) to one product."""
-    prec, succ = A.table("prec"), A.table("succ")
-    n = A.space.dim
-    total = tuple(
-        tuple(
-            tuple(prec[i][j][k] + succ[i][j][k] for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Superalgebra(A.space, {"mul": total})
+    total: dict[tuple[int, int, int], Fraction] = {}
+    _add_rows(total, A.rows("prec"))
+    _add_rows(total, A.rows("succ"))
+    return Superalgebra.from_entries(A.space, {"mul": total})
 
 
 def pre_malcev_from_pre_alternative(A: Superalgebra) -> Superalgebra:
     """x.y = x succ y - (-1)^{|x||y|} y prec x."""
-    prec, succ = A.table("prec"), A.table("succ")
-    n = A.space.dim
-    par = A.space.parities()
-    table = tuple(
-        tuple(
-            tuple(
-                succ[i][j][k] - koszul_sign(par[i], par[j]) * prec[j][i][k]
-                for k in range(n)
-            )
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Superalgebra(A.space, {"mul": table})
+    dot: dict[tuple[int, int, int], Fraction] = {}
+    _add_rows(dot, A.rows("succ"))
+    _add_rows(dot, A.rows("prec"), A.space.parities())
+    return Superalgebra.from_entries(A.space, {"mul": dot})

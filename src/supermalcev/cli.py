@@ -513,6 +513,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = time.perf_counter()
     try:
+        if args.witness_limit < 1:
+            raise InputError(f"--witness-limit must be at least 1, got {args.witness_limit}")
         return args.handler(args)
     except IdentityViolation as exc:  # a construction's precondition fails
         return _emit(args, [exc.report])

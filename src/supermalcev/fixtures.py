@@ -27,45 +27,35 @@ def sl2() -> Superalgebra:
     }})
 
 
-def _cayley_dickson_double(table, conj, gamma: int):
+def _cayley_dickson_double(entries, conj, gamma: int):
     """One doubling step: (a,b)(c,d) = (ac + g*conj(d)b, da + b*conj(c)).
 
+    ``entries`` maps (i, j, k) to the nonzero coefficient of e_k in e_i e_j;
     ``conj`` is the diagonal of the conjugation in the current basis
     (standard involution: fixes the unit, negates the imaginary units).
     """
-    n = len(table)
-    m = 2 * n
-    new = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    n = len(conj)
     g = Fraction(gamma)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c_ij = table[i][j][k]
-                c_ji = table[j][i][k]
-                if c_ij:
-                    # (e_i,0)(e_j,0) = (e_i e_j, 0)
-                    new[i][j][k] += c_ij
-                    # (0,e_i)(e_j,0): second component b*conj(c), b=e_i, c=e_j
-                    new[n + i][j][n + k] += conj[j] * c_ij
-                if c_ji:
-                    # (e_i,0)(0,e_j): second component d*a, d=e_j, a=e_i
-                    new[i][n + j][n + k] += c_ji
-                    # (0,e_i)(0,e_j): first component g*conj(d)*b, d=e_j, b=e_i
-                    new[n + i][n + j][k] += g * conj[j] * c_ji
-    new_conj = list(conj) + [-ONE] * n
-    return new, new_conj
+    new = {}
+    for (i, j, k), c in entries.items():
+        # (e_i,0)(e_j,0) = (e_i e_j, 0)
+        new[(i, j, k)] = c
+        # (0,e_i)(e_j,0): second component b*conj(c), b=e_i, c=e_j
+        new[(n + i, j, n + k)] = conj[j] * c
+        # (e_j,0)(0,e_i): second component d*a, d=e_i, a=e_j
+        new[(j, n + i, n + k)] = c
+        # (0,e_j)(0,e_i): first component g*conj(d)*b, d=e_i, b=e_j
+        new[(n + j, n + i, k)] = g * conj[i] * c
+    return new, list(conj) + [-ONE] * n
 
 
 def cayley_dickson_algebra(gammas: tuple[int, ...]) -> Superalgebra:
     """Iterated Cayley-Dickson doubling of the rationals; purely even."""
-    table = [[[ONE]]]
+    entries = {(0, 0, 0): ONE}
     conj = [ONE]
     for g in gammas:
-        table, conj = _cayley_dickson_double(table, conj, g)
-    dim = len(table)
-    return Superalgebra(SuperSpace(dim, 0), {"mul": tuple(
-        tuple(tuple(row) for row in plane) for plane in table
-    )})
+        entries, conj = _cayley_dickson_double(entries, conj, g)
+    return Superalgebra.from_entries(SuperSpace(len(conj), 0), {"mul": entries})
 
 
 def split_octonions() -> Superalgebra:

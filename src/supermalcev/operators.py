@@ -10,7 +10,10 @@ One engine serves them all: the residual
     m(T a, T b) - T(left(T a) b + s(a, b) right(T b) a)
 
 on basis pairs of V, and the induced product x.y = action(T x) y, are each
-written once.  Checkers, grid searches and constructions share them.
+written once.  Checkers, grid searches and constructions share them.  The
+engine reads every action, and the operator itself, as sparse columns, with
+the column helpers of ``reps`` that the module checkers use too; A acting
+on itself reads the algebra's sparse rows.
 
 A grid search returns exactly the candidates its checker accepts, in
 lexicographic order of the entry tuples.  Every ``support`` entry must be
@@ -49,7 +52,7 @@ from .algebras import (
     _add_scaled,
     _WitnessCollector,
 )
-from .reps import Bimodule, Representation
+from .reps import Bimodule, Representation, _act, _columns, _Columns, _sparse_columns
 
 
 class IdentityViolation(Exception):
@@ -65,11 +68,6 @@ class IdentityViolation(Exception):
 
 # -- the O-operator engine ------------------------------------------------
 
-# _Columns[k][j]: the action of the algebra basis element b_k on the module
-# basis vector b_j, as a sparse vector of V
-_Columns = tuple[tuple[Sparse, ...], ...]
-
-
 @dataclass(frozen=True)
 class _Context:
     """The action an O-operator T : V -> A is taken against."""
@@ -83,30 +81,20 @@ class _Context:
     signs: tuple[tuple[Fraction, ...], ...]  # factor of the right term on (a, b)
 
 
-def _sparse_columns(matrix: _linalg.Matrix, ncols: int) -> tuple[Sparse, ...]:
-    cols: tuple[Sparse, ...] = tuple({} for _ in range(ncols))
-    for r, row in enumerate(matrix):
-        for c, v in enumerate(row):
-            if v != 0:
-                cols[c][r] = v
-    return cols
-
-
 def _signs(space: SuperSpace, sign) -> tuple[tuple[Fraction, ...], ...]:
     par = space.parities()
     return tuple(tuple(Fraction(sign(p, q)) for q in par) for p in par)
 
 
 def _rep_context(R: Representation) -> _Context:
-    cols = tuple(_sparse_columns(m.matrix, R.space.dim) for m in R.action)
+    cols = _columns(R.action)
     return _Context("o-operator", R.algebra, "mul", R.space, cols, cols,
                     _signs(R.space, lambda p, q: -koszul_sign(p, q)))
 
 
 def _bimodule_context(B: Bimodule) -> _Context:
     return _Context("o-operator-alternative", B.algebra, "mul", B.space,
-                    tuple(_sparse_columns(m.matrix, B.space.dim) for m in B.left),
-                    tuple(_sparse_columns(m.matrix, B.space.dim) for m in B.right),
+                    _columns(B.left), _columns(B.right),
                     _signs(B.space, lambda p, q: 1))
 
 
@@ -119,14 +107,6 @@ def _rota_baxter_context(A: Superalgebra, sign_variant: bool, product: str) -> _
         tuple(tuple(A.mul_basis(j, k, product) for j in range(n)) for k in range(n)),
         _signs(A.space, koszul_sign if sign_variant else lambda p, q: 1),
     )
-
-
-def _act(columns: _Columns, x: Sparse, j: int) -> Sparse:
-    """action(x) b_j for an algebra element x given by sparse coordinates."""
-    out: Sparse = {}
-    for k, c in x.items():
-        _add_scaled(out, columns[k][j], c)
-    return out
 
 
 def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:

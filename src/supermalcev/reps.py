@@ -6,6 +6,14 @@ Actions are stored per algebra basis element: ``action[i]`` is the graded
 linear map for ``b_i`` and must have parity ``|b_i|`` (that is what it
 means for the action map into gl(V) to be even).  Linearity in the algebra
 argument holds by construction and is never checked.
+
+The checkers, the semidirect products and the O-operator engine in
+``operators`` read an action through its sparse columns (``_Columns``):
+the image of each module basis vector under each ``action[i]``.  An
+identity between operators on V is decided column by column, on one
+module basis vector at a time, and a failing tuple is witnessed by its
+first nonzero residual column.  The multiplication representations are
+filled from the algebra's sparse rows.
 """
 
 from __future__ import annotations
@@ -19,11 +27,11 @@ from . import _linalg
 from ._linalg import ONE, ZERO
 from .graded import (
     GradedLinearMap,
-    GradedVector,
     ParityViolation,
     SuperSpace,
     direct_sum,
     koszul_sign,
+    vector_from_sparse,
 )
 from .algebras import (
     DEFAULT_WITNESS_LIMIT,
@@ -59,19 +67,6 @@ class Representation:
     def __post_init__(self):
         _validate_action(self.algebra, self.space, self.action, "representation")
 
-    def act_matrix(self, coords: Mapping[int, Fraction]) -> _linalg.Matrix:
-        """Matrix of rho(x) for an algebra element given by sparse coords."""
-        n = self.space.dim
-        out = [[ZERO] * n for _ in range(n)]
-        for i, c in coords.items():
-            m = self.action[i].matrix
-            for r in range(n):
-                row = m[r]
-                for s in range(n):
-                    if row[s] != 0:
-                        out[r][s] += c * row[s]
-        return tuple(tuple(row) for row in out)
-
     def act_sparse(self, coords: Mapping[int, Fraction],
                    v: Mapping[int, Fraction]) -> Sparse:
         """rho(x) v for sparse algebra coords x and sparse module vector v."""
@@ -93,135 +88,151 @@ class Bimodule:
         _validate_action(self.algebra, self.space, self.right, "bimodule right action")
 
 
+# -- actions as sparse columns -------------------------------------------
+
+# _Columns[k][j]: the action of the algebra basis element b_k on the module
+# basis vector b_j, as a sparse vector of V
+_Columns = tuple[tuple[Sparse, ...], ...]
+
+
+def _sparse_columns(matrix: _linalg.Matrix, ncols: int) -> tuple[Sparse, ...]:
+    cols: tuple[Sparse, ...] = tuple({} for _ in range(ncols))
+    for r, row in enumerate(matrix):
+        for c, v in enumerate(row):
+            if v != 0:
+                cols[c][r] = v
+    return cols
+
+
+def _columns(maps: tuple[GradedLinearMap, ...]) -> _Columns:
+    return tuple(_sparse_columns(m.matrix, m.domain.dim) for m in maps)
+
+
+def _act(columns: _Columns, x: Mapping[int, Fraction], j: int) -> Sparse:
+    """action(x) b_j for an algebra element x given by sparse coordinates."""
+    out: Sparse = {}
+    for k, c in x.items():
+        _add_scaled(out, columns[k][j], c)
+    return out
+
+
+def _apply(columns: tuple[Sparse, ...], v: Sparse) -> Sparse:
+    """The map with these sparse columns applied to the sparse vector v."""
+    out: Sparse = {}
+    for j, c in v.items():
+        _add_scaled(out, columns[j], c)
+    return out
+
+
+def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
+                          space: SuperSpace, terms):
+    """Witness ``indices + (c,)`` for the first module basis vector b_c whose
+    residual column, the sum of factor * vector over the (factor, vector)
+    pairs of ``terms(c)``, is nonzero, if there is one."""
+    for c in range(space.dim):
+        res: Sparse = {}
+        for factor, v in terms(c):
+            _add_scaled(res, v, factor)
+        if res:
+            col.add(indices + (c,), vector_from_sparse(space, res))
+            return
+
+
 # -- checkers ------------------------------------------------------------
-
-
-def _first_bad_column(residual: _linalg.Matrix) -> int:
-    ncols = len(residual[0]) if residual else 0
-    for j in range(ncols):
-        if any(row[j] != 0 for row in residual):
-            return j
-    return -1
-
-
-def _column_vector(space: SuperSpace, m: _linalg.Matrix, j: int) -> GradedVector:
-    return GradedVector(space, tuple(row[j] for row in m))
 
 
 def check_malcev_representation(R: Representation,
                                 witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
-    """Defining operator identity of a Malcev representation, as matrix
-    equalities on V over all homogeneous basis triples of A.
+    """Defining operator identity of a Malcev representation on V over all
+    homogeneous basis triples of A, decided column by column:
+
+        rho((xy)z) = rho(x)rho(y)rho(z) - (-1)^{|z|(|x|+|y|)} rho(z)rho(x)rho(y)
+                     + s rho(y)rho(zx) - s rho(yz)rho(x),  s = (-1)^{|x|(|y|+|z|)}
 
     A failing triple (i,j,k) is witnessed as (i,j,k,col) together with the
-    residual applied to the module basis vector ``col``.
+    residual applied to the first module basis vector ``col`` it does not
+    annihilate.
     """
     col = _WitnessCollector("representation", witness_limit)
     A = R.algebra
     n = A.space.dim
     par = A.space.parities()
-    mats = [m.matrix for m in R.action]
-    mul = _linalg.mat_mul
+    rho = _columns(R.action)
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = R.act_matrix(A.mul_sparse(A.mul_basis(i, j), {k: ONE}))
-        rhs = mul(mul(mats[i], mats[j]), mats[k])
-        t2 = mul(mats[k], mul(mats[i], mats[j]))
-        rhs = _linalg.mat_sub(rhs, _linalg.mat_scale(
-            Fraction(koszul_sign(par[k], par[i] + par[j])), t2))
+        xyz = A.mul_sparse(A.mul_basis(i, j), {k: ONE})
+        zx, yz = A.mul_basis(k, i), A.mul_basis(j, k)
+        s2 = Fraction(koszul_sign(par[k], par[i] + par[j]))
         s = Fraction(koszul_sign(par[i], par[j] + par[k]))
-        t3 = mul(mats[j], R.act_matrix(A.mul_basis(k, i)))
-        rhs = _linalg.mat_add(rhs, _linalg.mat_scale(s, t3))
-        t4 = mul(R.act_matrix(A.mul_basis(j, k)), mats[i])
-        rhs = _linalg.mat_sub(rhs, _linalg.mat_scale(s, t4))
-        residual = _linalg.mat_sub(lhs, rhs)
         col.tick()
-        if not _linalg.is_zero_matrix(residual):
-            bad = _first_bad_column(residual)
-            col.add((i, j, k, bad), _column_vector(R.space, residual, bad))
+        _witness_first_column(col, (i, j, k), R.space, lambda c: (
+            (ONE, _act(rho, xyz, c)),
+            (-ONE, _apply(rho[i], _apply(rho[j], rho[k][c]))),
+            (s2, _apply(rho[k], _apply(rho[i], rho[j][c]))),
+            (-s, _apply(rho[j], _act(rho, zx, c))),
+            *((s * a, _act(rho, yz, b)) for b, a in rho[i][c].items()),
+        ))
     return col.report()
 
 
 def check_alternative_bimodule(B: Bimodule,
                                witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """The four operator identities of an alternative bimodule over all
-    homogeneous basis pairs of A.
+    homogeneous basis pairs of A, decided column by column.
 
-    Witness index tuples are (identity#, i, j, col) with identity# in 0..3;
-    ``checked_tuples`` counts basis pairs.
+    Witness index tuples are (identity#, i, j, col) with identity# in 0..3
+    and ``col`` the first module basis vector the residual does not
+    annihilate; ``checked_tuples`` counts basis pairs.
     """
     col = _WitnessCollector("bimodule", witness_limit)
     A = B.algebra
     n = A.space.dim
     par = A.space.parities()
-    L = [m.matrix for m in B.left]
-    Rm = [m.matrix for m in B.right]
-    mul = _linalg.mat_mul
-
-    def lof(coords: Mapping[int, Fraction]) -> _linalg.Matrix:
-        out = _linalg.zero_matrix(B.space.dim, B.space.dim)
-        for i, c in coords.items():
-            out = _linalg.mat_add(out, _linalg.mat_scale(c, L[i]))
-        return out
-
-    def rof(coords: Mapping[int, Fraction]) -> _linalg.Matrix:
-        out = _linalg.zero_matrix(B.space.dim, B.space.dim)
-        for i, c in coords.items():
-            out = _linalg.mat_add(out, _linalg.mat_scale(c, Rm[i]))
-        return out
-
+    L, R = _columns(B.left), _columns(B.right)
     for i, j in itertools.product(range(n), repeat=2):
         col.tick()
         s = Fraction(koszul_sign(par[i], par[j]))
-        xy = A.mul_basis(i, j)
-        yx = A.mul_basis(j, i)
-        residuals = (
+        xy, yx = A.mul_basis(i, j), A.mul_basis(j, i)
+        identities = (
             # l(xy) + s l(yx) - l(x)l(y) - s l(y)l(x)
-            _linalg.mat_sub(
-                _linalg.mat_add(lof(xy), _linalg.mat_scale(s, lof(yx))),
-                _linalg.mat_add(mul(L[i], L[j]), _linalg.mat_scale(s, mul(L[j], L[i])))),
+            lambda c: ((ONE, _act(L, xy, c)), (s, _act(L, yx, c)),
+                       (-ONE, _apply(L[i], L[j][c])), (-s, _apply(L[j], L[i][c]))),
             # r(y)r(x) + s r(x)r(y) - r(xy) - s r(yx)
-            _linalg.mat_sub(
-                _linalg.mat_add(mul(Rm[j], Rm[i]), _linalg.mat_scale(s, mul(Rm[i], Rm[j]))),
-                _linalg.mat_add(rof(xy), _linalg.mat_scale(s, rof(yx)))),
+            lambda c: ((ONE, _apply(R[j], R[i][c])), (s, _apply(R[i], R[j][c])),
+                       (-ONE, _act(R, xy, c)), (-s, _act(R, yx, c))),
             # r(y)r(x) + s r(y)l(x) - s l(x)r(y) - r(xy)
-            _linalg.mat_sub(
-                _linalg.mat_add(mul(Rm[j], Rm[i]), _linalg.mat_scale(s, mul(Rm[j], L[i]))),
-                _linalg.mat_add(_linalg.mat_scale(s, mul(L[i], Rm[j])), rof(xy))),
+            lambda c: ((ONE, _apply(R[j], R[i][c])), (s, _apply(R[j], L[i][c])),
+                       (-s, _apply(L[i], R[j][c])), (-ONE, _act(R, xy, c))),
             # r(y)l(x) + s l(xy) - s l(x)l(y) - l(x)r(y)
-            _linalg.mat_sub(
-                _linalg.mat_add(mul(Rm[j], L[i]), _linalg.mat_scale(s, lof(xy))),
-                _linalg.mat_add(_linalg.mat_scale(s, mul(L[i], L[j])), mul(L[i], Rm[j]))),
+            lambda c: ((ONE, _apply(R[j], L[i][c])), (s, _act(L, xy, c)),
+                       (-s, _apply(L[i], L[j][c])), (-ONE, _apply(L[i], R[j][c]))),
         )
-        for q, res in enumerate(residuals):
-            if not _linalg.is_zero_matrix(res):
-                bad = _first_bad_column(res)
-                col.add((q, i, j, bad), _column_vector(B.space, res, bad))
+        for q, terms in enumerate(identities):
+            _witness_first_column(col, (q, i, j), B.space, terms)
     return col.report()
 
 
 # -- constructions -------------------------------------------------------
 
 
+def _embedded_product(A: Superalgebra,
+                      emb: tuple[int, ...]) -> dict[tuple[int, int, int], Fraction]:
+    """The product of A as triples, with A's basis sent to the indices ``emb``."""
+    return {(emb[i], emb[j], emb[k]): c
+            for (i, j), row in A.rows().items() for k, c in row.items()}
+
+
 def semidirect_malcev(R: Representation) -> Superalgebra:
     """Bracket on A + V:  [x+a, y+b] = [x,y] + rho(x)b - (-1)^{|x||y|} rho(y)a."""
     A = R.algebra
     total, emb_a, emb_v = direct_sum(A.space, R.space)
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    nA, nV = A.space.dim, R.space.dim
-    for i in range(nA):
-        for j in range(nA):
-            for k, c in A.mul_basis(i, j).items():
-                entries[(emb_a[i], emb_a[j], emb_a[k])] = c
-    for i in range(nA):
-        mat = R.action[i].matrix
+    entries = _embedded_product(A, emb_a)
+    for i, columns in enumerate(_columns(R.action)):
         pi = A.space.parity(i)
-        for j in range(nV):
-            for k in range(nV):
-                c = mat[k][j]
-                if c != 0:
-                    entries[(emb_a[i], emb_v[j], emb_v[k])] = c
-                    s = koszul_sign(R.space.parity(j), pi)
-                    entries[(emb_v[j], emb_a[i], emb_v[k])] = -s * c
+        for j, column in enumerate(columns):
+            s = koszul_sign(R.space.parity(j), pi)
+            for k, c in column.items():
+                entries[(emb_a[i], emb_v[j], emb_v[k])] = c
+                entries[(emb_v[j], emb_a[i], emb_v[k])] = -s * c
     return Superalgebra.from_entries(total, {"mul": entries})
 
 
@@ -229,21 +240,13 @@ def semidirect_alternative(B: Bimodule) -> Superalgebra:
     """Product on A + V:  (x+a)(y+b) = xy + l(x)b + r(y)a."""
     A = B.algebra
     total, emb_a, emb_v = direct_sum(A.space, B.space)
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    nA, nV = A.space.dim, B.space.dim
-    for i in range(nA):
-        for j in range(nA):
-            for k, c in A.mul_basis(i, j).items():
-                entries[(emb_a[i], emb_a[j], emb_a[k])] = c
-    for i in range(nA):
-        lmat = B.left[i].matrix
-        rmat = B.right[i].matrix
-        for j in range(nV):
-            for k in range(nV):
-                if lmat[k][j] != 0:
-                    entries[(emb_a[i], emb_v[j], emb_v[k])] = lmat[k][j]
-                if rmat[k][j] != 0:
-                    entries[(emb_v[j], emb_a[i], emb_v[k])] = rmat[k][j]
+    entries = _embedded_product(A, emb_a)
+    for i, (left, right) in enumerate(zip(_columns(B.left), _columns(B.right))):
+        for j in range(B.space.dim):
+            for k, c in left[j].items():
+                entries[(emb_a[i], emb_v[j], emb_v[k])] = c
+            for k, c in right[j].items():
+                entries[(emb_v[j], emb_a[i], emb_v[k])] = c
     return Superalgebra.from_entries(total, {"mul": entries})
 
 
@@ -289,19 +292,25 @@ def rep_from_bimodule(B: Bimodule) -> Representation:
     return Representation(bracket, B.space, tuple(maps))
 
 
+def _multiplication_maps(A: Superalgebra, product: str,
+                         right: bool = False) -> tuple[GradedLinearMap, ...]:
+    """Left multiplications y -> b_i y, or with ``right`` y -> y b_i, one
+    matrix per basis element b_i, filled from the sparse rows."""
+    n = A.space.dim
+    mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in A.rows(product).items():
+        for k, c in row.items():
+            if right:
+                mats[j][k][i] = c
+            else:
+                mats[i][k][j] = c
+    return tuple(GradedLinearMap(A.space, A.space, m, A.space.parity(i))
+                 for i, m in enumerate(mats))
+
+
 def adjoint_representation(A: Superalgebra, product: str = "mul") -> Representation:
     """ad(x)y = x*y; a Malcev representation when A is a Malcev superalgebra."""
-    table = A.table(product)
-    n = A.space.dim
-    maps = tuple(
-        GradedLinearMap(
-            A.space, A.space,
-            tuple(tuple(table[i][j][k] for j in range(n)) for k in range(n)),
-            A.space.parity(i),
-        )
-        for i in range(n)
-    )
-    return Representation(A, A.space, maps)
+    return Representation(A, A.space, _multiplication_maps(A, product))
 
 
 def coadjoint_representation(A: Superalgebra, product: str = "mul") -> Representation:
@@ -316,40 +325,14 @@ def left_multiplication_representation(P: Superalgebra, product: str = "mul") ->
     This is the representation for which the identity map is an invertible
     O-operator recovering the compatible pre-Malcev structure.
     """
-    table = P.table(product)
-    n = P.space.dim
-    maps = tuple(
-        GradedLinearMap(
-            P.space, P.space,
-            tuple(tuple(table[i][j][k] for j in range(n)) for k in range(n)),
-            P.space.parity(i),
-        )
-        for i in range(n)
-    )
-    return Representation(commutator_superalgebra(P, product), P.space, maps)
+    return Representation(commutator_superalgebra(P, product), P.space,
+                          _multiplication_maps(P, product))
 
 
 def regular_bimodule(A: Superalgebra, product: str = "mul") -> Bimodule:
     """l = left multiplication, r = right multiplication on A itself."""
-    table = A.table(product)
-    n = A.space.dim
-    left = tuple(
-        GradedLinearMap(
-            A.space, A.space,
-            tuple(tuple(table[i][j][k] for j in range(n)) for k in range(n)),
-            A.space.parity(i),
-        )
-        for i in range(n)
-    )
-    right = tuple(
-        GradedLinearMap(
-            A.space, A.space,
-            tuple(tuple(table[j][i][k] for j in range(n)) for k in range(n)),
-            A.space.parity(i),
-        )
-        for i in range(n)
-    )
-    return Bimodule(A, A.space, left, right)
+    return Bimodule(A, A.space, _multiplication_maps(A, product),
+                    _multiplication_maps(A, product, right=True))
 
 
 def are_equivalent(R: Representation, Rp: Representation,
@@ -367,15 +350,12 @@ def are_equivalent(R: Representation, Rp: Representation,
         col.preconditions.append("phi is not bijective")
     if col.preconditions:
         return col.report()
+    phi_cols = _sparse_columns(phi.matrix, phi.domain.dim)
+    rho, rho_p = _columns(R.action), _columns(Rp.action)
     for i in range(R.algebra.space.dim):
         col.tick()
-        residual = _linalg.mat_sub(
-            _linalg.mat_mul(phi.matrix, R.action[i].matrix),
-            _linalg.mat_mul(Rp.action[i].matrix, phi.matrix),
-        )
-        if not _linalg.is_zero_matrix(residual):
-            bad = _first_bad_column(residual)
-            col.add((i, bad), _column_vector(Rp.space, residual, bad))
+        _witness_first_column(col, (i,), Rp.space, lambda c: (
+            (ONE, _apply(phi_cols, rho[i][c])), (-ONE, _apply(rho_p[i], phi_cols[c]))))
     return col.report()
 
 

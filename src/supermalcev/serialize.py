@@ -47,6 +47,9 @@ def _parse_scalar(value: Any, where: str) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # an exponent would let a few bytes ask for a huge integer
+        if "e" in value.lower():
+            raise ParseError(f"{where}: bad scalar {value!r} (exponents are not accepted)")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -91,19 +94,14 @@ def _parse_space(obj: Mapping, where: str) -> SuperSpace:
 
 
 def _products_to_json(algebra: Superalgebra) -> dict:
-    out = {}
-    for name in sorted(algebra.products):
-        table = algebra.products[name]
-        n = algebra.space.dim
-        triples = [
-            [i, j, k, _scalar_to_str(table[i][j][k])]
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            if table[i][j][k] != 0
+    return {
+        name: [
+            [i, j, k, _scalar_to_str(c)]
+            for (i, j), row in algebra.products[name].items()
+            for k, c in row.items()
         ]
-        out[name] = triples
-    return out
+        for name in sorted(algebra.products)
+    }
 
 
 def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:

@@ -227,6 +227,64 @@ def test_parity_homogeneity_enforced_at_construction():
         Superalgebra.from_entries(space, {"mul": {(0, 0, 1): 1}})
 
 
+# -- sparse storage ----------------------------------------------------------
+
+
+def fixture_algebras():
+    yield fixtures.zero_algebra(2, 1)
+    for make in (fixtures.sl2, fixtures.split_octonions, fixtures.quaternions,
+                 fixtures.zorn_split_octonions, fixtures.heisenberg_1_1,
+                 fixtures.affine_1_1, fixtures.grassmann_1_1, fixtures.clifford_1_1,
+                 fixtures.pre_malcev_1_1, fixtures.pre_lie_sl2):
+        yield make()
+    yield fixtures.random_product(SuperSpace(2, 2), seed=1)
+    yield fixtures.random_product(SuperSpace(1, 2), seed=2, two_products=True)
+
+
+def stored_entries(A, name):
+    return {(i, j, k): c for (i, j), row in A.products[name].items() for k, c in row.items()}
+
+
+def test_entries_round_trip_through_the_dense_table():
+    for A in fixture_algebras():
+        n = A.space.dim
+        entries = {}
+        for name in A.product_names():
+            table = A.table(name)
+            assert len(table) == n and all(len(p) == n and all(len(r) == n for r in p)
+                                           for p in table)
+            entries[name] = {(i, j, k): table[i][j][k]
+                             for i, j, k in itertools.product(range(n), repeat=3)
+                             if table[i][j][k] != 0}
+            assert entries[name] == stored_entries(A, name)
+        assert Superalgebra.from_entries(A.space, entries) == A
+
+
+def test_storage_holds_no_zeros():
+    for A in fixture_algebras():
+        for rows in A.products.values():
+            assert all(row and all(c != 0 for c in row.values()) for row in rows.values())
+    space = SuperSpace(1, 1)
+    padded = Superalgebra.from_entries(space, {"mul": {(0, 0, 0): 0, (1, 1, 0): 0,
+                                                        (0, 1, 1): 3}})
+    assert dict(padded.rows()) == {(0, 1): {1: Fraction(3)}}
+    assert padded == Superalgebra.from_entries(space, {"mul": {(0, 1, 1): 3}})
+
+
+def test_insertion_order_does_not_matter():
+    from supermalcev.serialize import AlgebraDocument, serialize
+
+    for A in fixture_algebras():
+        forward = {name: stored_entries(A, name) for name in A.product_names()}
+        backward = {name: dict(reversed(list(forward[name].items())))
+                    for name in reversed(A.product_names())}
+        B = Superalgebra.from_entries(A.space, backward)
+        assert B == A
+        assert serialize(AlgebraDocument(B)) == serialize(AlgebraDocument(A))
+        for name in A.product_names():
+            assert list(B.products[name]) == sorted(B.products[name])
+
+
 # -- alternativity ---------------------------------------------------------
 
 

@@ -224,6 +224,15 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err == "error: symplectic check needs a 'mul' product\n"
+    # a witness limit below 1
+    for argv, limit in (
+        (["check", str(FIX / "broken_premalcev.json"), "--identity", "pre-malcev"], "-1"),
+        (["mybe-check", str(FIX / "sl2_r_nonsolution.json")], "-1"),
+        (["mybe-check", str(FIX / "sl2_r_nonsolution.json")], "0"),
+    ):
+        code, out, err = run(capsys, *argv, "--witness-limit", limit)
+        assert code == 2 and out == ""
+        assert err == f"error: --witness-limit must be at least 1, got {limit}\n"
 
 
 def test_console_script_subprocess():

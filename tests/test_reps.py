@@ -58,14 +58,25 @@ def sgn(p, q):
     return -1 if (p % 2) and (q % 2) else 1
 
 
-def oracle_rep_failures(R):
-    """Direct expansion of the defining representation identity."""
+def first_bad_column(residual):
+    """(col, column) of the first nonzero column of a square residual, or None."""
+    for c in range(len(residual)):
+        column = [row[c] for row in residual]
+        if any(column):
+            return c, column
+    return None
+
+
+def oracle_rep_witnesses(R):
+    """Direct expansion of the defining representation identity: the
+    failing triples in order, each as ((i, j, k, col), column) with the
+    first nonzero column of the residual matrix."""
     A = R.algebra
     table = A.table("mul")
     par = A.space.parities()
     mats = [[list(row) for row in m.matrix] for m in R.action]
     n = A.space.dim
-    bad = set()
+    found = []
     for i, j, k in itertools.product(range(n), repeat=3):
         xy = table[i][j]
         xyz = [Z] * n
@@ -86,13 +97,19 @@ def oracle_rep_failures(R):
              for c in range(n_v)]
             for r in range(n_v)
         ]
-        if not all(x == 0 for row in residual for x in row):
-            bad.add((i, j, k))
-    return bad
+        bad = first_bad_column(residual)
+        if bad:
+            found.append(((i, j, k, bad[0]), bad[1]))
+    return found
 
 
-def oracle_bimodule_failures(B):
-    """Direct expansion of the four bimodule identities from the table."""
+def oracle_rep_failures(R):
+    return {indices[:3] for indices, _ in oracle_rep_witnesses(R)}
+
+
+def oracle_bimodule_witnesses(B):
+    """Direct expansion of the four bimodule identities from the table: the
+    failing (identity#, i, j) in order, each as ((q, i, j, col), column)."""
     A = B.algebra
     table = A.table("mul")
     par = A.space.parities()
@@ -100,7 +117,7 @@ def oracle_bimodule_failures(B):
     R = [[list(row) for row in m.matrix] for m in B.right]
     n = A.space.dim
     nv = B.space.dim
-    bad = set()
+    found = []
     for i, j in itertools.product(range(n), repeat=2):
         s = sgn(par[i], par[j])
         lxy, lyx = mat_comb(L, table[i][j]), mat_comb(L, table[j][i])
@@ -119,9 +136,48 @@ def oracle_bimodule_failures(B):
               for c in range(nv)] for r in range(nv)],
         ]
         for q, res in enumerate(residuals):
-            if not all(x == 0 for row in res for x in row):
-                bad.add((q, i, j))
-    return bad
+            bad = first_bad_column(res)
+            if bad:
+                found.append(((q, i, j, bad[0]), bad[1]))
+    return found
+
+
+def oracle_bimodule_failures(B):
+    return {indices[:3] for indices, _ in oracle_bimodule_witnesses(B)}
+
+
+def assert_matches_oracle(report, expected, checked, limit):
+    assert report.violation_count == len(expected) > 0
+    assert report.checked_tuples == checked
+    assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+
+
+# seeded odd-graded algebras, each with random actions on a module (1|2 and
+# 3|3 algebras act on modules of another shape)
+ODD_CASES = [(SuperSpace(*shape), SuperSpace(*module), seed)
+             for shape, module in (((1, 2), (2, 1)), ((2, 2), (2, 2)), ((3, 3), (1, 2)))
+             for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("space, module, seed", ODD_CASES)
+def test_representation_checker_matches_oracle_on_odd_inputs(space, module, seed):
+    A = fixtures.random_product(space, seed)
+    R = Representation(A, module, fixtures.random_action_maps(A, module, seed + 10))
+    expected = oracle_rep_witnesses(R)
+    for limit in (3, 64):
+        report = check_malcev_representation(R, witness_limit=limit)
+        assert_matches_oracle(report, expected, space.dim ** 3, limit)
+
+
+@pytest.mark.parametrize("space, module, seed", ODD_CASES)
+def test_bimodule_checker_matches_oracle_on_odd_inputs(space, module, seed):
+    A = fixtures.random_product(space, seed)
+    B = Bimodule(A, module, fixtures.random_action_maps(A, module, seed + 10),
+                 fixtures.random_action_maps(A, module, seed + 20))
+    expected = oracle_bimodule_witnesses(B)
+    for limit in (3, 64):
+        report = check_alternative_bimodule(B, witness_limit=limit)
+        assert_matches_oracle(report, expected, space.dim ** 2, limit)
 
 
 # -- Malcev representations -------------------------------------------------

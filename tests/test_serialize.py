@@ -1,6 +1,7 @@
 """Round-trip and error-reporting behavior of the document format."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,6 +110,29 @@ def test_bad_scalar_rejected():
     doc = _base(products=[[0, 0, 0, "1/0"]])
     with pytest.raises(ParseError):
         parse(json.dumps(doc))
+
+
+@pytest.mark.parametrize("scalar", ["1e400", "2E3"])
+def test_exponent_scalar_rejected(scalar):
+    doc = _base(products=[[0, 0, 0, scalar]])
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert "products.mul[0].scalar" in str(exc.value)
+    assert "exponent" in str(exc.value)
+
+
+def test_parse_memory_is_bounded_by_the_input():
+    # 150^3 = 3.4M structure constants are declared, one is given
+    doc = {"format": "superalg/1", "even_dim": 150, "odd_dim": 0,
+           "products": {"mul": [[0, 0, 0, "1"]]}}
+    tracemalloc.start()
+    try:
+        algebra = parse(json.dumps(doc)).algebra
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert algebra.space.dim == 150
+    assert peak < 2 * 1024 * 1024
 
 
 def test_bad_format_and_syntax():
