@@ -24,7 +24,8 @@ from supermalcev import fixtures
 
 sl2 = fixtures.sl2()
 
-# Exhaustive integer grid search for weight-zero Rota-Baxter operators.
+# Integer grid search for weight-zero Rota-Baxter operators: it prunes on
+# exact residual components and returns what trying every candidate would.
 found = search_rota_baxter(sl2, values=(-1, 0, 1))
 print("Rota-Baxter operators on sl(2) with entries in {-1,0,1}:", len(found))
 rb = fixtures.rb_sl2_nilpotent()

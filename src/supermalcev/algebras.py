@@ -64,8 +64,10 @@ class ViolationReport:
 
 class _WitnessCollector:
     def __init__(self, identity: str, limit: int = DEFAULT_WITNESS_LIMIT):
+        if limit < 1:
+            raise ValueError(f"witness_limit must be at least 1, got {limit}")
         self.identity = identity
-        self.limit = max(1, limit)
+        self.limit = limit
         self.witnesses: list = []
         self.count = 0
         self.checked = 0

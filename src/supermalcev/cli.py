@@ -6,10 +6,11 @@ disagree; unreachable unless the package itself is broken).
 
 Exit 1 comes only from a failing ``ViolationReport``: a checker's verdict or
 a construction whose precondition fails.  Every malformed or unsupported
-input (an unreadable or invalid document, a missing block or product,
-mismatched dimensions, an unknown ``--identities`` name) exits 2 with one
-``error:`` line on stderr and no traceback.  With ``--json`` every verdict,
-including a failed construction precondition, is printed as a JSON report.
+input (an unreadable or invalid document, an algebra or module dimension
+over ``MAX_DIM``, a missing block or product, mismatched dimensions, an
+unknown ``--identities`` name) exits 2 with one ``error:`` line on stderr
+and no traceback.  With ``--json`` every verdict, including a failed
+construction precondition, is printed as a JSON report.
 
 One ordered table, ``_IDENTITIES``, lists the identities.  It drives
 ``check``, ``report``, the ``--identity`` choices and the validation of the
@@ -69,6 +70,11 @@ from .yangbaxter import (
 from .serialize import AlgebraDocument, ParseError, parse, serialize
 
 PASS, FAIL, INPUT_ERROR, ALARM = 0, 1, 2, 3
+
+# Largest algebra or module dimension a document may declare.  Checks walk
+# up to n^4 basis tuples and the MYBE operator form builds n dense n x n
+# coadjoint matrices, so larger documents are refused before any of that.
+MAX_DIM = 64
 
 _TUPLE_NOUNS = {
     "left-alternative": "triples",
@@ -283,6 +289,11 @@ def _load(args, product: str | None = "mul") -> AlgebraDocument:
         doc = parse(data)
     except ParseError as exc:
         raise InputError(f"{args.file}: {exc}") from None
+    for what, block in (("algebra", doc.algebra), ("representation", doc.representation),
+                        ("bimodule", doc.bimodule)):
+        if block is not None and block.space.dim > MAX_DIM:
+            raise InputError(f"{args.file}: {what} dimension {block.space.dim} "
+                             f"exceeds the cap of {MAX_DIM}")
     if product is not None:
         _need_product(doc, product, args.command)
     return doc

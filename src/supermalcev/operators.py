@@ -16,7 +16,11 @@ the column helpers of ``reps`` that the module checkers use too; A acting
 on itself reads the algebra's sparse rows.
 
 A grid search returns exactly the candidates its checker accepts, in
-lexicographic order of the entry tuples.  Every ``support`` entry must be
+lexicographic order of the entry tuples.  It does not try every candidate:
+each component of the residual is compiled once into an exact quadratic
+form in the ``support`` entries, and a depth-first search assigns the
+entries in order, pruning a partial assignment as soon as a form whose
+entries are all assigned is nonzero.  Every ``support`` entry must be
 parity-0 (``ParityViolation`` before any candidate is tried), and ``limit``
 caps the number of results.
 
@@ -454,12 +458,65 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra,
 # -- grid search (test/example utility, not a stability guarantee) --------
 
 
+# A quadratic form {(e1, e2): coefficient}, e1 <= e2, in the values of the
+# support entries e1 and e2; zero coefficients are dropped.
+_Form = dict[tuple[int, int], Fraction]
+
+
+def _residual_forms(ctx: _Context,
+                    support: Sequence[tuple[int, int]]) -> dict[tuple[int, int, int], _Form]:
+    """Component m of the residual on the basis pair (a, b), keyed (a, b, m),
+    as an exact quadratic form in the values of the ``support`` entries.
+
+    This is ``_residuals`` read symbolically: column j of T holds the
+    variable of each support entry (i, j).  A repeated entry is read at its
+    last occurrence, the one that sets the operator's value.  Components
+    that vanish identically are left out."""
+    nV = ctx.module.dim
+    rows = ctx.algebra.rows(ctx.product)
+    var = {entry: e for e, entry in enumerate(support)}
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(nV)]  # (row, variable)
+    for (i, j), e in var.items():
+        cols[j].append((i, e))
+    forms: dict[tuple[int, int, int], _Form] = {}
+
+    def add(a: int, b: int, m: int, x: int, y: int, c: Fraction):
+        form = forms.setdefault((a, b, m), {})
+        key = (x, y) if x <= y else (y, x)
+        form[key] = form.get(key, ZERO) + c
+
+    for a, b in itertools.product(range(nV), repeat=2):
+        s = ctx.signs[a][b]
+        for p, x in cols[a]:
+            for q, y in cols[b]:
+                for m, c in rows.get((p, q), {}).items():
+                    add(a, b, m, x, y, c)
+            for k, c in ctx.left[p][b].items():
+                for m, y in cols[k]:
+                    add(a, b, m, x, y, -c)
+        for q, y in cols[b]:
+            for k, c in ctx.right[q][a].items():
+                for m, x in cols[k]:
+                    add(a, b, m, x, y, -s * c)
+    return {key: kept for key, form in forms.items()
+            if (kept := {e: c for e, c in form.items() if c})}
+
+
+def _form_value(form: _Form, x: Sequence[Fraction]) -> Fraction:
+    return sum((c * x[e1] * x[e2] for (e1, e2), c in form.items() if x[e1] and x[e2]), ZERO)
+
+
 def _search(ctx: _Context, values: Iterable[int],
             support: Sequence[tuple[int, int]] | None,
             limit: int | None) -> list[GradedLinearMap]:
     """Every even integer matrix T : V -> A with entries drawn from
     ``values`` on ``support`` whose residual vanishes on all basis pairs,
-    in lexicographic order of the entry tuples, at most ``limit`` of them."""
+    in lexicographic order of the entry tuples, at most ``limit`` of them.
+
+    A depth-first search assigns the support entries in the given order.
+    Each residual component is a quadratic form in the entries, checked
+    exactly as soon as the last entry it reads is assigned; a nonzero
+    value prunes every completion of the partial assignment."""
     A, V = ctx.algebra.space, ctx.module
     if support is None:
         support = tuple((i, j) for i in range(A.dim) for j in range(V.dim)
@@ -469,14 +526,34 @@ def _search(ctx: _Context, values: Iterable[int],
             raise ParityViolation(f"support entry ({i}, {j}) is not parity-0")
 
     def hits() -> Iterator[GradedLinearMap]:
-        for combo in itertools.product(values, repeat=len(support)):
-            cols: list[Sparse] = [{} for _ in range(V.dim)]
-            for (i, j), v in dict(zip(support, combo)).items():
-                if v:
-                    cols[j][i] = Fraction(v)
-            if not any(res for _, _, res in _residuals(ctx, cols)):
+        vals = [Fraction(v) for v in values]
+        n = len(support)
+        due: list[list[_Form]] = [[] for _ in range(n)]  # by the depth of the last entry
+        for form in _residual_forms(ctx, support).values():
+            due[max(e2 for _, e2 in form)].append(form)
+        x = [ZERO] * n
+
+        def assign(d: int) -> Iterator[bool]:
+            """Set x[d], in turn, to each value at which every form due at
+            depth d vanishes."""
+            for v in vals:
+                x[d] = v
+                if not any(_form_value(form, x) for form in due[d]):
+                    yield True
+
+        assigning: list[Iterator[bool]] = []  # one per assigned entry
+        while True:
+            if len(assigning) == n:
+                value = dict(zip(support, x))
                 yield GradedLinearMap(V, A, tuple(
-                    tuple(col.get(i, ZERO) for col in cols) for i in range(A.dim)), 0)
+                    tuple(value.get((i, j), ZERO) for j in range(V.dim))
+                    for i in range(A.dim)), 0)
+            else:
+                assigning.append(assign(len(assigning)))
+            while assigning and not next(assigning[-1], False):
+                assigning.pop()
+            if not assigning:
+                return
 
     return list(itertools.islice(hits(), limit))
 

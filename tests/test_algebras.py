@@ -14,11 +14,14 @@ from supermalcev import (
     ParityViolation,
     SuperSpace,
     Superalgebra,
+    adjoint_representation,
     check_left_alternative,
     check_malcev,
+    check_malcev_representation,
     check_pre_alternative,
     check_pre_malcev,
     check_right_alternative,
+    check_rota_baxter,
     commutator_superalgebra,
     pre_malcev_from_pre_alternative,
     sum_pre_alternative,
@@ -536,3 +539,21 @@ def test_witness_cap_and_exact_count():
     assert len(capped.witnesses) == 4
     assert capped.violation_count == full.violation_count == len(full.witnesses)
     assert capped.violation_count > 4
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_witness_limit_below_one_is_rejected(limit):
+    # the octonions violate the Malcev identity, so a clamped limit would
+    # have reported a count with one witness
+    octonions = fixtures.split_octonions()
+    sl2 = fixtures.sl2()
+    checks = (
+        lambda: check_malcev(octonions, witness_limit=limit),
+        lambda: check_pre_malcev(fixtures.random_product(SuperSpace(2, 2), seed=1),
+                                 witness_limit=limit),
+        lambda: check_malcev_representation(adjoint_representation(sl2), witness_limit=limit),
+        lambda: check_rota_baxter(fixtures.rb_sl2_nilpotent(), sl2, witness_limit=limit),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match=f"witness_limit must be at least 1, got {limit}"):
+            check()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from supermalcev.cli import main
+from supermalcev.cli import MAX_DIM, main
 from supermalcev.serialize import parse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,6 +233,39 @@ def test_input_errors_exit_2(capsys, tmp_path):
         code, out, err = run(capsys, *argv, "--witness-limit", limit)
         assert code == 2 and out == ""
         assert err == f"error: --witness-limit must be at least 1, got {limit}\n"
+
+
+def test_declared_dimension_over_the_cap_exits_2(capsys, tmp_path):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps({"format": "superalg/1", **doc}))
+        return str(path)
+
+    one_entry = {"products": {"mul": [[0, 0, 0, "1"]]}}
+    big = write("big.json", {"even_dim": MAX_DIM + 1, "odd_dim": 0, **one_entry})
+    odd = write("odd.json", {"even_dim": 1, "odd_dim": MAX_DIM, **one_entry})
+    # a 1-dim algebra acting by zero on a module one over the cap
+    n = MAX_DIM + 1
+    module = write("module.json", {"even_dim": 1, "odd_dim": 0, **one_entry,
+                                   "representation": {"even_dim": n, "odd_dim": 0,
+                                                      "matrices": [[["0"] * n] * n]}})
+    for argv, what, dim in (
+        (["check", big, "--identity", "malcev"], "algebra", n),
+        (["report", big], "algebra", n),
+        (["mybe-check", big], "algebra", n),
+        (["canonical-r", odd], "algebra", n),
+        (["commutator", odd], "algebra", n),
+        (["check", module, "--identity", "representation"], "representation", n),
+        (["semidirect", module], "representation", n),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        path = argv[1]
+        assert err == f"error: {path}: {what} dimension {dim} exceeds the cap of {MAX_DIM}\n"
+    # a document at the cap is accepted
+    at_cap = write("at_cap.json", {"even_dim": MAX_DIM, "odd_dim": 0, **one_entry})
+    code, out, _ = run(capsys, "commutator", at_cap)
+    assert code == 0 and parse(out).algebra.space.dim == MAX_DIM
 
 
 def test_console_script_subprocess():

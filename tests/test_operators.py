@@ -46,6 +46,13 @@ from supermalcev import (
 )
 from supermalcev import fixtures
 from supermalcev import _linalg
+from supermalcev.operators import (
+    _bimodule_context,
+    _rep_context,
+    _residual_forms,
+    _residuals,
+    _rota_baxter_context,
+)
 
 Z = Fraction(0)
 
@@ -680,3 +687,92 @@ def test_search_rejects_odd_support_before_searching():
         for values in ((0,), (0, 1)):
             with pytest.raises(ParityViolation):
                 search(values)
+
+
+def test_benchmark_grid_matches_brute_force():
+    # sl2 on the full 3x3 support with values (-1, 0, 1): 3^9 candidates
+    sl2 = fixtures.sl2()
+    ad = adjoint_representation(sl2)
+    full = parity_zero_support(sl2.space, sl2.space)
+    assert len(full) == 9
+    small = (-1, 0, 1)
+    candidates = list(grid(sl2.space, sl2.space, small, full))
+    for search, check in (
+        (lambda: search_rota_baxter(sl2, small, support=full),
+         lambda T: check_rota_baxter(T, sl2)),
+        (lambda: search_o_operators_malcev(ad, small, support=full),
+         lambda T: check_o_operator_malcev(T, ad)),
+    ):
+        expected = [T.matrix for T in candidates if check(T).ok]
+        assert len(expected) == 23
+        assert [T.matrix for T in search()] == expected
+
+
+def _values_on(found, support):
+    """Each found operator's values on the support entries."""
+    return [tuple(int(T.matrix[i][j]) for i, j in support) for T in found]
+
+
+def test_search_semantics_are_pinned():
+    sl2 = fixtures.sl2()
+    ad = adjoint_representation(sl2)
+    small = (-1, 0, 1)
+    searches = (
+        lambda values, **kw: search_rota_baxter(sl2, values, **kw),
+        lambda values, **kw: search_o_operators_malcev(ad, values, **kw),
+    )
+    for search in searches:
+        # an empty support has one candidate, the zero map
+        assert [T.matrix for T in search(small, support=())] == [
+            tuple((Z,) * 3 for _ in range(3))]
+        # a repeated entry takes its last value; each hit repeats once per
+        # value of the earlier occurrence
+        repeated = ((0, 2), (1, 1), (0, 2), (2, 1))
+        assert _values_on(search(small, support=repeated), repeated) == [
+            (-1, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 1, 0),
+        ] * 3
+        # repeated values give repeated hits, and a generator is read once
+        support = ((0, 2), (1, 1), (2, 1))
+        pinned = [(1, 0, 0), (0, 0, 1), (0, 0, 0), (0, 0, 1), (1, 0, 0)]
+        assert _values_on(search((1, 0, 1), support=support), support) == pinned
+        assert _values_on(search((v for v in (1, 0, 1)), support=support), support) == pinned
+        with pytest.raises(ValueError):
+            search(small, support=SL2_SUPPORT, limit=-1)
+        # limit 2 on a grid where pruning rejects (-1, -1, ...) first
+        assert _values_on(search(small, support=SL2_SUPPORT, limit=2), SL2_SUPPORT) == [
+            (-1, 0, 0, 0, 0), (0, -1, 0, -1, 0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compiled_residual_forms_reproduce_the_residuals(seed):
+    S = SuperSpace(2, 2)
+    A = fixtures.random_product(S, seed)
+    A2 = fixtures.random_product(S, seed, two_products=True)
+    R = Representation(A, S, fixtures.random_action_maps(A, S, seed))
+    B = Bimodule(A, S, fixtures.random_action_maps(A, S, seed + 10),
+                 fixtures.random_action_maps(A, S, seed + 20))
+    rng = random.Random(seed)
+    contexts = (_rep_context(R), _bimodule_context(B),
+                _rota_baxter_context(A2, False, "succ"), _rota_baxter_context(A, True, "mul"))
+    for ctx in contexts:
+        # a repeated first entry: its last occurrence sets the value
+        support = parity_zero_support(ctx.module, ctx.algebra.space)
+        support += support[:1]
+        forms = _residual_forms(ctx, support)
+        vanished = failed = 0
+        for _ in range(12):
+            x = [Fraction(rng.choice((0, 0, 1, -1, 2, Fraction(1, 2)))) for _ in support]
+            compiled: dict = {}
+            for (a, b, m), form in forms.items():
+                value = sum((c * x[e1] * x[e2] for (e1, e2), c in form.items()), Z)
+                if value:
+                    compiled.setdefault((a, b), {})[m] = value
+            cols = [{} for _ in range(ctx.module.dim)]
+            for (i, j), v in dict(zip(support, x)).items():
+                if v:
+                    cols[j][i] = v
+            direct = {(a, b): res for a, b, res in _residuals(ctx, cols) if res}
+            assert compiled == direct
+            failed += len(direct)
+            vanished += ctx.module.dim ** 2 - len(direct)
+        assert vanished and failed
