@@ -43,8 +43,10 @@ def naive_mul(table, x, y):
         for j in range(n):
             if y[j] == 0:
                 continue
-            for k in range(n):
-                out[k] += x[i] * y[j] * table[i][j][k]
+            xy = x[i] * y[j]
+            for k, c in enumerate(table[i][j]):
+                if c:
+                    out[k] += xy * c
     return out
 
 
@@ -73,46 +75,52 @@ def naive_bracket(table, par, x, y):
 
 
 def oracle_left_alternative_failures(A):
+    """The failing triples in order, each mapped to its leftover."""
     table, par = A.table("mul"), A.space.parities()
     n = A.space.dim
-    bad = set()
+    bad = {}
     for i, j, k in itertools.product(range(n), repeat=3):
         x, y, z = basis(n, i), basis(n, j), basis(n, k)
         as1 = vec_add(naive_mul(table, naive_mul(table, x, y), z),
                       naive_mul(table, x, naive_mul(table, y, z)), Fraction(-1))
         as2 = vec_add(naive_mul(table, naive_mul(table, y, x), z),
                       naive_mul(table, y, naive_mul(table, x, z)), Fraction(-1))
-        if not is_zero(vec_add(as1, as2, Fraction(sgn(par[i], par[j])))):
-            bad.add((i, j, k))
+        res = vec_add(as1, as2, Fraction(sgn(par[i], par[j])))
+        if not is_zero(res):
+            bad[(i, j, k)] = res
     return bad
 
 
 def oracle_right_alternative_failures(A):
+    """The failing triples in order, each mapped to its leftover."""
     table, par = A.table("mul"), A.space.parities()
     n = A.space.dim
-    bad = set()
+    bad = {}
     for i, j, k in itertools.product(range(n), repeat=3):
         x, y, z = basis(n, i), basis(n, j), basis(n, k)
         as1 = vec_add(naive_mul(table, naive_mul(table, x, y), z),
                       naive_mul(table, x, naive_mul(table, y, z)), Fraction(-1))
         as2 = vec_add(naive_mul(table, naive_mul(table, x, z), y),
                       naive_mul(table, x, naive_mul(table, z, y)), Fraction(-1))
-        if not is_zero(vec_add(as1, as2, Fraction(sgn(par[j], par[k])))):
-            bad.add((i, j, k))
+        res = vec_add(as1, as2, Fraction(sgn(par[j], par[k])))
+        if not is_zero(res):
+            bad[(i, j, k)] = res
     return bad
 
 
 def oracle_malcev_failures(A):
-    """Quadruples violating Def (ii); pairs violating anticommutativity."""
+    """Pairs violating anticommutativity and quadruples violating Def (ii),
+    each in order and mapped to its leftover."""
     table, par = A.table("mul"), A.space.parities()
     n = A.space.dim
-    bad_pairs = set()
+    bad_pairs = {}
     for i, j in itertools.product(range(n), repeat=2):
         x, y = basis(n, i), basis(n, j)
-        if not is_zero(vec_add(naive_mul(table, x, y), naive_mul(table, y, x),
-                               Fraction(sgn(par[i], par[j])))):
-            bad_pairs.add((i, j))
-    bad_quads = set()
+        res = vec_add(naive_mul(table, x, y), naive_mul(table, y, x),
+                      Fraction(sgn(par[i], par[j])))
+        if not is_zero(res):
+            bad_pairs[(i, j)] = res
+    bad_quads = {}
     for i, j, k, l in itertools.product(range(n), repeat=4):
         x, y, z, t = basis(n, i), basis(n, j), basis(n, k), basis(n, l)
         br = lambda a, b: naive_mul(table, a, b)
@@ -124,15 +132,15 @@ def oracle_malcev_failures(A):
                       Fraction(sgn(par[i] + par[j], par[k] + par[l])))
         rhs = vec_add(rhs, br(br(br(t, x), y), z),
                       Fraction(sgn(par[l], par[i] + par[j] + par[k])))
-        if not is_zero(vec_add(lhs, rhs, Fraction(-1))):
-            bad_quads.add((i, j, k, l))
+        res = vec_add(lhs, rhs, Fraction(-1))
+        if not is_zero(res):
+            bad_quads[(i, j, k, l)] = res
     return bad_pairs, bad_quads
 
 
-def oracle_pm_expanded(A, i, j, k, l):
+def oracle_pm_expanded(table, par, i, j, k, l):
     """The ten-term expansion of the pre-Malcev identity (no brackets)."""
-    table, par = A.table("mul"), A.space.parities()
-    n = A.space.dim
+    n = len(table)
     x, y, z, t = basis(n, i), basis(n, j), basis(n, k), basis(n, l)
     m = lambda a, b: naive_mul(table, a, b)
     px, py, pz = par[i], par[j], par[k]
@@ -151,21 +159,25 @@ def oracle_pm_expanded(A, i, j, k, l):
 
 
 def oracle_pre_malcev_failures(A):
-    n = A.space.dim
-    return {
-        q for q in itertools.product(range(n), repeat=4)
-        if not is_zero(oracle_pm_expanded(A, *q))
-    }
+    """The failing quadruples in order, each mapped to its leftover."""
+    table, par = A.table("mul"), A.space.parities()
+    bad = {}
+    for q in itertools.product(range(A.space.dim), repeat=4):
+        res = oracle_pm_expanded(table, par, *q)
+        if not is_zero(res):
+            bad[q] = res
+    return bad
 
 
 def oracle_pre_alternative_failures(A):
+    """The failing (identity#, i, j, k) in order, each mapped to its leftover."""
     prec, succ = A.table("prec"), A.table("succ")
     par = A.space.parities()
     n = A.space.dim
     p = lambda a, b: naive_mul(prec, a, b)
     s = lambda a, b: naive_mul(succ, a, b)
     star = lambda a, b: vec_add(p(a, b), s(a, b))
-    bad = set()
+    bad = {}
     for i, j, k in itertools.product(range(n), repeat=3):
         x, y, z = basis(n, i), basis(n, j), basis(n, k)
         sxy, syz = Fraction(sgn(par[i], par[j])), Fraction(sgn(par[j], par[k]))
@@ -183,7 +195,7 @@ def oracle_pre_alternative_failures(A):
         r4 = vec_add(r4, s(x, s(z, y)), -syz)
         for q, res in enumerate((r1, r2, r3, r4)):
             if not is_zero(res):
-                bad.add((q, i, j, k))
+                bad[(q, i, j, k)] = res
     return bad
 
 
@@ -299,8 +311,8 @@ def test_alternative_zero_algebra():
 
 def test_split_octonions_alternative_oracle():
     A = fixtures.split_octonions()
-    assert oracle_left_alternative_failures(A) == set()
-    assert oracle_right_alternative_failures(A) == set()
+    assert oracle_left_alternative_failures(A) == {}
+    assert oracle_right_alternative_failures(A) == {}
     left, right = check_left_alternative(A), check_right_alternative(A)
     assert left.ok and right.ok
     assert left.checked_tuples == right.checked_tuples == 512
@@ -327,14 +339,14 @@ def test_non_alternative_counterexample_matches_oracle():
     bad = oracle_left_alternative_failures(A)
     assert bad  # e.g. as(e1,e1,e2) + as(e1,e1,e2) = -2 e1*e1 != 0
     report = check_left_alternative(A, witness_limit=100)
-    assert {w[0] for w in report.witnesses} == bad
+    assert {w[0] for w in report.witnesses} == bad.keys()
     assert report.violation_count == len(bad)
 
 
 def test_zorn_octonions_alternative():
     A = fixtures.zorn_split_octonions()
     assert check_left_alternative(A).ok and check_right_alternative(A).ok
-    assert oracle_left_alternative_failures(A) == set()
+    assert oracle_left_alternative_failures(A) == {}
 
 
 # -- Malcev -----------------------------------------------------------------
@@ -347,7 +359,7 @@ def test_malcev_zero_bracket():
 def test_sl2_malcev_oracle():
     A = fixtures.sl2()
     pairs, quads = oracle_malcev_failures(A)
-    assert pairs == set() and quads == set()
+    assert pairs == {} and quads == {}
     report = check_malcev(A)
     assert report.ok
     assert report.checked_tuples == 81
@@ -356,14 +368,14 @@ def test_sl2_malcev_oracle():
 def test_octonion_commutator_is_malcev():
     C = commutator_superalgebra(fixtures.split_octonions())
     pairs, quads = oracle_malcev_failures(C)
-    assert pairs == set() and quads == set()
+    assert pairs == {} and quads == {}
     assert check_malcev(C).ok
 
 
 def test_super_fixtures_malcev():
     for A in (fixtures.heisenberg_1_1(), fixtures.affine_1_1()):
         pairs, quads = oracle_malcev_failures(A)
-        assert pairs == set() and quads == set()
+        assert pairs == {} and quads == {}
         assert check_malcev(A).ok
 
 
@@ -373,8 +385,8 @@ def test_malcev_checker_witnesses_match_oracle():
     report = check_malcev(A, witness_limit=10 ** 6)
     got_pairs = {w[0] for w in report.witnesses if len(w[0]) == 2}
     got_quads = {w[0] for w in report.witnesses if len(w[0]) == 4}
-    assert got_pairs == pairs
-    assert got_quads == quads
+    assert got_pairs == pairs.keys()
+    assert got_quads == quads.keys()
     assert not report.ok
 
 
@@ -388,13 +400,13 @@ def test_pre_malcev_zero_product():
 def test_pre_malcev_from_rb_product_oracle():
     # product x.y = [R(x), y] built from a Rota-Baxter map on sl(2)
     A = fixtures.pre_lie_sl2()
-    assert oracle_pre_malcev_failures(A) == set()
+    assert oracle_pre_malcev_failures(A) == {}
     assert check_pre_malcev(A).ok
 
 
 def test_pre_malcev_1_1_oracle():
     A = fixtures.pre_malcev_1_1()
-    assert oracle_pre_malcev_failures(A) == set()
+    assert oracle_pre_malcev_failures(A) == {}
     assert check_pre_malcev(A).ok
 
 
@@ -403,7 +415,7 @@ def test_random_product_fails_pre_malcev_with_oracle_witnesses():
     bad = oracle_pre_malcev_failures(A)
     assert bad  # generic tables violate the identity
     report = check_pre_malcev(A, witness_limit=10 ** 6)
-    assert {w[0] for w in report.witnesses} == bad
+    assert {w[0] for w in report.witnesses} == bad.keys()
 
 
 # -- pre-alternative ---------------------------------------------------------
@@ -440,7 +452,7 @@ def test_rb_split_zorn_pre_alternative_oracle():
                 if c:
                     succ[(i, j, k)] = c
     A = Superalgebra.from_entries(Zalg.space, {"prec": prec, "succ": succ})
-    assert oracle_pre_alternative_failures(A) == set()
+    assert oracle_pre_alternative_failures(A) == {}
     assert check_pre_alternative(A).ok
 
 
@@ -457,7 +469,7 @@ def test_succ_only_octonions_fail_pre_alternative():
     bad = oracle_pre_alternative_failures(A)
     assert bad
     report = check_pre_alternative(A, witness_limit=10 ** 6)
-    assert {w[0] for w in report.witnesses} == bad
+    assert {w[0] for w in report.witnesses} == bad.keys()
 
 
 # -- functors ----------------------------------------------------------------
@@ -557,3 +569,36 @@ def test_witness_limit_below_one_is_rejected(limit):
     for check in checks:
         with pytest.raises(ValueError, match=f"witness_limit must be at least 1, got {limit}"):
             check()
+
+
+# -- exact agreement with the oracles on odd-graded inputs --------------------
+
+# name -> (checker, oracle, degree of the walked tuples, needs prec and succ)
+ORACLE_CASES = {
+    "left-alternative": (check_left_alternative, oracle_left_alternative_failures, 3, False),
+    "right-alternative": (check_right_alternative, oracle_right_alternative_failures, 3, False),
+    "malcev": (check_malcev, lambda A: {**pairs_then_quads(A)}, 4, False),
+    "pre-malcev": (check_pre_malcev, oracle_pre_malcev_failures, 4, False),
+    "pre-alternative": (check_pre_alternative, oracle_pre_alternative_failures, 3, True),
+}
+
+
+def pairs_then_quads(A):
+    pairs, quads = oracle_malcev_failures(A)
+    return {**pairs, **quads}
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 2), 3), ((3, 3), 4)])
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_checkers_match_oracles_exactly_on_odd_inputs(name, shape, seed):
+    checker, oracle, degree, two_products = ORACLE_CASES[name]
+    space = SuperSpace(*shape)
+    A = fixtures.random_product(space, seed, two_products=two_products)
+    expected = list(oracle(A).items())
+    assert expected
+    for limit in (3, 10 ** 6):
+        report = checker(A, witness_limit=limit)
+        assert report.identity == name
+        assert report.violation_count == len(expected)
+        assert report.checked_tuples == space.dim ** degree
+        assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
