@@ -95,37 +95,22 @@ def invert(a: Matrix) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
-    m = [list(row) + list(erow) for row, erow in zip(a, identity_matrix(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = ONE / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    return tuple(row[n:] for row in _reduce_augmented(a, identity_matrix(n)))
 
 
 def solve(a: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Solve a*x = rhs for square nonsingular a."""
+    return tuple(row[-1] for row in _reduce_augmented(a, [(b,) for b in rhs]))
+
+
+def _reduce_augmented(a: Matrix, b: Sequence[Sequence]) -> Matrix:
+    """rref of [a | b] for square a; raises ValueError unless every column
+    of a has a pivot, so that the left block reduces to the identity."""
     n = len(a)
-    m = [list(row) + [as_scalar(b)] for row, b in zip(a, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = ONE / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
+    reduced, pivots = rref(freeze([tuple(row) + tuple(extra) for row, extra in zip(a, b)]))
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return reduced
 
 
 def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -13,11 +13,24 @@ Every checker walks homogeneous basis tuples only: the identities are
 multilinear and parity-homogeneous, so vanishing on basis tuples is
 equivalent to vanishing on all homogeneous elements.  Checkers are pure
 and their reports do not depend on iteration order.
+
+The identities are written once, as data, in ``_IDENTITIES``: an
+expression is a variable position, a product ``(name, left, right)`` or a
+sum ``((coef, expr), ...)`` with the coefficients of the ungraded identity.
+The Koszul factors follow from the sign rule: a product's leaf order is its
+factors' orders joined, a sum's is its variables in increasing order, and
+each summand of a sum carries the Koszul sign of the permutation that sorts
+its leaf order.  Each check call compiles the expressions once and memoizes
+every subexpression of at most three variables, keyed by its shape (the
+expression renamed by its leaf order) and its basis indices: at most n^3
+values per shape, so the four Malcev terms ``((..)..)..`` share one table
+of ``(b_i b_j) b_k``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -81,12 +94,12 @@ class _WitnessCollector:
         if len(self.witnesses) < self.limit:
             self.witnesses.append((indices, leftover))
 
-    def report(self, checked: int | None = None) -> ViolationReport:
+    def report(self) -> ViolationReport:
         return ViolationReport(
             self.identity,
             tuple(self.witnesses),
             self.count,
-            self.checked if checked is None else checked,
+            self.checked,
             tuple(self.preconditions),
         )
 
@@ -197,45 +210,163 @@ class Superalgebra:
 
 # -- identity checkers --------------------------------------------------
 
+X, Y, Z, T = range(4)
 
-def _emit(alg: Superalgebra, collector: _WitnessCollector,
-          indices: tuple[int, ...], residual: Sparse):
-    collector.tick()
-    if residual:
-        collector.add(indices, vector_from_sparse(alg.space, residual))
+
+def _m(a, b):
+    return ("mul", a, b)
+
+
+def _br(a, b):
+    return ((1, _m(a, b)), (-1, _m(b, a)))
+
+
+def _assoc(a, b, c):
+    return ((1, _m(_m(a, b), c)), (-1, _m(a, _m(b, c))))
+
+
+def _star(a, b):
+    return ((1, ("prec", a, b)), (1, ("succ", a, b)))
+
+
+# identity -> its walks over basis tuples, in order; a walk is a tuple of
+# components of one degree.  Only the tuples of the last walk are counted.
+# "mul" stands for the product under check.  The sign rule holds only if
+# every summand uses each variable of its sum exactly once.
+_IDENTITIES = {
+    "left-alternative": ((_assoc(X, Y, Z) + _assoc(Y, X, Z),),),
+    "right-alternative": ((_assoc(X, Y, Z) + _assoc(X, Z, Y),),),
+    "malcev": (
+        (((1, _m(X, Y)), (1, _m(Y, X))),),  # graded anticommutativity
+        (((1, _m(_m(X, Z), _m(Y, T))), (-1, _m(_m(_m(X, Y), Z), T)),
+          (-1, _m(_m(_m(Y, Z), T), X)), (-1, _m(_m(_m(Z, T), X), Y)),
+          (-1, _m(_m(_m(T, X), Y), Z))),),
+    ),
+    "pre-malcev": ((
+        ((1, _m(_br(Y, Z), _m(X, T))), (1, _m(_br(_br(X, Y), Z), T)),
+         (1, _m(Y, _m(_br(X, Z), T))), (-1, _m(X, _m(Y, _m(Z, T)))),
+         (1, _m(Z, _m(X, _m(Y, T))))),
+    ),),
+    "pre-alternative": ((
+        ((1, ("succ", _star(X, Y), Z)), (-1, ("succ", X, ("succ", Y, Z))),
+         (1, ("succ", _star(Y, X), Z)), (-1, ("succ", Y, ("succ", X, Z)))),
+        ((1, ("prec", ("prec", X, Y), Z)), (-1, ("prec", X, _star(Y, Z))),
+         (1, ("prec", ("prec", X, Z), Y)), (-1, ("prec", X, _star(Z, Y)))),
+        ((1, ("prec", ("succ", X, Y), Z)), (-1, ("succ", X, ("prec", Y, Z))),
+         (1, ("prec", ("prec", Y, X), Z)), (-1, ("prec", Y, _star(X, Z)))),
+        ((1, ("prec", ("succ", X, Y), Z)), (-1, ("succ", X, ("prec", Y, Z))),
+         (1, ("succ", _star(X, Z), Y)), (-1, ("succ", X, ("succ", Z, Y)))),
+    ),),
+}
+
+_EMPTY: Mapping[int, Fraction] = MappingProxyType({})
+
+
+def _leaves(expr) -> tuple[int, ...]:
+    if isinstance(expr, int):
+        return (expr,)
+    if isinstance(expr[0], str):
+        return _leaves(expr[1]) + _leaves(expr[2])
+    return tuple(sorted(_leaves(expr[0][1])))
+
+
+def _renamed(expr, order: tuple[int, ...]):
+    """``expr`` with each variable replaced by its position in ``order``."""
+    if isinstance(expr, int):
+        return order.index(expr)
+    if isinstance(expr[0], str):
+        return (expr[0], _renamed(expr[1], order), _renamed(expr[2], order))
+    return tuple((coef, _renamed(sub, order)) for coef, sub in expr)
+
+
+def _koszul(order: tuple[int, ...], parity: Mapping[int, int]) -> int:
+    """The Koszul sign of the permutation that sorts the variables ``order``."""
+    return (-1) ** sum(parity[a] & parity[b]
+                       for i, a in enumerate(order) for b in order[i + 1:] if a > b)
+
+
+class _Compiler:
+    """Compiles expressions into functions of a basis tuple, for one check
+    call, and holds that call's memo.  Memoized values and stored rows are
+    never mutated: a sum accumulates into a fresh dict, and zero values
+    share ``_EMPTY``."""
+
+    def __init__(self, A: Superalgebra, product: str):
+        self.A = A
+        self.product = product
+        self.units = tuple({k: ONE} for k in range(A.space.dim))
+        self.memos: dict = {}  # shape -> (values by basis indices, function)
+
+    def compile(self, expr, memoize: bool = True):
+        if isinstance(expr, int):
+            units = self.units
+            return lambda idx: units[idx[expr]]
+        leaves = _leaves(expr)
+        if memoize and len(leaves) <= 3:
+            shape = _renamed(expr, leaves)
+            if shape not in self.memos:
+                self.memos[shape] = ({}, self.compile(shape, memoize=False))
+            table, compute = self.memos[shape]
+            key_of = operator.itemgetter(*leaves)
+
+            def memoized(idx):
+                key = key_of(idx)
+                value = table.get(key)
+                if value is None:
+                    value = table[key] = compute(key) or _EMPTY
+                return value
+            return memoized
+        if isinstance(expr[0], str):
+            name = self.product if expr[0] == "mul" else expr[0]
+            self.A.rows(name)  # an unknown product fails here, whatever the dimension
+            left, right = self.compile(expr[1]), self.compile(expr[2])
+            mul = self.A.mul_sparse
+            return lambda idx: mul(left(idx), right(idx), name)
+        # the summands' coefficients for each assignment of parities to leaves
+        signed = {bits: tuple(Fraction(coef * _koszul(_leaves(sub), dict(zip(leaves, bits))))
+                              for coef, sub in expr)
+                  for bits in itertools.product((0, 1), repeat=len(leaves))}
+        terms = tuple(self.compile(sub) for _, sub in expr)
+        par = self.A.space.parities()
+
+        def total(idx):
+            out: Sparse = {}
+            for coef, term in zip(signed[tuple([par[idx[v]] for v in leaves])], terms):
+                _add_scaled(out, term(idx), coef)
+            return out
+        return total
+
+
+def _check(A: Superalgebra, identity: str, product: str,
+           witness_limit: int) -> ViolationReport:
+    """Walk basis tuples in lexicographic order; in a walk of several
+    components, component q witnesses ``(q,) + idx``."""
+    col = _WitnessCollector(identity, witness_limit)
+    compiler = _Compiler(A, product)
+    walks = _IDENTITIES[identity]
+    for w, components in enumerate(walks):
+        residuals = [compiler.compile(expr, memoize=False) for expr in components]
+        for idx in itertools.product(range(A.space.dim), repeat=len(_leaves(components[0]))):
+            if w == len(walks) - 1:
+                col.tick()
+            for q, residual in enumerate(residuals):
+                res = residual(idx)
+                if res:
+                    col.add((q,) + idx if len(residuals) > 1 else idx,
+                            vector_from_sparse(A.space, res))
+    return col.report()
 
 
 def check_left_alternative(A: Superalgebra, product: str = "mul",
                            witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """as(x,y,z) + (-1)^{|x||y|} as(y,x,z) = 0 over homogeneous basis triples."""
-    col = _WitnessCollector("left-alternative", witness_limit)
-    n = A.space.dim
-    par = A.space.parities()
-    for i, j, k in itertools.product(range(n), repeat=3):
-        res = _associator(A, product, i, j, k)
-        _add_scaled(res, _associator(A, product, j, i, k), Fraction(koszul_sign(par[i], par[j])))
-        _emit(A, col, (i, j, k), res)
-    return col.report()
+    return _check(A, "left-alternative", product, witness_limit)
 
 
 def check_right_alternative(A: Superalgebra, product: str = "mul",
                             witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """as(x,y,z) + (-1)^{|y||z|} as(x,z,y) = 0 over homogeneous basis triples."""
-    col = _WitnessCollector("right-alternative", witness_limit)
-    n = A.space.dim
-    par = A.space.parities()
-    for i, j, k in itertools.product(range(n), repeat=3):
-        res = _associator(A, product, i, j, k)
-        _add_scaled(res, _associator(A, product, i, k, j), Fraction(koszul_sign(par[j], par[k])))
-        _emit(A, col, (i, j, k), res)
-    return col.report()
-
-
-def _associator(A: Superalgebra, product: str, i: int, j: int, k: int) -> Sparse:
-    rows = A.rows(product)
-    out = A.mul_sparse(rows.get((i, j), {}), {k: ONE}, product)
-    _add_scaled(out, A.mul_sparse({i: ONE}, rows.get((j, k), {}), product), Fraction(-1))
-    return out
+    return _check(A, "right-alternative", product, witness_limit)
 
 
 def check_malcev(A: Superalgebra, product: str = "mul",
@@ -246,34 +377,7 @@ def check_malcev(A: Superalgebra, product: str = "mul",
     anticommutativity scan over basis pairs contributes witnesses (index
     pairs) and violations but not tuples.
     """
-    col = _WitnessCollector("malcev", witness_limit)
-    n = A.space.dim
-    par = A.space.parities()
-    rows = A.rows(product)
-    for i, j in itertools.product(range(n), repeat=2):
-        res = rows.get((i, j), {}).copy()
-        _add_scaled(res, rows.get((j, i), {}), Fraction(koszul_sign(par[i], par[j])))
-        if res:
-            col.add((i, j), vector_from_sparse(A.space, res))
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        # (-1)^{|y||z|} [[x,z],[y,t]]
-        res = A.mul_sparse(rows.get((i, k), {}), rows.get((j, l), {}), product)
-        if koszul_sign(par[j], par[k]) < 0:
-            res = {key: -c for key, c in res.items()}
-        # - [[[x,y],z],t]
-        t1 = A.mul_sparse(A.mul_sparse(rows.get((i, j), {}), {k: ONE}, product), {l: ONE}, product)
-        _add_scaled(res, t1, Fraction(-1))
-        # - (-1)^{|x|(|y|+|z|+|t|)} [[[y,z],t],x]
-        t2 = A.mul_sparse(A.mul_sparse(rows.get((j, k), {}), {l: ONE}, product), {i: ONE}, product)
-        _add_scaled(res, t2, Fraction(-koszul_sign(par[i], par[j] + par[k] + par[l])))
-        # - (-1)^{(|x|+|y|)(|z|+|t|)} [[[z,t],x],y]
-        t3 = A.mul_sparse(A.mul_sparse(rows.get((k, l), {}), {i: ONE}, product), {j: ONE}, product)
-        _add_scaled(res, t3, Fraction(-koszul_sign(par[i] + par[j], par[k] + par[l])))
-        # - (-1)^{|t|(|x|+|y|+|z|)} [[[t,x],y],z]
-        t4 = A.mul_sparse(A.mul_sparse(rows.get((l, i), {}), {j: ONE}, product), {k: ONE}, product)
-        _add_scaled(res, t4, Fraction(-koszul_sign(par[l], par[i] + par[j] + par[k])))
-        _emit(A, col, (i, j, k, l), res)
-    return col.report()
+    return _check(A, "malcev", product, witness_limit)
 
 
 def check_pre_malcev(A: Superalgebra, product: str = "mul",
@@ -283,37 +387,7 @@ def check_pre_malcev(A: Superalgebra, product: str = "mul",
     The bracket inside the identity is the commutator
     [x,y] = x*y - (-1)^{|x||y|} y*x of the algebra's own product.
     """
-    col = _WitnessCollector("pre-malcev", witness_limit)
-    n = A.space.dim
-    par = A.space.parities()
-    rows = A.rows(product)
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        # (-1)^{|x|(|y|+|z|)} [y,z].(x.t)
-        res = A.mul_sparse(A.bracket_basis(j, k, product), rows.get((i, l), {}), product)
-        s = koszul_sign(par[i], par[j] + par[k])
-        if s < 0:
-            res = {key: -c for key, c in res.items()}
-        # [[x,y],z].t
-        br = A.bracket_basis(i, j, product)
-        brz = A.mul_sparse(br, {k: ONE}, product)
-        _add_scaled(brz, A.mul_sparse({k: ONE}, br, product),
-                    Fraction(-koszul_sign(par[i] + par[j], par[k])))
-        _add_scaled(res, A.mul_sparse(brz, {l: ONE}, product), ONE)
-        # (-1)^{|x||y|} y.([x,z].t)
-        t3 = A.mul_sparse({j: ONE},
-                          A.mul_sparse(A.bracket_basis(i, k, product), {l: ONE}, product),
-                          product)
-        _add_scaled(res, t3, Fraction(koszul_sign(par[i], par[j])))
-        # - x.(y.(z.t))
-        t4 = A.mul_sparse({i: ONE},
-                          A.mul_sparse({j: ONE}, rows.get((k, l), {}), product), product)
-        _add_scaled(res, t4, Fraction(-1))
-        # (-1)^{|z|(|x|+|y|)} z.(x.(y.t))
-        t5 = A.mul_sparse({k: ONE},
-                          A.mul_sparse({i: ONE}, rows.get((j, l), {}), product), product)
-        _add_scaled(res, t5, Fraction(koszul_sign(par[k], par[i] + par[j])))
-        _emit(A, col, (i, j, k, l), res)
-    return col.report()
+    return _check(A, "pre-malcev", product, witness_limit)
 
 
 def check_pre_alternative(A: Superalgebra,
@@ -326,90 +400,32 @@ def check_pre_alternative(A: Superalgebra,
     for name in ("prec", "succ"):
         if name not in A.products:
             raise KeyError(f"pre-alternative check requires a {name!r} product")
-    col = _WitnessCollector("pre-alternative", witness_limit)
-    n = A.space.dim
-    par = A.space.parities()
-
-    def star(xs: Sparse, ys: Sparse) -> Sparse:
-        out = A.mul_sparse(xs, ys, "prec")
-        _add_scaled(out, A.mul_sparse(xs, ys, "succ"), ONE)
-        return out
-
-    def prec(xs, ys):
-        return A.mul_sparse(xs, ys, "prec")
-
-    def succ(xs, ys):
-        return A.mul_sparse(xs, ys, "succ")
-
-    for i, j, k in itertools.product(range(n), repeat=3):
-        col.tick()
-        x, y, z = {i: ONE}, {j: ONE}, {k: ONE}
-        s_xy = Fraction(koszul_sign(par[i], par[j]))
-        s_yz = Fraction(koszul_sign(par[j], par[k]))
-        residuals = []
-        # (x*y) succ z - x succ (y succ z) + s_xy (y*x) succ z - s_xy y succ (x succ z)
-        r1 = succ(star(x, y), z)
-        _add_scaled(r1, succ(x, succ(y, z)), Fraction(-1))
-        _add_scaled(r1, succ(star(y, x), z), s_xy)
-        _add_scaled(r1, succ(y, succ(x, z)), -s_xy)
-        residuals.append(r1)
-        # (x prec y) prec z - x prec (y*z) + s_yz (x prec z) prec y - s_yz x prec (z*y)
-        r2 = prec(prec(x, y), z)
-        _add_scaled(r2, prec(x, star(y, z)), Fraction(-1))
-        _add_scaled(r2, prec(prec(x, z), y), s_yz)
-        _add_scaled(r2, prec(x, star(z, y)), -s_yz)
-        residuals.append(r2)
-        # (x succ y) prec z - x succ (y prec z) + s_xy (y prec x) prec z - s_xy y prec (x*z)
-        r3 = prec(succ(x, y), z)
-        _add_scaled(r3, succ(x, prec(y, z)), Fraction(-1))
-        _add_scaled(r3, prec(prec(y, x), z), s_xy)
-        _add_scaled(r3, prec(y, star(x, z)), -s_xy)
-        residuals.append(r3)
-        # (x succ y) prec z - x succ (y prec z) + s_yz (x*z) succ y - s_yz x succ (z succ y)
-        r4 = prec(succ(x, y), z)
-        _add_scaled(r4, succ(x, prec(y, z)), Fraction(-1))
-        _add_scaled(r4, succ(star(x, z), y), s_yz)
-        _add_scaled(r4, succ(x, succ(z, y)), -s_yz)
-        residuals.append(r4)
-        for q, res in enumerate(residuals):
-            if res:
-                col.add((q, i, j, k), vector_from_sparse(A.space, res))
-    return col.report()
+    return _check(A, "pre-alternative", "mul", witness_limit)
 
 
 # -- functors ------------------------------------------------------------
 
 
-def _add_rows(out: dict[tuple[int, int, int], Fraction], rows: Rows,
-              flip: tuple[int, ...] | None = None):
-    """Add the entries of ``rows`` into the triples ``out``.  Given the
-    parities as ``flip``, entry (i, j, k) goes to (j, i, k) times
-    -(-1)^{|b_i||b_j|} instead."""
-    for (i, j), row in rows.items():
-        key, sign = ((j, i), -koszul_sign(flip[i], flip[j])) if flip else ((i, j), 1)
-        for k, c in row.items():
-            out[key + (k,)] = out.get(key + (k,), ZERO) + sign * c
+def _derived(A: Superalgebra, expr, product: str = "mul") -> Superalgebra:
+    """The single-product algebra whose x.y is ``expr`` at (x, y) = (X, Y)."""
+    product_of = _Compiler(A, product).compile(expr, memoize=False)
+    return Superalgebra.from_entries(A.space, {"mul": {
+        (i, j, k): c
+        for i, j in itertools.product(range(A.space.dim), repeat=2)
+        for k, c in product_of((i, j)).items()
+    }})
 
 
 def commutator_superalgebra(A: Superalgebra, product: str = "mul") -> Superalgebra:
     """[x,y] = x*y - (-1)^{|x||y|} y*x, as a new single-product algebra."""
-    bracket: dict[tuple[int, int, int], Fraction] = {}
-    _add_rows(bracket, A.rows(product))
-    _add_rows(bracket, A.rows(product), A.space.parities())
-    return Superalgebra.from_entries(A.space, {"mul": bracket})
+    return _derived(A, _br(X, Y), product)
 
 
 def sum_pre_alternative(A: Superalgebra) -> Superalgebra:
     """x*y = x prec y + x succ y collapses (prec, succ) to one product."""
-    total: dict[tuple[int, int, int], Fraction] = {}
-    _add_rows(total, A.rows("prec"))
-    _add_rows(total, A.rows("succ"))
-    return Superalgebra.from_entries(A.space, {"mul": total})
+    return _derived(A, _star(X, Y))
 
 
 def pre_malcev_from_pre_alternative(A: Superalgebra) -> Superalgebra:
     """x.y = x succ y - (-1)^{|x||y|} y prec x."""
-    dot: dict[tuple[int, int, int], Fraction] = {}
-    _add_rows(dot, A.rows("succ"))
-    _add_rows(dot, A.rows("prec"), A.space.parities())
-    return Superalgebra.from_entries(A.space, {"mul": dot})
+    return _derived(A, ((1, ("succ", X, Y)), (-1, ("prec", Y, X))))

@@ -32,6 +32,7 @@ from pathlib import Path
 
 from .graded import GradedVector
 from .algebras import (
+    DEFAULT_WITNESS_LIMIT,
     ViolationReport,
     check_left_alternative,
     check_malcev,
@@ -467,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="input document (JSON)")
-        p.add_argument("--witness-limit", type=int, default=16)
+        p.add_argument("--witness-limit", type=int, default=DEFAULT_WITNESS_LIMIT)
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--timings", action="store_true",
                        help="fill wall_time_ms (breaks byte-stability)")

@@ -56,7 +56,7 @@ from .algebras import (
     _add_scaled,
     _WitnessCollector,
 )
-from .reps import Bimodule, Representation, _act, _columns, _Columns, _sparse_columns
+from .reps import Bimodule, Representation, _act, _apply, _columns, _Columns, _sparse_columns
 
 
 class IdentityViolation(Exception):
@@ -136,6 +136,19 @@ def _induced_product(columns: _Columns,
         for i, j in itertools.product(range(n), repeat=2)
         for k, c in _act(columns, cols[i], j).items()
     }
+
+
+def _compatible_structure(A: Superalgebra, columns: _Columns,
+                          T: GradedLinearMap) -> Superalgebra:
+    """x.y = T(action(x) T^{-1} y) on A, for an invertible T : V -> A."""
+    n = A.space.dim
+    tcols = _sparse_columns(T.matrix, T.domain.dim)
+    tinv = _sparse_columns(T.inverse().matrix, n)
+    return Superalgebra.from_entries(A.space, {"mul": {
+        (i, j, k): c
+        for i, j in itertools.product(range(n), repeat=2)
+        for k, c in _apply(tcols, _apply(columns[i], tinv[j])).items()
+    }})
 
 
 def _shape(space: SuperSpace) -> tuple[int, int]:
@@ -275,16 +288,7 @@ def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
         raise IdentityViolation(report)
     if not T.is_invertible():
         raise ValueError("singular operator: no compatible structure")
-    tinv = T.inverse()
-    A = R.algebra
-    n = A.space.dim
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            inner = R.act_sparse({i: ONE}, tinv.apply_sparse({j: ONE}))
-            for k, c in T.apply_sparse(inner).items():
-                entries[(i, j, k)] = c
-    return Superalgebra.from_entries(A.space, {"mul": entries})
+    return _compatible_structure(R.algebra, _rep_context(R).left, T)
 
 
 def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
@@ -305,15 +309,7 @@ def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap, A: Superalgebra
         raise IdentityViolation(report)
     if not Rop.is_invertible():
         raise ValueError("singular Rota-Baxter operator")
-    rinv = Rop.inverse()
-    n = A.space.dim
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            inner = A.mul_sparse({i: ONE}, rinv.apply_sparse({j: ONE}), product)
-            for k, c in Rop.apply_sparse(inner).items():
-                entries[(i, j, k)] = c
-    return Superalgebra.from_entries(A.space, {"mul": entries})
+    return _compatible_structure(A, _rota_baxter_context(A, False, product).left, Rop)
 
 
 def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalgebra:

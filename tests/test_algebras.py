@@ -27,6 +27,7 @@ from supermalcev import (
     sum_pre_alternative,
 )
 from supermalcev import fixtures
+from supermalcev.algebras import _IDENTITIES
 
 Z = Fraction(0)
 
@@ -573,19 +574,19 @@ def test_witness_limit_below_one_is_rejected(limit):
 
 # -- exact agreement with the oracles on odd-graded inputs --------------------
 
-# name -> (checker, oracle, degree of the walked tuples, needs prec and succ)
+def malcev_pairs_then_quads(A):
+    pairs, quads = oracle_malcev_failures(A)
+    return {**pairs, **quads}
+
+
+# name -> (checker, oracle, degree of the counted tuples, needs prec and succ)
 ORACLE_CASES = {
     "left-alternative": (check_left_alternative, oracle_left_alternative_failures, 3, False),
     "right-alternative": (check_right_alternative, oracle_right_alternative_failures, 3, False),
-    "malcev": (check_malcev, lambda A: {**pairs_then_quads(A)}, 4, False),
+    "malcev": (check_malcev, malcev_pairs_then_quads, 4, False),
     "pre-malcev": (check_pre_malcev, oracle_pre_malcev_failures, 4, False),
     "pre-alternative": (check_pre_alternative, oracle_pre_alternative_failures, 3, True),
 }
-
-
-def pairs_then_quads(A):
-    pairs, quads = oracle_malcev_failures(A)
-    return {**pairs, **quads}
 
 
 @pytest.mark.parametrize("shape, seed", [((2, 2), 3), ((3, 3), 4)])
@@ -602,3 +603,32 @@ def test_checkers_match_oracles_exactly_on_odd_inputs(name, shape, seed):
         assert report.violation_count == len(expected)
         assert report.checked_tuples == space.dim ** degree
         assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+
+
+# -- the identity table -------------------------------------------------------
+
+# identity -> the degree of each of its walks over basis tuples
+WALK_DEGREES = {"left-alternative": [3], "right-alternative": [3], "malcev": [2, 4],
+                "pre-malcev": [4], "pre-alternative": [3]}
+
+
+def expanded_leaf_orders(expr):
+    """The leaf order of each monomial of the fully expanded expression."""
+    if isinstance(expr, int):
+        return [(expr,)]
+    if isinstance(expr[0], str):
+        return [a + b for a in expanded_leaf_orders(expr[1])
+                for b in expanded_leaf_orders(expr[2])]
+    return [order for _, sub in expr for order in expanded_leaf_orders(sub)]
+
+
+def test_every_summand_uses_each_variable_once():
+    # the sign rule is sound only for multilinear terms
+    assert set(_IDENTITIES) == set(WALK_DEGREES)
+    for name, walks in _IDENTITIES.items():
+        for walk, degree in zip(walks, WALK_DEGREES[name], strict=True):
+            for component in walk:
+                orders = expanded_leaf_orders(component)
+                assert orders
+                for order in orders:
+                    assert sorted(order) == list(range(degree)), (name, order)
