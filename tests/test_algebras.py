@@ -28,6 +28,7 @@ from supermalcev import (
 )
 from supermalcev import fixtures
 from supermalcev.algebras import _IDENTITIES
+from rational_inputs import algebra_constants, denominator, rational_product
 
 Z = Fraction(0)
 
@@ -603,6 +604,60 @@ def test_checkers_match_oracles_exactly_on_odd_inputs(name, shape, seed):
         assert report.violation_count == len(expected)
         assert report.checked_tuples == space.dim ** degree
         assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 2), 5), ((3, 3), 6)])
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_checkers_match_oracles_exactly_with_denominators(name, shape, seed):
+    # constants with denominators 2-6; for prec and succ the common
+    # denominator is the lcm of both products' own
+    checker, oracle, degree, two_products = ORACLE_CASES[name]
+    space = SuperSpace(*shape)
+    A = rational_product(space, seed, two_products)
+    assert denominator(*algebra_constants(A)) == (12 if two_products else 6)
+    expected = list(oracle(A).items())
+    assert expected
+    for limit in (3, 10 ** 6):
+        report = checker(A, witness_limit=limit)
+        assert report.violation_count == len(expected)
+        assert report.checked_tuples == space.dim ** degree
+        assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+
+
+def scaled_algebra(A, factor):
+    return Superalgebra.from_entries(A.space, {
+        name: {(i, j, k): factor * c for (i, j), row in A.rows(name).items()
+               for k, c in row.items()}
+        for name in A.product_names()})
+
+
+def test_scaled_passing_cases_still_pass():
+    # the identities are homogeneous, so scaling the product keeps them
+    malcev = scaled_algebra(commutator_superalgebra(fixtures.split_octonions()), Fraction(1, 6))
+    assert denominator(*algebra_constants(malcev)) > 1
+    assert check_malcev(malcev).ok
+    octonions = scaled_algebra(fixtures.split_octonions(), Fraction(1, 3))
+    assert check_left_alternative(octonions).ok
+    assert check_right_alternative(octonions).ok
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 2), 5), ((3, 3), 6)])
+def test_functors_match_the_tables_with_denominators(shape, seed):
+    space = SuperSpace(*shape)
+    par = space.parities()
+    n = space.dim
+    A = rational_product(space, seed)
+    P = rational_product(space, seed, two_products=True)
+    table, prec, succ = A.table("mul"), P.table("prec"), P.table("succ")
+    bracket = commutator_superalgebra(A).table("mul")
+    total = sum_pre_alternative(P).table("mul")
+    dot = pre_malcev_from_pre_alternative(P).table("mul")
+    for i, j, k in itertools.product(range(n), repeat=3):
+        s = sgn(par[i], par[j])
+        assert bracket[i][j][k] == table[i][j][k] - s * table[j][i][k]
+        assert total[i][j][k] == prec[i][j][k] + succ[i][j][k]
+        assert dot[i][j][k] == succ[i][j][k] - s * prec[j][i][k]
+    assert denominator(*algebra_constants(commutator_superalgebra(A))) > 1
 
 
 # -- the identity table -------------------------------------------------------

@@ -46,6 +46,14 @@ from supermalcev import (
 )
 from supermalcev import fixtures
 from supermalcev import _linalg
+from rational_inputs import (
+    algebra_constants,
+    denominator,
+    map_constants,
+    rational_action,
+    rational_operator,
+    rational_product,
+)
 from supermalcev.operators import (
     _bimodule_context,
     _rep_context,
@@ -263,6 +271,40 @@ def test_o_operator_checkers_match_oracle_on_random_2_2(seed):
     T = fixtures.random_even_matrix(V, S, 0, rng)
     Rop = fixtures.random_even_matrix(S, S, 0, rng)
     for limit in (3, 64):
+        cases = [
+            (check_o_operator_malcev(T, R, witness_limit=limit),
+             oracle_o_operator_failures(T, R)),
+            (check_o_operator_alternative(T, B, witness_limit=limit),
+             oracle_o_operator_failures(T, B)),
+            (check_rota_baxter(Rop, A, witness_limit=limit),
+             oracle_o_operator_failures(Rop, A)),
+            (check_rota_baxter(Rop, A, sign_variant=True, witness_limit=limit),
+             oracle_o_operator_failures(Rop, A, sign_variant=True)),
+            (check_rota_baxter(Rop, A2, product="succ", witness_limit=limit),
+             oracle_o_operator_failures(Rop, A2, product="succ")),
+        ]
+        for report, oracle in cases:
+            assert oracle[0], "seeded inputs must violate the identity"
+            assert_matches_oracle(report, oracle, limit)
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 2), 5), ((3, 3), 6)])
+def test_o_operator_checkers_match_oracle_with_denominators(shape, seed):
+    # algebra constants over 2 and 3, actions over 5 (left 4, right 5) and
+    # operators over 4
+    S = SuperSpace(*shape)
+    A = rational_product(S, seed)
+    A2 = rational_product(S, seed, two_products=True)
+    V = SuperSpace(2, 2)
+    R = Representation(A, V, rational_action(A, V, seed))
+    B = Bimodule(A, V, rational_action(A, V, seed + 10, "left"),
+                 rational_action(A, V, seed + 20, "right"))
+    T = rational_operator(V, S, seed)
+    Rop = rational_operator(S, S, seed + 1)
+    assert denominator(*algebra_constants(A), *map_constants(T, *R.action)) == 60
+    assert denominator(*algebra_constants(A), *map_constants(T, *B.left, *B.right)) == 60
+    assert denominator(*algebra_constants(A2), *map_constants(Rop)) == 12
+    for limit in (3, 10 ** 6):
         cases = [
             (check_o_operator_malcev(T, R, witness_limit=limit),
              oracle_o_operator_failures(T, R)),

@@ -30,6 +30,13 @@ from supermalcev import (
 )
 from supermalcev.reps import double_dual_identification
 from supermalcev import fixtures
+from rational_inputs import (
+    algebra_constants,
+    denominator,
+    map_constants,
+    rational_action,
+    rational_product,
+)
 
 Z = Fraction(0)
 
@@ -178,6 +185,59 @@ def test_bimodule_checker_matches_oracle_on_odd_inputs(space, module, seed):
     for limit in (3, 64):
         report = check_alternative_bimodule(B, witness_limit=limit)
         assert_matches_oracle(report, expected, space.dim ** 2, limit)
+
+
+# algebra constants over 2 and 3, actions over 5 (left 4, right 5)
+RATIONAL_CASES = [(SuperSpace(2, 2), SuperSpace(2, 2), 5), (SuperSpace(3, 3), SuperSpace(1, 2), 6)]
+
+
+@pytest.mark.parametrize("space, module, seed", RATIONAL_CASES)
+def test_representation_checker_matches_oracle_with_denominators(space, module, seed):
+    A = rational_product(space, seed)
+    R = Representation(A, module, rational_action(A, module, seed + 10))
+    assert denominator(*algebra_constants(A), *map_constants(*R.action)) == 30
+    expected = oracle_rep_witnesses(R)
+    for limit in (3, 10 ** 6):
+        report = check_malcev_representation(R, witness_limit=limit)
+        assert_matches_oracle(report, expected, space.dim ** 3, limit)
+
+
+@pytest.mark.parametrize("space, module, seed", RATIONAL_CASES)
+def test_bimodule_checker_matches_oracle_with_denominators(space, module, seed):
+    A = rational_product(space, seed)
+    B = Bimodule(A, module, rational_action(A, module, seed + 10, "left"),
+                 rational_action(A, module, seed + 20, "right"))
+    assert denominator(*algebra_constants(A), *map_constants(*B.left, *B.right)) == 60
+    expected = oracle_bimodule_witnesses(B)
+    for limit in (3, 10 ** 6):
+        report = check_alternative_bimodule(B, witness_limit=limit)
+        assert_matches_oracle(report, expected, space.dim ** 2, limit)
+
+
+def test_are_equivalent_with_denominators():
+    space, module = SuperSpace(2, 2), SuperSpace(2, 2)
+    A = rational_product(space, 5)
+    R = Representation(A, module, rational_action(A, module, 15))
+    phi = GradedLinearMap(module, module, tuple(
+        tuple(Fraction(1, 2 + i) if i == j else (Fraction(1, 3) if (i, j) == (0, 1) else Z)
+              for j in range(4)) for i in range(4)), 0)
+    inverse = phi.inverse()
+    conjugated = Representation(A, module, tuple(phi.compose(m).compose(inverse)
+                                                 for m in R.action))
+    assert are_equivalent(R, conjugated, phi).ok
+    # against R itself, index i fails at the first nonzero column of
+    # phi rho(b_i) - rho(b_i) phi
+    report = are_equivalent(R, R, phi, witness_limit=10 ** 6)
+    expected = []
+    for i, m in enumerate(R.action):
+        residual = [[x - y for x, y in zip(ra, rb)] for ra, rb in
+                    zip(mat_mul(phi.matrix, m.matrix), mat_mul(m.matrix, phi.matrix))]
+        bad = first_bad_column(residual)
+        if bad:
+            expected.append(((i, bad[0]), bad[1]))
+    assert expected
+    assert report.violation_count == len(expected)
+    assert [(w, list(v.coords)) for w, v in report.witnesses] == expected
 
 
 # -- Malcev representations -------------------------------------------------

@@ -18,6 +18,7 @@ from supermalcev import (
     IdentityViolation,
     MybeCandidate,
     SuperSpace,
+    Superalgebra,
     Tensor2,
     adjoint_representation,
     canonical_r,
@@ -218,6 +219,39 @@ def test_tensor_and_operator_form_agree_on_corpus():
         solutions += tz
         non_solutions += not tz
     assert solutions >= 5 and non_solutions >= 5
+
+
+def scaled(c, algebra_factor, r_factor):
+    """The candidate over the algebra with its product scaled, and r scaled."""
+    A = c.algebra
+    scaled_algebra = Superalgebra.from_entries(A.space, {"mul": {
+        (i, j, k): algebra_factor * v for (i, j), row in A.rows().items()
+        for k, v in row.items()}})
+    n = A.space.dim
+    r = Tensor2(A.space, tuple(tuple(r_factor * c.r.coeffs[i][j] for j in range(n))
+                               for i in range(n)), 0)
+    return MybeCandidate(scaled_algebra, r)
+
+
+def test_both_forms_match_the_oracle_with_denominators():
+    # products over 3 and r over 5, or products over 2 and r over 3: both
+    # MYBE forms are homogeneous, so scaling keeps solutions solutions
+    solutions = [canonical_r(fixtures.pre_malcev_1_1()), canonical_r(fixtures.pre_lie_sl2())]
+    corpus = [scaled(c, Fraction(1, 3), Fraction(1, 5)) for c in solutions]
+    corpus += [scaled(c, Fraction(1, 2), Fraction(1, 3)) for c in mixed_corpus()[:12]]
+    solved = 0
+    for c in corpus:
+        n = c.algebra.space.dim
+        lhs = mybe_lhs(c)
+        assert dense_of(lhs, n) == oracle_mybe_lhs(c.algebra, c.r)
+        report = check_operator_form(c, witness_limit=10 ** 9)
+        assert report.ok == lhs.is_zero()
+        assert {w[0][:2] for w in report.witnesses} == {(j, k) for (_, j, k) in lhs.coeffs}
+        solved += report.ok
+    assert solved >= 2 and solved < len(corpus)
+    for c in corpus[:2]:
+        assert {v.denominator for v in c.r.sparse().values()} == {5}
+        assert max(v.denominator for row in c.algebra.rows().values() for v in row.values()) == 3
 
 
 def test_parity_block_case_structure():
