@@ -1,0 +1,103 @@
+"""The exact arithmetic under every checker: sparse vectors of integers
+scaled by one common denominator.
+
+A sparse vector maps basis indices to nonzero coefficients.  The helpers
+``add_scaled``, ``mul``, ``act`` and ``apply`` are the package's only
+sparse product helpers; they work unchanged on ``int`` and on ``Fraction``
+coefficients, and the public constructions call them on the stored
+``Fraction`` values.
+
+A checker instead takes, once per call, the lcm ``D`` of the denominators
+of every product row, action column and operator column it reads, and
+works on ``int`` copies of them scaled by ``D`` (fraction-free arithmetic:
+Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*, 1992, ch. 9).
+Every term of an identity's residual is a product of the same number ``p``
+of scaled factors, so the integer residual is exactly ``D**p`` times the
+rational one: it is zero exactly when the rational residual is, and
+``unscaled`` gives back the rational leftover of a witness.  Nothing is
+cached beyond the call.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence, Union
+
+Number = Union[int, Fraction]
+Vector = Mapping[int, Number]
+Rows = Mapping[tuple[int, int], Vector]  # (i, j) -> the vector b_i * b_j
+Columns = Sequence[Sequence[Vector]]  # [k][j] -> the image of b_j under b_k's map
+
+EMPTY: Vector = MappingProxyType({})
+
+
+def add_scaled(dst: dict, src: Mapping, factor: Number) -> None:
+    """dst += factor * src, dropping the coefficients that cancel."""
+    if not factor:
+        return
+    for k, c in src.items():
+        v = dst.get(k, 0) + factor * c
+        if v:
+            dst[k] = v
+        else:
+            dst.pop(k, None)
+
+
+def mul(rows: Rows, xs: Vector, ys: Vector) -> dict:
+    """The product of xs and ys under the structure constants ``rows``."""
+    out: dict = {}
+    for i, a in xs.items():
+        for j, b in ys.items():
+            row = rows.get((i, j))
+            if row:
+                add_scaled(out, row, a * b)
+    return out
+
+
+def act(columns: Columns, x: Vector, j: int) -> dict:
+    """action(x) b_j for an element x of the acting algebra."""
+    out: dict = {}
+    for k, c in x.items():
+        add_scaled(out, columns[k][j], c)
+    return out
+
+
+def apply(columns: Sequence[Vector], v: Vector) -> dict:
+    """The map with these columns applied to v."""
+    out: dict = {}
+    for j, c in v.items():
+        add_scaled(out, columns[j], c)
+    return out
+
+
+# -- one common denominator per call --------------------------------------
+
+
+def denominator(*groups: Iterable[Mapping]) -> int:
+    """The lcm of the denominators of every coefficient of every vector in
+    the groups."""
+    return math.lcm(*{c.denominator for vectors in groups for vec in vectors
+                      for c in vec.values()})
+
+
+def scaled(vec: Mapping, D: int) -> Mapping:
+    """``D * vec`` with ``int`` coefficients; D must be a multiple of every
+    denominator of vec."""
+    if not vec:
+        return EMPTY
+    return {k: c.numerator * (D // c.denominator) for k, c in vec.items()}
+
+
+def scaled_rows(rows: Rows, D: int) -> dict:
+    return {key: scaled(row, D) for key, row in rows.items()}
+
+
+def scaled_columns(columns: Columns, D: int) -> tuple:
+    return tuple(tuple(scaled(col, D) for col in cols) for cols in columns)
+
+
+def unscaled(vec: Mapping, scale: int) -> dict:
+    """The rational vector whose ``scale`` multiple is vec."""
+    return {k: Fraction(c, scale) for k, c in vec.items()}

@@ -24,7 +24,14 @@ its leaf order.  Each check call compiles the expressions once and memoizes
 every subexpression of at most three variables, keyed by its shape (the
 expression renamed by its leaf order) and its basis indices: at most n^3
 values per shape, so the four Malcev terms ``((..)..)..`` share one table
-of ``(b_i b_j) b_k``.
+of ``(b_i b_j) b_k``.  A product of two variables is one row lookup.
+
+Public values (structure constants, ``mul``, ``mul_sparse``, witness
+leftovers) stay ``Fraction``.  A check call computes in integers instead:
+it scales the rows of the products it reads by their common denominator D
+(``_kernel``), so every residual of a degree-d identity is D^(d-1) times
+the rational one, and a witness's leftover is divided back before it is
+reported.
 """
 
 from __future__ import annotations
@@ -34,14 +41,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
-from ._linalg import ONE, ZERO, as_scalar
+from ._kernel import EMPTY, add_scaled, denominator, mul, scaled_rows, unscaled
+from ._linalg import ZERO, as_scalar
 from .graded import (
     GradedVector,
     ParityViolation,
     SuperSpace,
-    koszul_sign,
     vector_from_sparse,
 )
 
@@ -89,10 +96,12 @@ class _WitnessCollector:
     def tick(self):
         self.checked += 1
 
-    def add(self, indices: tuple[int, ...], leftover):
+    def add(self, indices: tuple[int, ...], leftover: Callable[[], object]):
+        """Count a failing tuple; ``leftover()`` builds its leftover, and is
+        called only if the witness is kept."""
         self.count += 1
         if len(self.witnesses) < self.limit:
-            self.witnesses.append((indices, leftover))
+            self.witnesses.append((indices, leftover()))
 
     def report(self) -> ViolationReport:
         return ViolationReport(
@@ -102,17 +111,6 @@ class _WitnessCollector:
             self.checked,
             tuple(self.preconditions),
         )
-
-
-def _add_scaled(dst: Sparse, src: Mapping[int, Fraction], factor: Fraction):
-    if factor == 0:
-        return
-    for k, c in src.items():
-        v = dst.get(k, ZERO) + factor * c
-        if v == 0:
-            dst.pop(k, None)
-        else:
-            dst[k] = v
 
 
 @dataclass(frozen=True)
@@ -182,14 +180,7 @@ class Superalgebra:
 
     def mul_sparse(self, xs: Mapping[int, Fraction], ys: Mapping[int, Fraction],
                    product: str = "mul") -> Sparse:
-        rows = self.rows(product)
-        out: Sparse = {}
-        for i, a in xs.items():
-            for j, b in ys.items():
-                row = rows.get((i, j))
-                if row:
-                    _add_scaled(out, row, a * b)
-        return out
+        return mul(self.rows(product), xs, ys)
 
     def mul(self, x: GradedVector, y: GradedVector, product: str = "mul") -> GradedVector:
         """Bilinear extension of the structure constants to whole vectors."""
@@ -198,14 +189,6 @@ class Superalgebra:
         return vector_from_sparse(
             self.space, self.mul_sparse(x.sparse(), y.sparse(), product)
         )
-
-    def bracket_basis(self, i: int, j: int, product: str = "mul") -> Sparse:
-        """[b_i, b_j] = b_i*b_j - (-1)^{|b_i||b_j|} b_j*b_i."""
-        rows = self.rows(product)
-        out = rows.get((i, j), {}).copy()
-        sign = koszul_sign(self.space.parity(i), self.space.parity(j))
-        _add_scaled(out, rows.get((j, i), {}), Fraction(-sign))
-        return out
 
 
 # -- identity checkers --------------------------------------------------
@@ -259,8 +242,6 @@ _IDENTITIES = {
     ),),
 }
 
-_EMPTY: Mapping[int, Fraction] = MappingProxyType({})
-
 
 def _leaves(expr) -> tuple[int, ...]:
     if isinstance(expr, int):
@@ -279,6 +260,20 @@ def _renamed(expr, order: tuple[int, ...]):
     return tuple((coef, _renamed(sub, order)) for coef, sub in expr)
 
 
+def _products(expr) -> list[str]:
+    """The product names an expression reads, in the order they occur."""
+    if isinstance(expr, int):
+        return []
+    if isinstance(expr[0], str):
+        return [expr[0]] + _products(expr[1]) + _products(expr[2])
+    return [name for _, sub in expr for name in _products(sub)]
+
+
+def _is_lookup(expr) -> bool:
+    """Whether ``expr`` is the product of two variables: one row lookup."""
+    return isinstance(expr[0], str) and isinstance(expr[1], int) and isinstance(expr[2], int)
+
+
 def _koszul(order: tuple[int, ...], parity: Mapping[int, int]) -> int:
     """The Koszul sign of the permutation that sorts the variables ``order``."""
     return (-1) ** sum(parity[a] & parity[b]
@@ -287,14 +282,22 @@ def _koszul(order: tuple[int, ...], parity: Mapping[int, int]) -> int:
 
 class _Compiler:
     """Compiles expressions into functions of a basis tuple, for one check
-    call, and holds that call's memo.  Memoized values and stored rows are
-    never mutated: a sum accumulates into a fresh dict, and zero values
-    share ``_EMPTY``."""
+    call, and holds that call's scaled rows and memo.
 
-    def __init__(self, A: Superalgebra, product: str):
-        self.A = A
-        self.product = product
-        self.units = tuple({k: ONE} for k in range(A.space.dim))
+    The rows of every product the expressions read are scaled by their
+    common denominator ``D`` into ``int``, so an expression of d variables
+    evaluates to D^(d-1) times its rational value.  Memoized values and rows
+    are never mutated: a sum accumulates into a fresh dict, and zero values
+    share ``EMPTY``."""
+
+    def __init__(self, A: Superalgebra, product: str, exprs):
+        names = dict.fromkeys(name for expr in exprs for name in _products(expr))
+        # an unknown product fails here, whatever the dimension
+        rows = {name: A.rows(product if name == "mul" else name) for name in names}
+        self.D = denominator(*(r.values() for r in rows.values()))
+        self.rows = {name: scaled_rows(r, self.D) for name, r in rows.items()}
+        self.parities = A.space.parities()
+        self.units = tuple({k: 1} for k in range(A.space.dim))
         self.memos: dict = {}  # shape -> (values by basis indices, function)
 
     def compile(self, expr, memoize: bool = True):
@@ -302,7 +305,7 @@ class _Compiler:
             units = self.units
             return lambda idx: units[idx[expr]]
         leaves = _leaves(expr)
-        if memoize and len(leaves) <= 3:
+        if memoize and len(leaves) <= 3 and not _is_lookup(expr):
             shape = _renamed(expr, leaves)
             if shape not in self.memos:
                 self.memos[shape] = ({}, self.compile(shape, memoize=False))
@@ -313,26 +316,27 @@ class _Compiler:
                 key = key_of(idx)
                 value = table.get(key)
                 if value is None:
-                    value = table[key] = compute(key) or _EMPTY
+                    value = table[key] = compute(key) or EMPTY
                 return value
             return memoized
         if isinstance(expr[0], str):
-            name = self.product if expr[0] == "mul" else expr[0]
-            self.A.rows(name)  # an unknown product fails here, whatever the dimension
-            left, right = self.compile(expr[1]), self.compile(expr[2])
-            mul = self.A.mul_sparse
-            return lambda idx: mul(left(idx), right(idx), name)
+            rows = self.rows[expr[0]]
+            a, b = expr[1], expr[2]
+            if _is_lookup(expr):
+                return lambda idx: rows.get((idx[a], idx[b]), EMPTY)
+            left, right = self.compile(a), self.compile(b)
+            return lambda idx: mul(rows, left(idx), right(idx))
         # the summands' coefficients for each assignment of parities to leaves
-        signed = {bits: tuple(Fraction(coef * _koszul(_leaves(sub), dict(zip(leaves, bits))))
+        signed = {bits: tuple(coef * _koszul(_leaves(sub), dict(zip(leaves, bits)))
                               for coef, sub in expr)
                   for bits in itertools.product((0, 1), repeat=len(leaves))}
         terms = tuple(self.compile(sub) for _, sub in expr)
-        par = self.A.space.parities()
+        par = self.parities
 
         def total(idx):
-            out: Sparse = {}
+            out: dict = {}
             for coef, term in zip(signed[tuple([par[idx[v]] for v in leaves])], terms):
-                _add_scaled(out, term(idx), coef)
+                add_scaled(out, term(idx), coef)
             return out
         return total
 
@@ -342,18 +346,20 @@ def _check(A: Superalgebra, identity: str, product: str,
     """Walk basis tuples in lexicographic order; in a walk of several
     components, component q witnesses ``(q,) + idx``."""
     col = _WitnessCollector(identity, witness_limit)
-    compiler = _Compiler(A, product)
     walks = _IDENTITIES[identity]
+    compiler = _Compiler(A, product, [expr for walk in walks for expr in walk])
     for w, components in enumerate(walks):
+        degree = len(_leaves(components[0]))
+        scale = compiler.D ** (degree - 1)  # each term multiplies degree - 1 rows
         residuals = [compiler.compile(expr, memoize=False) for expr in components]
-        for idx in itertools.product(range(A.space.dim), repeat=len(_leaves(components[0]))):
+        for idx in itertools.product(range(A.space.dim), repeat=degree):
             if w == len(walks) - 1:
                 col.tick()
             for q, residual in enumerate(residuals):
                 res = residual(idx)
                 if res:
                     col.add((q,) + idx if len(residuals) > 1 else idx,
-                            vector_from_sparse(A.space, res))
+                            lambda: vector_from_sparse(A.space, unscaled(res, scale)))
     return col.report()
 
 
@@ -408,11 +414,12 @@ def check_pre_alternative(A: Superalgebra,
 
 def _derived(A: Superalgebra, expr, product: str = "mul") -> Superalgebra:
     """The single-product algebra whose x.y is ``expr`` at (x, y) = (X, Y)."""
-    product_of = _Compiler(A, product).compile(expr, memoize=False)
+    compiler = _Compiler(A, product, [expr])
+    product_of = compiler.compile(expr, memoize=False)
     return Superalgebra.from_entries(A.space, {"mul": {
         (i, j, k): c
         for i, j in itertools.product(range(A.space.dim), repeat=2)
-        for k, c in product_of((i, j)).items()
+        for k, c in unscaled(product_of((i, j)), compiler.D).items()
     }})
 
 

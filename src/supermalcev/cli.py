@@ -73,8 +73,7 @@ from .serialize import AlgebraDocument, ParseError, parse, serialize
 PASS, FAIL, INPUT_ERROR, ALARM = 0, 1, 2, 3
 
 # Largest algebra or module dimension a document may declare.  Checks walk
-# up to n^4 basis tuples and the MYBE operator form builds n dense n x n
-# coadjoint matrices, so larger documents are refused before any of that.
+# up to n^4 basis tuples, so larger documents are refused before any of that.
 MAX_DIM = 64
 
 _TUPLE_NOUNS = {

@@ -12,8 +12,11 @@ One engine serves them all: the residual
 on basis pairs of V, and the induced product x.y = action(T x) y, are each
 written once.  Checkers, grid searches and constructions share them.  The
 engine reads every action, and the operator itself, as sparse columns, with
-the column helpers of ``reps`` that the module checkers use too; A acting
-on itself reads the algebra's sparse rows.
+the sparse helpers of ``_kernel`` that the module checkers use too; A
+acting on itself, and A acting on its dual by the coadjoint action, are
+read straight off the algebra's sparse rows.  A checker scales the rows,
+the action columns and the operator's columns by their common denominator
+D, so each residual is D^3 times the rational one.
 
 A grid search returns exactly the candidates its checker accepts, in
 lexicographic order of the entry tuples.  It does not try every candidate:
@@ -33,11 +36,24 @@ offending report instead of returning a broken algebra.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _linalg
+from ._kernel import (
+    EMPTY,
+    Rows,
+    act,
+    add_scaled,
+    apply,
+    denominator,
+    mul,
+    scaled,
+    scaled_columns,
+    scaled_rows,
+    unscaled,
+)
 from ._linalg import ONE, ZERO
 from .graded import (
     DimensionMismatch,
@@ -53,10 +69,9 @@ from .algebras import (
     Sparse,
     Superalgebra,
     ViolationReport,
-    _add_scaled,
     _WitnessCollector,
 )
-from .reps import Bimodule, Representation, _act, _apply, _columns, _Columns, _sparse_columns
+from .reps import Bimodule, Representation, _columns, _Columns, _sparse_columns
 
 
 class IdentityViolation(Exception):
@@ -78,26 +93,30 @@ class _Context:
 
     identity: str
     algebra: Superalgebra
-    product: str
+    rows: Rows  # the structure constants of the product m
     module: SuperSpace
     left: _Columns
     right: _Columns
-    signs: tuple[tuple[Fraction, ...], ...]  # factor of the right term on (a, b)
+    signs: tuple[tuple[int, ...], ...]  # factor of the right term on (a, b)
 
 
-def _signs(space: SuperSpace, sign) -> tuple[tuple[Fraction, ...], ...]:
+def _signs(space: SuperSpace, sign) -> tuple[tuple[int, ...], ...]:
     par = space.parities()
-    return tuple(tuple(Fraction(sign(p, q)) for q in par) for p in par)
+    return tuple(tuple(sign(p, q) for q in par) for p in par)
+
+
+def _rep_signs(space: SuperSpace) -> tuple[tuple[int, ...], ...]:
+    return _signs(space, lambda p, q: -koszul_sign(p, q))
 
 
 def _rep_context(R: Representation) -> _Context:
     cols = _columns(R.action)
-    return _Context("o-operator", R.algebra, "mul", R.space, cols, cols,
-                    _signs(R.space, lambda p, q: -koszul_sign(p, q)))
+    return _Context("o-operator", R.algebra, R.algebra.rows(), R.space, cols, cols,
+                    _rep_signs(R.space))
 
 
 def _bimodule_context(B: Bimodule) -> _Context:
-    return _Context("o-operator-alternative", B.algebra, "mul", B.space,
+    return _Context("o-operator-alternative", B.algebra, B.algebra.rows(), B.space,
                     _columns(B.left), _columns(B.right),
                     _signs(B.space, lambda p, q: 1))
 
@@ -105,12 +124,28 @@ def _bimodule_context(B: Bimodule) -> _Context:
 def _rota_baxter_context(A: Superalgebra, sign_variant: bool, product: str) -> _Context:
     """A acting on itself: left(x) y = x y and right(x) y = y x."""
     n = A.space.dim
+    rows = A.rows(product)
     return _Context(
-        "rota-baxter-signed" if sign_variant else "rota-baxter", A, product, A.space,
-        tuple(tuple(A.mul_basis(k, j, product) for j in range(n)) for k in range(n)),
-        tuple(tuple(A.mul_basis(j, k, product) for j in range(n)) for k in range(n)),
+        "rota-baxter-signed" if sign_variant else "rota-baxter", A, rows, A.space,
+        tuple(tuple(rows.get((k, j), EMPTY) for j in range(n)) for k in range(n)),
+        tuple(tuple(rows.get((j, k), EMPTY) for j in range(n)) for k in range(n)),
         _signs(A.space, koszul_sign if sign_variant else lambda p, q: 1),
     )
+
+
+def _coadjoint_context(A: Superalgebra, product: str) -> _Context:
+    """A acting on its dual by the coadjoint action, read off the rows:
+    column jj of ad*(b_i) holds -(-1)^{|i||jj|} c_{i,ii}^{jj} at row ii."""
+    n = A.space.dim
+    par = A.space.parities()
+    rows = A.rows(product)
+    cols: dict[tuple[int, int], dict] = {}
+    for (i, ii), row in rows.items():
+        for jj, c in row.items():
+            cols.setdefault((i, jj), {})[ii] = -koszul_sign(par[i], par[jj]) * c
+    coad = tuple(tuple(cols.get((i, jj), EMPTY) for jj in range(n)) for i in range(n))
+    dual = A.space.dual()
+    return _Context("o-operator", A, rows, dual, coad, coad, _rep_signs(dual))
 
 
 def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:
@@ -118,11 +153,11 @@ def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, S
     holds the sparse columns of the operator."""
     n = ctx.module.dim
     for a, b in itertools.product(range(n), repeat=2):
-        res = ctx.algebra.mul_sparse(T[a], T[b], ctx.product)
-        inner = _act(ctx.left, T[a], b)
-        _add_scaled(inner, _act(ctx.right, T[b], a), ctx.signs[a][b])
+        res = mul(ctx.rows, T[a], T[b])
+        inner = act(ctx.left, T[a], b)
+        add_scaled(inner, act(ctx.right, T[b], a), ctx.signs[a][b])
         for k, c in inner.items():
-            _add_scaled(res, T[k], -c)
+            add_scaled(res, T[k], -c)
         yield a, b, res
 
 
@@ -134,7 +169,7 @@ def _induced_product(columns: _Columns,
     return {
         (i, j, k): c
         for i, j in itertools.product(range(n), repeat=2)
-        for k, c in _act(columns, cols[i], j).items()
+        for k, c in act(columns, cols[i], j).items()
     }
 
 
@@ -147,7 +182,7 @@ def _compatible_structure(A: Superalgebra, columns: _Columns,
     return Superalgebra.from_entries(A.space, {"mul": {
         (i, j, k): c
         for i, j in itertools.product(range(n), repeat=2)
-        for k, c in _apply(tcols, _apply(columns[i], tinv[j])).items()
+        for k, c in apply(tcols, apply(columns[i], tinv[j])).items()
     }})
 
 
@@ -165,10 +200,15 @@ def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationRe
     if T.parity != 0:
         col.preconditions.append("operator candidate is not even")
         return col.report()
-    for a, b, res in _residuals(ctx, _sparse_columns(T.matrix, ctx.module.dim)):
+    tcols = _sparse_columns(T.matrix, ctx.module.dim)
+    D = denominator(ctx.rows.values(), tcols, *ctx.left, *ctx.right)
+    scaled_ctx = replace(ctx, rows=scaled_rows(ctx.rows, D), left=scaled_columns(ctx.left, D),
+                         right=scaled_columns(ctx.right, D))
+    space, scale = ctx.algebra.space, D ** 3
+    for a, b, res in _residuals(scaled_ctx, [scaled(v, D) for v in tcols]):
         col.tick()
         if res:
-            col.add((a, b), vector_from_sparse(ctx.algebra.space, res))
+            col.add((a, b), lambda: vector_from_sparse(space, unscaled(res, scale)))
     return col.report()
 
 
@@ -239,7 +279,7 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
             prod = product.mul_sparse({j: ONE}, kv_sparse)
             res = T.apply_sparse(prod)
             if res:
-                col.add((j,), vector_from_sparse(R.algebra.space, res))
+                col.add((j,), lambda: vector_from_sparse(R.algebra.space, res))
     if col.count:
         raise IdentityViolation(col.report())
 
@@ -339,14 +379,6 @@ class BilinearForm:
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("form matrix shape mismatch")
 
-    def is_even(self) -> bool:
-        return all(
-            self.matrix[i][j] == 0
-            for i in range(self.space.dim)
-            for j in range(self.space.dim)
-            if self.space.parity(i) != self.space.parity(j)
-        )
-
     def value(self, x: GradedVector, y: GradedVector) -> Fraction:
         return sum(
             (xi * self.matrix[i][j] * yj
@@ -420,7 +452,7 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra, product: str = "mul",
         total += koszul_sign(par[k], par[j]) * omega.value_sparse(
             {k: ONE}, A.mul_basis(i, j, product))
         if total != 0:
-            col.add((i, j, k), total)
+            col.add((i, j, k), lambda: total)
     return col.report()
 
 
@@ -469,7 +501,7 @@ def _residual_forms(ctx: _Context,
     last occurrence, the one that sets the operator's value.  Components
     that vanish identically are left out."""
     nV = ctx.module.dim
-    rows = ctx.algebra.rows(ctx.product)
+    rows = ctx.rows
     var = {entry: e for e, entry in enumerate(support)}
     cols: list[list[tuple[int, int]]] = [[] for _ in range(nV)]  # (row, variable)
     for (i, j), e in var.items():

@@ -14,6 +14,13 @@ identity between operators on V is decided column by column, on one
 module basis vector at a time, and a failing tuple is witnessed by its
 first nonzero residual column.  The multiplication representations are
 filled from the algebra's sparse rows.
+
+Actions and leftovers are public ``Fraction`` values; a checker computes
+in integers.  It scales the algebra's rows and the action columns it reads
+by their common denominator D (``_kernel``), so every term of a residual
+is D^p times the rational one, with p the number of scaled factors per
+term (3 for the representation identity, 2 for the bimodule identities and
+for an equivalence).
 """
 
 from __future__ import annotations
@@ -21,10 +28,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from . import _linalg
-from ._linalg import ONE, ZERO
+from ._kernel import (
+    EMPTY,
+    act,
+    add_scaled,
+    apply,
+    denominator,
+    mul,
+    scaled,
+    scaled_columns,
+    scaled_rows,
+    unscaled,
+)
+from ._linalg import ZERO
 from .graded import (
     GradedLinearMap,
     ParityViolation,
@@ -38,7 +56,6 @@ from .algebras import (
     Sparse,
     Superalgebra,
     ViolationReport,
-    _add_scaled,
     _WitnessCollector,
     commutator_superalgebra,
 )
@@ -66,14 +83,6 @@ class Representation:
 
     def __post_init__(self):
         _validate_action(self.algebra, self.space, self.action, "representation")
-
-    def act_sparse(self, coords: Mapping[int, Fraction],
-                   v: Mapping[int, Fraction]) -> Sparse:
-        """rho(x) v for sparse algebra coords x and sparse module vector v."""
-        out: Sparse = {}
-        for i, c in coords.items():
-            _add_scaled(out, self.action[i].apply_sparse(v), c)
-        return out
 
 
 @dataclass(frozen=True)
@@ -108,33 +117,18 @@ def _columns(maps: tuple[GradedLinearMap, ...]) -> _Columns:
     return tuple(_sparse_columns(m.matrix, m.domain.dim) for m in maps)
 
 
-def _act(columns: _Columns, x: Mapping[int, Fraction], j: int) -> Sparse:
-    """action(x) b_j for an algebra element x given by sparse coordinates."""
-    out: Sparse = {}
-    for k, c in x.items():
-        _add_scaled(out, columns[k][j], c)
-    return out
-
-
-def _apply(columns: tuple[Sparse, ...], v: Sparse) -> Sparse:
-    """The map with these sparse columns applied to the sparse vector v."""
-    out: Sparse = {}
-    for j, c in v.items():
-        _add_scaled(out, columns[j], c)
-    return out
-
-
 def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
-                          space: SuperSpace, terms):
+                          space: SuperSpace, scale: int, terms):
     """Witness ``indices + (c,)`` for the first module basis vector b_c whose
     residual column, the sum of factor * vector over the (factor, vector)
-    pairs of ``terms(c)``, is nonzero, if there is one."""
+    pairs of ``terms(c)``, is nonzero, if there is one.  The residual is
+    ``scale`` times the rational one."""
     for c in range(space.dim):
-        res: Sparse = {}
+        res: dict = {}
         for factor, v in terms(c):
-            _add_scaled(res, v, factor)
+            add_scaled(res, v, factor)
         if res:
-            col.add(indices + (c,), vector_from_sparse(space, res))
+            col.add(indices + (c,), lambda: vector_from_sparse(space, unscaled(res, scale)))
             return
 
 
@@ -157,19 +151,21 @@ def check_malcev_representation(R: Representation,
     A = R.algebra
     n = A.space.dim
     par = A.space.parities()
-    rho = _columns(R.action)
+    rows, rho = A.rows(), _columns(R.action)
+    D = denominator(rows.values(), *rho)
+    rows, rho = scaled_rows(rows, D), scaled_columns(rho, D)
     for i, j, k in itertools.product(range(n), repeat=3):
-        xyz = A.mul_sparse(A.mul_basis(i, j), {k: ONE})
-        zx, yz = A.mul_basis(k, i), A.mul_basis(j, k)
-        s2 = Fraction(koszul_sign(par[k], par[i] + par[j]))
-        s = Fraction(koszul_sign(par[i], par[j] + par[k]))
+        xyz = mul(rows, rows.get((i, j), EMPTY), {k: 1})
+        zx, yz = rows.get((k, i), EMPTY), rows.get((j, k), EMPTY)
+        s2 = koszul_sign(par[k], par[i] + par[j])
+        s = koszul_sign(par[i], par[j] + par[k])
         col.tick()
-        _witness_first_column(col, (i, j, k), R.space, lambda c: (
-            (ONE, _act(rho, xyz, c)),
-            (-ONE, _apply(rho[i], _apply(rho[j], rho[k][c]))),
-            (s2, _apply(rho[k], _apply(rho[i], rho[j][c]))),
-            (-s, _apply(rho[j], _act(rho, zx, c))),
-            *((s * a, _act(rho, yz, b)) for b, a in rho[i][c].items()),
+        _witness_first_column(col, (i, j, k), R.space, D ** 3, lambda c: (
+            (1, act(rho, xyz, c)),
+            (-1, apply(rho[i], apply(rho[j], rho[k][c]))),
+            (s2, apply(rho[k], apply(rho[i], rho[j][c]))),
+            (-s, apply(rho[j], act(rho, zx, c))),
+            *((s * a, act(rho, yz, b)) for b, a in rho[i][c].items()),
         ))
     return col.report()
 
@@ -187,27 +183,29 @@ def check_alternative_bimodule(B: Bimodule,
     A = B.algebra
     n = A.space.dim
     par = A.space.parities()
-    L, R = _columns(B.left), _columns(B.right)
+    rows, L, R = A.rows(), _columns(B.left), _columns(B.right)
+    D = denominator(rows.values(), *L, *R)
+    rows, L, R = scaled_rows(rows, D), scaled_columns(L, D), scaled_columns(R, D)
     for i, j in itertools.product(range(n), repeat=2):
         col.tick()
-        s = Fraction(koszul_sign(par[i], par[j]))
-        xy, yx = A.mul_basis(i, j), A.mul_basis(j, i)
+        s = koszul_sign(par[i], par[j])
+        xy, yx = rows.get((i, j), EMPTY), rows.get((j, i), EMPTY)
         identities = (
             # l(xy) + s l(yx) - l(x)l(y) - s l(y)l(x)
-            lambda c: ((ONE, _act(L, xy, c)), (s, _act(L, yx, c)),
-                       (-ONE, _apply(L[i], L[j][c])), (-s, _apply(L[j], L[i][c]))),
+            lambda c: ((1, act(L, xy, c)), (s, act(L, yx, c)),
+                       (-1, apply(L[i], L[j][c])), (-s, apply(L[j], L[i][c]))),
             # r(y)r(x) + s r(x)r(y) - r(xy) - s r(yx)
-            lambda c: ((ONE, _apply(R[j], R[i][c])), (s, _apply(R[i], R[j][c])),
-                       (-ONE, _act(R, xy, c)), (-s, _act(R, yx, c))),
+            lambda c: ((1, apply(R[j], R[i][c])), (s, apply(R[i], R[j][c])),
+                       (-1, act(R, xy, c)), (-s, act(R, yx, c))),
             # r(y)r(x) + s r(y)l(x) - s l(x)r(y) - r(xy)
-            lambda c: ((ONE, _apply(R[j], R[i][c])), (s, _apply(R[j], L[i][c])),
-                       (-s, _apply(L[i], R[j][c])), (-ONE, _act(R, xy, c))),
+            lambda c: ((1, apply(R[j], R[i][c])), (s, apply(R[j], L[i][c])),
+                       (-s, apply(L[i], R[j][c])), (-1, act(R, xy, c))),
             # r(y)l(x) + s l(xy) - s l(x)l(y) - l(x)r(y)
-            lambda c: ((ONE, _apply(R[j], L[i][c])), (s, _act(L, xy, c)),
-                       (-s, _apply(L[i], L[j][c])), (-ONE, _apply(L[i], R[j][c]))),
+            lambda c: ((1, apply(R[j], L[i][c])), (s, act(L, xy, c)),
+                       (-s, apply(L[i], L[j][c])), (-1, apply(L[i], R[j][c]))),
         )
         for q, terms in enumerate(identities):
-            _witness_first_column(col, (q, i, j), B.space, terms)
+            _witness_first_column(col, (q, i, j), B.space, D ** 2, terms)
     return col.report()
 
 
@@ -352,10 +350,13 @@ def are_equivalent(R: Representation, Rp: Representation,
         return col.report()
     phi_cols = _sparse_columns(phi.matrix, phi.domain.dim)
     rho, rho_p = _columns(R.action), _columns(Rp.action)
+    D = denominator(phi_cols, *rho, *rho_p)
+    phi_cols = tuple(scaled(v, D) for v in phi_cols)
+    rho, rho_p = scaled_columns(rho, D), scaled_columns(rho_p, D)
     for i in range(R.algebra.space.dim):
         col.tick()
-        _witness_first_column(col, (i,), Rp.space, lambda c: (
-            (ONE, _apply(phi_cols, rho[i][c])), (-ONE, _apply(rho_p[i], phi_cols[c]))))
+        _witness_first_column(col, (i,), Rp.space, D ** 2, lambda c: (
+            (1, apply(phi_cols, rho[i][c])), (-1, apply(rho_p[i], phi_cols[c]))))
     return col.report()
 
 

@@ -6,18 +6,21 @@ the three graded commutator sums; r solves the MYBE iff it vanishes.
 
 Operator side: a skew-supersymmetric even r is regarded as a map A* -> A
 and solves the MYBE iff that map is a super O-operator for the coadjoint
-representation.  The two sides share no code path; their agreement is a
+representation, read straight off the algebra's rows.  The two sides share
+no code path beyond the sparse helpers of ``_kernel``; their agreement is a
 theorem that the test suite asserts over a corpus of solutions and
-non-solutions, never assumes.
+non-solutions, never assumes.  Both compute in integers: the rows and the
+entries of r are scaled by their common denominator D, and every term of
+the tensor side is a product of three scaled factors (D^3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _linalg
-from ._linalg import ONE, ZERO
+from ._kernel import add_scaled, denominator, scaled, scaled_rows, unscaled
+from ._linalg import ZERO
 from .graded import (
     GradedLinearMap,
     Tensor2,
@@ -35,12 +38,18 @@ from .algebras import (
 )
 from .reps import (
     Representation,
-    coadjoint_representation,
     dual_representation,
     left_multiplication_representation,
     semidirect_malcev,
 )
-from .operators import BilinearForm, IdentityViolation, classify_form, check_o_operator_malcev
+from .operators import (
+    BilinearForm,
+    IdentityViolation,
+    _check,
+    _coadjoint_context,
+    _induced_product,
+    classify_form,
+)
 
 
 @dataclass(frozen=True)
@@ -73,34 +82,30 @@ def mybe_lhs(c: MybeCandidate, product: str = "mul") -> Tensor3:
     against moving the bracket's arguments back into place).
     """
     A = c.algebra
-    space = A.space
-    entries = c.r.sparse()
-    out: dict[tuple[int, int, int], Fraction] = {}
+    par = A.space.parities()
+    rows, entries = A.rows(product), c.r.sparse()
+    D = denominator(rows.values(), (entries,))
+    rows, entries = scaled_rows(rows, D), scaled(entries, D)
 
-    def accumulate(key: tuple[int, int, int], val: Fraction):
-        cur = out.get(key, ZERO) + val
-        if cur == 0:
-            out.pop(key, None)
-        else:
-            out[key] = cur
+    def bracket(i: int, j: int) -> dict:
+        """[b_i, b_j] = b_i*b_j - (-1)^{|b_i||b_j|} b_j*b_i, scaled by D."""
+        out = dict(rows.get((i, j), {}))
+        add_scaled(out, rows.get((j, i), {}), -koszul_sign(par[i], par[j]))
+        return out
 
+    out: dict[tuple[int, int, int], int] = {}
     for (a, b), rab in entries.items():
-        pb = space.parity(b)
-        pa = space.parity(a)
         for (cc, d), rcd in entries.items():
             coeff = rab * rcd
-            s12 = koszul_sign(space.parity(cc), pb)
             # [r12, r13]: [b_a, b_c] (x) b_b (x) b_d
-            for k, v in A.bracket_basis(a, cc, product).items():
-                accumulate((k, b, d), s12 * coeff * v)
+            add_scaled(out, {(k, b, d): v for k, v in bracket(a, cc).items()},
+                       koszul_sign(par[cc], par[b]) * coeff)
             # [r12, r23]: b_a (x) [b_b, b_c] (x) b_d
-            for k, v in A.bracket_basis(b, cc, product).items():
-                accumulate((a, k, d), coeff * v)
+            add_scaled(out, {(a, k, d): v for k, v in bracket(b, cc).items()}, coeff)
             # [r13, r23]: b_a (x) b_c (x) [b_b, b_d]
-            s13 = koszul_sign(pa, space.parity(cc))
-            for k, v in A.bracket_basis(b, d, product).items():
-                accumulate((a, cc, k), s13 * coeff * v)
-    return Tensor3(space, out)
+            add_scaled(out, {(a, cc, k): v for k, v in bracket(b, d).items()},
+                       koszul_sign(par[a], par[cc]) * coeff)
+    return Tensor3(A.space, unscaled(out, D ** 3))
 
 
 def r_as_map(c: MybeCandidate) -> GradedLinearMap:
@@ -123,15 +128,16 @@ def check_operator_form(c: MybeCandidate, product: str = "mul",
     over all homogeneous dual-basis pairs.
 
     Preconditions: r skew-supersymmetric (flagged otherwise).  This is the
-    O-operator identity of the r-map for the coadjoint representation and
-    reuses that checker; it never touches the tensor-form code.
+    O-operator identity of the r-map for the coadjoint representation,
+    decided by the O-operator engine on the coadjoint action read off the
+    rows (no dense coadjoint matrices); it never touches the tensor-form
+    code.
     """
     if not c.r.is_skew_supersymmetric():
         col = _WitnessCollector("operator-form", witness_limit)
         col.preconditions.append("r is not skew-supersymmetric")
         return col.report()
-    coad = coadjoint_representation(c.algebra, product)
-    inner = check_o_operator_malcev(r_as_map(c), coad, witness_limit)
+    inner = _check(_coadjoint_context(c.algebra, product), r_as_map(c), witness_limit)
     return ViolationReport(
         "operator-form",
         inner.witnesses,
@@ -146,16 +152,9 @@ def pre_malcev_on_dual_from_r(c: MybeCandidate, product: str = "mul") -> Superal
     report = check_operator_form(c, product)
     if not report.ok:
         raise IdentityViolation(report)
-    coad = coadjoint_representation(c.algebra, product)
-    rmap = r_as_map(c)
-    n = c.algebra.space.dim
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        ri = rmap.apply_sparse({i: ONE})
-        for j in range(n):
-            for k, v in coad.act_sparse(ri, {j: ONE}).items():
-                entries[(i, j, k)] = v
-    return Superalgebra.from_entries(c.algebra.space.dual(), {"mul": entries})
+    coad = _coadjoint_context(c.algebra, product)
+    return Superalgebra.from_entries(
+        coad.module, {"mul": _induced_product(coad.left, r_as_map(c))})
 
 
 def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:

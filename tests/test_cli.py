@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,27 @@ def test_declared_dimension_over_the_cap_exits_2(capsys, tmp_path):
     at_cap = write("at_cap.json", {"even_dim": MAX_DIM, "odd_dim": 0, **one_entry})
     code, out, _ = run(capsys, "commutator", at_cap)
     assert code == 0 and parse(out).algebra.space.dim == MAX_DIM
+
+
+def test_mybe_check_reads_the_coadjoint_action_off_the_rows(capsys, tmp_path):
+    # a 20|20 algebra where b_0 scales every other basis vector, and r = 0;
+    # n dense n x n coadjoint matrices took a 4.3 MB peak here
+    n = 40
+    mul = [[0, j, j, "1"] for j in range(1, n)] + [[j, 0, j, "-1"] for j in range(1, n)]
+    path = tmp_path / "r_zero_40.json"
+    path.write_text(json.dumps({
+        "format": "superalg/1", "even_dim": 20, "odd_dim": 20, "products": {"mul": mul},
+        "tensor2": {"parity": 0, "coeffs": [["0"] * n] * n}}))
+    tracemalloc.start()
+    try:
+        code = main(["mybe-check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1:] == [f"operator-form: pass, {n * n} pairs", "agreement: yes"]
+    assert peak < 1.5e6
 
 
 def test_console_script_subprocess():

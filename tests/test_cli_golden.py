@@ -16,7 +16,6 @@ import hashlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 from supermalcev.cli import main
@@ -73,4 +72,3 @@ def test_cli_reports_match_the_golden_digests():
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.exit(0)
