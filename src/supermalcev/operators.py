@@ -71,7 +71,15 @@ from .algebras import (
     ViolationReport,
     _WitnessCollector,
 )
-from .reps import Bimodule, Representation, _columns, _Columns, _sparse_columns
+from .reps import (
+    Bimodule,
+    Representation,
+    _adjoint_columns,
+    _columns,
+    _Columns,
+    _dual_columns,
+    _sparse_columns,
+)
 
 
 class IdentityViolation(Exception):
@@ -127,25 +135,17 @@ def _rota_baxter_context(A: Superalgebra, sign_variant: bool, product: str) -> _
     rows = A.rows(product)
     return _Context(
         "rota-baxter-signed" if sign_variant else "rota-baxter", A, rows, A.space,
-        tuple(tuple(rows.get((k, j), EMPTY) for j in range(n)) for k in range(n)),
+        _adjoint_columns(A, product),
         tuple(tuple(rows.get((j, k), EMPTY) for j in range(n)) for k in range(n)),
         _signs(A.space, koszul_sign if sign_variant else lambda p, q: 1),
     )
 
 
 def _coadjoint_context(A: Superalgebra, product: str) -> _Context:
-    """A acting on its dual by the coadjoint action, read off the rows:
-    column jj of ad*(b_i) holds -(-1)^{|i||jj|} c_{i,ii}^{jj} at row ii."""
-    n = A.space.dim
-    par = A.space.parities()
-    rows = A.rows(product)
-    cols: dict[tuple[int, int], dict] = {}
-    for (i, ii), row in rows.items():
-        for jj, c in row.items():
-            cols.setdefault((i, jj), {})[ii] = -koszul_sign(par[i], par[jj]) * c
-    coad = tuple(tuple(cols.get((i, jj), EMPTY) for jj in range(n)) for i in range(n))
+    """A acting on its dual by the coadjoint action, read off the rows."""
+    coad = _dual_columns(_adjoint_columns(A, product), A.space, A.space)
     dual = A.space.dual()
-    return _Context("o-operator", A, rows, dual, coad, coad, _rep_signs(dual))
+    return _Context("o-operator", A, A.rows(product), dual, coad, coad, _rep_signs(dual))
 
 
 def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:

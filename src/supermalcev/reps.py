@@ -248,23 +248,36 @@ def semidirect_alternative(B: Bimodule) -> Superalgebra:
     return Superalgebra.from_entries(total, {"mul": entries})
 
 
+def _dual_columns(columns: _Columns, algebra: SuperSpace, module: SuperSpace) -> _Columns:
+    """The columns of rho* on V* from those of rho: <rho*(x)a*, b> =
+    -(-1)^{|x||a*|} <a*, rho(x)b>, so column jj of rho*(b_i) holds
+    -(-1)^{|i||jj|} <b_jj*, rho(b_i) b_ii> at row ii."""
+    apar, vpar = algebra.parities(), module.parities()
+    dual = []
+    for i, cols in enumerate(columns):
+        out: dict[int, Sparse] = {}
+        for ii, column in enumerate(cols):
+            for jj, c in column.items():
+                out.setdefault(jj, {})[ii] = -koszul_sign(apar[i], vpar[jj]) * c
+        dual.append(tuple(out.get(jj, EMPTY) for jj in range(module.dim)))
+    return tuple(dual)
+
+
+def _adjoint_columns(A: Superalgebra, product: str = "mul") -> _Columns:
+    """ad(b_k) b_j = b_k b_j, read off the rows."""
+    n, rows = A.space.dim, A.rows(product)
+    return tuple(tuple(rows.get((k, j), EMPTY) for j in range(n)) for k in range(n))
+
+
 def dual_representation(R: Representation) -> Representation:
     """rho* on V* determined by <rho*(x)a*, b> = -(-1)^{|x||a*|} <a*, rho(x)b>."""
     dual_space = R.space.dual()
     n = R.space.dim
-    maps = []
-    for i in range(R.algebra.space.dim):
-        p = R.algebra.space.parity(i)
-        m = R.action[i].matrix
-        rows = tuple(
-            tuple(
-                Fraction(-koszul_sign(p, R.space.parity(jj))) * m[jj][ii]
-                for jj in range(n)
-            )
-            for ii in range(n)
-        )
-        maps.append(GradedLinearMap(dual_space, dual_space, rows, p))
-    return Representation(R.algebra, dual_space, tuple(maps))
+    return Representation(R.algebra, dual_space, tuple(
+        GradedLinearMap(dual_space, dual_space,
+                        tuple(tuple(cols[c].get(r, ZERO) for c in range(n)) for r in range(n)),
+                        R.algebra.space.parity(i))
+        for i, cols in enumerate(_dual_columns(_columns(R.action), R.algebra.space, R.space))))
 
 
 def rep_from_bimodule(B: Bimodule) -> Representation:

@@ -50,8 +50,16 @@ def rational_action(A: Superalgebra, V: SuperSpace, seed: int,
 
 
 def rational_operator(domain: SuperSpace, codomain: SuperSpace, seed: int) -> GradedLinearMap:
+    """A seeded even operator with each entry divided by a denominator from
+    the operator set, except in its first nonzero column: a column of
+    integers beside fractional ones must be scaled by the same D."""
     rng = random.Random(seed)
-    return divided(fixtures.random_even_matrix(domain, codomain, 0, rng), "operator", rng)
+    m = fixtures.random_even_matrix(domain, codomain, 0, rng)
+    T = divided(m, "operator", rng)
+    keep = next(c for c in range(domain.dim) if any(row[c] for row in m.matrix))
+    rows = tuple(tuple(m.matrix[r][c] if c == keep else v for c, v in enumerate(row))
+                 for r, row in enumerate(T.matrix))
+    return GradedLinearMap(domain, codomain, rows, 0)
 
 
 def denominator(*values) -> int:
