@@ -8,11 +8,12 @@ operator) and of a bimodule (algebra, left and right action) each part
 brings a prime power the others lack.
 """
 
+import itertools
 import math
 import random
 
 from supermalcev import GradedLinearMap, SuperSpace, Superalgebra
-from supermalcev import fixtures
+from supermalcev import _linalg, fixtures
 
 # kind of input -> the denominators its constants are divided by
 DENOMINATORS = {
@@ -60,6 +61,19 @@ def rational_operator(domain: SuperSpace, codomain: SuperSpace, seed: int) -> Gr
     rows = tuple(tuple(m.matrix[r][c] if c == keep else v for c, v in enumerate(row))
                  for r, row in enumerate(T.matrix))
     return GradedLinearMap(domain, codomain, rows, 0)
+
+
+def rebased(A: Superalgebra, P) -> Superalgebra:
+    """The product of A in the basis b'_j = sum_i P[i][j] b_i, for an even
+    invertible P; rational entries of P give its constants denominators."""
+    n = A.space.dim
+    Q = _linalg.invert(P)
+    entries: dict = {}
+    for (a, b), row in A.rows().items():
+        for m, c in row.items():
+            for i, j, k in itertools.product(range(n), repeat=3):
+                entries[(i, j, k)] = entries.get((i, j, k), 0) + P[a][i] * P[b][j] * c * Q[k][m]
+    return Superalgebra.from_entries(A.space, {"mul": entries})
 
 
 def denominator(*values) -> int:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from supermalcev import (
     pair_tensor,
     sigma,
 )
+from supermalcev import fixtures
 
 parities = st.integers(min_value=0, max_value=5)
 scalars = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -143,6 +145,20 @@ def test_map_compose_apply_inverse():
     assert m.is_invertible()
     singular = GradedLinearMap(space, space, ((1, 2, 0), (2, 4, 0), (0, 0, 1)), 0)
     assert not singular.is_invertible()
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_apply_sparse_equals_call(parity):
+    rng = random.Random(parity)
+    domain, codomain = SuperSpace(3, 2), SuperSpace(2, 3)
+    for _ in range(20):
+        m = fixtures.random_even_matrix(domain, codomain, parity, rng)
+        T = GradedLinearMap(domain, codomain, tuple(
+            tuple(c / rng.choice((1, 2, 3)) for c in row) for row in m.matrix), parity)
+        v = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+             for j in rng.sample(range(domain.dim), rng.randint(0, domain.dim))}
+        dense = domain.vector([v.get(j, 0) for j in range(domain.dim)])
+        assert T.apply_sparse(v) == T(dense).sparse()
 
 
 def test_vector_parity_and_arithmetic():

@@ -1,7 +1,9 @@
 """O-operators, Rota-Baxter operators, forms, and the pre-Malcev /
 pre-alternative constructions, with grid searches as example generators."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -53,6 +55,7 @@ from rational_inputs import (
     rational_action,
     rational_operator,
     rational_product,
+    rebased,
 )
 from supermalcev.operators import (
     _bimodule_context,
@@ -783,6 +786,72 @@ def test_search_semantics_are_pinned():
         # limit 2 on a grid where pruning rejects (-1, -1, ...) first
         assert _values_on(search(small, support=SL2_SUPPORT, limit=2), SL2_SUPPORT) == [
             (-1, 0, 0, 0, 0), (0, -1, 0, -1, 0)]
+
+
+def _rational_search_cases():
+    """(search taking values and keywords, checker, domain, codomain, support)
+    on inputs whose constants have denominators 2 to 6."""
+    A = rational_product(SuperSpace(2, 1), 4)
+    P = rational_product(SuperSpace(1, 2), 2, two_products=True)
+    M, N = rational_product(SuperSpace(1, 2), 0), rational_product(SuperSpace(1, 2), 35)
+    V = SuperSpace(1, 1)
+    R = Representation(M, V, rational_action(M, V, 0))
+    B = Bimodule(N, V, rational_action(N, V, 45, "left"), rational_action(N, V, 55, "right"))
+    # sl2 in a rational basis: its forms mix coefficients over 1, 2, 3 and 6,
+    # and more than a dozen candidates of each grid pass
+    sl2 = fixtures.sl2()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    S = rebased(sl2, ((1, half, 0), (0, 1, 0), (0, third, 1)))
+    ad = adjoint_representation(S)
+    support = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1))
+    return [
+        (lambda values, **kw: search_rota_baxter(A, values, **kw),
+         lambda T: check_rota_baxter(T, A), A.space, A.space, None),
+        (lambda values, **kw: search_rota_baxter(P, values, product="succ", **kw),
+         lambda T: check_rota_baxter(T, P, product="succ"), P.space, P.space, None),
+        (lambda values, **kw: search_o_operators_malcev(R, values, **kw),
+         lambda T: check_o_operator_malcev(T, R), V, M.space, None),
+        (lambda values, **kw: search_o_operators_alternative(B, values, **kw),
+         lambda T: check_o_operator_alternative(T, B), V, N.space, None),
+        (lambda values, **kw: search_rota_baxter(S, values, **kw),
+         lambda T: check_rota_baxter(T, S), S.space, S.space, support),
+        (lambda values, **kw: search_o_operators_malcev(ad, values, **kw),
+         lambda T: check_o_operator_malcev(T, ad), S.space, S.space, support),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_search_matches_brute_force_on_rational_inputs(case):
+    search, check, domain, codomain, support = _rational_search_cases()[case]
+    support = support or parity_zero_support(domain, codomain)
+    hits = 0
+    for values in ((-1, 0, 1), (0, Fraction(1, 2), -1), (Fraction(1, 3), 0, Fraction(1, 3))):
+        for entries in (support, support + support[:1]):  # the first entry repeated
+            expected = [T.matrix for T in grid(domain, codomain, values, entries)
+                        if check(T).ok]
+            assert [T.matrix for T in search(values, support=entries)] == expected
+            assert [T.matrix for T in search(values, support=entries, limit=2)] == expected[:2]
+            hits += len(expected)
+    # the zero map passes once per value of the repeated entry: 12 times in all
+    assert hits > 12
+
+
+# SHA-256 of the hit matrices of the default-range sl2 searches (values
+# range(-2, 3), all 9 entries); Rota-Baxter operators of sl2 are exactly
+# its O-operators for the adjoint representation
+SL2_DEFAULT_HITS = "0c77865c38c567b666afe22129ff992e66f383f1d51fc6b6dc11b51412946c46"
+
+
+def _hits_digest(found):
+    payload = json.dumps([[[str(c) for c in row] for row in T.matrix] for T in found])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_default_range_sl2_searches_are_pinned():
+    sl2 = fixtures.sl2()
+    for found in (search_rota_baxter(sl2), search_o_operators_malcev(adjoint_representation(sl2))):
+        assert len(found) == 121
+        assert _hits_digest(found) == SL2_DEFAULT_HITS
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
