@@ -24,8 +24,9 @@ from supermalcev import fixtures
 
 sl2 = fixtures.sl2()
 
-# Integer grid search for weight-zero Rota-Baxter operators: it prunes on
-# exact residual components and returns what trying every candidate would.
+# Integer grid search for weight-zero Rota-Baxter operators: each exact
+# residual component cuts the values left for its last entry, and the search
+# returns what trying every candidate would, in the same order.
 found = search_rota_baxter(sl2, values=(-1, 0, 1))
 print("Rota-Baxter operators on sl(2) with entries in {-1,0,1}:", len(found))
 rb = fixtures.rb_sl2_nilpotent()

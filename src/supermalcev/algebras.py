@@ -326,16 +326,22 @@ class _Compiler:
                 return lambda idx: rows.get((idx[a], idx[b]), EMPTY)
             left, right = self.compile(a), self.compile(b)
             return lambda idx: mul(rows, left(idx), right(idx))
-        # the summands' coefficients for each assignment of parities to leaves
-        signed = {bits: tuple(coef * _koszul(_leaves(sub), dict(zip(leaves, bits)))
-                              for coef, sub in expr)
-                  for bits in itertools.product((0, 1), repeat=len(leaves))}
+        # the summands' coefficients for an assignment of parities to the
+        # leaves, built the first time that assignment occurs
+        orders = tuple((coef, _leaves(sub)) for coef, sub in expr)
+        signed: dict[tuple[int, ...], tuple[int, ...]] = {}
         terms = tuple(self.compile(sub) for _, sub in expr)
         par = self.parities
 
         def total(idx):
+            bits = tuple([par[idx[v]] for v in leaves])
+            coefs = signed.get(bits)
+            if coefs is None:
+                parity = dict(zip(leaves, bits))
+                coefs = signed[bits] = tuple(coef * _koszul(order, parity)
+                                             for coef, order in orders)
             out: dict = {}
-            for coef, term in zip(signed[tuple([par[idx[v]] for v in leaves])], terms):
+            for coef, term in zip(coefs, terms):
                 add_scaled(out, term(idx), coef)
             return out
         return total

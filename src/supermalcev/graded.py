@@ -22,6 +22,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from ._kernel import EMPTY, apply
 from ._linalg import ONE, ZERO, Matrix, as_scalar, freeze, mat_mul, mat_vec, zero_matrix
 from . import _linalg
 
@@ -189,12 +190,16 @@ def vector_from_sparse(space: SuperSpace, entries: Mapping[int, Fraction]) -> Gr
 
 @dataclass(frozen=True)
 class GradedLinearMap:
-    """A parity-homogeneous linear map; rows index the codomain basis."""
+    """A parity-homogeneous linear map; rows index the codomain basis.
+
+    ``columns`` holds the image of each domain basis vector as a read-only
+    sparse vector, built with the map from its nonzero entries."""
 
     domain: SuperSpace
     codomain: SuperSpace
     matrix: Matrix
     parity: int = 0
+    columns: tuple[Mapping[int, Fraction], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", freeze(self.matrix))
@@ -202,14 +207,21 @@ class GradedLinearMap:
             len(row) != self.domain.dim for row in self.matrix
         ):
             raise DimensionMismatch("matrix shape does not match domain/codomain")
+        columns: list[dict[int, Fraction]] = [{} for _ in range(self.domain.dim)]
         for i, row in enumerate(self.matrix):
             for j, entry in enumerate(row):
-                if entry != 0 and self.codomain.parity(i) != (
-                    (self.domain.parity(j) + self.parity) % 2
-                ):
-                    raise ParityViolation(
-                        f"entry ({i}, {j}) = {entry} violates parity {self.parity}"
-                    )
+                if entry != 0:
+                    if self.codomain.parity(i) != (self.domain.parity(j) + self.parity) % 2:
+                        raise ParityViolation(
+                            f"entry ({i}, {j}) = {entry} violates parity {self.parity}"
+                        )
+                    columns[j][i] = entry
+        object.__setattr__(self, "columns", tuple(
+            MappingProxyType(column) if column else EMPTY for column in columns))
+
+    def __reduce__(self):
+        # rebuilt from the matrix: the read-only columns do not pickle
+        return GradedLinearMap, (self.domain, self.codomain, self.matrix, self.parity)
 
     @staticmethod
     def identity(space: SuperSpace) -> "GradedLinearMap":
@@ -225,13 +237,7 @@ class GradedLinearMap:
         return GradedVector(self.codomain, mat_vec(self.matrix, v.coords))
 
     def apply_sparse(self, entries: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for j, c in entries.items():
-            for i in range(self.codomain.dim):
-                m = self.matrix[i][j]
-                if m != 0:
-                    out[i] = out.get(i, ZERO) + m * c
-        return {i: c for i, c in out.items() if c != 0}
+        return apply(self.columns, entries)
 
     def compose(self, inner: "GradedLinearMap") -> "GradedLinearMap":
         """self after inner."""

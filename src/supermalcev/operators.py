@@ -18,14 +18,17 @@ read straight off the algebra's sparse rows.  A checker scales the rows,
 the action columns and the operator's columns by their common denominator
 D, so each residual is D^3 times the rational one.
 
-A grid search returns exactly the candidates its checker accepts, in
-lexicographic order of the entry tuples.  It does not try every candidate:
-each component of the residual is compiled once into an exact quadratic
-form in the ``support`` entries, and a depth-first search assigns the
-entries in order, pruning a partial assignment as soon as a form whose
-entries are all assigned is nonzero.  Every ``support`` entry must be
-parity-0 (``ParityViolation`` before any candidate is tried), and ``limit``
-caps the number of results.
+A grid search returns exactly the candidates its checker accepts, in grid
+order: the first ``support`` entry varies slowest, and each entry takes its
+values in the order of ``values``.  It does not try every candidate: each
+component of the residual is compiled once into an exact quadratic form in
+the ``support`` entries, scaled to integers, and a depth-first search
+assigns the entries in order with forward checking.  Once a form's entries
+are all assigned but its last, the values left for that last entry are cut
+to those where the form vanishes, and a partial assignment that leaves an
+entry no value is pruned.  Every ``support`` entry must be parity-0
+(``ParityViolation`` before any candidate is tried), and ``limit`` caps the
+number of results.
 
 A checker raises ``DimensionMismatch`` when the (even, odd) dimensions of
 the operator's domain and codomain are not those of V and A.  Constructions
@@ -36,6 +39,7 @@ offending report instead of returning a broken algebra.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -78,7 +82,6 @@ from .reps import (
     _columns,
     _Columns,
     _dual_columns,
-    _sparse_columns,
 )
 
 
@@ -165,11 +168,10 @@ def _induced_product(columns: _Columns,
                      T: GradedLinearMap) -> dict[tuple[int, int, int], Fraction]:
     """Structure constants of x.y = action(T x) y on V."""
     n = T.domain.dim
-    cols = _sparse_columns(T.matrix, n)
     return {
         (i, j, k): c
         for i, j in itertools.product(range(n), repeat=2)
-        for k, c in act(columns, cols[i], j).items()
+        for k, c in act(columns, T.columns[i], j).items()
     }
 
 
@@ -177,12 +179,11 @@ def _compatible_structure(A: Superalgebra, columns: _Columns,
                           T: GradedLinearMap) -> Superalgebra:
     """x.y = T(action(x) T^{-1} y) on A, for an invertible T : V -> A."""
     n = A.space.dim
-    tcols = _sparse_columns(T.matrix, T.domain.dim)
-    tinv = _sparse_columns(T.inverse().matrix, n)
+    tinv = T.inverse().columns
     return Superalgebra.from_entries(A.space, {"mul": {
         (i, j, k): c
         for i, j in itertools.product(range(n), repeat=2)
-        for k, c in apply(tcols, apply(columns[i], tinv[j])).items()
+        for k, c in apply(T.columns, apply(columns[i], tinv[j])).items()
     }})
 
 
@@ -200,12 +201,11 @@ def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationRe
     if T.parity != 0:
         col.preconditions.append("operator candidate is not even")
         return col.report()
-    tcols = _sparse_columns(T.matrix, ctx.module.dim)
-    D = denominator(ctx.rows.values(), tcols, *ctx.left, *ctx.right)
+    D = denominator(ctx.rows.values(), T.columns, *ctx.left, *ctx.right)
     scaled_ctx = replace(ctx, rows=scaled_rows(ctx.rows, D), left=scaled_columns(ctx.left, D),
                          right=scaled_columns(ctx.right, D))
     space, scale = ctx.algebra.space, D ** 3
-    for a, b, res in _residuals(scaled_ctx, [scaled(v, D) for v in tcols]):
+    for a, b, res in _residuals(scaled_ctx, [scaled(v, D) for v in T.columns]):
         col.tick()
         if res:
             col.add((a, b), lambda: vector_from_sparse(space, unscaled(res, scale)))
@@ -530,21 +530,19 @@ def _residual_forms(ctx: _Context,
             if (kept := {e: c for e, c in form.items() if c})}
 
 
-def _form_value(form: _Form, x: Sequence[Fraction]) -> Fraction:
-    return sum((c * x[e1] * x[e2] for (e1, e2), c in form.items() if x[e1] and x[e2]), ZERO)
-
-
 def _search(ctx: _Context, values: Iterable[int],
             support: Sequence[tuple[int, int]] | None,
             limit: int | None) -> list[GradedLinearMap]:
-    """Every even integer matrix T : V -> A with entries drawn from
-    ``values`` on ``support`` whose residual vanishes on all basis pairs,
-    in lexicographic order of the entry tuples, at most ``limit`` of them.
+    """Every even matrix T : V -> A with entries drawn from ``values`` on
+    ``support`` whose residual vanishes on all basis pairs, in grid order,
+    at most ``limit`` of them.
 
-    A depth-first search assigns the support entries in the given order.
-    Each residual component is a quadratic form in the entries, checked
-    exactly as soon as the last entry it reads is assigned; a nonzero
-    value prunes every completion of the partial assignment."""
+    The forms are scaled to integers, and the values by the lcm L of their
+    denominators, which multiplies each form by L^2 and keeps its zero set.
+    Once a form's entries are all assigned but its last, it is a x^2 + b x
+    + c in that last entry, and it cuts the entry's domain to its roots; an
+    empty domain prunes.  A cut drops only values the form rejects, so no
+    hit is lost and the grid order stays."""
     A, V = ctx.algebra.space, ctx.module
     if support is None:
         support = tuple((i, j) for i in range(A.dim) for j in range(V.dim)
@@ -555,24 +553,47 @@ def _search(ctx: _Context, values: Iterable[int],
 
     def hits() -> Iterator[GradedLinearMap]:
         vals = [Fraction(v) for v in values]
+        L = math.lcm(*(v.denominator for v in vals))
+        ints = [v.numerator * (L // v.denominator) for v in vals]
+        value_of = dict(zip(ints, vals))
         n = len(support)
-        due: list[list[_Form]] = [[] for _ in range(n)]  # by the depth of the last entry
+        domains = [ints] * n
+        cuts: list[list] = [[] for _ in range(n)]  # by the second-to-last entry read
         for form in _residual_forms(ctx, support).values():
-            due[max(e2 for _, e2 in form)].append(form)
-        x = [ZERO] * n
+            form = scaled(form, denominator([form]))
+            last = max(e2 for _, e2 in form)
+            linear = [(e1, c) for (e1, e2), c in form.items() if e2 == last != e1]
+            rest = [(e1, e2, c) for (e1, e2), c in form.items() if e2 != last]
+            before = [e1 for e1, _ in linear] + [e2 for _, e2, _ in rest]
+            if before:
+                cuts[max(before)].append((last, form.get((last, last), 0), linear, rest))
+            else:  # a x^2 vanishes at x = 0 alone
+                domains[last] = [v for v in domains[last] if not v]
+        x = [0] * n
 
         def assign(d: int) -> Iterator[bool]:
-            """Set x[d], in turn, to each value at which every form due at
-            depth d vanishes."""
-            for v in vals:
+            """Set x[d], in turn, to each value of its domain at which the
+            cuts due at d leave no domain empty; undo the cuts before the
+            next value."""
+            for v in domains[d]:
                 x[d] = v
-                if not any(_form_value(form, x) for form in due[d]):
+                undo = []
+                for last, a, linear, rest in cuts[d]:
+                    b = sum(c * x[e] for e, c in linear)
+                    c0 = sum(c * x[e1] * x[e2] for e1, e2, c in rest)
+                    undo.append((last, domains[last]))
+                    domains[last] = [u for u in domains[last] if (a * u + b) * u + c0 == 0]
+                    if not domains[last]:
+                        break
+                else:
                     yield True
+                for last, domain in reversed(undo):
+                    domains[last] = domain
 
         assigning: list[Iterator[bool]] = []  # one per assigned entry
         while True:
             if len(assigning) == n:
-                value = dict(zip(support, x))
+                value = {entry: value_of[v] for entry, v in zip(support, x)}
                 yield GradedLinearMap(V, A, tuple(
                     tuple(value.get((i, j), ZERO) for j in range(V.dim))
                     for i in range(A.dim)), 0)

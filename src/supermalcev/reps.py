@@ -29,9 +29,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _linalg
 from ._kernel import (
     EMPTY,
+    Vector,
     act,
     add_scaled,
     apply,
@@ -101,20 +101,11 @@ class Bimodule:
 
 # _Columns[k][j]: the action of the algebra basis element b_k on the module
 # basis vector b_j, as a sparse vector of V
-_Columns = tuple[tuple[Sparse, ...], ...]
-
-
-def _sparse_columns(matrix: _linalg.Matrix, ncols: int) -> tuple[Sparse, ...]:
-    cols: tuple[Sparse, ...] = tuple({} for _ in range(ncols))
-    for r, row in enumerate(matrix):
-        for c, v in enumerate(row):
-            if v != 0:
-                cols[c][r] = v
-    return cols
+_Columns = tuple[tuple[Vector, ...], ...]
 
 
 def _columns(maps: tuple[GradedLinearMap, ...]) -> _Columns:
-    return tuple(_sparse_columns(m.matrix, m.domain.dim) for m in maps)
+    return tuple(m.columns for m in maps)
 
 
 def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
@@ -361,7 +352,7 @@ def are_equivalent(R: Representation, Rp: Representation,
         col.preconditions.append("phi is not bijective")
     if col.preconditions:
         return col.report()
-    phi_cols = _sparse_columns(phi.matrix, phi.domain.dim)
+    phi_cols = phi.columns
     rho, rho_p = _columns(R.action), _columns(Rp.action)
     D = denominator(phi_cols, *rho, *rho_p)
     phi_cols = tuple(scaled(v, D) for v in phi_cols)

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -145,6 +148,26 @@ def test_map_compose_apply_inverse():
     assert m.is_invertible()
     singular = GradedLinearMap(space, space, ((1, 2, 0), (2, 4, 0), (0, 0, 1)), 0)
     assert not singular.is_invertible()
+
+
+def test_stored_columns_are_read_only_and_outside_equality():
+    space = SuperSpace(2, 1)
+    m = GradedLinearMap(space, space, ((1, 2, 0), (0, Fraction(-1, 3), 0), (0, 0, 0)), 0)
+    assert m.columns == ({0: 1}, {0: 2, 1: Fraction(-1, 3)}, {})
+    assert m.columns == tuple({i: row[j] for i, row in enumerate(m.matrix) if row[j]}
+                              for j in range(space.dim))
+    with pytest.raises(TypeError):
+        m.columns[0][1] = Fraction(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.columns = ()
+    same = GradedLinearMap(space, space, m.matrix, 0)
+    assert same.columns is not m.columns
+    assert same == m and hash(same) == hash(m)
+    assert "columns" not in repr(m)
+    assert [f.name for f in dataclasses.fields(m) if f.compare or f.hash or f.repr] == [
+        "domain", "codomain", "matrix", "parity"]
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert twin == m and twin.columns == m.columns
 
 
 @pytest.mark.parametrize("parity", [0, 1])
