@@ -4,6 +4,7 @@ demos, and the CLI fixture files.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,22 @@ def zorn_split_octonions() -> Superalgebra:
         entries[(X(i), X(j), Y(k))] = s   # x_i x_j = eps y_k
         entries[(Y(i), Y(j), X(k))] = -s  # y_i y_j = -eps x_k
     return Superalgebra.from_entries(space, entries={"mul": entries})
+
+
+def general_linear(m: int, n: int) -> Superalgebra:
+    """The associative matrix superalgebra gl(m|n) on the matrix units
+    E_ij = e_i e_j^T, E_ij E_jl = E_il, with |E_ij| = |i| + |j| for the
+    first m indices even and the last n odd.  The even units come first,
+    each block in row-major order."""
+    par = lambda i: int(i >= m)
+    units = sorted(itertools.product(range(m + n), repeat=2),
+                   key=lambda ij: par(ij[0]) ^ par(ij[1]))
+    index = {unit: k for k, unit in enumerate(units)}
+    even = m * m + n * n
+    space = SuperSpace(even, len(units) - even, tuple(f"E{i + 1}{j + 1}" for i, j in units))
+    return Superalgebra.from_entries(space, {"mul": {
+        (index[(i, j)], index[(j, l)], index[(i, l)]): 1
+        for i, j in units for l in range(m + n)}})
 
 
 def heisenberg_1_1() -> Superalgebra:

@@ -13,12 +13,14 @@ from supermalcev import (
     BilinearForm,
     Bimodule,
     DimensionMismatch,
+    FormFlags,
     GradedLinearMap,
     IdentityViolation,
     ParityViolation,
     Representation,
     SuperSpace,
     adjoint_representation,
+    canonical_r,
     check_malcev,
     check_o_operator_alternative,
     check_o_operator_malcev,
@@ -45,6 +47,7 @@ from supermalcev import (
     search_o_operators_malcev,
     search_rota_baxter,
     semidirect_malcev,
+    symplectic_from_r,
 )
 from supermalcev import fixtures
 from supermalcev import _linalg
@@ -451,6 +454,35 @@ def test_induced_structure_rank_deficient():
             assert back == lhs
 
 
+# SHA-256 of the preimage indices, structure constants and embedding matrix
+# of the image structure of each Rota-Baxter operator of the gl(1|1) bracket
+# with entries in (-1, 0, 1)
+GL11_IMAGES = "3a32c2ca827000a41bcd046cec2cd795b83b6e9bb59251d600d50d213db572de"
+
+
+def test_image_structures_of_every_gl_1_1_rota_baxter_operator():
+    bracket = commutator_superalgebra(fixtures.general_linear(1, 1))
+    ad = adjoint_representation(bracket)
+    found = search_rota_baxter(bracket, values=(-1, 0, 1))
+    assert len(found) == 101
+    shapes, payload = set(), []
+    for T in found:
+        image = induced_structure_on_image(T, ad)
+        P = pre_malcev_from_o_operator(T, ad)
+        space, emb, pre = image.algebra.space, image.embedding, image.preimage_indices
+        shapes.add((space.even_dim, space.odd_dim))
+        for a, b in itertools.product(range(space.dim), repeat=2):
+            # the embedding carries the image product to T of the product
+            assert emb.apply_sparse(image.algebra.mul_basis(a, b)) == \
+                T.apply_sparse(P.mul_basis(pre[a], pre[b]))
+        payload.append([list(pre), [[i, j, k, str(c)] for (i, j), row in image.algebra.rows().items()
+                                    for k, c in row.items()],
+                        [[str(c) for c in row] for row in emb.matrix]])
+    # ranks 0, 1 and 2, with odd images of dimension 0|1 and 1|1
+    assert shapes == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)}
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == GL11_IMAGES
+
+
 def test_compatible_structure_from_invertible_oop():
     P = fixtures.pre_malcev_1_1()
     L = left_multiplication_representation(P)
@@ -591,6 +623,108 @@ def test_pre_malcev_from_symplectic_scaling_invariance():
     assert P1.table("mul") == P2.table("mul")
     assert check_pre_malcev(P1).ok
     assert commutator_superalgebra(P1).table("mul") == c.algebra.table("mul")
+
+
+# -- oracles: the form checkers from the dense matrix and table ----------------------
+
+
+def oracle_form_flags(omega, A):
+    """The four flags of ``classify_form``; invariance is w(xy, z) = w(x, yz)
+    on basis triples."""
+    n, par, w, table = A.space.dim, A.space.parities(), omega.matrix, A.table("mul")
+    pairs = list(itertools.product(range(n), repeat=2))
+    return FormFlags(
+        all(w[i][j] == koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
+        all(w[i][j] == -koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
+        not _linalg.nullspace(w, n),
+        all(sum(table[i][j][p] * w[p][k] for p in range(n))
+            == sum(w[i][p] * table[j][k][p] for p in range(n))
+            for i, j, k in itertools.product(range(n), repeat=3)))
+
+
+def oracle_symplectic(omega, A):
+    """Failing basis triples of the cyclic sum in lexicographic order with
+    their scalar leftovers, the number of triples, and the precondition
+    failures."""
+    n, par, w, table = A.space.dim, A.space.parities(), omega.matrix, A.table("mul")
+
+    def term(i, j, k):  # (-1)^{|i||k|} w(b_i, b_j b_k)
+        return koszul_sign(par[i], par[k]) * sum(w[i][p] * table[j][k][p] for p in range(n))
+
+    fails = [((i, j, k), total) for i, j, k in itertools.product(range(n), repeat=3)
+             if (total := term(i, j, k) + term(j, k, i) + term(k, i, j))]
+    flags = oracle_form_flags(omega, A)
+    preconditions = (("form is not skew-supersymmetric",) * (not flags.skew_supersymmetric)
+                     + ("form is degenerate",) * (not flags.nondegenerate))
+    return fails, n ** 3, preconditions
+
+
+def rational_form(space, seed, kind):
+    """A seeded form with constants over 1, 2, 3 and 5: skew-supersymmetric
+    and even ("skew"), the same with the last basis vector in its radical
+    ("degenerate"), or any matrix at all ("any")."""
+    rng = random.Random(seed)
+    n, par = space.dim, space.parities()
+    w = [[Z] * n for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        value = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3, 5)))
+        if kind == "any":
+            w[i][j] = value
+        elif i <= j and par[i] == par[j] and (i < j or par[i]):
+            w[i][j], w[j][i] = value, -koszul_sign(par[i], par[j]) * value
+    if kind == "degenerate":
+        for i in range(n):
+            w[i][n - 1] = w[n - 1][i] = Z
+    return BilinearForm(space, w)
+
+
+def supertrace_form(m, n):
+    """str(xy) on gl(m|n): str(E_ij E_kl) = delta_jk delta_il (-1)^{|i|}."""
+    G = fixtures.general_linear(m, n)
+    units = [(int(label[1]) - 1, int(label[2]) - 1) for label in G.space.labels]
+    return G, BilinearForm(G.space, tuple(
+        tuple(Fraction((-1) ** (i >= m)) if (j, i) == (k, l) else Z for k, l in units)
+        for i, j in units))
+
+
+def _form_cases():
+    """(form, algebra, expected flags or None) on odd-graded inputs."""
+    cases = []
+    for shape, seed in (((2, 1), 3), ((2, 2), 4), ((1, 2), 5)):
+        space = SuperSpace(*shape)
+        A = rational_product(space, seed)
+        for kind in ("skew", "degenerate", "any"):
+            cases.append((rational_form(space, seed, kind), A, kind))
+    c11 = canonical_r(fixtures.pre_malcev_1_1())
+    cases.append((symplectic_from_r(c11), c11.algebra, "symplectic"))
+    for m, n in ((1, 1), (2, 1)):
+        G, form = supertrace_form(m, n)
+        cases += [(form, G, "supertrace"), (form, commutator_superalgebra(G), "supertrace")]
+    return cases
+
+
+def test_form_checkers_match_dense_oracles():
+    seen = set()
+    for omega, A, kind in _form_cases():
+        flags = classify_form(omega, A)
+        assert flags == oracle_form_flags(omega, A)
+        fails, checked, preconditions = oracle_symplectic(omega, A)
+        for limit in (3, 10 ** 6):
+            report = check_symplectic(omega, A, witness_limit=limit)
+            assert report.violation_count == len(fails)
+            assert report.checked_tuples == checked
+            assert report.witnesses == tuple(fails[:limit])
+            assert report.precondition_failures == preconditions
+        seen.add((kind, flags, report.ok))
+    expected = {
+        # (kind, (supersymmetric, skew, nondegenerate, invariant), symplectic)
+        ("skew", FormFlags(False, True, True, False), False),
+        ("degenerate", FormFlags(False, True, False, False), False),
+        ("any", FormFlags(False, False, True, False), False),
+        ("symplectic", FormFlags(False, True, True, False), True),
+        ("supertrace", FormFlags(True, False, True, True), False),
+    }
+    assert seen >= expected
 
 
 # -- pre-alternative constructions ---------------------------------------------------
