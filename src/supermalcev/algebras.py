@@ -214,8 +214,8 @@ def _star(a, b):
 
 # identity -> its walks over basis tuples, in order; a walk is a tuple of
 # components of one degree.  Only the tuples of the last walk are counted.
-# "mul" stands for the product under check.  The sign rule holds only if
-# every summand uses each variable of its sum exactly once.
+# Each product is named by the algebra product it reads.  The sign rule
+# holds only if every summand uses each variable of its sum exactly once.
 _IDENTITIES = {
     "left-alternative": ((_assoc(X, Y, Z) + _assoc(Y, X, Z),),),
     "right-alternative": ((_assoc(X, Y, Z) + _assoc(X, Z, Y),),),
@@ -290,10 +290,10 @@ class _Compiler:
     are never mutated: a sum accumulates into a fresh dict, and zero values
     share ``EMPTY``."""
 
-    def __init__(self, A: Superalgebra, product: str, exprs):
+    def __init__(self, A: Superalgebra, exprs):
         names = dict.fromkeys(name for expr in exprs for name in _products(expr))
         # an unknown product fails here, whatever the dimension
-        rows = {name: A.rows(product if name == "mul" else name) for name in names}
+        rows = {name: A.rows(name) for name in names}
         self.D = denominator(*(r.values() for r in rows.values()))
         self.rows = {name: scaled_rows(r, self.D) for name, r in rows.items()}
         self.parities = A.space.parities()
@@ -347,13 +347,12 @@ class _Compiler:
         return total
 
 
-def _check(A: Superalgebra, identity: str, product: str,
-           witness_limit: int) -> ViolationReport:
+def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationReport:
     """Walk basis tuples in lexicographic order; in a walk of several
     components, component q witnesses ``(q,) + idx``."""
     col = _WitnessCollector(identity, witness_limit)
     walks = _IDENTITIES[identity]
-    compiler = _Compiler(A, product, [expr for walk in walks for expr in walk])
+    compiler = _Compiler(A, [expr for walk in walks for expr in walk])
     for w, components in enumerate(walks):
         degree = len(_leaves(components[0]))
         scale = compiler.D ** (degree - 1)  # each term multiplies degree - 1 rows
@@ -369,19 +368,19 @@ def _check(A: Superalgebra, identity: str, product: str,
     return col.report()
 
 
-def check_left_alternative(A: Superalgebra, product: str = "mul",
+def check_left_alternative(A: Superalgebra,
                            witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """as(x,y,z) + (-1)^{|x||y|} as(y,x,z) = 0 over homogeneous basis triples."""
-    return _check(A, "left-alternative", product, witness_limit)
+    return _check(A, "left-alternative", witness_limit)
 
 
-def check_right_alternative(A: Superalgebra, product: str = "mul",
+def check_right_alternative(A: Superalgebra,
                             witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """as(x,y,z) + (-1)^{|y||z|} as(x,z,y) = 0 over homogeneous basis triples."""
-    return _check(A, "right-alternative", product, witness_limit)
+    return _check(A, "right-alternative", witness_limit)
 
 
-def check_malcev(A: Superalgebra, product: str = "mul",
+def check_malcev(A: Superalgebra,
                  witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """Graded anticommutativity plus the four-variable Malcev super identity.
 
@@ -389,17 +388,17 @@ def check_malcev(A: Superalgebra, product: str = "mul",
     anticommutativity scan over basis pairs contributes witnesses (index
     pairs) and violations but not tuples.
     """
-    return _check(A, "malcev", product, witness_limit)
+    return _check(A, "malcev", witness_limit)
 
 
-def check_pre_malcev(A: Superalgebra, product: str = "mul",
+def check_pre_malcev(A: Superalgebra,
                      witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """The five-term pre-Malcev identity PM(x,y,z,t) = 0 on basis quadruples.
 
     The bracket inside the identity is the commutator
     [x,y] = x*y - (-1)^{|x||y|} y*x of the algebra's own product.
     """
-    return _check(A, "pre-malcev", product, witness_limit)
+    return _check(A, "pre-malcev", witness_limit)
 
 
 def check_pre_alternative(A: Superalgebra,
@@ -412,15 +411,15 @@ def check_pre_alternative(A: Superalgebra,
     for name in ("prec", "succ"):
         if name not in A.products:
             raise KeyError(f"pre-alternative check requires a {name!r} product")
-    return _check(A, "pre-alternative", "mul", witness_limit)
+    return _check(A, "pre-alternative", witness_limit)
 
 
 # -- functors ------------------------------------------------------------
 
 
-def _derived(A: Superalgebra, expr, product: str = "mul") -> Superalgebra:
+def _derived(A: Superalgebra, expr) -> Superalgebra:
     """The single-product algebra whose x.y is ``expr`` at (x, y) = (X, Y)."""
-    compiler = _Compiler(A, product, [expr])
+    compiler = _Compiler(A, [expr])
     product_of = compiler.compile(expr, memoize=False)
     return Superalgebra.from_entries(A.space, {"mul": {
         (i, j, k): c
@@ -429,9 +428,9 @@ def _derived(A: Superalgebra, expr, product: str = "mul") -> Superalgebra:
     }})
 
 
-def commutator_superalgebra(A: Superalgebra, product: str = "mul") -> Superalgebra:
+def commutator_superalgebra(A: Superalgebra) -> Superalgebra:
     """[x,y] = x*y - (-1)^{|x||y|} y*x, as a new single-product algebra."""
-    return _derived(A, _br(X, Y), product)
+    return _derived(A, _br(X, Y))
 
 
 def sum_pre_alternative(A: Superalgebra) -> Superalgebra:

@@ -132,23 +132,23 @@ def _bimodule_context(B: Bimodule) -> _Context:
                     _signs(B.space, lambda p, q: 1))
 
 
-def _rota_baxter_context(A: Superalgebra, sign_variant: bool, product: str) -> _Context:
+def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
     """A acting on itself: left(x) y = x y and right(x) y = y x."""
     n = A.space.dim
-    rows = A.rows(product)
+    rows = A.rows()
     return _Context(
         "rota-baxter-signed" if sign_variant else "rota-baxter", A, rows, A.space,
-        _adjoint_columns(A, product),
+        _adjoint_columns(A),
         tuple(tuple(rows.get((j, k), EMPTY) for j in range(n)) for k in range(n)),
         _signs(A.space, koszul_sign if sign_variant else lambda p, q: 1),
     )
 
 
-def _coadjoint_context(A: Superalgebra, product: str) -> _Context:
+def _coadjoint_context(A: Superalgebra) -> _Context:
     """A acting on its dual by the coadjoint action, read off the rows."""
-    coad = _dual_columns(_adjoint_columns(A, product), A.space, A.space)
+    coad = _dual_columns(_adjoint_columns(A), A.space, A.space)
     dual = A.space.dual()
-    return _Context("o-operator", A, A.rows(product), dual, coad, coad, _rep_signs(dual))
+    return _Context("o-operator", A, A.rows(), dual, coad, coad, _rep_signs(dual))
 
 
 def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:
@@ -224,8 +224,7 @@ def check_o_operator_alternative(T: GradedLinearMap, B: Bimodule,
     return _check(_bimodule_context(B), T, witness_limit)
 
 
-def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
-                      sign_variant: bool = False, product: str = "mul",
+def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra, sign_variant: bool = False,
                       witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """Weight-zero Rota-Baxter identity on basis pairs.
 
@@ -234,7 +233,7 @@ def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
     carries the Koszul factor (-1)^{|x||y|}; the two variants differ only
     when both arguments are odd.
     """
-    return _check(_rota_baxter_context(A, sign_variant, product), Rop, witness_limit)
+    return _check(_rota_baxter_context(A, sign_variant), Rop, witness_limit)
 
 
 # -- constructions into pre-Malcev / pre-alternative ---------------------
@@ -331,25 +330,24 @@ def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
     return _compatible_structure(R.algebra, _rep_context(R).left, T)
 
 
-def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
-                                product: str = "mul") -> Superalgebra:
+def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra) -> Superalgebra:
     """x.y = [R(x), y]; requires the (default-variant) Rota-Baxter identity."""
-    report = check_rota_baxter(Rop, A, product=product)
+    report = check_rota_baxter(Rop, A)
     if not report.ok:
         raise IdentityViolation(report)
     return Superalgebra.from_entries(
-        A.space, {"mul": _induced_product(_rota_baxter_context(A, False, product).left, Rop)})
+        A.space, {"mul": _induced_product(_rota_baxter_context(A, False).left, Rop)})
 
 
-def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap, A: Superalgebra,
-                                           product: str = "mul") -> Superalgebra:
+def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap,
+                                           A: Superalgebra) -> Superalgebra:
     """The compatible structure x.y = R([x, R^{-1}(y)]) for invertible R."""
-    report = check_rota_baxter(Rop, A, product=product)
+    report = check_rota_baxter(Rop, A)
     if not report.ok:
         raise IdentityViolation(report)
     if not Rop.is_invertible():
         raise ValueError("singular Rota-Baxter operator")
-    return _compatible_structure(A, _rota_baxter_context(A, False, product).left, Rop)
+    return _compatible_structure(A, _rota_baxter_context(A, False).left, Rop)
 
 
 def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalgebra:
@@ -402,8 +400,7 @@ class FormFlags:
     invariant: bool
 
 
-def classify_form(omega: BilinearForm, A: Superalgebra,
-                  product: str = "mul") -> FormFlags:
+def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     """Exact flags: (skew-)supersymmetry, nondegeneracy, invariance."""
     n = A.space.dim
     par = A.space.parities()
@@ -418,15 +415,15 @@ def classify_form(omega: BilinearForm, A: Superalgebra,
     nondeg = _linalg.determinant(omega.matrix) != 0
     invariant = True
     for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = omega.value_sparse(A.mul_basis(i, j, product), {k: ONE})
-        rhs = omega.value_sparse({i: ONE}, A.mul_basis(j, k, product))
+        lhs = omega.value_sparse(A.mul_basis(i, j), {k: ONE})
+        rhs = omega.value_sparse({i: ONE}, A.mul_basis(j, k))
         if lhs != rhs:
             invariant = False
             break
     return FormFlags(sym, skew, nondeg, invariant)
 
 
-def check_symplectic(omega: BilinearForm, A: Superalgebra, product: str = "mul",
+def check_symplectic(omega: BilinearForm, A: Superalgebra,
                      witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """Super two-cocycle condition: the cyclic graded sum
     (-1)^{|x||z|} w(x,[y,z]) + (-1)^{|y||x|} w(y,[z,x]) + (-1)^{|z||y|} w(z,[x,y])
@@ -436,7 +433,7 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra, product: str = "mul",
     failures rather than witnesses.  Witness leftovers are scalars.
     """
     col = _WitnessCollector("symplectic", witness_limit)
-    flags = classify_form(omega, A, product)
+    flags = classify_form(omega, A)
     if not flags.skew_supersymmetric:
         col.preconditions.append("form is not skew-supersymmetric")
     if not flags.nondegenerate:
@@ -446,22 +443,21 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra, product: str = "mul",
     for i, j, k in itertools.product(range(n), repeat=3):
         col.tick()
         total = koszul_sign(par[i], par[k]) * omega.value_sparse(
-            {i: ONE}, A.mul_basis(j, k, product))
+            {i: ONE}, A.mul_basis(j, k))
         total += koszul_sign(par[j], par[i]) * omega.value_sparse(
-            {j: ONE}, A.mul_basis(k, i, product))
+            {j: ONE}, A.mul_basis(k, i))
         total += koszul_sign(par[k], par[j]) * omega.value_sparse(
-            {k: ONE}, A.mul_basis(i, j, product))
+            {k: ONE}, A.mul_basis(i, j))
         if total != 0:
             col.add((i, j, k), lambda: total)
     return col.report()
 
 
-def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra,
-                               product: str = "mul") -> Superalgebra:
+def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalgebra:
     """The compatible product defined by
     w(x.y, z) = (-1)^{|x|(|y|+|z|)} w(y, [z, x]), solved row by row against
     the nondegenerate form."""
-    report = check_symplectic(omega, A, product)
+    report = check_symplectic(omega, A)
     if not report.ok:
         raise IdentityViolation(report)
     n = A.space.dim
@@ -473,7 +469,7 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra,
         for j in range(n):
             rhs = tuple(
                 Fraction(koszul_sign(par[i], par[j] + par[k]))
-                * omega.value_sparse({j: ONE}, A.mul_basis(k, i, product))
+                * omega.value_sparse({j: ONE}, A.mul_basis(k, i))
                 for k in range(n)
             )
             coords = _linalg.solve(omega_t, rhs)
@@ -609,11 +605,10 @@ def _search(ctx: _Context, values: Iterable[int],
 
 def search_rota_baxter(A: Superalgebra, values: Iterable[int] = range(-2, 3),
                        support: Sequence[tuple[int, int]] | None = None,
-                       product: str = "mul",
                        limit: int | None = None) -> list[GradedLinearMap]:
     """All even integer-matrix Rota-Baxter operators with entries drawn from
     ``values`` on the given support (default: every parity-0 position)."""
-    return _search(_rota_baxter_context(A, False, product), values, support, limit)
+    return _search(_rota_baxter_context(A, False), values, support, limit)
 
 
 def search_o_operators_malcev(R: Representation,

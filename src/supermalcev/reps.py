@@ -254,9 +254,9 @@ def _dual_columns(columns: _Columns, algebra: SuperSpace, module: SuperSpace) ->
     return tuple(dual)
 
 
-def _adjoint_columns(A: Superalgebra, product: str = "mul") -> _Columns:
+def _adjoint_columns(A: Superalgebra) -> _Columns:
     """ad(b_k) b_j = b_k b_j, read off the rows."""
-    n, rows = A.space.dim, A.rows(product)
+    n, rows = A.space.dim, A.rows()
     return tuple(tuple(rows.get((k, j), EMPTY) for j in range(n)) for k in range(n))
 
 
@@ -294,13 +294,12 @@ def rep_from_bimodule(B: Bimodule) -> Representation:
     return Representation(bracket, B.space, tuple(maps))
 
 
-def _multiplication_maps(A: Superalgebra, product: str,
-                         right: bool = False) -> tuple[GradedLinearMap, ...]:
+def _multiplication_maps(A: Superalgebra, right: bool = False) -> tuple[GradedLinearMap, ...]:
     """Left multiplications y -> b_i y, or with ``right`` y -> y b_i, one
     matrix per basis element b_i, filled from the sparse rows."""
     n = A.space.dim
     mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), row in A.rows(product).items():
+    for (i, j), row in A.rows().items():
         for k, c in row.items():
             if right:
                 mats[j][k][i] = c
@@ -310,31 +309,29 @@ def _multiplication_maps(A: Superalgebra, product: str,
                  for i, m in enumerate(mats))
 
 
-def adjoint_representation(A: Superalgebra, product: str = "mul") -> Representation:
+def adjoint_representation(A: Superalgebra) -> Representation:
     """ad(x)y = x*y; a Malcev representation when A is a Malcev superalgebra."""
-    return Representation(A, A.space, _multiplication_maps(A, product))
+    return Representation(A, A.space, _multiplication_maps(A))
 
 
-def coadjoint_representation(A: Superalgebra, product: str = "mul") -> Representation:
+def coadjoint_representation(A: Superalgebra) -> Representation:
     """ad* = dual of the adjoint representation."""
-    return dual_representation(adjoint_representation(A, product))
+    return dual_representation(adjoint_representation(A))
 
 
-def left_multiplication_representation(P: Superalgebra, product: str = "mul") -> Representation:
+def left_multiplication_representation(P: Superalgebra) -> Representation:
     """L_x y = x.y of a pre-Malcev algebra, as a representation of its
     sub-adjacent (commutator) Malcev superalgebra.
 
     This is the representation for which the identity map is an invertible
     O-operator recovering the compatible pre-Malcev structure.
     """
-    return Representation(commutator_superalgebra(P, product), P.space,
-                          _multiplication_maps(P, product))
+    return Representation(commutator_superalgebra(P), P.space, _multiplication_maps(P))
 
 
-def regular_bimodule(A: Superalgebra, product: str = "mul") -> Bimodule:
+def regular_bimodule(A: Superalgebra) -> Bimodule:
     """l = left multiplication, r = right multiplication on A itself."""
-    return Bimodule(A, A.space, _multiplication_maps(A, product),
-                    _multiplication_maps(A, product, right=True))
+    return Bimodule(A, A.space, _multiplication_maps(A), _multiplication_maps(A, right=True))
 
 
 def are_equivalent(R: Representation, Rp: Representation,

@@ -67,7 +67,7 @@ class MybeCandidate:
             raise ValueError("only even candidates are supported (|r| = 0)")
 
 
-def mybe_lhs(c: MybeCandidate, product: str = "mul") -> Tensor3:
+def mybe_lhs(c: MybeCandidate) -> Tensor3:
     """[r12,r13] + [r12,r23] + [r13,r23] as an exact sparse 3-tensor.
 
     Writing r = sum r[a][b] b_a (x) b_b, the three graded sums are
@@ -83,7 +83,7 @@ def mybe_lhs(c: MybeCandidate, product: str = "mul") -> Tensor3:
     """
     A = c.algebra
     par = A.space.parities()
-    rows, entries = A.rows(product), c.r.sparse()
+    rows, entries = A.rows(), c.r.sparse()
     D = denominator(rows.values(), (entries,))
     rows, entries = scaled_rows(rows, D), scaled(entries, D)
 
@@ -122,7 +122,7 @@ def r_as_map(c: MybeCandidate) -> GradedLinearMap:
     )
 
 
-def check_operator_form(c: MybeCandidate, product: str = "mul",
+def check_operator_form(c: MybeCandidate,
                         witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """[r(x*), r(y*)] = r(ad*(r(x*))y* - (-1)^{|x*||y*|} ad*(r(y*))x*)
     over all homogeneous dual-basis pairs.
@@ -137,7 +137,7 @@ def check_operator_form(c: MybeCandidate, product: str = "mul",
         col = _WitnessCollector("operator-form", witness_limit)
         col.preconditions.append("r is not skew-supersymmetric")
         return col.report()
-    inner = _check(_coadjoint_context(c.algebra, product), r_as_map(c), witness_limit)
+    inner = _check(_coadjoint_context(c.algebra), r_as_map(c), witness_limit)
     return ViolationReport(
         "operator-form",
         inner.witnesses,
@@ -147,12 +147,12 @@ def check_operator_form(c: MybeCandidate, product: str = "mul",
     )
 
 
-def pre_malcev_on_dual_from_r(c: MybeCandidate, product: str = "mul") -> Superalgebra:
+def pre_malcev_on_dual_from_r(c: MybeCandidate) -> Superalgebra:
     """x*.y* = ad*(r(x*))(y*) on the dual space; requires the operator form."""
-    report = check_operator_form(c, product)
+    report = check_operator_form(c)
     if not report.ok:
         raise IdentityViolation(report)
-    coad = _coadjoint_context(c.algebra, product)
+    coad = _coadjoint_context(c.algebra)
     return Superalgebra.from_entries(
         coad.module, {"mul": _induced_product(coad.left, r_as_map(c))})
 
@@ -183,17 +183,17 @@ def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:
     return MybeCandidate(double, r)
 
 
-def canonical_r(P: Superalgebra, product: str = "mul") -> MybeCandidate:
+def canonical_r(P: Superalgebra) -> MybeCandidate:
     """The canonical MYBE solution attached to a pre-Malcev superalgebra:
     the identity map, seen as an O-operator for the left-multiplication
     representation of the sub-adjacent Malcev superalgebra, embedded in
     the double.  Coefficientwise
     r = sum_i (e_i (x) e_i* - e_i* (x) e_i) + sum_j (f_j (x) f_j* + f_j* (x) f_j).
     """
-    report = check_pre_malcev(P, product)
+    report = check_pre_malcev(P)
     if not report.ok:
         raise IdentityViolation(report)
-    L = left_multiplication_representation(P, product)
+    L = left_multiplication_representation(P)
     return r_from_o_operator(GradedLinearMap.identity(P.space), L)
 
 
@@ -208,15 +208,14 @@ def symplectic_from_r(c: MybeCandidate) -> BilinearForm:
     return BilinearForm(c.algebra.space, _linalg.transpose(inv))
 
 
-def rb_from_invariant_form(c: MybeCandidate, B: BilinearForm,
-                           product: str = "mul") -> GradedLinearMap:
+def rb_from_invariant_form(c: MybeCandidate, B: BilinearForm) -> GradedLinearMap:
     """r-tilde = (r as map) composed with phi, <phi(x), y> = B(x, y).
 
     B must be supersymmetric, nondegenerate, and invariant; r must be
     skew-supersymmetric.  The result is a Rota-Baxter operator (default,
     unsigned variant) exactly when r solves the MYBE.
     """
-    flags = classify_form(B, c.algebra, product)
+    flags = classify_form(B, c.algebra)
     failing = []
     if not flags.supersymmetric:
         failing.append("supersymmetric")

@@ -19,6 +19,7 @@ from supermalcev import (
     ParityViolation,
     Representation,
     SuperSpace,
+    Superalgebra,
     adjoint_representation,
     canonical_r,
     check_malcev,
@@ -286,7 +287,8 @@ def test_o_operator_checkers_match_oracle_on_random_2_2(seed):
              oracle_o_operator_failures(Rop, A)),
             (check_rota_baxter(Rop, A, sign_variant=True, witness_limit=limit),
              oracle_o_operator_failures(Rop, A, sign_variant=True)),
-            (check_rota_baxter(Rop, A2, product="succ", witness_limit=limit),
+            (check_rota_baxter(Rop, Superalgebra(A2.space, {"mul": A2.rows("succ")}),
+                               witness_limit=limit),
              oracle_o_operator_failures(Rop, A2, product="succ")),
         ]
         for report, oracle in cases:
@@ -320,7 +322,8 @@ def test_o_operator_checkers_match_oracle_with_denominators(shape, seed):
              oracle_o_operator_failures(Rop, A)),
             (check_rota_baxter(Rop, A, sign_variant=True, witness_limit=limit),
              oracle_o_operator_failures(Rop, A, sign_variant=True)),
-            (check_rota_baxter(Rop, A2, product="succ", witness_limit=limit),
+            (check_rota_baxter(Rop, Superalgebra(A2.space, {"mul": A2.rows("succ")}),
+                               witness_limit=limit),
              oracle_o_operator_failures(Rop, A2, product="succ")),
         ]
         for report, oracle in cases:
@@ -927,6 +930,7 @@ def _rational_search_cases():
     on inputs whose constants have denominators 2 to 6."""
     A = rational_product(SuperSpace(2, 1), 4)
     P = rational_product(SuperSpace(1, 2), 2, two_products=True)
+    succ = Superalgebra(P.space, {"mul": P.rows("succ")})
     M, N = rational_product(SuperSpace(1, 2), 0), rational_product(SuperSpace(1, 2), 35)
     V = SuperSpace(1, 1)
     R = Representation(M, V, rational_action(M, V, 0))
@@ -941,8 +945,8 @@ def _rational_search_cases():
     return [
         (lambda values, **kw: search_rota_baxter(A, values, **kw),
          lambda T: check_rota_baxter(T, A), A.space, A.space, None),
-        (lambda values, **kw: search_rota_baxter(P, values, product="succ", **kw),
-         lambda T: check_rota_baxter(T, P, product="succ"), P.space, P.space, None),
+        (lambda values, **kw: search_rota_baxter(succ, values, **kw),
+         lambda T: check_rota_baxter(T, succ), P.space, P.space, None),
         (lambda values, **kw: search_o_operators_malcev(R, values, **kw),
          lambda T: check_o_operator_malcev(T, R), V, M.space, None),
         (lambda values, **kw: search_o_operators_alternative(B, values, **kw),
@@ -998,7 +1002,8 @@ def test_compiled_residual_forms_reproduce_the_residuals(seed):
                  fixtures.random_action_maps(A, S, seed + 20))
     rng = random.Random(seed)
     contexts = (_rep_context(R), _bimodule_context(B),
-                _rota_baxter_context(A2, False, "succ"), _rota_baxter_context(A, True, "mul"))
+                _rota_baxter_context(Superalgebra(S, {"mul": A2.rows("succ")}), False),
+                _rota_baxter_context(A, True))
     for ctx in contexts:
         # a repeated first entry: its last occurrence sets the value
         support = parity_zero_support(ctx.module, ctx.algebra.space)
