@@ -2,7 +2,8 @@
 
 Tensor side: for r = sum_i x_i (x) y_i with |r| = 0 the left-hand side
 [r12,r13] + [r12,r23] + [r13,r23] is computed as a sparse 3-tensor from
-the three graded commutator sums; r solves the MYBE iff it vanishes.
+three graded sums of brackets, the bracket being the algebra's ``mul``;
+r solves the MYBE iff it vanishes.
 
 Operator side: a skew-supersymmetric even r is regarded as a map A* -> A
 and solves the MYBE iff that map is a super O-operator for the coadjoint
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _linalg
-from ._kernel import add_scaled, denominator, scaled, scaled_rows, unscaled
+from ._kernel import EMPTY, add_scaled, denominator, scaled, scaled_rows, unscaled
 from ._linalg import ZERO
 from .graded import (
     GradedLinearMap,
@@ -70,7 +71,8 @@ class MybeCandidate:
 def mybe_lhs(c: MybeCandidate) -> Tensor3:
     """[r12,r13] + [r12,r23] + [r13,r23] as an exact sparse 3-tensor.
 
-    Writing r = sum r[a][b] b_a (x) b_b, the three graded sums are
+    Writing r = sum r[a][b] b_a (x) b_b and [b_i, b_j] = b_i * b_j, the
+    algebra's own product, the three graded sums are
 
       [r12,r13] = sum (-1)^{|b_c||b_b|} [b_a,b_c] (x) b_b (x) b_d,
       [r12,r23] = sum                    b_a (x) [b_b,b_c] (x) b_d,
@@ -86,24 +88,17 @@ def mybe_lhs(c: MybeCandidate) -> Tensor3:
     rows, entries = A.rows(), c.r.sparse()
     D = denominator(rows.values(), (entries,))
     rows, entries = scaled_rows(rows, D), scaled(entries, D)
-
-    def bracket(i: int, j: int) -> dict:
-        """[b_i, b_j] = b_i*b_j - (-1)^{|b_i||b_j|} b_j*b_i, scaled by D."""
-        out = dict(rows.get((i, j), {}))
-        add_scaled(out, rows.get((j, i), {}), -koszul_sign(par[i], par[j]))
-        return out
-
     out: dict[tuple[int, int, int], int] = {}
     for (a, b), rab in entries.items():
         for (cc, d), rcd in entries.items():
             coeff = rab * rcd
             # [r12, r13]: [b_a, b_c] (x) b_b (x) b_d
-            add_scaled(out, {(k, b, d): v for k, v in bracket(a, cc).items()},
+            add_scaled(out, {(k, b, d): v for k, v in rows.get((a, cc), EMPTY).items()},
                        koszul_sign(par[cc], par[b]) * coeff)
             # [r12, r23]: b_a (x) [b_b, b_c] (x) b_d
-            add_scaled(out, {(a, k, d): v for k, v in bracket(b, cc).items()}, coeff)
+            add_scaled(out, {(a, k, d): v for k, v in rows.get((b, cc), EMPTY).items()}, coeff)
             # [r13, r23]: b_a (x) b_c (x) [b_b, b_d]
-            add_scaled(out, {(a, cc, k): v for k, v in bracket(b, d).items()},
+            add_scaled(out, {(a, cc, k): v for k, v in rows.get((b, d), EMPTY).items()},
                        koszul_sign(par[a], par[cc]) * coeff)
     return Tensor3(A.space, unscaled(out, D ** 3))
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report text, JSON reports, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from supermalcev import (SuperSpace, Tensor2, adjoint_representation, fixtures,
+                         search_o_operators_malcev, sigma)
 from supermalcev.cli import MAX_DIM, main
-from supermalcev.serialize import parse
+from supermalcev.serialize import AlgebraDocument, parse, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -55,6 +58,51 @@ def test_mybe_check_solution_and_nonsolution(capsys):
     code, out, _ = run(capsys, "mybe-check", str(FIX / "sl2_r_nonsolution.json"))
     assert code == 1
     assert "agreement: yes" in out
+
+
+def _lopsided_documents(tmp_path):
+    """(command, path) pairs over products that are not graded-anticommutative:
+    a 2|0 product with a skew tensor, and seeded 1|1, 2|1 and 2|2 products
+    with a skew tensor and with an operator on their adjoint action."""
+    rng = random.Random(0)
+    first = tmp_path / "lopsided_2_0.json"
+    first.write_text(json.dumps({
+        "format": "superalg/1", "even_dim": 2, "odd_dim": 0,
+        "products": {"mul": [[0, 0, 1, "-1"], [0, 1, 1, "1"], [1, 0, 0, "-1"], [1, 1, 0, "1"]]},
+        "tensor2": {"parity": 0, "coeffs": [["0", "1"], ["-1", "0"]]},
+    }), encoding="utf-8")
+    yield "mybe-check", first
+    yield "report", first
+    for shape in ((1, 1), (2, 1), (2, 2)):
+        for seed in range(3):
+            A = fixtures.random_product(SuperSpace(*shape), seed, -1, 1)
+            r = fixtures.random_even_matrix(A.space, A.space, 0, rng, -1, 1)
+            tensor = Tensor2(A.space, r.matrix, 0) - sigma(Tensor2(A.space, r.matrix, 0))
+            path = tmp_path / f"lopsided_{shape[0]}_{shape[1]}_{seed}.json"
+            path.write_text(serialize(AlgebraDocument(A, tensor2=tensor)), encoding="utf-8")
+            yield "mybe-check", path
+            yield "report", path
+            ad = adjoint_representation(A)
+            found = [T for T in search_o_operators_malcev(ad, values=(-1, 0, 1))
+                     if any(any(row) for row in T.matrix)]
+            for k, T in enumerate(found[:1] + [
+                    fixtures.random_even_matrix(A.space, A.space, 0, rng, -1, 1)]):
+                path = tmp_path / f"lopsided_{shape[0]}_{shape[1]}_{seed}_operator{k}.json"
+                path.write_text(serialize(AlgebraDocument(
+                    A, representation=ad, linear_map=T, linear_map_domain="module")),
+                    encoding="utf-8")
+                yield "build-r", path
+
+
+def test_mybe_forms_agree_on_products_that_are_not_anticommutative(capsys, tmp_path):
+    codes = []
+    for command, path in _lopsided_documents(tmp_path):
+        code, out, err = run(capsys, command, str(path))
+        assert code in (0, 1), (command, path.name, out, err)
+        assert "agreement: yes" in out
+        codes.append((command, code))
+    assert codes[:2] == [("mybe-check", 1), ("report", 1)]
+    assert {("mybe-check", 0), ("mybe-check", 1), ("build-r", 0), ("build-r", 1)} <= set(codes)
 
 
 def test_mybe_check_json_structure(capsys):

@@ -1,6 +1,6 @@
 """Tensor and operator forms of the MYBE.
 
-The dense oracle below rebuilds the three graded commutator sums from the
+The dense oracle below rebuilds the three graded sums of brackets from the
 raw bracket table with its own sign bookkeeping; the library's sparse
 accumulation never feeds it.  The Thm-equivalence tests treat agreement of
 independent code paths as the assertion, never as an assumption.
@@ -38,6 +38,7 @@ from supermalcev import (
     r_as_map,
     r_from_o_operator,
     rb_from_invariant_form,
+    search_o_operators_malcev,
     symplectic_from_r,
 )
 from supermalcev import fixtures
@@ -50,14 +51,14 @@ Z = Fraction(0)
 
 
 def oracle_mybe_lhs(A, r):
-    """Dense triple-loop evaluation of the three graded sums."""
+    """Dense triple-loop evaluation of the three graded sums, with the
+    algebra's product as the bracket."""
     table = A.table("mul")
     par = A.space.parities()
     n = A.space.dim
 
     def bracket(i, j):
-        return [table[i][j][k] - koszul_sign(par[i], par[j]) * table[j][i][k]
-                for k in range(n)]
+        return table[i][j]
 
     out = [[[Z] * n for _ in range(n)] for _ in range(n)]
     coeffs = r.coeffs
@@ -219,6 +220,52 @@ def test_tensor_and_operator_form_agree_on_corpus():
         solutions += tz
         non_solutions += not tz
     assert solutions >= 5 and non_solutions >= 5
+
+
+def lopsided_products():
+    """Seeded odd-graded products on 1|1, 2|1 and 2|2 that are not
+    graded-anticommutative: the MYBE forms read each as it is."""
+    for shape in ((1, 1), (2, 1), (2, 2)):
+        for seed in range(8):
+            A = fixtures.random_product(SuperSpace(*shape), seed, -1, 1)
+            par = A.space.parities()
+            assert any(A.mul_basis(i, j) != {k: -koszul_sign(par[i], par[j]) * c
+                                             for k, c in A.mul_basis(j, i).items()}
+                       for i in range(A.space.dim) for j in range(A.space.dim))
+            yield seed, A
+
+
+def test_forms_agree_on_products_that_are_not_anticommutative():
+    solutions = non_solutions = 0
+    for seed, A in lopsided_products():
+        rng = random.Random(seed)
+        for _ in range(3):
+            c = MybeCandidate(A, random_skew(A.space, rng, -1, 1))
+            lhs = mybe_lhs(c)
+            assert dense_of(lhs, A.space.dim) == oracle_mybe_lhs(A, c.r)
+            assert lhs.is_zero() == check_operator_form(c).ok
+            solutions += lhs.is_zero()
+            non_solutions += not lhs.is_zero()
+    assert solutions >= 10 and non_solutions >= 10
+
+
+def test_double_embedding_biconditional_on_products_that_are_not_anticommutative():
+    # T is an O-operator for the adjoint action iff r = T - sigma(T) solves
+    # both forms of the MYBE in the double
+    passing = failing = 0
+    for seed, A in lopsided_products():
+        R = adjoint_representation(A)
+        rng = random.Random(seed)
+        found = [T for T in search_o_operators_malcev(R, values=(-1, 0, 1))
+                 if any(any(row) for row in T.matrix)]
+        for T in found[:3] + [fixtures.random_even_matrix(A.space, A.space, 0, rng, -1, 1)
+                              for _ in range(3)]:
+            c = r_from_o_operator(T, R)
+            is_operator = check_o_operator_malcev(T, R).ok
+            assert mybe_lhs(c).is_zero() == check_operator_form(c).ok == is_operator
+            passing += is_operator
+            failing += not is_operator
+    assert passing >= 10 and failing >= 10
 
 
 def scaled(c, algebra_factor, r_factor):
