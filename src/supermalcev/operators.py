@@ -42,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import _linalg
 from ._kernel import (
@@ -62,7 +62,6 @@ from ._linalg import ONE, ZERO
 from .graded import (
     DimensionMismatch,
     GradedLinearMap,
-    GradedVector,
     ParityViolation,
     SuperSpace,
     koszul_sign,
@@ -377,20 +376,6 @@ class BilinearForm:
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
             raise ValueError("form matrix shape mismatch")
 
-    def value(self, x: GradedVector, y: GradedVector) -> Fraction:
-        return sum(
-            (xi * self.matrix[i][j] * yj
-             for i, xi in enumerate(x.coords) if xi != 0
-             for j, yj in enumerate(y.coords) if yj != 0),
-            start=ZERO,
-        )
-
-    def value_sparse(self, xs: Mapping[int, Fraction], ys: Mapping[int, Fraction]) -> Fraction:
-        return sum(
-            (xi * self.matrix[i][j] * yj for i, xi in xs.items() for j, yj in ys.items()),
-            start=ZERO,
-        )
-
 
 @dataclass(frozen=True)
 class FormFlags:
@@ -400,27 +385,24 @@ class FormFlags:
     invariant: bool
 
 
+def _paired_with_product(w: _linalg.Matrix, rows: Rows, i: int, j: int, k: int) -> Fraction:
+    """w(b_i, b_j b_k), read off the row of (j, k)."""
+    return sum((w[i][p] * c for p, c in rows.get((j, k), EMPTY).items()), start=ZERO)
+
+
 def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     """Exact flags: (skew-)supersymmetry, nondegeneracy, invariance."""
-    n = A.space.dim
-    par = A.space.parities()
-    sym = all(
-        omega.matrix[i][j] == koszul_sign(par[i], par[j]) * omega.matrix[j][i]
-        for i in range(n) for j in range(n)
+    n, par, w, rows = A.space.dim, A.space.parities(), omega.matrix, A.rows()
+    pairs = list(itertools.product(range(n), repeat=2))
+    return FormFlags(
+        all(w[i][j] == koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
+        all(w[i][j] == -koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
+        _linalg.determinant(w) != 0,
+        # w(b_i b_j, b_k) = w(b_i, b_j b_k)
+        all(sum((c * w[p][k] for p, c in rows.get((i, j), EMPTY).items()), start=ZERO)
+            == _paired_with_product(w, rows, i, j, k)
+            for i, j, k in itertools.product(range(n), repeat=3)),
     )
-    skew = all(
-        omega.matrix[i][j] == -koszul_sign(par[i], par[j]) * omega.matrix[j][i]
-        for i in range(n) for j in range(n)
-    )
-    nondeg = _linalg.determinant(omega.matrix) != 0
-    invariant = True
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = omega.value_sparse(A.mul_basis(i, j), {k: ONE})
-        rhs = omega.value_sparse({i: ONE}, A.mul_basis(j, k))
-        if lhs != rhs:
-            invariant = False
-            break
-    return FormFlags(sym, skew, nondeg, invariant)
 
 
 def check_symplectic(omega: BilinearForm, A: Superalgebra,
@@ -438,16 +420,12 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra,
         col.preconditions.append("form is not skew-supersymmetric")
     if not flags.nondegenerate:
         col.preconditions.append("form is degenerate")
-    n = A.space.dim
-    par = A.space.parities()
+    n, par, w, rows = A.space.dim, A.space.parities(), omega.matrix, A.rows()
     for i, j, k in itertools.product(range(n), repeat=3):
         col.tick()
-        total = koszul_sign(par[i], par[k]) * omega.value_sparse(
-            {i: ONE}, A.mul_basis(j, k))
-        total += koszul_sign(par[j], par[i]) * omega.value_sparse(
-            {j: ONE}, A.mul_basis(k, i))
-        total += koszul_sign(par[k], par[j]) * omega.value_sparse(
-            {k: ONE}, A.mul_basis(i, j))
+        total = (koszul_sign(par[i], par[k]) * _paired_with_product(w, rows, i, j, k)
+                 + koszul_sign(par[j], par[i]) * _paired_with_product(w, rows, j, k, i)
+                 + koszul_sign(par[k], par[j]) * _paired_with_product(w, rows, k, i, j))
         if total != 0:
             col.add((i, j, k), lambda: total)
     return col.report()
@@ -460,18 +438,14 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalg
     report = check_symplectic(omega, A)
     if not report.ok:
         raise IdentityViolation(report)
-    n = A.space.dim
-    par = A.space.parities()
+    n, par, w, rows = A.space.dim, A.space.parities(), omega.matrix, A.rows()
     # (omega^T) u = rhs with rhs_k = sign * w(b_j, [b_k, b_i])
-    omega_t = _linalg.transpose(omega.matrix)
+    omega_t = _linalg.transpose(w)
     entries: dict[tuple[int, int, int], Fraction] = {}
     for i in range(n):
         for j in range(n):
-            rhs = tuple(
-                Fraction(koszul_sign(par[i], par[j] + par[k]))
-                * omega.value_sparse({j: ONE}, A.mul_basis(k, i))
-                for k in range(n)
-            )
+            rhs = tuple(koszul_sign(par[i], par[j] + par[k])
+                        * _paired_with_product(w, rows, j, k, i) for k in range(n))
             coords = _linalg.solve(omega_t, rhs)
             for k, c in enumerate(coords):
                 if c != 0:

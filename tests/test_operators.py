@@ -478,9 +478,9 @@ def test_image_structures_of_every_gl_1_1_rota_baxter_operator():
             # the embedding carries the image product to T of the product
             assert emb.apply_sparse(image.algebra.mul_basis(a, b)) == \
                 T.apply_sparse(P.mul_basis(pre[a], pre[b]))
-        payload.append([list(pre), [[i, j, k, str(c)] for (i, j), row in image.algebra.rows().items()
-                                    for k, c in row.items()],
-                        [[str(c) for c in row] for row in emb.matrix]])
+        constants = [[i, j, k, str(c)]
+                     for (i, j), row in image.algebra.rows().items() for k, c in row.items()]
+        payload.append([list(pre), constants, [[str(c) for c in row] for row in emb.matrix]])
     # ranks 0, 1 and 2, with odd images of dimension 0|1 and 1|1
     assert shapes == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)}
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == GL11_IMAGES
