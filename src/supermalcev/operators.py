@@ -281,8 +281,10 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     if col.count:
         raise IdentityViolation(col.report())
 
-    # homogeneous image basis: pivot columns of T, parity block by block
-    _, pivots = _linalg.rref(T.matrix)
+    # homogeneous image basis: pivot columns of T, parity block by block.
+    # T = C R, with C the pivot columns and R the nonzero rows of rref(T), so
+    # T(v) has the coordinates R v in that basis.
+    reduced, pivots = _linalg.rref(T.matrix)
     even_piv = tuple(p for p in pivots if R.space.parity(p) == 0)
     odd_piv = tuple(p for p in pivots if R.space.parity(p) == 1)
     ordered = even_piv + odd_piv
@@ -290,31 +292,15 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
         len(even_piv), len(odd_piv),
         tuple(f"t{p + 1}" for p in ordered),
     )
-    cols = [tuple(T.matrix[r][p] for r in range(R.algebra.space.dim)) for p in ordered]
-    if ordered:
-        # coordinates inside A: solve the (tall) system  [cols] x = vector
-        basis_mat = tuple(zip(*cols))
-        gram = _linalg.mat_mul(_linalg.transpose(basis_mat), basis_mat)
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for a, pa in enumerate(ordered):
-        for b, pb in enumerate(ordered):
-            img = T.apply_sparse(product.mul_sparse({pa: ONE}, {pb: ONE}))
-            if not img:
-                continue
-            vec = [ZERO] * R.algebra.space.dim
-            for idx, c in img.items():
-                vec[idx] = c
-            rhs = _linalg.mat_vec(_linalg.transpose(basis_mat), vec)
-            coords = _linalg.solve(gram, rhs)
-            for k, c in enumerate(coords):
-                if c != 0:
-                    entries[(a, b, k)] = c
-    algebra = Superalgebra.from_entries(image_space, {"mul": entries})
+    coords = [reduced[pivots.index(p)] for p in ordered]  # the rows of R, reordered
+    coord_columns = [{k: row[j] for k, row in enumerate(coords) if row[j]} for j in range(n)]
+    rows = product.rows()
+    algebra = Superalgebra.from_entries(image_space, {"mul": {
+        (a, b, k): c
+        for (a, pa), (b, pb) in itertools.product(enumerate(ordered), repeat=2)
+        for k, c in apply(coord_columns, rows.get((pa, pb), EMPTY)).items()}})
     embedding = GradedLinearMap(
-        image_space, R.algebra.space,
-        tuple(tuple(col[r] for col in cols) for r in range(R.algebra.space.dim)),
-        0,
-    ) if ordered else GradedLinearMap.zero(image_space, R.algebra.space)
+        image_space, R.algebra.space, tuple(tuple(row[p] for p in ordered) for row in T.matrix), 0)
     return ImageStructure(algebra, embedding, ordered)
 
 
