@@ -7,7 +7,8 @@ built once, when the algebra is, and the storage grows with the nonzero
 structure constants, not with the cube of the dimension; ``table()``
 derives the dense ``c[i][j][k]`` on demand.  Single-product algebras use
 the name ``"mul"``; pre-alternative algebras carry the two products
-``"prec"`` and ``"succ"``.
+``"prec"`` and ``"succ"``.  Every checker and functor reads ``mul``, except
+those of pre-alternative algebras, which read ``prec`` and ``succ``.
 
 Every checker walks homogeneous basis tuples only: the identities are
 multilinear and parity-homogeneous, so vanishing on basis tuples is

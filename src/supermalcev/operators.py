@@ -14,9 +14,10 @@ written once.  Checkers, grid searches and constructions share them.  The
 engine reads every action, and the operator itself, as sparse columns, with
 the sparse helpers of ``_kernel`` that the module checkers use too; A
 acting on itself, and A acting on its dual by the coadjoint action, are
-read straight off the algebra's sparse rows.  A checker scales the rows,
-the action columns and the operator's columns by their common denominator
-D, so each residual is D^3 times the rational one.
+read straight off the sparse rows of the algebra's ``mul``.  A checker
+scales the rows, the action columns and the operator's columns by their
+common denominator D, so each residual is D^3 times the rational one.  The
+bilinear-form checkers read the form's matrix and the rows of ``mul``.
 
 A grid search returns exactly the candidates its checker accepts, in grid
 order: the first ``support`` entry varies slowest, and each entry takes its
