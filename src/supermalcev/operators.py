@@ -282,27 +282,22 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     if col.count:
         raise IdentityViolation(col.report())
 
-    # homogeneous image basis: pivot columns of T, parity block by block.
-    # T = C R, with C the pivot columns and R the nonzero rows of rref(T), so
-    # T(v) has the coordinates R v in that basis.
+    # homogeneous image basis: the pivot columns of T, the even ones first
+    # as in V.  T = C R, with C the pivot columns and R the nonzero rows of
+    # rref(T), so T(v) has the coordinates R v in that basis.
     reduced, pivots = _linalg.rref(T.matrix)
-    even_piv = tuple(p for p in pivots if R.space.parity(p) == 0)
-    odd_piv = tuple(p for p in pivots if R.space.parity(p) == 1)
-    ordered = even_piv + odd_piv
-    image_space = SuperSpace(
-        len(even_piv), len(odd_piv),
-        tuple(f"t{p + 1}" for p in ordered),
-    )
-    coords = [reduced[pivots.index(p)] for p in ordered]  # the rows of R, reordered
-    coord_columns = [{k: row[j] for k, row in enumerate(coords) if row[j]} for j in range(n)]
+    even = sum(1 for p in pivots if R.space.parity(p) == 0)
+    image_space = SuperSpace(even, len(pivots) - even, tuple(f"t{p + 1}" for p in pivots))
+    coord_columns = [{k: row[j] for k, row in enumerate(reduced[:len(pivots)]) if row[j]}
+                     for j in range(n)]
     rows = product.rows()
     algebra = Superalgebra.from_entries(image_space, {"mul": {
         (a, b, k): c
-        for (a, pa), (b, pb) in itertools.product(enumerate(ordered), repeat=2)
+        for (a, pa), (b, pb) in itertools.product(enumerate(pivots), repeat=2)
         for k, c in apply(coord_columns, rows.get((pa, pb), EMPTY)).items()}})
     embedding = GradedLinearMap(
-        image_space, R.algebra.space, tuple(tuple(row[p] for p in ordered) for row in T.matrix), 0)
-    return ImageStructure(algebra, embedding, ordered)
+        image_space, R.algebra.space, tuple(tuple(row[p] for p in pivots) for row in T.matrix), 0)
+    return ImageStructure(algebra, embedding, pivots)
 
 
 def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
