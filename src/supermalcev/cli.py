@@ -315,16 +315,6 @@ def _run(doc: AlgebraDocument, name: str, limit: int) -> list[ViolationReport]:
     return reports(doc, limit)
 
 
-def _operator_context(doc: AlgebraDocument, args):
-    """Pick the representation or bimodule context for O-operator commands."""
-    choice = getattr(args, "context", "auto")
-    if choice == "rep" or (choice == "auto" and doc.representation is not None):
-        return "rep", _need(doc, "representation")
-    if choice in ("bimodule", "auto") and doc.bimodule is not None:
-        return "bimodule", doc.bimodule
-    raise InputError("document has neither representation nor bimodule block")
-
-
 # -- subcommand handlers --------------------------------------------------
 
 
@@ -361,9 +351,15 @@ def _cmd_dual_rep(args) -> int:
 def _cmd_oop_check(args) -> int:
     doc = _load(args)
     T = _need(doc, "linear_map")
-    kind, context = _operator_context(doc, args)
-    check = check_o_operator_malcev if kind == "rep" else check_o_operator_alternative
-    return _emit(args, [check(T, context, witness_limit=args.witness_limit)])
+    if args.context == "rep" or (args.context == "auto" and doc.representation is not None):
+        report = check_o_operator_malcev(T, _need(doc, "representation"),
+                                         witness_limit=args.witness_limit)
+    elif args.context == "bimodule" or doc.bimodule is not None:
+        report = check_o_operator_alternative(T, _need(doc, "bimodule"),
+                                              witness_limit=args.witness_limit)
+    else:
+        raise InputError("document has neither representation nor bimodule block")
+    return _emit(args, [report])
 
 
 def _cmd_rb_check(args) -> int:
@@ -378,11 +374,8 @@ def _cmd_rb_check(args) -> int:
 def _cmd_construct(args) -> int:
     doc = _load(args)
     if args.via == "oop":
-        kind, context = _operator_context(doc, args)
-        T = _need(doc, "linear_map")
-        if kind != "rep":
-            raise InputError("construct --via oop needs a representation block")
-        result = pre_malcev_from_o_operator(T, context)
+        result = pre_malcev_from_o_operator(
+            _need(doc, "linear_map"), _need(doc, "representation"))
     elif args.via == "rb":
         result = pre_malcev_from_rota_baxter(_need(doc, "linear_map"), doc.algebra)
     elif args.via == "rb-inv":
@@ -392,11 +385,7 @@ def _cmd_construct(args) -> int:
         result = pre_malcev_from_symplectic(
             _need(doc, "bilinear_form"), doc.algebra)
     else:  # prealt-oop
-        kind, context = _operator_context(doc, args)
-        T = _need(doc, "linear_map")
-        if kind != "bimodule":
-            raise InputError("construct --via prealt-oop needs a bimodule block")
-        result = pre_alternative_from_o_operator(T, context)
+        result = pre_alternative_from_o_operator(_need(doc, "linear_map"), _need(doc, "bimodule"))
     _write_document(args, AlgebraDocument(result))
     return PASS
 
@@ -499,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("construct", _cmd_construct, help="pre-Malcev / pre-alternative constructions")
     p.add_argument("--via", required=True,
                    choices=("oop", "rb", "rb-inv", "symplectic", "prealt-oop"))
-    p.add_argument("--context", choices=("auto", "rep", "bimodule"), default="auto")
     p.add_argument("--out")
 
     add("mybe-check", _cmd_mybe_check, help="tensor and operator MYBE forms")

@@ -22,14 +22,14 @@ bilinear-form checkers read the form's matrix and the rows of ``mul``.
 A grid search returns exactly the candidates its checker accepts, in grid
 order: the first ``support`` entry varies slowest, and each entry takes its
 values in the order of ``values``.  It does not try every candidate: each
-component of the residual is compiled once into an exact quadratic form in
-the ``support`` entries, scaled to integers, and a depth-first search
-assigns the entries in order with forward checking.  Once a form's entries
-are all assigned but its last, the values left for that last entry are cut
-to those where the form vanishes, and a partial assignment that leaves an
-entry no value is pruned.  Every ``support`` entry must be parity-0
-(``ParityViolation`` before any candidate is tried), and ``limit`` caps the
-number of results.
+component of the residual is an exact quadratic form in the ``support``
+entries, read off the residual by polarization and scaled to integers, and
+a depth-first search assigns the entries in order with forward checking.
+Once a form's entries are all assigned but its last, the values left for
+that last entry are cut to those where the form vanishes, and a partial
+assignment that leaves an entry no value is pruned.  Every ``support``
+entry must be parity-0 (``ParityViolation`` before any candidate is
+tried), and ``limit`` caps the number of results.
 
 A checker raises ``DimensionMismatch`` when the (even, odd) dimensions of
 the operator's domain and codomain are not those of V and A.  Constructions
@@ -145,17 +145,22 @@ def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
 
 
 def _coadjoint_context(A: Superalgebra) -> _Context:
-    """A acting on its dual by the coadjoint action, read off the rows."""
+    """A acting on its dual by the coadjoint action, read off the rows; its
+    O-operators are the r-maps of the operator form of the MYBE."""
     coad = _dual_columns(_adjoint_columns(A), A.space, A.space)
     dual = A.space.dual()
-    return _Context("o-operator", A, A.rows(), dual, coad, coad, _rep_signs(dual))
+    return _Context("operator-form", A, A.rows(), dual, coad, coad, _rep_signs(dual))
 
 
 def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:
     """(a, b, residual) over basis pairs of V in lexicographic order; ``T``
-    holds the sparse columns of the operator."""
+    holds the sparse columns of the operator.  Every term reads T(a) or
+    T(b), so a pair whose two columns are zero has an empty residual."""
     n = ctx.module.dim
     for a, b in itertools.product(range(n), repeat=2):
+        if not (T[a] or T[b]):
+            yield a, b, EMPTY
+            continue
         res = mul(ctx.rows, T[a], T[b])
         inner = act(ctx.left, T[a], b)
         add_scaled(inner, act(ctx.right, T[b], a), ctx.signs[a][b])
@@ -267,15 +272,16 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     rank-deficient T still gives a well-defined product."""
     product = pre_malcev_from_o_operator(T, R)  # validates the precondition
     n = R.space.dim
+    reduced, pivots = _linalg.rref(T.matrix)
     col = _WitnessCollector("image-well-defined")
-    kernel = _linalg.nullspace(T.matrix, n)
-    for kv in kernel:
-        kv_sparse = {i: c for i, c in enumerate(kv) if c != 0}
+    for free in (j for j in range(n) if j not in pivots):
+        # the kernel vector with a 1 at this free column, read off rref(T)
+        kernel = {free: ONE, **{p: -row[free] for row, p in zip(reduced, pivots) if row[free]}}
         for j in range(n):
             col.tick()
             # a . k with T(k) = 0: T(a.k) must vanish (k.a vanishes already
             # because the product reads the algebra through T).
-            prod = product.mul_sparse({j: ONE}, kv_sparse)
+            prod = product.mul_sparse({j: ONE}, kernel)
             res = T.apply_sparse(prod)
             if res:
                 col.add((j,), lambda: vector_from_sparse(R.algebra.space, res))
@@ -285,7 +291,6 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     # homogeneous image basis: the pivot columns of T, the even ones first
     # as in V.  T = C R, with C the pivot columns and R the nonzero rows of
     # rref(T), so T(v) has the coordinates R v in that basis.
-    reduced, pivots = _linalg.rref(T.matrix)
     even = sum(1 for p in pivots if R.space.parity(p) == 0)
     image_space = SuperSpace(even, len(pivots) - even, tuple(f"t{p + 1}" for p in pivots))
     coord_columns = [{k: row[j] for k, row in enumerate(reduced[:len(pivots)]) if row[j]}
@@ -448,38 +453,33 @@ def _residual_forms(ctx: _Context,
     """Component m of the residual on the basis pair (a, b), keyed (a, b, m),
     as an exact quadratic form in the values of the ``support`` entries.
 
-    This is ``_residuals`` read symbolically: column j of T holds the
-    variable of each support entry (i, j).  A repeated entry is read at its
-    last occurrence, the one that sets the operator's value.  Components
-    that vanish identically are left out."""
-    nV = ctx.module.dim
-    rows = ctx.rows
-    var = {entry: e for e, entry in enumerate(support)}
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(nV)]  # (row, variable)
-    for (i, j), e in var.items():
-        cols[j].append((i, e))
+    The forms are read off ``_residuals`` by polarization: the residual is
+    a homogeneous quadratic in the entries of T, so with E_e the operator
+    whose only nonzero entry is a 1 at entry e, the coefficient of x_e^2 is
+    the residual of E_e, and that of x_e x_f is the residual of E_e + E_f
+    less those of E_e and E_f.  A repeated entry is read at its last
+    occurrence, the one that sets the operator's value.  Components that
+    vanish identically are left out."""
+    variables = sorted({entry: e for e, entry in enumerate(support)}.values())
+
+    def residual(*es: int) -> dict[tuple[int, int, int], Fraction]:
+        T: list[Sparse] = [{} for _ in range(ctx.module.dim)]
+        for e in es:
+            i, j = support[e]
+            T[j][i] = ONE
+        return {(a, b, m): c for a, b, res in _residuals(ctx, T) for m, c in res.items()}
+
+    squares = {e: residual(e) for e in variables}
     forms: dict[tuple[int, int, int], _Form] = {}
-
-    def add(a: int, b: int, m: int, x: int, y: int, c: Fraction):
-        form = forms.setdefault((a, b, m), {})
-        key = (x, y) if x <= y else (y, x)
-        form[key] = form.get(key, ZERO) + c
-
-    for a, b in itertools.product(range(nV), repeat=2):
-        s = ctx.signs[a][b]
-        for p, x in cols[a]:
-            for q, y in cols[b]:
-                for m, c in rows.get((p, q), {}).items():
-                    add(a, b, m, x, y, c)
-            for k, c in ctx.left[p][b].items():
-                for m, y in cols[k]:
-                    add(a, b, m, x, y, -c)
-        for q, y in cols[b]:
-            for k, c in ctx.right[q][a].items():
-                for m, x in cols[k]:
-                    add(a, b, m, x, y, -s * c)
-    return {key: kept for key, form in forms.items()
-            if (kept := {e: c for e, c in form.items() if c})}
+    for e, f in itertools.combinations_with_replacement(variables, 2):
+        coefficients = squares[e]
+        if e != f:
+            coefficients = residual(e, f)
+            add_scaled(coefficients, squares[e], -1)
+            add_scaled(coefficients, squares[f], -1)
+        for key, c in coefficients.items():
+            forms.setdefault(key, {})[(e, f)] = c
+    return forms
 
 
 def _search(ctx: _Context, values: Iterable[int],
@@ -523,10 +523,16 @@ def _search(ctx: _Context, values: Iterable[int],
                 domains[last] = [v for v in domains[last] if not v]
         x = [0] * n
 
-        def assign(d: int) -> Iterator[bool]:
-            """Set x[d], in turn, to each value of its domain at which the
-            cuts due at d leave no domain empty; undo the cuts before the
-            next value."""
+        def assign(d: int) -> Iterator[GradedLinearMap]:
+            """The hits that extend x[:d]: x[d] takes, in turn, each value
+            of its domain at which the cuts due at d leave no domain empty;
+            the cuts are undone before the next value."""
+            if d == n:
+                value = {entry: value_of[v] for entry, v in zip(support, x)}
+                yield GradedLinearMap(V, A, tuple(
+                    tuple(value.get((i, j), ZERO) for j in range(V.dim))
+                    for i in range(A.dim)), 0)
+                return
             for v in domains[d]:
                 x[d] = v
                 undo = []
@@ -538,23 +544,11 @@ def _search(ctx: _Context, values: Iterable[int],
                     if not domains[last]:
                         break
                 else:
-                    yield True
+                    yield from assign(d + 1)
                 for last, domain in reversed(undo):
                     domains[last] = domain
 
-        assigning: list[Iterator[bool]] = []  # one per assigned entry
-        while True:
-            if len(assigning) == n:
-                value = {entry: value_of[v] for entry, v in zip(support, x)}
-                yield GradedLinearMap(V, A, tuple(
-                    tuple(value.get((i, j), ZERO) for j in range(V.dim))
-                    for i in range(A.dim)), 0)
-            else:
-                assigning.append(assign(len(assigning)))
-            while assigning and not next(assigning[-1], False):
-                assigning.pop()
-            if not assigning:
-                return
+        yield from assign(0)
 
     return list(itertools.islice(hits(), limit))
 

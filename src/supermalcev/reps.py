@@ -166,6 +166,11 @@ def check_alternative_bimodule(B: Bimodule,
     """The four operator identities of an alternative bimodule over all
     homogeneous basis pairs of A, decided column by column.
 
+    With r(y)v = v y they are the super-alternativity of A + V: left
+    alternativity at (x, y, v) and (x, v, y), right alternativity at
+    (v, x, y) and (x, v, y).  So identities 2 and 3 carry the sign of the
+    module vector v the residual column is taken on.
+
     Witness index tuples are (identity#, i, j, col) with identity# in 0..3
     and ``col`` the first module basis vector the residual does not
     annihilate; ``checked_tuples`` counts basis pairs.
@@ -174,12 +179,14 @@ def check_alternative_bimodule(B: Bimodule,
     A = B.algebra
     n = A.space.dim
     par = A.space.parities()
+    # vsign[p][c] = (-1)^{p |v|} for the module basis vector v = b_c
+    vsign = [tuple(koszul_sign(p, q) for q in B.space.parities()) for p in (0, 1)]
     rows, L, R = A.rows(), _columns(B.left), _columns(B.right)
     D = denominator(rows.values(), *L, *R)
     rows, L, R = scaled_rows(rows, D), scaled_columns(L, D), scaled_columns(R, D)
     for i, j in itertools.product(range(n), repeat=2):
         col.tick()
-        s = koszul_sign(par[i], par[j])
+        s, t, u = koszul_sign(par[i], par[j]), vsign[par[i]], vsign[par[j]]
         xy, yx = rows.get((i, j), EMPTY), rows.get((j, i), EMPTY)
         identities = (
             # l(xy) + s l(yx) - l(x)l(y) - s l(y)l(x)
@@ -188,12 +195,12 @@ def check_alternative_bimodule(B: Bimodule,
             # r(y)r(x) + s r(x)r(y) - r(xy) - s r(yx)
             lambda c: ((1, apply(R[j], R[i][c])), (s, apply(R[i], R[j][c])),
                        (-1, act(R, xy, c)), (-s, act(R, yx, c))),
-            # r(y)r(x) + s r(y)l(x) - s l(x)r(y) - r(xy)
-            lambda c: ((1, apply(R[j], R[i][c])), (s, apply(R[j], L[i][c])),
-                       (-s, apply(L[i], R[j][c])), (-1, act(R, xy, c))),
-            # r(y)l(x) + s l(xy) - s l(x)l(y) - l(x)r(y)
-            lambda c: ((1, apply(R[j], L[i][c])), (s, act(L, xy, c)),
-                       (-s, apply(L[i], L[j][c])), (-1, apply(L[i], R[j][c]))),
+            # r(y)r(x) + t r(y)l(x) - t l(x)r(y) - r(xy),  t = (-1)^{|x||v|}
+            lambda c: ((1, apply(R[j], R[i][c])), (t[c], apply(R[j], L[i][c])),
+                       (-t[c], apply(L[i], R[j][c])), (-1, act(R, xy, c))),
+            # r(y)l(x) + u l(xy) - u l(x)l(y) - l(x)r(y),  u = (-1)^{|v||y|}
+            lambda c: ((1, apply(R[j], L[i][c])), (u[c], act(L, xy, c)),
+                       (-u[c], apply(L[i], L[j][c])), (-1, apply(L[i], R[j][c]))),
         )
         for q, terms in enumerate(identities):
             _witness_first_column(col, (q, i, j), B.space, D ** 2, terms)

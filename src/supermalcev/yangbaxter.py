@@ -132,14 +132,7 @@ def check_operator_form(c: MybeCandidate,
         col = _WitnessCollector("operator-form", witness_limit)
         col.preconditions.append("r is not skew-supersymmetric")
         return col.report()
-    inner = _check(_coadjoint_context(c.algebra), r_as_map(c), witness_limit)
-    return ViolationReport(
-        "operator-form",
-        inner.witnesses,
-        inner.violation_count,
-        inner.checked_tuples,
-        inner.precondition_failures,
-    )
+    return _check(_coadjoint_context(c.algebra), r_as_map(c), witness_limit)
 
 
 def pre_malcev_on_dual_from_r(c: MybeCandidate) -> Superalgebra:

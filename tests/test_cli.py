@@ -5,12 +5,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from supermalcev import (SuperSpace, Tensor2, adjoint_representation, fixtures,
-                         search_o_operators_malcev, sigma)
+                         regular_bimodule, search_o_operators_malcev, sigma)
 from supermalcev.cli import MAX_DIM, main
 from supermalcev.serialize import AlgebraDocument, parse, serialize
 
@@ -188,6 +189,28 @@ def test_construct_via_prealt(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "check", str(out_file), "--identity", "pre-alternative")
     assert code == 0
+
+
+def test_construct_reads_the_block_its_construction_needs(capsys, tmp_path):
+    # a document with a representation and a bimodule: --via oop reads the
+    # first and --via prealt-oop the second, with no further option
+    doc = parse((FIX / "sl2_adjoint_rb.json").read_bytes())
+    both = tmp_path / "both.json"
+    both.write_text(serialize(replace(doc, bimodule=regular_bimodule(doc.algebra))))
+    pm, pa = tmp_path / "pm.json", tmp_path / "pa.json"
+    for via, out_file in (("oop", pm), ("prealt-oop", pa)):
+        code, _, err = run(capsys, "construct", str(both), "--via", via, "--out", str(out_file))
+        assert (code, err) == (0, "")
+    assert parse(pa.read_bytes()).algebra.product_names() == ("prec", "succ")
+    code, _, _ = run(capsys, "check", str(pm), "--identity", "pre-malcev")
+    assert code == 0
+
+
+def test_oop_check_context_names_the_missing_block(capsys):
+    for name, context, block in (("sl2_adjoint_rb.json", "bimodule", "bimodule"),
+                                 ("zorn_regular_rb.json", "rep", "representation")):
+        code, out, err = run(capsys, "oop-check", str(FIX / name), "--context", context)
+        assert (code, out, err) == (2, "", f"error: document has no {block} block\n")
 
 
 def test_construct_precondition_failure_exits_1(capsys, tmp_path):

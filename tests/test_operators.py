@@ -16,15 +16,18 @@ from supermalcev import (
     FormFlags,
     GradedLinearMap,
     IdentityViolation,
+    MybeCandidate,
     ParityViolation,
     Representation,
     SuperSpace,
     Superalgebra,
+    Tensor2,
     adjoint_representation,
     canonical_r,
     check_malcev,
     check_o_operator_alternative,
     check_o_operator_malcev,
+    check_operator_form,
     check_pre_alternative,
     check_pre_malcev,
     check_rota_baxter,
@@ -42,6 +45,7 @@ from supermalcev import (
     pre_malcev_from_pre_alternative,
     pre_malcev_from_rota_baxter,
     pre_malcev_from_symplectic,
+    r_as_map,
     regular_bimodule,
     rep_from_bimodule,
     search_o_operators_alternative,
@@ -84,6 +88,13 @@ def diag_map(space, entries):
               for i in range(n)),
         0,
     )
+
+
+def single_entry(space, p, q):
+    """The operator with a 1 at (p, q) and zeros elsewhere."""
+    n = space.dim
+    return GradedLinearMap(space, space, tuple(
+        tuple(Fraction(int((i, j) == (p, q))) for j in range(n)) for i in range(n)), 0)
 
 
 # -- O-operator checkers ------------------------------------------------------
@@ -355,6 +366,47 @@ def test_o_operator_checkers_match_oracle_on_passing_cases():
     signed = oracle_o_operator_failures(d12, heis, sign_variant=True)
     assert [ab for ab, _ in signed[0]] == [(1, 1)]
     assert_matches_oracle(check_rota_baxter(d12, heis, sign_variant=True), signed, 16)
+
+
+def test_checkers_match_oracle_on_operators_with_zero_columns():
+    # the engine skips the pairs whose two columns are zero; counts, tuples
+    # and witnesses must not show it (no case has more than 16 witnesses)
+    Zorn = fixtures.zorn_split_octonions()
+    S = SuperSpace(2, 2)
+    A = fixtures.random_product(S, 0)
+    R = Representation(A, S, fixtures.random_action_maps(A, S, 0))
+    B = Bimodule(A, S, fixtures.random_action_maps(A, S, 10),
+                 fixtures.random_action_maps(A, S, 20))
+    dense = fixtures.random_even_matrix(S, S, 0, random.Random(0))
+    T = GradedLinearMap(S, S, tuple(  # columns 1 (even) and 2 (odd) zeroed
+        tuple(Z if j in (1, 2) else c for j, c in enumerate(row)) for row in dense.matrix), 0)
+    zero = GradedLinearMap.zero(S, S, 0)
+    cases = [(check_rota_baxter(single_entry(Zorn.space, p, q), Zorn),
+              oracle_o_operator_failures(single_entry(Zorn.space, p, q), Zorn))
+             for p, q in ((2, 2), (3, 5), (4, 0))]
+    for op in (T, zero):
+        cases += [
+            (check_o_operator_malcev(op, R), oracle_o_operator_failures(op, R)),
+            (check_o_operator_alternative(op, B), oracle_o_operator_failures(op, B)),
+            (check_rota_baxter(op, A, sign_variant=True),
+             oracle_o_operator_failures(op, A, sign_variant=True)),
+        ]
+    # the operator form of the MYBE: r = 0, and r with one pair of entries,
+    # against the O-operator oracle for the coadjoint representation
+    double = canonical_r(fixtures.pre_malcev_1_1()).algebra
+    n = double.space.dim
+    for X, entries in ((double, {}), (double, {(0, 1): 1, (1, 0): -1}),
+                       (double, {(n - 1, n - 1): 1}), (fixtures.sl2(), {(0, 2): 1, (2, 0): -1})):
+        k = X.space.dim
+        c = MybeCandidate(X, Tensor2(X.space, tuple(
+            tuple(Fraction(entries.get((i, j), 0)) for j in range(k)) for i in range(k)), 0))
+        cases.append((check_operator_form(c),
+                      oracle_o_operator_failures(r_as_map(c), coadjoint_representation(X))))
+    failing = 0
+    for report, oracle in cases:
+        assert_matches_oracle(report, oracle, 16)
+        failing += not report.ok
+    assert failing >= 6
 
 
 # -- constructions ----------------------------------------------------------------

@@ -12,6 +12,7 @@ from supermalcev import (
     ParityViolation,
     Representation,
     SuperSpace,
+    Superalgebra,
     adjoint_representation,
     are_equivalent,
     check_alternative_bimodule,
@@ -19,6 +20,7 @@ from supermalcev import (
     check_malcev_representation,
     coadjoint_representation,
     commutator_superalgebra,
+    direct_sum,
     dual_representation,
     left_multiplication_representation,
     regular_bimodule,
@@ -116,10 +118,11 @@ def oracle_rep_failures(R):
 
 def oracle_bimodule_witnesses(B):
     """Direct expansion of the four bimodule identities from the table: the
-    failing (identity#, i, j) in order, each as ((q, i, j, col), column)."""
+    failing (identity#, i, j) in order, each as ((q, i, j, col), column).
+    Identities 2 and 3 take the sign of the module vector of column c."""
     A = B.algebra
     table = A.table("mul")
-    par = A.space.parities()
+    par, vpar = A.space.parities(), B.space.parities()
     L = [[list(row) for row in m.matrix] for m in B.left]
     R = [[list(row) for row in m.matrix] for m in B.right]
     n = A.space.dim
@@ -137,9 +140,9 @@ def oracle_bimodule_witnesses(B):
               for c in range(nv)] for r in range(nv)],
             [[rjri[r][c] + s * rirj[r][c] - rxy[r][c] - s * ryx[r][c]
               for c in range(nv)] for r in range(nv)],
-            [[rjri[r][c] + s * rjli[r][c] - s * lirj[r][c] - rxy[r][c]
+            [[rjri[r][c] + sgn(par[i], vpar[c]) * (rjli[r][c] - lirj[r][c]) - rxy[r][c]
               for c in range(nv)] for r in range(nv)],
-            [[rjli[r][c] + s * lxy[r][c] - s * lilj[r][c] - lirj[r][c]
+            [[rjli[r][c] + sgn(vpar[c], par[j]) * (lxy[r][c] - lilj[r][c]) - lirj[r][c]
               for c in range(nv)] for r in range(nv)],
         ]
         for q, res in enumerate(residuals):
@@ -361,6 +364,83 @@ def test_semidirect_alternative_biconditional_both_directions():
         S = semidirect_alternative(B)
         sd_ok = check_left_alternative(S).ok and check_right_alternative(S).ok
         assert bim_ok == sd_ok
+
+
+@pytest.mark.parametrize("space, module, seed", ODD_CASES)
+def test_bimodule_identities_are_the_alternativity_of_the_semidirect_product(
+        space, module, seed):
+    """Column c of identity q at (i, j) is the alternativity residual of
+    A + V at a triple of b_i, b_j and the module vector v = b_c: left at
+    (x, y, v), right at (v, x, y), left at (x, v, y) times (-1)^{|x||v|},
+    and right at (x, v, y)."""
+    A = fixtures.random_product(space, seed)
+    B = Bimodule(A, module, fixtures.random_action_maps(A, module, seed + 10),
+                 fixtures.random_action_maps(A, module, seed + 20))
+    S = semidirect_alternative(B)
+    _, emb_a, emb_v = direct_sum(A.space, module)
+    left, right = ({w: v.coords for w, v in check(S, witness_limit=10 ** 6).witnesses}
+                   for check in (check_left_alternative, check_right_alternative))
+    par, vpar = A.space.parities(), module.parities()
+    expected = []
+    for i, j in itertools.product(range(A.space.dim), repeat=2):
+        x, y = emb_a[i], emb_a[j]
+        for q in range(4):
+            for c, v in enumerate(emb_v):
+                sign = sgn(par[i], vpar[c]) if q == 2 else 1
+                found = ((left.get((x, y, v)), right.get((v, x, y)),
+                          left.get((x, v, y)), right.get((x, v, y)))[q])
+                if found:
+                    expected.append(((q, i, j, c), [sign * found[k] for k in emb_v]))
+                    break
+    report = check_alternative_bimodule(B, witness_limit=10 ** 6)
+    assert [(w, list(v.coords)) for w, v in report.witnesses] == expected
+    assert report.violation_count == len(expected) > 0
+
+
+def _wedge(u, w):
+    """(sign, monomial) of the product of two Grassmann monomials, each a
+    sorted tuple of generators; (0, None) when they share a generator."""
+    if set(u) & set(w):
+        return 0, None
+    return (-1) ** sum(a > b for a in u for b in w), tuple(sorted(u + w))
+
+
+def test_odd_square_zero_ideal_of_octonions_tensor_grassmann_is_a_bimodule():
+    """A = O (x) Lambda(xi1), 8|8 with O the split octonions, acts on
+    V = O xi2 + O xi1 xi2 (8|8) by the product of O (x) Lambda(xi1, xi2), in
+    which V is a square-zero ideal.  A + V is that alternative
+    superalgebra, so V is an alternative bimodule; identities 2 and 3 see
+    it only with the sign of the module vector."""
+    O = fixtures.split_octonions()
+    rows, n = O.rows(), O.space.dim
+    # the basis vectors e_k u of A and of V, even monomials u first
+    a_basis = [(k, u) for u in ((), (1,)) for k in range(n)]
+    v_basis = [(k, u) for u in ((1, 2), (2,)) for k in range(n)]
+
+    def product(x, y):
+        (i, u), (j, w) = x, y
+        sign, uw = _wedge(u, w)
+        return {(k, uw): sign * c for k, c in rows.get((i, j), {}).items()} if sign else {}
+
+    assert all(not product(v, w) for v in v_basis for w in v_basis)
+    A = Superalgebra.from_entries(SuperSpace(n, n), {"mul": {
+        (a_basis.index(x), a_basis.index(y), a_basis.index(z)): c
+        for x in a_basis for y in a_basis for z, c in product(x, y).items()}})
+    V = SuperSpace(n, n)
+
+    def action(act):
+        maps = []
+        for a, x in enumerate(a_basis):
+            cols = [act(x, v) for v in v_basis]
+            maps.append(GradedLinearMap(V, V, [[col.get(z, 0) for col in cols] for z in v_basis],
+                                        A.space.parity(a)))
+        return tuple(maps)
+
+    B = Bimodule(A, V, action(product), action(lambda x, v: product(v, x)))
+    for X in (A, semidirect_alternative(B)):
+        assert check_left_alternative(X).ok and check_right_alternative(X).ok
+    report = check_alternative_bimodule(B)
+    assert (report.violation_count, report.checked_tuples) == (0, 256)
 
 
 def test_semidirect_zero_bimodule_square_zero_ideal():
