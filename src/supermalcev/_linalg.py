@@ -1,8 +1,12 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are tuples of row tuples of Fraction.  Everything here is plain
-Gaussian elimination; sizes in this package never exceed a few dozen rows,
-so no pivoting strategy beyond "first nonzero" is needed.
+Matrices are tuples of row tuples of Fraction.  ``rref`` is the one
+elimination: ``invert`` and ``solve`` reduce an augmented matrix with it,
+and callers decide invertibility by its pivots (square, with a pivot in
+every column).  Sizes in this package never exceed a few dozen rows, so no
+pivoting strategy beyond "first nonzero" is needed.  ``nullspace`` has no
+caller in the package; it stays because the test oracle
+``oracle_form_flags`` reads nondegeneracy from it.
 """
 
 from __future__ import annotations
@@ -65,29 +69,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def is_zero_matrix(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
-
-
-def determinant(a: Matrix) -> Fraction:
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    m = [list(row) for row in a]
-    det = ONE
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = ONE / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 def invert(a: Matrix) -> Matrix:

@@ -407,11 +407,9 @@ def check_pre_alternative(A: Superalgebra,
     """The four compatibility identities of a (prec, succ) product pair.
 
     Witness index tuples are (identity#, i, j, k) with identity# in 0..3;
-    ``checked_tuples`` counts basis triples.
+    ``checked_tuples`` counts basis triples.  A missing ``prec`` or ``succ``
+    product raises KeyError before any work.
     """
-    for name in ("prec", "succ"):
-        if name not in A.products:
-            raise KeyError(f"pre-alternative check requires a {name!r} product")
     return _check(A, "pre-alternative", witness_limit)
 
 

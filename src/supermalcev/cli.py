@@ -7,10 +7,11 @@ disagree; unreachable unless the package itself is broken).
 Exit 1 comes only from a failing ``ViolationReport``: a checker's verdict or
 a construction whose precondition fails.  Every malformed or unsupported
 input (an unreadable or invalid document, an algebra or module dimension
-over ``MAX_DIM``, a missing block or product, mismatched dimensions, an
-unknown ``--identities`` name) exits 2 with one ``error:`` line on stderr
-and no traceback.  With ``--json`` every verdict, including a failed
-construction precondition, is printed as a JSON report.
+over ``MAX_DIM``, a missing block or product, a linear map with the wrong
+domain, mismatched dimensions, an unknown ``--identities`` name) exits 2
+with one ``error:`` line on stderr and no traceback.  With ``--json``
+every verdict, including a failed construction precondition, is printed as
+a JSON report.
 
 One ordered table, ``_IDENTITIES``, lists the identities.  It drives
 ``check``, ``report``, the ``--identity`` choices and the validation of the
@@ -68,12 +69,12 @@ from .yangbaxter import (
     r_from_o_operator,
     symplectic_from_r,
 )
-from .serialize import AlgebraDocument, ParseError, parse, serialize
+from .serialize import AlgebraDocument, ParseError, from_json, loads, serialize
 
 PASS, FAIL, INPUT_ERROR, ALARM = 0, 1, 2, 3
 
 # Largest algebra or module dimension a document may declare.  Checks walk
-# up to n^4 basis tuples, so larger documents are refused before any of that.
+# up to n^4 basis tuples, so larger documents are refused before they are built.
 MAX_DIM = 64
 
 _TUPLE_NOUNS = {
@@ -278,22 +279,37 @@ def _need_product(doc: AlgebraDocument, product: str, what: str) -> None:
         raise InputError(f"{what} needs {noun}")
 
 
+def _declared_dimensions(obj):
+    """(space, dimension) for each space of a decoded document that declares
+    both dimensions as nonnegative integers; the rest is left to the parser."""
+    if not isinstance(obj, dict):
+        return
+    for what, block in (("algebra", obj), ("representation", obj.get("representation")),
+                        ("bimodule", obj.get("bimodule"))):
+        if isinstance(block, dict):
+            dims = block.get("even_dim"), block.get("odd_dim")
+            if all(isinstance(d, int) and d >= 0 for d in dims):
+                yield what, sum(dims)
+
+
 def _load(args, product: str | None = "mul") -> AlgebraDocument:
-    """Parse the input document and check it has the product the command needs."""
+    """Parse the input document and check it has the product the command needs.
+
+    Declared dimensions over ``MAX_DIM`` are refused before any space is built."""
     path = Path(args.file)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from None
     try:
-        doc = parse(data)
+        obj = loads(data)
+        for what, dim in _declared_dimensions(obj):
+            if dim > MAX_DIM:
+                raise InputError(f"{args.file}: {what} dimension {dim} "
+                                 f"exceeds the cap of {MAX_DIM}")
+        doc = from_json(obj)
     except ParseError as exc:
         raise InputError(f"{args.file}: {exc}") from None
-    for what, block in (("algebra", doc.algebra), ("representation", doc.representation),
-                        ("bimodule", doc.bimodule)):
-        if block is not None and block.space.dim > MAX_DIM:
-            raise InputError(f"{args.file}: {what} dimension {block.space.dim} "
-                             f"exceeds the cap of {MAX_DIM}")
     if product is not None:
         _need_product(doc, product, args.command)
     return doc
@@ -304,6 +320,19 @@ def _need(doc: AlgebraDocument, what: str):
     if value is None:
         raise InputError(f"document has no {what.replace('_', ' ')} block")
     return value
+
+
+def _linear_map(doc: AlgebraDocument, command: str, domain: str, *blocks: str) -> tuple:
+    """The linear map, then ``blocks``; the map must have domain ``domain``.
+
+    O-operators on a representation or bimodule need domain 'module',
+    Rota-Baxter operators domain 'algebra'.  A missing block is reported
+    before a wrong domain."""
+    T = _need(doc, "linear_map")
+    found = [_need(doc, block) for block in blocks]
+    if doc.linear_map_domain != domain:
+        raise InputError(f"{command} expects a linear map with domain {domain!r}")
+    return (T, *found)
 
 
 def _run(doc: AlgebraDocument, name: str, limit: int) -> list[ViolationReport]:
@@ -350,42 +379,41 @@ def _cmd_dual_rep(args) -> int:
 
 def _cmd_oop_check(args) -> int:
     doc = _load(args)
-    T = _need(doc, "linear_map")
+    _need(doc, "linear_map")
     if args.context == "rep" or (args.context == "auto" and doc.representation is not None):
-        report = check_o_operator_malcev(T, _need(doc, "representation"),
-                                         witness_limit=args.witness_limit)
+        check, block = check_o_operator_malcev, "representation"
     elif args.context == "bimodule" or doc.bimodule is not None:
-        report = check_o_operator_alternative(T, _need(doc, "bimodule"),
-                                              witness_limit=args.witness_limit)
+        check, block = check_o_operator_alternative, "bimodule"
     else:
         raise InputError("document has neither representation nor bimodule block")
-    return _emit(args, [report])
+    T, module = _linear_map(doc, "oop-check", "module", block)
+    return _emit(args, [check(T, module, witness_limit=args.witness_limit)])
 
 
 def _cmd_rb_check(args) -> int:
     doc = _load(args)
-    Rop = _need(doc, "linear_map")
-    if doc.linear_map_domain == "module":
-        raise InputError("rb-check expects a linear map with domain 'algebra'")
+    Rop, = _linear_map(doc, "rb-check", "algebra")
     return _emit(args, [check_rota_baxter(Rop, doc.algebra, sign_variant=args.sign_variant,
                                           witness_limit=args.witness_limit)])
 
 
 def _cmd_construct(args) -> int:
     doc = _load(args)
+    command = f"construct --via {args.via}"
     if args.via == "oop":
         result = pre_malcev_from_o_operator(
-            _need(doc, "linear_map"), _need(doc, "representation"))
+            *_linear_map(doc, command, "module", "representation"))
     elif args.via == "rb":
-        result = pre_malcev_from_rota_baxter(_need(doc, "linear_map"), doc.algebra)
+        result = pre_malcev_from_rota_baxter(*_linear_map(doc, command, "algebra"), doc.algebra)
     elif args.via == "rb-inv":
         result = pre_malcev_from_invertible_rota_baxter(
-            _need(doc, "linear_map"), doc.algebra)
+            *_linear_map(doc, command, "algebra"), doc.algebra)
     elif args.via == "symplectic":
         result = pre_malcev_from_symplectic(
             _need(doc, "bilinear_form"), doc.algebra)
     else:  # prealt-oop
-        result = pre_alternative_from_o_operator(_need(doc, "linear_map"), _need(doc, "bimodule"))
+        result = pre_alternative_from_o_operator(
+            *_linear_map(doc, command, "module", "bimodule"))
     _write_document(args, AlgebraDocument(result))
     return PASS
 
@@ -402,9 +430,7 @@ def _cmd_mybe_check(args) -> int:
 
 def _cmd_build_r(args) -> int:
     doc = _load(args)
-    T = _need(doc, "linear_map")
-    if doc.linear_map_domain != "module":
-        raise InputError("build-r expects a linear map with domain 'module'")
+    T, = _linear_map(doc, "build-r", "module")
     R = _need(doc, "representation")
     oop_report = check_o_operator_malcev(T, R, witness_limit=args.witness_limit)
     candidate = r_from_o_operator(T, R)

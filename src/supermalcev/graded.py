@@ -251,10 +251,9 @@ class GradedLinearMap:
         )
 
     def is_invertible(self) -> bool:
-        return (
-            self.domain.dim == self.codomain.dim
-            and _linalg.determinant(self.matrix) != 0
-        )
+        # square, with a pivot in every column
+        n = self.domain.dim
+        return n == self.codomain.dim and len(_linalg.rref(self.matrix)[1]) == n
 
     def inverse(self) -> "GradedLinearMap":
         return GradedLinearMap(

@@ -384,7 +384,7 @@ def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     return FormFlags(
         all(w[i][j] == koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
         all(w[i][j] == -koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
-        _linalg.determinant(w) != 0,
+        len(_linalg.rref(w)[1]) == n,  # a pivot in every column
         # w(b_i b_j, b_k) = w(b_i, b_j b_k)
         all(sum((c * w[p][k] for p, c in rows.get((i, j), EMPTY).items()), start=ZERO)
             == _paired_with_product(w, rows, i, j, k)

@@ -37,10 +37,6 @@ class AlgebraDocument:
     bilinear_form: BilinearForm | None = None
 
 
-def _scalar_to_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _parse_scalar(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a scalar string, got a boolean")
@@ -58,7 +54,7 @@ def _parse_scalar(value: Any, where: str) -> Fraction:
 
 
 def _matrix_to_json(matrix) -> list[list[str]]:
-    return [[_scalar_to_str(c) for c in row] for row in matrix]
+    return [[str(c) for c in row] for row in matrix]
 
 
 def _parse_matrix(value: Any, nrows: int, ncols: int, where: str):
@@ -96,7 +92,7 @@ def _parse_space(obj: Mapping, where: str) -> SuperSpace:
 def _products_to_json(algebra: Superalgebra) -> dict:
     return {
         name: [
-            [i, j, k, _scalar_to_str(c)]
+            [i, j, k, str(c)]
             for (i, j), row in algebra.products[name].items()
             for k, c in row.items()
         ]
@@ -224,15 +220,28 @@ def _dumps_canonical(value, indent: int = 0) -> str:
 
 
 def parse(text: str | bytes) -> AlgebraDocument:
+    return from_json(loads(text))
+
+
+def loads(text: str | bytes) -> Any:
+    """The JSON value of a document; every decoding failure is a ParseError."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8: {exc}") from None
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"syntax error: {exc}") from None
+    except ValueError as exc:  # an integer literal over the interpreter's digit limit
+        raise ParseError(f"bad number: {exc}") from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
+
+
+def from_json(obj: Any) -> AlgebraDocument:
+    """The document held by a decoded JSON value."""
     if not isinstance(obj, Mapping):
         raise ParseError("top level: expected an object")
     if obj.get("format") != FORMAT:

@@ -189,10 +189,10 @@ def symplectic_from_r(c: MybeCandidate) -> BilinearForm:
     """omega(x, y) = <r^{-1}(x), y> for invertible skew-supersymmetric r."""
     if not c.r.is_skew_supersymmetric():
         raise ValueError("r is not skew-supersymmetric")
-    rmap = r_as_map(c)
-    if not rmap.is_invertible():
-        raise ValueError("singular r: no symplectic form")
-    inv = _linalg.invert(rmap.matrix)
+    try:
+        inv = _linalg.invert(r_as_map(c).matrix)
+    except ValueError:
+        raise ValueError("singular r: no symplectic form") from None
     return BilinearForm(c.algebra.space, _linalg.transpose(inv))
 
 

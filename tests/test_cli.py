@@ -340,6 +340,70 @@ def test_declared_dimension_over_the_cap_exits_2(capsys, tmp_path):
     assert code == 0 and parse(out).algebra.space.dim == MAX_DIM
 
 
+@pytest.mark.parametrize("block", ["algebra", "representation", "bimodule"])
+def test_declared_dimension_is_refused_before_the_document_is_built(capsys, tmp_path, block):
+    # the 10**6 default labels of a space this size took a 109 MB traced peak
+    huge = {"even_dim": 10 ** 6, "odd_dim": 0}
+    doc = {"format": "superalg/1", "even_dim": 1, "odd_dim": 0,
+           "products": {"mul": [[0, 0, 0, "1"]]}}
+    if block == "algebra":
+        doc.update(huge)
+    else:
+        doc[block] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = main(["check", str(path), "--identity", "malcev"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {block} dimension {10 ** 6} exceeds the cap of {MAX_DIM}\n"
+    assert peak < 5e6
+
+
+def test_every_json_decoding_failure_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    # a literal over the interpreter's digit limit; were it decoded, the cap refuses it
+    long = tmp_path / "long.json"
+    long.write_text('{"format": "superalg/1", "even_dim": 1' + "0" * 4999 + ', "odd_dim": 0}')
+    for path in (deep, long):
+        code, out, err = run(capsys, "check", str(path), "--identity", "malcev")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def _with_domain(tmp_path, name, domain):
+    doc = json.loads((FIX / name).read_text())
+    doc["linear_map"]["domain"] = domain
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_every_linear_map_command_reads_the_domain(capsys, tmp_path):
+    # an O-operator on a module needs domain 'module', a Rota-Baxter
+    # operator domain 'algebra'; the shapes fit either way here
+    adjoint = _with_domain(tmp_path, "sl2_adjoint_rb.json", "algebra")
+    zorn = _with_domain(tmp_path, "zorn_regular_rb.json", "algebra")
+    for argv, command, domain in (
+        (["oop-check", adjoint], "oop-check", "module"),
+        (["construct", adjoint, "--via", "oop"], "construct --via oop", "module"),
+        (["oop-check", zorn], "oop-check", "module"),
+        (["construct", zorn, "--via", "prealt-oop"], "construct --via prealt-oop", "module"),
+        *((["construct", str(FIX / name), "--via", via], f"construct --via {via}", "algebra")
+          for name in ("sl2_adjoint_rb.json", "zorn_regular_rb.json")
+          for via in ("rb", "rb-inv")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} expects a linear map with domain '{domain}'\n"
+
+
 def test_mybe_check_reads_the_coadjoint_action_off_the_rows(capsys, tmp_path):
     # a 20|20 algebra where b_0 scales every other basis vector, and r = 0;
     # n dense n x n coadjoint matrices took a 4.3 MB peak here
@@ -436,19 +500,22 @@ def test_missing_mul_product_exits_2(capsys, tmp_path, dim, argv, blocks, what):
 
 
 def test_operator_dimension_mismatch_exits_2(capsys, tmp_path):
-    # a 1-dim algebra, a 2-dim representation, and T defined on the algebra
+    # a 1-dim algebra, a 2-dim representation, a 1-dim bimodule, and T
+    # defined on the representation, then read as an operator on the bimodule
     doc = {"format": "superalg/1", "even_dim": 1, "odd_dim": 0, "basis_labels": ["a"],
            "products": {"mul": []},
            "representation": {"even_dim": 2, "odd_dim": 0, "basis_labels": ["v1", "v2"],
                               "matrices": [[["0", "0"], ["0", "0"]]]},
-           "linear_map": {"domain": "algebra", "matrix": [["1"]]}}
+           "bimodule": {"even_dim": 1, "odd_dim": 0, "left": [[["0"]]], "right": [[["0"]]]},
+           "linear_map": {"domain": "module", "matrix": [["1", "0"]]}}
     path = tmp_path / "mismatch.json"
     path.write_text(json.dumps(doc))
-    for argv in (["oop-check", str(path)], ["construct", str(path), "--via", "oop"]):
+    for argv in (["oop-check", str(path), "--context", "bimodule"],
+                 ["construct", str(path), "--via", "prealt-oop"]):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: o-operator: operator has (even, odd) dimensions")
+        assert err.startswith("error: o-operator-alternative: operator has (even, odd) dimensions")
         assert err.count("\n") == 1
 
 

@@ -98,7 +98,15 @@ def huge_scalar(doc, rng):
     _set(doc, rng.choice(list(_sites(doc, _is_scalar))), "1e400")
 
 
-MUTATIONS = (drop_block, rename_mul, null_matrix, bump_dimension, huge_scalar)
+def nest_deeply(doc, rng):
+    """A block's value becomes 100 000 nested arrays; returns the text."""
+    doc[rng.choice([b for b in BLOCKS if b in doc])] = "NESTED"
+    return json.dumps(doc).replace('"NESTED"', "[" * 100_000 + "]" * 100_000)
+
+
+# each edits the document in place, and returns False when it does not
+# apply, or the text to write when the document cannot hold it
+MUTATIONS = (drop_block, rename_mul, null_matrix, bump_dimension, huge_scalar, nest_deeply)
 
 
 @pytest.mark.parametrize("fixture", SMALL_FIXTURES)
@@ -107,10 +115,11 @@ def test_mutated_fixtures_keep_the_exit_code_contract(capsys, tmp_path, fixture)
     failures = []
     for mutate in MUTATIONS:
         doc = copy.deepcopy(original)
-        if mutate(doc, random.Random(f"{fixture}:{mutate.__name__}")) is False:
+        text = mutate(doc, random.Random(f"{fixture}:{mutate.__name__}"))
+        if text is False:
             continue
         path = tmp_path / f"{mutate.__name__}.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text or json.dumps(doc))
         for command in COMMANDS:
             argv = [command[0], str(path), *command[1:]]
             try:

@@ -782,6 +782,76 @@ def test_form_checkers_match_dense_oracles():
     assert seen >= expected
 
 
+def _pivots(size, zeros, rng):
+    """A diagonal matrix with a zero at each index in ``zeros`` and a nonzero
+    fraction elsewhere."""
+    return [[Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6))
+             if i == j and i not in zeros else Z for j in range(size)] for i in range(size)]
+
+
+def _triangular_product(middle, rng, congruence=False):
+    """L·middle·U for a square ``middle``, with L unit lower-triangular and U
+    unit upper-triangular, their entries over 2 to 6.  With ``congruence``
+    U is the transpose of L, so a (skew-)symmetric ``middle`` stays so.
+    Either way the product has the rank of ``middle``."""
+    n = len(middle)
+
+    def unit_triangular(below):
+        return [[Fraction(rng.randint(-3, 3), rng.randint(2, 6)) if (i > j) == below and i != j
+                 else Fraction(i == j) for j in range(n)] for i in range(n)]
+
+    L = unit_triangular(below=True)
+    U = [list(col) for col in zip(*L)] if congruence else unit_triangular(below=False)
+    LM = [[sum(L[i][p] * middle[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(LM[i][p] * U[p][j] for p in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _blocks(blocks):
+    """The block-diagonal matrix of the given square blocks."""
+    n = sum(map(len, blocks))
+    rows, offset = [[Z] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[offset + i][offset:offset + len(row)] = row
+        offset += len(block)
+    return rows
+
+
+def test_rank_decisions_follow_the_constructed_rank():
+    # the rank is known by construction, L·D·U with k zeros in D, and not
+    # read off an elimination: the oracles above share rref with the code
+    rng = random.Random(2406)
+    for m, n in ((m, total - m) for total in range(6) for m in range(total + 1)):
+        for k in range(m + n + 1):
+            zeros = rng.sample(range(m + n), k)
+            even_zeros = {z for z in zeros if z < m}
+            odd_zeros = {z - m for z in zeros if z >= m}
+            even = _triangular_product(_pivots(m, even_zeros, rng), rng)
+            odd = _triangular_product(_pivots(n, odd_zeros, rng), rng)
+            # an odd map S(m|n) -> S(n|m): even -> odd by ``even``, odd -> even by ``odd``
+            swapped = [row[n:] + row[:n] for row in _blocks([odd, even])]
+            T = GradedLinearMap(SuperSpace(m, n), SuperSpace(n, m), swapped, 1)
+            assert T.is_invertible() == (k == 0)
+            omega = BilinearForm(SuperSpace(m, n), _blocks([even, odd]))
+            flags = classify_form(omega, fixtures.zero_algebra(m, n))
+            assert flags.nondegenerate == (k == 0)
+            # a skew r: 2x2 skew pivots on the even block, a symmetric odd block
+            pairs = even_zeros & set(range(0, m - 1, 2))
+            skew = [[Z] * m for _ in range(m)]
+            for i in range(0, m - 1, 2):
+                d = Z if i in pairs else Fraction(rng.randint(1, 3), rng.randint(1, 6))
+                skew[i][i + 1], skew[i + 1][i] = d, -d
+            r = _blocks([_triangular_product(skew, rng, congruence=True),
+                         _triangular_product(_pivots(n, odd_zeros, rng), rng, congruence=True)])
+            c = MybeCandidate(fixtures.zero_algebra(m, n), Tensor2(SuperSpace(m, n), r, 0))
+            rank = 2 * (m // 2 - len(pairs)) + n - len(odd_zeros)
+            if rank < m + n:
+                with pytest.raises(ValueError, match="^singular r: no symplectic form$"):
+                    symplectic_from_r(c)
+            else:
+                assert classify_form(symplectic_from_r(c), c.algebra).nondegenerate
+
+
 # -- pre-alternative constructions ---------------------------------------------------
 
 

@@ -143,6 +143,14 @@ def test_bad_format_and_syntax():
     assert "format" in str(exc.value)
 
 
+def test_every_decoding_failure_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("[" * 100_000 + "]" * 100_000)
+    # over the interpreter's digit limit; were it decoded, odd_dim is missing
+    with pytest.raises(ParseError):
+        parse('{"format": "superalg/1", "even_dim": 1' + "0" * 4999 + "}")
+
+
 def test_label_count_mismatch():
     doc = _base()
     doc["basis_labels"] = ["only-one"]
