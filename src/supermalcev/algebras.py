@@ -15,6 +15,14 @@ multilinear and parity-homogeneous, so vanishing on basis tuples is
 equivalent to vanishing on all homogeneous elements.  Checkers are pure
 and their reports do not depend on iteration order.
 
+The Malcev quadruples are the exception to walking every tuple.  On a
+graded-anticommutative product the residual M of the four-variable
+identity satisfies M(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} M(x,y,z,t), so once
+the anticommutativity walk has found no violation, M is evaluated only at
+the least tuple of each rotation orbit (about n^4/4 of them), and a failing
+one counts its orbit's 1, 2 or 4 tuples.  ``checked_tuples`` stays n^4, and
+the count, witnesses, their order and leftovers are those of the full walk.
+
 The identities are written once, as data, in ``_IDENTITIES``: an
 expression is a variable position, a product ``(name, left, right)`` or a
 sum ``((coef, expr), ...)`` with the coefficients of the ungraded identity.
@@ -97,12 +105,20 @@ class _WitnessCollector:
     def tick(self):
         self.checked += 1
 
-    def add(self, indices: tuple[int, ...], leftover: Callable[[], object]):
-        """Count a failing tuple; ``leftover()`` builds its leftover, and is
-        called only if the witness is kept."""
-        self.count += 1
+    def tally(self, tuples: int, failures: int):
+        """Count checked and failing tuples whose witnesses come later."""
+        self.checked += tuples
+        self.count += failures
+
+    def add(self, indices: tuple[int, ...], leftover: Callable[[], object],
+            failures: int = 1) -> bool:
+        """Count ``failures`` failing tuples and keep ``indices`` as a witness
+        if there is room; ``leftover()`` builds its leftover, and is called
+        only if the witness is kept.  Returns whether there is room left."""
+        self.count += failures
         if len(self.witnesses) < self.limit:
             self.witnesses.append((indices, leftover()))
+        return len(self.witnesses) < self.limit
 
     def report(self) -> ViolationReport:
         return ViolationReport(
@@ -348,17 +364,50 @@ class _Compiler:
         return total
 
 
+def _rotations(idx: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """idx = (x, y, z, t) and its rotations (y, z, t, x), (z, t, x, y), (t, x, y, z)."""
+    x, y, z, t = idx
+    return idx, (y, z, t, x), (z, t, x, y), (t, x, y, z)
+
+
 def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationReport:
     """Walk basis tuples in lexicographic order; in a walk of several
-    components, component q witnesses ``(q,) + idx``."""
+    components, component q witnesses ``(q,) + idx``.
+
+    The Malcev quadruples are walked one rotation orbit at a time once the
+    anticommutativity walk has found no violation (see ``check_malcev``)."""
     col = _WitnessCollector(identity, witness_limit)
     walks = _IDENTITIES[identity]
     compiler = _Compiler(A, [expr for walk in walks for expr in walk])
+    n, par = A.space.dim, compiler.parities
     for w, components in enumerate(walks):
         degree = len(_leaves(components[0]))
         scale = compiler.D ** (degree - 1)  # each term multiplies degree - 1 rows
         residuals = [compiler.compile(expr, memoize=False) for expr in components]
-        for idx in itertools.product(range(A.space.dim), repeat=degree):
+        if identity == "malcev" and w == 1 and not col.count:
+            (residual,) = residuals
+            position = lambda q: ((q[0] * n + q[1]) * n + q[2]) * n + q[3]
+            failed = bytearray(n ** 4)  # 1 at the position of a failing least rotation
+            failures = 0
+            for a in range(n):  # a least rotation starts with its least index
+                for rest in itertools.product(range(a, n), repeat=3):
+                    rots = _rotations((a,) + rest)
+                    if rots[0] == min(rots) and residual(rots[0]):
+                        failed[position(rots[0])] = 1
+                        failures += len(set(rots))
+            col.tally(n ** 4, failures)
+            for idx in itertools.product(range(n), repeat=4) if failures else ():
+                least = min(_rotations(idx))
+                if failed[position(least)]:
+                    rots = _rotations(least)
+                    sign = (-1) ** sum(par[x] * (par[y] + par[z] + par[t])
+                                       for x, y, z, t in rots[:rots.index(idx)])
+                    leftover = lambda: vector_from_sparse(
+                        A.space, unscaled(residual(least), sign * scale))
+                    if not col.add(idx, leftover, failures=0):
+                        break
+            continue
+        for idx in itertools.product(range(n), repeat=degree):
             if w == len(walks) - 1:
                 col.tick()
             for q, residual in enumerate(residuals):
@@ -388,6 +437,15 @@ def check_malcev(A: Superalgebra,
     ``checked_tuples`` counts the quadruples of the defining identity; the
     anticommutativity scan over basis pairs contributes witnesses (index
     pairs) and violations but not tuples.
+
+    If the product is graded-anticommutative, the quadruples are checked
+    one rotation orbit at a time: the residual is evaluated at each orbit's
+    least tuple only.  If some fail, the quadruples are walked again in
+    lexicographic order until ``witness_limit`` witnesses are kept, each
+    with its least rotation's leftover times the signs
+    (-1)^{|x|(|y|+|z|+|t|)} of the rotations between them.  Otherwise every
+    quadruple is evaluated.  Either way ``checked_tuples`` is n^4 and the
+    report is the same.
     """
     return _check(A, "malcev", witness_limit)
 

@@ -109,6 +109,34 @@ def general_linear(m: int, n: int) -> Superalgebra:
         for i, j in units for l in range(m + n)}})
 
 
+def tensor_grassmann(A: Superalgebra, k: int) -> Superalgebra:
+    """A (x) Lambda(xi_1..xi_k), the product of A with the Grassmann algebra
+    on k odd generators: (a u)(b w) = (-1)^{|u||b|} ab uw, where the wedge
+    uw of two monomials is zero if they share a generator and otherwise
+    carries the Koszul sign of sorting its generators.
+
+    The Grassmann algebra is associative and supercommutative, so an
+    alternative A gives an alternative superalgebra.  The basis is b_i u
+    for the monomials u in order of degree, then lexicographically, each
+    u running over A's basis; the even vectors come first.  b_i u is
+    labelled by b_i's label, a dot and u, as ``e1.1`` or ``e1.xi1xi2``."""
+    par = A.space.parities()
+    monomials = [u for d in range(k + 1) for u in itertools.combinations(range(1, k + 1), d)]
+    basis = sorted(((i, u) for u in monomials for i in range(A.space.dim)),
+                   key=lambda iu: (par[iu[0]] + len(iu[1])) % 2)
+    index = {x: p for p, x in enumerate(basis)}
+    even = sum((par[i] + len(u)) % 2 == 0 for i, u in basis)
+    labels = tuple(f"{A.space.labels[i]}.{''.join(f'xi{g}' for g in u) or 1}" for i, u in basis)
+    entries = {}
+    for ((i, j), row), u, w in itertools.product(A.rows().items(), monomials, monomials):
+        if not set(u) & set(w):
+            sign = (-1) ** (len(u) * par[j] + sum(a > b for a in u for b in w))
+            uw = tuple(sorted(u + w))
+            for l, c in row.items():
+                entries[(index[(i, u)], index[(j, w)], index[(l, uw)])] = sign * c
+    return Superalgebra.from_entries(SuperSpace(even, len(basis) - even, labels), {"mul": entries})
+
+
 def heisenberg_1_1() -> Superalgebra:
     """1|1 Lie superalgebra with [f,f] = e and e central."""
     space = SuperSpace(1, 1)

@@ -27,7 +27,7 @@ from supermalcev import (
     sum_pre_alternative,
 )
 from supermalcev import fixtures
-from supermalcev.algebras import _IDENTITIES
+from supermalcev.algebras import _IDENTITIES, _check
 from rational_inputs import algebra_constants, denominator, rational_product
 
 Z = Fraction(0)
@@ -374,6 +374,34 @@ def test_octonion_commutator_is_malcev():
     assert check_malcev(C).ok
 
 
+def test_octonions_tensor_grassmann_commutator_is_malcev():
+    # an odd-graded, non-associative positive
+    A = fixtures.tensor_grassmann(fixtures.split_octonions(), 1)
+    assert (A.space.even_dim, A.space.odd_dim) == (8, 8)
+    assert check_left_alternative(A).ok and check_right_alternative(A).ok
+    report = check_malcev(commutator_superalgebra(A))
+    assert report.ok and report.checked_tuples == 16 ** 4
+
+
+def test_tensor_grassmann_twice_is_tensor_grassmann_on_two_generators():
+    # (O (x) Lambda(xi1)) (x) Lambda(xi1) is O (x) Lambda(xi1, xi2) with the
+    # outer generator read as xi2; the odd vectors of O (x) Lambda(xi1) need
+    # the sign (-1)^{|u||b|} of the tensor product for the two to agree
+    O = fixtures.split_octonions()
+    nested = fixtures.tensor_grassmann(fixtures.tensor_grassmann(O, 1), 1)
+    flat = fixtures.tensor_grassmann(O, 2)
+
+    def flat_label(label):
+        b, u, w = label.split(".")
+        monomial = ("xi1" if u == "xi1" else "") + ("xi2" if w == "xi1" else "")
+        return f"{b}.{monomial or 1}"
+    position = [flat.space.labels.index(flat_label(label)) for label in nested.space.labels]
+    assert [flat.space.parity(p) for p in position] == list(nested.space.parities())
+    assert {(position[i], position[j]): {position[k]: c for k, c in row.items()}
+            for (i, j), row in nested.rows().items()} == {
+        key: dict(row) for key, row in flat.rows().items()}
+
+
 def test_super_fixtures_malcev():
     for A in (fixtures.heisenberg_1_1(), fixtures.affine_1_1()):
         pairs, quads = oracle_malcev_failures(A)
@@ -622,6 +650,51 @@ def test_checkers_match_oracles_exactly_with_denominators(name, shape, seed):
         assert report.violation_count == len(expected)
         assert report.checked_tuples == space.dim ** degree
         assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+
+
+@pytest.mark.parametrize("make, shape, seed", [
+    (fixtures.random_product, (2, 2), 3), (fixtures.random_product, (3, 3), 4),
+    (rational_product, (2, 2), 5), (rational_product, (3, 3), 6)])
+def test_malcev_checker_matches_the_oracle_on_commutators(make, shape, seed):
+    # a commutator is graded-anticommutative, so the quadruples are walked
+    # one rotation orbit at a time
+    space = SuperSpace(*shape)
+    A = commutator_superalgebra(make(space, seed))
+    pairs, quads = oracle_malcev_failures(A)
+    assert not pairs and quads
+    expected = list(quads.items())
+    for limit in (3, 10 ** 6):
+        report = check_malcev(A, witness_limit=limit)
+        assert report.violation_count == len(expected)
+        assert report.checked_tuples == space.dim ** 4
+        assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+
+
+def full_malcev_walk(A, limit, monkeypatch):
+    """The Malcev report of the walk over every quadruple: the identity under
+    another name walks no orbits."""
+    monkeypatch.setitem(_IDENTITIES, "malcev, every quadruple", _IDENTITIES["malcev"])
+    return _check(A, "malcev, every quadruple", limit)
+
+
+def test_orbit_walk_matches_the_full_walk(monkeypatch):
+    # commutators of seeded products above 1|1 fail the Malcev identity and
+    # are walked by orbits, some failing on orbits of size 2; the products
+    # themselves fail anticommutativity
+    walks = {2: 0, 4: 0}  # degree of the first witness -> failing inputs
+    periodic = 0
+    for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)):
+        for seed in range(3):
+            product = fixtures.random_product(SuperSpace(*shape), seed)
+            for A in (product, commutator_superalgebra(product)):
+                for limit in (1, 16, 10 ** 6):
+                    report, full = check_malcev(A, limit), full_malcev_walk(A, limit, monkeypatch)
+                    assert (report.violation_count, report.checked_tuples, report.witnesses) == (
+                        full.violation_count, full.checked_tuples, full.witnesses)
+                if full.witnesses:
+                    walks[len(full.witnesses[0][0])] += 1
+                    periodic += any(w[:2] == w[2:] for w, _ in full.witnesses)
+    assert walks == {2: 18, 4: 15} and periodic >= 10
 
 
 def scaled_algebra(A, factor):

@@ -12,7 +12,6 @@ from supermalcev import (
     ParityViolation,
     Representation,
     SuperSpace,
-    Superalgebra,
     adjoint_representation,
     are_equivalent,
     check_alternative_bimodule,
@@ -397,14 +396,6 @@ def test_bimodule_identities_are_the_alternativity_of_the_semidirect_product(
     assert report.violation_count == len(expected) > 0
 
 
-def _wedge(u, w):
-    """(sign, monomial) of the product of two Grassmann monomials, each a
-    sorted tuple of generators; (0, None) when they share a generator."""
-    if set(u) & set(w):
-        return 0, None
-    return (-1) ** sum(a > b for a in u for b in w), tuple(sorted(u + w))
-
-
 def test_odd_square_zero_ideal_of_octonions_tensor_grassmann_is_a_bimodule():
     """A = O (x) Lambda(xi1), 8|8 with O the split octonions, acts on
     V = O xi2 + O xi1 xi2 (8|8) by the product of O (x) Lambda(xi1, xi2), in
@@ -412,31 +403,22 @@ def test_odd_square_zero_ideal_of_octonions_tensor_grassmann_is_a_bimodule():
     superalgebra, so V is an alternative bimodule; identities 2 and 3 see
     it only with the sign of the module vector."""
     O = fixtures.split_octonions()
-    rows, n = O.rows(), O.space.dim
-    # the basis vectors e_k u of A and of V, even monomials u first
-    a_basis = [(k, u) for u in ((), (1,)) for k in range(n)]
-    v_basis = [(k, u) for u in ((1, 2), (2,)) for k in range(n)]
-
-    def product(x, y):
-        (i, u), (j, w) = x, y
-        sign, uw = _wedge(u, w)
-        return {(k, uw): sign * c for k, c in rows.get((i, j), {}).items()} if sign else {}
-
-    assert all(not product(v, w) for v in v_basis for w in v_basis)
-    A = Superalgebra.from_entries(SuperSpace(n, n), {"mul": {
-        (a_basis.index(x), a_basis.index(y), a_basis.index(z)): c
-        for x in a_basis for y in a_basis for z, c in product(x, y).items()}})
-    V = SuperSpace(n, n)
+    A, G = fixtures.tensor_grassmann(O, 1), fixtures.tensor_grassmann(O, 2)
+    labels = G.space.labels
+    a_basis = [labels.index(label) for label in A.space.labels]
+    v_basis = [p for p, label in enumerate(labels) if label.endswith("xi2")]  # even first
+    assert [G.mul_basis(x, y) for x in a_basis for y in a_basis] == [
+        {a_basis[k]: c for k, c in A.mul_basis(x, y).items()}
+        for x in range(16) for y in range(16)]
+    assert all(not G.mul_basis(v, w) for v in v_basis for w in v_basis)
+    V = SuperSpace(8, 8)
 
     def action(act):
-        maps = []
-        for a, x in enumerate(a_basis):
-            cols = [act(x, v) for v in v_basis]
-            maps.append(GradedLinearMap(V, V, [[col.get(z, 0) for col in cols] for z in v_basis],
-                                        A.space.parity(a)))
-        return tuple(maps)
+        return tuple(GradedLinearMap(V, V, [[act(x, v).get(z, 0) for v in v_basis]
+                                            for z in v_basis], A.space.parity(a))
+                     for a, x in enumerate(a_basis))
 
-    B = Bimodule(A, V, action(product), action(lambda x, v: product(v, x)))
+    B = Bimodule(A, V, action(G.mul_basis), action(lambda x, v: G.mul_basis(v, x)))
     for X in (A, semidirect_alternative(B)):
         assert check_left_alternative(X).ok and check_right_alternative(X).ok
     report = check_alternative_bimodule(B)

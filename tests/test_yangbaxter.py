@@ -222,16 +222,20 @@ def test_tensor_and_operator_form_agree_on_corpus():
     assert solutions >= 5 and non_solutions >= 5
 
 
-def lopsided_products():
+def anticommutative(A):
+    par = A.space.parities()
+    return all(A.mul_basis(i, j) == {k: -koszul_sign(par[i], par[j]) * c
+                                     for k, c in A.mul_basis(j, i).items()}
+               for i in range(A.space.dim) for j in range(A.space.dim))
+
+
+def lopsided_products(seeds=range(8)):
     """Seeded odd-graded products on 1|1, 2|1 and 2|2 that are not
     graded-anticommutative: the MYBE forms read each as it is."""
     for shape in ((1, 1), (2, 1), (2, 2)):
-        for seed in range(8):
+        for seed in seeds:
             A = fixtures.random_product(SuperSpace(*shape), seed, -1, 1)
-            par = A.space.parities()
-            assert any(A.mul_basis(i, j) != {k: -koszul_sign(par[i], par[j]) * c
-                                             for k, c in A.mul_basis(j, i).items()}
-                       for i in range(A.space.dim) for j in range(A.space.dim))
+            assert not anticommutative(A)
             yield seed, A
 
 
@@ -247,6 +251,24 @@ def test_forms_agree_on_products_that_are_not_anticommutative():
             solutions += lhs.is_zero()
             non_solutions += not lhs.is_zero()
     assert solutions >= 10 and non_solutions >= 10
+
+
+def test_slice_witnesses_need_an_anticommutative_product():
+    # off anticommutative products the two forms agree on the verdict, but
+    # the failing dual pairs of the operator form need not be the nonzero
+    # slices of the tensor form
+    verdicts = slices_differ = 0
+    for seed, A in lopsided_products(range(10)):
+        rng = random.Random(seed)
+        for _ in range(3):
+            c = MybeCandidate(A, random_skew(A.space, rng, -1, 1))
+            lhs = mybe_lhs(c)
+            report = check_operator_form(c, witness_limit=10 ** 9)
+            assert report.ok == lhs.is_zero()
+            verdicts += 1
+            slices_differ += ({w[0][:2] for w in report.witnesses}
+                              != {(j, k) for (_, j, k) in lhs.coeffs})
+    assert verdicts == 90 and slices_differ > 0
 
 
 def test_double_embedding_biconditional_on_products_that_are_not_anticommutative():
@@ -288,6 +310,7 @@ def test_both_forms_match_the_oracle_with_denominators():
     corpus += [scaled(c, Fraction(1, 2), Fraction(1, 3)) for c in mixed_corpus()[:12]]
     solved = 0
     for c in corpus:
+        assert anticommutative(c.algebra)  # the slice-level match needs it
         n = c.algebra.space.dim
         lhs = mybe_lhs(c)
         assert dense_of(lhs, n) == oracle_mybe_lhs(c.algebra, c.r)
@@ -302,11 +325,12 @@ def test_both_forms_match_the_oracle_with_denominators():
 
 
 def test_parity_block_case_structure():
-    # the operator check fails at a dual pair (p, q) exactly when the
-    # tensor LHS has a nonzero slice (., p, q); each of the four parity
-    # classes of pairs is exercised by the corpus
+    # on an anticommutative product the operator check fails at a dual pair
+    # (p, q) exactly when the tensor LHS has a nonzero slice (., p, q); each
+    # of the four parity classes of pairs is exercised by the corpus
     classes_seen = set()
     for c in mixed_corpus():
+        assert anticommutative(c.algebra)
         lhs = mybe_lhs(c)
         report = check_operator_form(c, witness_limit=10 ** 9)
         bad_pairs = {w[0][:2] for w in report.witnesses}
