@@ -2,10 +2,10 @@
 scaled by one common denominator.
 
 A sparse vector maps basis indices to nonzero coefficients.  The helpers
-``add_scaled``, ``mul``, ``act`` and ``apply`` are the package's only
-sparse product helpers; they work unchanged on ``int`` and on ``Fraction``
-coefficients, and the public constructions call them on the stored
-``Fraction`` values.
+``add_scaled``, ``mul``, ``act`` and ``apply`` are the package's sparse
+product helpers, beside the joins of the algebra checkers in ``algebras``;
+they work unchanged on ``int`` and on ``Fraction`` coefficients, and the
+public constructions call them on the stored ``Fraction`` values.
 
 A checker instead takes, once per call, the lcm ``D`` of the denominators
 of every product row, action column and operator column it reads, and

@@ -10,18 +10,13 @@ the name ``"mul"``; pre-alternative algebras carry the two products
 ``"prec"`` and ``"succ"``.  Every checker and functor reads ``mul``, except
 those of pre-alternative algebras, which read ``prec`` and ``succ``.
 
-Every checker walks homogeneous basis tuples only: the identities are
-multilinear and parity-homogeneous, so vanishing on basis tuples is
-equivalent to vanishing on all homogeneous elements.  Checkers are pure
-and their reports do not depend on iteration order.
-
-The Malcev quadruples are the exception to walking every tuple.  On a
-graded-anticommutative product the residual M of the four-variable
-identity satisfies M(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} M(x,y,z,t), so once
-the anticommutativity walk has found no violation, M is evaluated only at
-the least tuple of each rotation orbit (about n^4/4 of them), and a failing
-one counts its orbit's 1, 2 or 4 tuples.  ``checked_tuples`` stays n^4, and
-the count, witnesses, their order and leftovers are those of the full walk.
+Every checker decides its identity on homogeneous basis tuples only: the
+identities are multilinear and parity-homogeneous, so vanishing on basis
+tuples is equivalent to vanishing on all homogeneous elements.  A report
+counts every basis tuple in ``checked_tuples`` (n^d for an identity of d
+variables), but the work follows the nonzero structure constants: a tuple
+at which every term is zero is never visited.  Checkers are pure and their
+reports do not depend on iteration order.
 
 The identities are written once, as data, in ``_IDENTITIES``: an
 expression is a variable position, a product ``(name, left, right)`` or a
@@ -29,11 +24,28 @@ sum ``((coef, expr), ...)`` with the coefficients of the ungraded identity.
 The Koszul factors follow from the sign rule: a product's leaf order is its
 factors' orders joined, a sum's is its variables in increasing order, and
 each summand of a sum carries the Koszul sign of the permutation that sorts
-its leaf order.  Each check call compiles the expressions once and memoizes
-every subexpression of at most three variables, keyed by its shape (the
-expression renamed by its leaf order) and its basis indices: at most n^3
-values per shape, so the four Malcev terms ``((..)..)..`` share one table
-of ``(b_i b_j) b_k``.  A product of two variables is one row lookup.
+its leaf order.
+
+One evaluator computes every identity as sparse joins (Gustavson's row-wise
+sparse product, applied to expressions as joins over nonzeros).  A
+subexpression of at most three variables becomes a per-call table of its
+nonzero values, keyed by its basis indices and shared by shape (the
+expression renamed by its leaf order), so the four Malcev terms
+``((..)..)..`` read one table of ``(b_i b_j) b_k``.  A product of two
+variables is the rows themselves.  The identity itself is summed one block
+of its first index at a time: each summand of a block joins the values of
+its side that holds the first index to the other side's values through
+the rows' partner lists and that side's index by support.  No table over
+all n^d tuples is held; the failing tuples of a block are its nonzero keys,
+and the witnesses are read off them in lexicographic order.
+
+On a graded-anticommutative product the residual M of the four-variable
+Malcev identity satisfies M(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} M(x,y,z,t).
+So once the anticommutativity walk has found no violation, block a yields
+only the quadruples whose indices are all at least a: they hold the least
+rotation of every orbit, and a failing one counts its orbit's 1, 2 or 4
+tuples.  The count, witnesses, their order and leftovers are those of the
+full walk.
 
 Public values (structure constants, ``mul``, ``mul_sparse``, witness
 leftovers) stay ``Fraction``.  A check call computes in integers instead:
@@ -45,14 +57,14 @@ reported.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
-from ._kernel import EMPTY, add_scaled, denominator, mul, scaled_rows, unscaled
+from ._kernel import denominator, mul, scaled_rows, unscaled
 from ._linalg import ZERO, as_scalar
 from .graded import (
     GradedVector,
@@ -297,15 +309,68 @@ def _koszul(order: tuple[int, ...], parity: Mapping[int, int]) -> int:
                        for i, a in enumerate(order) for b in order[i + 1:] if a > b)
 
 
-class _Compiler:
-    """Compiles expressions into functions of a basis tuple, for one check
-    call, and holds that call's scaled rows and memo.
+@functools.cache
+def _summands(expr) -> tuple:
+    """How each summand ``coef * (name, left, right)`` of a sum or product
+    is joined block by block of the expression's first leaf: the product's
+    name, whether that leaf is on the right (the driven side), the driven
+    and the other side's shapes, the leaf's position in the driven side,
+    the re-keying of the driven side's key plus the other's into the
+    expression's leaf order, and the signed coefficient by the two keys'
+    parity masks.  It depends on the expression only, so it is built once
+    per expression of this module and reused by every call."""
+    leaves = _leaves(expr)
+    out = []
+    for coef, (name, left, right) in ((1, expr),) if isinstance(expr[0], str) else expr:
+        sides = [(_leaves(side), _renamed(side, _leaves(side))) for side in (left, right)]
+        flip = leaves[0] not in sides[0][0]
+        (dl, driven), (ol, other) = sides[::-1] if flip else sides
+        joined, order = dl + ol, sides[0][0] + sides[1][0]
+        signs = tuple(tuple(coef * _koszul(order, {v: m >> p & 1 for p, v in enumerate(joined)})
+                            for m in range(dm, 1 << len(joined), 1 << len(dl)))
+                      for dm in range(1 << len(dl)))
+        out.append((name, flip, driven, dl.index(leaves[0]), other,
+                    operator.itemgetter(*map(joined.index, leaves)), signs))
+    return tuple(out)
+
+
+class _Table:
+    """The nonzero values of one shape at basis tuples, keyed by the tuple
+    in leaf order, with the indexes a join reads.  Values are never mutated."""
+
+    def __init__(self, values: Mapping, bits: list):
+        self.values, self.dim = values, len(bits[0])
+        self.masks = {key: sum(map(operator.getitem, bits, key)) for key in values}
+        self._at: dict = {}
+
+    @functools.cached_property
+    def support(self) -> list:
+        """support[j] -> (key, coefficient of b_j, min(key)) of each value
+        with b_j in its support, by decreasing min(key)."""
+        support = [[] for _ in range(self.dim)]
+        for key in sorted(self.values, key=min, reverse=True):
+            least = min(key)
+            for j, c in self.values[key].items():
+                support[j].append((key, c, least))
+        return support
+
+    def at(self, p: int) -> dict:
+        """index -> the keys that have that index at position p."""
+        if p not in self._at:
+            out = self._at[p] = {}
+            for key in self.values:
+                out.setdefault(key[p], []).append(key)
+        return self._at[p]
+
+
+class _Evaluator:
+    """The tables and joins of one check call.
 
     The rows of every product the expressions read are scaled by their
     common denominator ``D`` into ``int``, so an expression of d variables
-    evaluates to D^(d-1) times its rational value.  Memoized values and rows
-    are never mutated: a sum accumulates into a fresh dict, and zero values
-    share ``EMPTY``."""
+    evaluates to D^(d-1) times its rational value.  ``plan`` binds the
+    summands of a sum or product to the call's tables, and ``block`` sums
+    them at one index of its first leaf."""
 
     def __init__(self, A: Superalgebra, exprs):
         names = dict.fromkeys(name for expr in exprs for name in _products(expr))
@@ -313,55 +378,67 @@ class _Compiler:
         rows = {name: A.rows(name) for name in names}
         self.D = denominator(*(r.values() for r in rows.values()))
         self.rows = {name: scaled_rows(r, self.D) for name, r in rows.items()}
-        self.parities = A.space.parities()
-        self.units = tuple({k: 1} for k in range(A.space.dim))
-        self.memos: dict = {}  # shape -> (values by basis indices, function)
+        self.parities = par = A.space.parities()
+        # bits[p][i]: the parity of b_i at bit p of a key's parity mask
+        self.bits = [[b << p for b in par] for p in range(max(map(len, map(_leaves, exprs))))]
+        # name -> (right[i] = [(j, row (i, j))], left[j] = [(i, row (i, j))])
+        self.partners = {}
+        for name, r in self.rows.items():
+            right, left = [[] for _ in par], [[] for _ in par]
+            for (i, j), row in r.items():
+                right[i].append((j, row))
+                left[j].append((i, row))
+            self.partners[name] = right, left
+        self.tables = {0: _Table({(i,): {i: 1} for i in range(len(par))}, self.bits)}
 
-    def compile(self, expr, memoize: bool = True):
-        if isinstance(expr, int):
-            units = self.units
-            return lambda idx: units[idx[expr]]
-        leaves = _leaves(expr)
-        if memoize and len(leaves) <= 3 and not _is_lookup(expr):
-            shape = _renamed(expr, leaves)
-            if shape not in self.memos:
-                self.memos[shape] = ({}, self.compile(shape, memoize=False))
-            table, compute = self.memos[shape]
-            key_of = operator.itemgetter(*leaves)
+    def table(self, shape) -> _Table:
+        if shape not in self.tables:
+            if _is_lookup(shape):
+                values = self.rows[shape[0]]
+            else:
+                plans, values = self.plan(shape), {}
+                for a in range(len(self.parities)):
+                    values.update(self.block(plans, a))
+            self.tables[shape] = _Table(values, self.bits)
+        return self.tables[shape]
 
-            def memoized(idx):
-                key = key_of(idx)
-                value = table.get(key)
-                if value is None:
-                    value = table[key] = compute(key) or EMPTY
-                return value
-            return memoized
-        if isinstance(expr[0], str):
-            rows = self.rows[expr[0]]
-            a, b = expr[1], expr[2]
-            if _is_lookup(expr):
-                return lambda idx: rows.get((idx[a], idx[b]), EMPTY)
-            left, right = self.compile(a), self.compile(b)
-            return lambda idx: mul(rows, left(idx), right(idx))
-        # the summands' coefficients for an assignment of parities to the
-        # leaves, built the first time that assignment occurs
-        orders = tuple((coef, _leaves(sub)) for coef, sub in expr)
-        signed: dict[tuple[int, ...], tuple[int, ...]] = {}
-        terms = tuple(self.compile(sub) for _, sub in expr)
-        par = self.parities
+    def plan(self, expr) -> list:
+        """The summands of a sum or product bound to this call's tables."""
+        return [(self.table(driven), self.table(driven).at(p), self.partners[name][flip],
+                 self.table(other).support, self.table(other).masks, rekey, signs)
+                for name, flip, driven, p, other, rekey, signs in _summands(expr)]
 
-        def total(idx):
-            bits = tuple([par[idx[v]] for v in leaves])
-            coefs = signed.get(bits)
-            if coefs is None:
-                parity = dict(zip(leaves, bits))
-                coefs = signed[bits] = tuple(coef * _koszul(order, parity)
-                                             for coef, order in orders)
-            out: dict = {}
-            for coef, term in zip(coefs, terms):
-                add_scaled(out, term(idx), coef)
-            return out
-        return total
+    def block(self, plans, a: int, low: int = 0) -> dict:
+        """The nonzero values at the tuples whose first index is ``a`` and
+        whose indices are all at least ``low``."""
+        out: dict = {}
+        for driven, at, partners, support, masks, rekey, signs in plans:
+            for key in at.get(a, ()):
+                if min(key) < low:
+                    continue
+                vec = driven.values[key]
+                acc: dict = {}  # the other side's key -> (factor, row) pairs
+                for i, c in vec.items():
+                    for j, row in partners[i]:
+                        for okey, d, oleast in support[j]:
+                            if oleast < low:
+                                break
+                            if okey in acc:
+                                acc[okey].append((c * d, row))
+                            else:
+                                acc[okey] = [(c * d, row)]
+                sign = signs[driven.masks[key]]
+                for okey, terms in acc.items():
+                    s, full = sign[masks[okey]], rekey(key + okey)
+                    dst = out.get(full)
+                    if dst is None:
+                        dst = out[full] = {}
+                    for f, row in terms:
+                        f *= s
+                        for k, r in row.items():
+                            dst[k] = dst.get(k, 0) + f * r
+        out = {key: {k: c for k, c in vec.items() if c} for key, vec in out.items()}
+        return {key: vec for key, vec in out.items() if vec}
 
 
 def _rotations(idx: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
@@ -371,50 +448,46 @@ def _rotations(idx: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
 
 
 def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationReport:
-    """Walk basis tuples in lexicographic order; in a walk of several
-    components, component q witnesses ``(q,) + idx``.
+    """Evaluate each walk one block of its first index at a time; the
+    witnesses are the failing tuples in lexicographic order, and in a walk
+    of several components, component q witnesses ``(q,) + idx`` after the
+    components before it at the same tuple.
 
-    The Malcev quadruples are walked one rotation orbit at a time once the
-    anticommutativity walk has found no violation (see ``check_malcev``)."""
+    The Malcev quadruples are evaluated one rotation orbit at a time once
+    the anticommutativity walk has found no violation (see
+    ``check_malcev``)."""
     col = _WitnessCollector(identity, witness_limit)
     walks = _IDENTITIES[identity]
-    compiler = _Compiler(A, [expr for walk in walks for expr in walk])
-    n, par = A.space.dim, compiler.parities
+    ev = _Evaluator(A, [expr for walk in walks for expr in walk])
+    n, par = A.space.dim, ev.parities
+    room = True
     for w, components in enumerate(walks):
         degree = len(_leaves(components[0]))
-        scale = compiler.D ** (degree - 1)  # each term multiplies degree - 1 rows
-        residuals = [compiler.compile(expr, memoize=False) for expr in components]
-        if identity == "malcev" and w == 1 and not col.count:
-            (residual,) = residuals
-            position = lambda q: ((q[0] * n + q[1]) * n + q[2]) * n + q[3]
-            failed = bytearray(n ** 4)  # 1 at the position of a failing least rotation
-            failures = 0
-            for a in range(n):  # a least rotation starts with its least index
-                for rest in itertools.product(range(a, n), repeat=3):
-                    rots = _rotations((a,) + rest)
-                    if rots[0] == min(rots) and residual(rots[0]):
-                        failed[position(rots[0])] = 1
-                        failures += len(set(rots))
-            col.tally(n ** 4, failures)
-            for idx in itertools.product(range(n), repeat=4) if failures else ():
-                least = min(_rotations(idx))
-                if failed[position(least)]:
-                    rots = _rotations(least)
-                    sign = (-1) ** sum(par[x] * (par[y] + par[z] + par[t])
-                                       for x, y, z, t in rots[:rots.index(idx)])
-                    leftover = lambda: vector_from_sparse(
-                        A.space, unscaled(residual(least), sign * scale))
-                    if not col.add(idx, leftover, failures=0):
-                        break
-            continue
-        for idx in itertools.product(range(n), repeat=degree):
-            if w == len(walks) - 1:
-                col.tick()
-            for q, residual in enumerate(residuals):
-                res = residual(idx)
-                if res:
-                    col.add((q,) + idx if len(residuals) > 1 else idx,
-                            lambda: vector_from_sparse(A.space, unscaled(res, scale)))
+        scale = ev.D ** (degree - 1)  # each term multiplies degree - 1 rows
+        plans = [ev.plan(expr) for expr in components]
+        orbits = identity == "malcev" and w == 1 and not col.count
+        col.tally(n ** degree if w == len(walks) - 1 else 0, 0)
+        later = [[] for _ in range(n)]  # block -> failing rotations of earlier blocks
+        for a in range(n):
+            # in the orbit walk block a holds the tuples with no index below a
+            found = [(key, q, vec, 1) for q, plan in enumerate(plans)
+                     for key, vec in ev.block(plan, a, a if orbits else 0).items()]
+            least = [(key, vec) for key, _, vec, _ in found
+                     if key == min(_rotations(key))] if orbits else ()
+            col.tally(0, sum(len(set(_rotations(key))) for key, _ in least) if orbits
+                      else len(found))
+            for key, q, vec, sign in sorted(found + later[a]) if room else ():
+                room = col.add((q,) + key if len(plans) > 1 else key, lambda: vector_from_sparse(
+                    A.space, unscaled(vec, sign * scale)), failures=0)
+                if not room:
+                    break
+            for key, vec in least if room else ():  # witnesses for the later blocks
+                rots = _rotations(key)
+                for r in dict.fromkeys(rots):
+                    if r[0] != a:
+                        sign = (-1) ** sum(par[x] * (par[y] + par[z] + par[t])
+                                           for x, y, z, t in rots[:rots.index(r)])
+                        later[r[0]].append((r, 0, vec, sign))
     return col.report()
 
 
@@ -439,13 +512,14 @@ def check_malcev(A: Superalgebra,
     pairs) and violations but not tuples.
 
     If the product is graded-anticommutative, the quadruples are checked
-    one rotation orbit at a time: the residual is evaluated at each orbit's
-    least tuple only.  If some fail, the quadruples are walked again in
-    lexicographic order until ``witness_limit`` witnesses are kept, each
-    with its least rotation's leftover times the signs
-    (-1)^{|x|(|y|+|z|+|t|)} of the rotations between them.  Otherwise every
-    quadruple is evaluated.  Either way ``checked_tuples`` is n^4 and the
-    report is the same.
+    one rotation orbit at a time: block a of the first index evaluates only
+    the quadruples with no index below a, which hold the least rotation of
+    each orbit.  A failing least rotation counts its orbit's tuples, and the
+    rotations that fall in later blocks are kept for their blocks' witnesses
+    while there is room, each with the least rotation's leftover times the
+    signs (-1)^{|x|(|y|+|z|+|t|)} of the rotations between them.  Otherwise
+    every quadruple is evaluated.  Either way ``checked_tuples`` is n^4 and
+    the report is the same.
     """
     return _check(A, "malcev", witness_limit)
 
@@ -476,13 +550,11 @@ def check_pre_alternative(A: Superalgebra,
 
 def _derived(A: Superalgebra, expr) -> Superalgebra:
     """The single-product algebra whose x.y is ``expr`` at (x, y) = (X, Y)."""
-    compiler = _Compiler(A, [expr])
-    product_of = compiler.compile(expr, memoize=False)
-    return Superalgebra.from_entries(A.space, {"mul": {
-        (i, j, k): c
-        for i, j in itertools.product(range(A.space.dim), repeat=2)
-        for k, c in unscaled(product_of((i, j)), compiler.D).items()
-    }})
+    ev = _Evaluator(A, [expr])
+    plans = ev.plan(expr)
+    return Superalgebra(A.space, {"mul": {
+        key: unscaled(vec, ev.D) for a in range(A.space.dim)
+        for key, vec in ev.block(plans, a).items()}})
 
 
 def commutator_superalgebra(A: Superalgebra) -> Superalgebra:

@@ -73,8 +73,10 @@ from .serialize import AlgebraDocument, ParseError, from_json, loads, serialize
 
 PASS, FAIL, INPUT_ERROR, ALARM = 0, 1, 2, 3
 
-# Largest algebra or module dimension a document may declare.  Checks walk
-# up to n^4 basis tuples, so larger documents are refused before they are built.
+# Largest algebra or module dimension a document may declare.  A check's work
+# follows the nonzero constants, but a dense product has up to n^3 of them and
+# its checks up to n^4 nonzero tuples, so larger documents are refused before
+# they are built.
 MAX_DIM = 64
 
 _TUPLE_NOUNS = {

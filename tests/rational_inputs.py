@@ -38,6 +38,18 @@ def rational_product(space: SuperSpace, seed: int, two_products: bool = False) -
         for name in A.product_names()})
 
 
+def sparse_rational_product(space: SuperSpace, seed: int, keep: float,
+                            two_products: bool = False) -> Superalgebra:
+    """``rational_product`` with each constant kept with probability ``keep``
+    and the others set to zero."""
+    A = rational_product(space, seed, two_products)
+    rng = random.Random(-seed)
+    return Superalgebra.from_entries(space, {
+        name: {(i, j, k): c for (i, j), row in A.rows(name).items() for k, c in row.items()
+               if rng.random() < keep}
+        for name in A.product_names()})
+
+
 def divided(m: GradedLinearMap, kind: str, rng: random.Random) -> GradedLinearMap:
     """``m`` with each entry divided by a denominator drawn from ``kind``'s set."""
     rows = tuple(tuple(c / rng.choice(DENOMINATORS[kind]) for c in row) for row in m.matrix)
@@ -74,6 +86,25 @@ def rebased(A: Superalgebra, P) -> Superalgebra:
             for i, j, k in itertools.product(range(n), repeat=3):
                 entries[(i, j, k)] = entries.get((i, j, k), 0) + P[a][i] * P[b][j] * c * Q[k][m]
     return Superalgebra.from_entries(A.space, {"mul": entries})
+
+
+def even_unimodular(space: SuperSpace, seed: int) -> tuple:
+    """A seeded even integer matrix with an integer inverse: the product of
+    a lower and an upper unit-triangular factor, zero off the parity blocks.
+    Next to the diagonal a factor's entries are 1 or -1, and further from
+    it they are 1 or -1 with probability 1/3 and 0 otherwise."""
+    rng = random.Random(seed)
+    n, par = space.dim, space.parities()
+
+    def entry(i, j, below):
+        if i == j:
+            return 1
+        if (i > j) != below or par[i] != par[j] or abs(i - j) > 1 and rng.random() >= 1 / 3:
+            return 0
+        return rng.choice((-1, 1))
+    L, U = ([[entry(i, j, below) for j in range(n)] for i in range(n)] for below in (True, False))
+    return tuple(tuple(sum(L[i][k] * U[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
 
 
 def denominator(*values) -> int:

@@ -5,6 +5,8 @@ share no evaluation code with the library.
 """
 
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,11 +26,21 @@ from supermalcev import (
     check_rota_baxter,
     commutator_superalgebra,
     pre_malcev_from_pre_alternative,
+    pre_malcev_from_rota_baxter,
+    search_rota_baxter,
     sum_pre_alternative,
 )
 from supermalcev import fixtures
 from supermalcev.algebras import _IDENTITIES, _check
-from rational_inputs import algebra_constants, denominator, rational_product
+from supermalcev.cli import MAX_DIM
+from rational_inputs import (
+    algebra_constants,
+    denominator,
+    even_unimodular,
+    rational_product,
+    rebased,
+    sparse_rational_product,
+)
 
 Z = Fraction(0)
 
@@ -731,6 +743,170 @@ def test_functors_match_the_tables_with_denominators(shape, seed):
         assert total[i][j][k] == prec[i][j][k] + succ[i][j][k]
         assert dot[i][j][k] == succ[i][j][k] - s * prec[j][i][k]
     assert denominator(*algebra_constants(commutator_superalgebra(A))) > 1
+
+
+# -- exact agreement with the oracles on sparse inputs -------------------------
+
+
+def assert_matches_the_oracle(A, name):
+    """The report of identity ``name`` on A equals its oracle's failures:
+    count, witnesses, their order and leftovers, at witness limits 1, 3
+    and 10**6."""
+    checker, oracle, degree, _ = ORACLE_CASES[name]
+    expected = list(oracle(A).items())
+    for limit in (1, 3, 10 ** 6):
+        report = checker(A, witness_limit=limit)
+        assert report.violation_count == len(expected)
+        assert report.checked_tuples == A.space.dim ** degree
+        assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+    return expected
+
+
+def succ_only(A):
+    """The pair (prec, succ) = (0, mul) of a single-product algebra: its
+    first compatibility identity is left alternativity, and its fourth the
+    associativity of mul."""
+    return Superalgebra(A.space, {"prec": {}, "succ": A.rows()})
+
+
+# (shape, seed, share of the constants kept); most rows are zero
+SPARSE_INPUTS = [((2, 2), 7, 0.25), ((3, 3), 8, 0.25), ((2, 2), 9, 0.5), ((3, 3), 10, 0.5)]
+
+
+@pytest.mark.parametrize("shape, seed, keep", SPARSE_INPUTS)
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_checkers_match_oracles_on_sparse_inputs(name, shape, seed, keep):
+    space = SuperSpace(*shape)
+    A = sparse_rational_product(space, seed, keep, two_products=ORACLE_CASES[name][3])
+    allowed = len(A.product_names()) * space.dim ** 3 // 2  # parity-allowed constants
+    assert 0 < len(algebra_constants(A)) <= (keep + 0.15) * allowed
+    assert denominator(*algebra_constants(A)) > 1
+    assert_matches_the_oracle(A, name)
+
+
+@pytest.mark.parametrize("shape, seed, keep", SPARSE_INPUTS)
+@pytest.mark.parametrize("name", ["left-alternative", "malcev"])
+def test_checkers_match_oracles_on_sparse_commutators(name, shape, seed, keep):
+    # graded-anticommutative, so check_malcev walks the quadruples by orbits
+    C = commutator_superalgebra(sparse_rational_product(SuperSpace(*shape), seed, keep))
+    expected = assert_matches_the_oracle(C, name)
+    assert name != "malcev" or all(len(w) == 4 for w, _ in expected)
+
+
+# label -> (algebra, the identities whose oracles fit in tier-1 time, the
+# ones among them that hold); pre-alternative reads the pair succ_only(A)
+CANCELLING = {
+    "octonion commutator / 6": (
+        lambda: scaled_algebra(commutator_superalgebra(fixtures.split_octonions()),
+                               Fraction(1, 6)),
+        list(ORACLE_CASES), {"malcev"}),
+    "O (x) Lambda(xi1)": (
+        lambda: fixtures.tensor_grassmann(fixtures.split_octonions(), 1),
+        ["left-alternative", "right-alternative"], {"left-alternative", "right-alternative"}),
+    "zero algebra": (lambda: fixtures.zero_algebra(2, 1), list(ORACLE_CASES), set(ORACLE_CASES)),
+}
+
+
+@pytest.mark.parametrize("label", list(CANCELLING))
+def test_checkers_match_oracles_where_terms_cancel(label):
+    make, names, holding = CANCELLING[label]
+    A = make()
+    failures = {name: assert_matches_the_oracle(succ_only(A) if ORACLE_CASES[name][3] else A, name)
+                for name in names}
+    assert {name for name in names if not failures[name]} == holding
+
+
+@pytest.mark.parametrize("shape, seed, keep", SPARSE_INPUTS)
+def test_functors_match_the_tables_on_sparse_inputs(shape, seed, keep):
+    space = SuperSpace(*shape)
+    par = space.parities()
+    A = sparse_rational_product(space, seed, keep)
+    P = sparse_rational_product(space, seed, keep, two_products=True)
+    table, prec, succ = A.table("mul"), P.table("prec"), P.table("succ")
+    bracket = commutator_superalgebra(A).table("mul")
+    total = sum_pre_alternative(P).table("mul")
+    dot = pre_malcev_from_pre_alternative(P).table("mul")
+    for i, j, k in itertools.product(range(space.dim), repeat=3):
+        s = sgn(par[i], par[j])
+        assert bracket[i][j][k] == table[i][j][k] - s * table[j][i][k]
+        assert total[i][j][k] == prec[i][j][k] + succ[i][j][k]
+        assert dot[i][j][k] == succ[i][j][k] - s * prec[j][i][k]
+
+
+# -- verdicts do not depend on the basis ---------------------------------------
+
+
+def rota_baxter_pre_malcev_algebras():
+    """The pre-Malcev algebras x.y = [R(x), y] of the Rota-Baxter operators
+    on sl2 with entries in {-1, 0, 1}, three with the most constants."""
+    sl2 = fixtures.sl2()
+    algebras = [pre_malcev_from_rota_baxter(R, sl2) for R in search_rota_baxter(sl2, (-1, 0, 1))]
+    return sorted(algebras, key=lambda P: -len(algebra_constants(P)))[:3]
+
+
+def sparse_fixtures():
+    O = fixtures.split_octonions()
+    yield "split octonions", O
+    yield "octonion commutator", commutator_superalgebra(O)
+    yield "gl(1|1)", fixtures.general_linear(1, 1)
+    for k, P in enumerate(rota_baxter_pre_malcev_algebras()):
+        yield f"sl2 Rota-Baxter pre-Malcev {k}", P
+
+
+REBASED_CHECKS = (check_left_alternative, check_right_alternative, check_malcev, check_pre_malcev)
+
+
+def test_verdicts_survive_a_change_of_basis():
+    # each algebra is checked once on its sparse fixture basis and once on a
+    # basis where almost every constant is nonzero
+    verdicts = []
+    for seed, (label, A) in enumerate(sparse_fixtures()):
+        B = rebased(A, even_unimodular(A.space, seed))
+        assert len(algebra_constants(B)) > len(algebra_constants(A)), label
+        for check in REBASED_CHECKS:
+            verdicts.append(check(A).ok)
+            assert check(B).ok == verdicts[-1], (label, check.__name__)
+    assert any(verdicts) and not all(verdicts)
+
+
+# -- work and memory follow the nonzero constants -------------------------------
+
+
+def embedded(A, space, position):
+    """A's product on the basis vectors ``position[i]`` of a larger space,
+    whose other basis vectors multiply to zero with everything."""
+    return Superalgebra(space, {name: {(position[i], position[j]): {position[k]: c
+                                                                    for k, c in row.items()}
+                                       for (i, j), row in A.rows(name).items()}
+                                for name in A.product_names()})
+
+
+@pytest.mark.parametrize("checker, degree", [
+    (check_malcev, 4), (check_pre_malcev, 4), (check_left_alternative, 3)])
+def test_work_and_memory_follow_the_nonzero_constants(checker, degree):
+    # a handful of constants in MAX_DIM dimensions: a tuple with a basis
+    # vector outside the small algebra has residual zero, so the failing
+    # tuples are the small algebra's, relabelled in the same order
+    small = sparse_rational_product(SuperSpace(2, 2), 7, 0.25)
+    space = SuperSpace(MAX_DIM // 2, MAX_DIM // 2)
+    position = (0, 1, MAX_DIM // 2, MAX_DIM // 2 + 1)
+    for A in (small, commutator_superalgebra(small)):  # the second takes the orbit walk
+        big = embedded(A, space, position)
+        expected = checker(A, witness_limit=10 ** 6)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            report = checker(big, witness_limit=10 ** 6)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.checked_tuples == MAX_DIM ** degree
+        assert report.violation_count == expected.violation_count
+        assert [tuple(position[i] for i in w) for w, _ in expected.witnesses] == [
+            w for w, _ in report.witnesses]
+        assert seconds < 1.0
+        assert peak < MAX_DIM ** 4 // 16  # a flag per tuple would take n^4 bytes
 
 
 # -- the identity table -------------------------------------------------------
