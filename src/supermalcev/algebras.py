@@ -152,17 +152,19 @@ class Superalgebra:
     products: Mapping[str, Rows]
 
     def __post_init__(self):
-        par = self.space.parity
+        par, n = self.space.parities(), self.space.dim
         frozen = {}
         for name, rows in self.products.items():
             cleaned: dict[tuple[int, int], dict[int, Fraction]] = {}
             for (i, j), row in sorted(rows.items()):
                 for k, c in sorted(row.items()):
                     c = as_scalar(c)
-                    if par(k) != (par(i) + par(j)) % 2 and c != 0:
+                    if not (0 <= k < n and 0 <= i < n and 0 <= j < n):
+                        raise IndexError(next(x for x in (k, i, j) if not 0 <= x < n))
+                    if par[k] != (par[i] + par[j]) % 2 and c != 0:
                         raise ParityViolation(
                             f"product {name!r}: entry ({i}, {j}, {k}) = {c} maps "
-                            f"parities ({par(i)}, {par(j)}) to parity {par(k)}"
+                            f"parities ({par[i]}, {par[j]}) to parity {par[k]}"
                         )
                     if c:
                         cleaned.setdefault((i, j), {})[k] = c

@@ -208,10 +208,11 @@ class GradedLinearMap:
         ):
             raise DimensionMismatch("matrix shape does not match domain/codomain")
         columns: list[dict[int, Fraction]] = [{} for _ in range(self.domain.dim)]
+        rows_par, cols_par = self.codomain.parities(), self.domain.parities()
         for i, row in enumerate(self.matrix):
             for j, entry in enumerate(row):
-                if entry != 0:
-                    if self.codomain.parity(i) != (self.domain.parity(j) + self.parity) % 2:
+                if entry:
+                    if rows_par[i] != (cols_par[j] + self.parity) % 2:
                         raise ParityViolation(
                             f"entry ({i}, {j}) = {entry} violates parity {self.parity}"
                         )

@@ -78,10 +78,11 @@ from .algebras import (
 from .reps import (
     Bimodule,
     Representation,
-    _adjoint_columns,
     _columns,
     _Columns,
     _dual_columns,
+    _multiplication_columns,
+    _shape,
 )
 
 
@@ -134,12 +135,9 @@ def _bimodule_context(B: Bimodule) -> _Context:
 
 def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
     """A acting on itself: left(x) y = x y and right(x) y = y x."""
-    n = A.space.dim
-    rows = A.rows()
     return _Context(
-        "rota-baxter-signed" if sign_variant else "rota-baxter", A, rows, A.space,
-        _adjoint_columns(A),
-        tuple(tuple(rows.get((j, k), EMPTY) for j in range(n)) for k in range(n)),
+        "rota-baxter-signed" if sign_variant else "rota-baxter", A, A.rows(), A.space,
+        _multiplication_columns(A), _multiplication_columns(A, right=True),
         _signs(A.space, koszul_sign if sign_variant else lambda p, q: 1),
     )
 
@@ -147,7 +145,7 @@ def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
 def _coadjoint_context(A: Superalgebra) -> _Context:
     """A acting on its dual by the coadjoint action, read off the rows; its
     O-operators are the r-maps of the operator form of the MYBE."""
-    coad = _dual_columns(_adjoint_columns(A), A.space, A.space)
+    coad = _dual_columns(_multiplication_columns(A), A.space, A.space)
     dual = A.space.dual()
     return _Context("operator-form", A, A.rows(), dual, coad, coad, _rep_signs(dual))
 
@@ -190,10 +188,6 @@ def _compatible_structure(A: Superalgebra, columns: _Columns,
         for i, j in itertools.product(range(n), repeat=2)
         for k, c in apply(T.columns, apply(columns[i], tinv[j])).items()
     }})
-
-
-def _shape(space: SuperSpace) -> tuple[int, int]:
-    return space.even_dim, space.odd_dim
 
 
 def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationReport:

@@ -12,8 +12,12 @@ The checkers, the semidirect products and the O-operator engine in
 the image of each module basis vector under each ``action[i]``.  An
 identity between operators on V is decided column by column, on one
 module basis vector at a time, and a failing tuple is witnessed by its
-first nonzero residual column.  The multiplication representations are
-filled from the algebra's sparse rows.
+first nonzero residual column.
+
+The constructions work on sparse columns too, each job in one place:
+multiplication columns off the rows (``_multiplication_columns``), maps
+from columns (``_maps``), the factor -(-1)^{|x||v|} of moving x in A past
+v in V (``_signed``) and the semidirect product (``_semidirect``).
 
 Actions and leftovers are public ``Fraction`` values; a checker computes
 in integers.  It scales the algebra's rows and the action columns it reads
@@ -44,6 +48,7 @@ from ._kernel import (
 )
 from ._linalg import ZERO
 from .graded import (
+    DimensionMismatch,
     GradedLinearMap,
     ParityViolation,
     SuperSpace,
@@ -61,12 +66,16 @@ from .algebras import (
 )
 
 
+def _shape(space: SuperSpace) -> tuple[int, int]:
+    return space.even_dim, space.odd_dim
+
+
 def _validate_action(algebra: Superalgebra, space: SuperSpace,
                      maps: tuple[GradedLinearMap, ...], what: str):
     if len(maps) != algebra.space.dim:
         raise ValueError(f"{what}: one map per algebra basis element required")
     for i, m in enumerate(maps):
-        if m.domain.dim != space.dim or m.codomain.dim != space.dim:
+        if _shape(m.domain) != _shape(space) or _shape(m.codomain) != _shape(space):
             raise ValueError(f"{what}: map {i} does not act on the module space")
         if m.parity != algebra.space.parity(i):
             raise ParityViolation(
@@ -210,115 +219,98 @@ def check_alternative_bimodule(B: Bimodule,
 # -- constructions -------------------------------------------------------
 
 
-def _embedded_product(A: Superalgebra,
-                      emb: tuple[int, ...]) -> dict[tuple[int, int, int], Fraction]:
-    """The product of A as triples, with A's basis sent to the indices ``emb``."""
-    return {(emb[i], emb[j], emb[k]): c
-            for (i, j), row in A.rows().items() for k, c in row.items()}
+def _multiplication_columns(A: Superalgebra, right: bool = False) -> _Columns:
+    """Column b of the map of b_a is b_a b_b, or with ``right`` b_b b_a: left
+    or right multiplication, read off the rows."""
+    n, rows = A.space.dim, A.rows()
+    return tuple(tuple(rows.get((b, a) if right else (a, b), EMPTY) for b in range(n))
+                 for a in range(n))
 
 
-def semidirect_malcev(R: Representation) -> Superalgebra:
-    """Bracket on A + V:  [x+a, y+b] = [x,y] + rho(x)b - (-1)^{|x||y|} rho(y)a."""
-    A = R.algebra
-    total, emb_a, emb_v = direct_sum(A.space, R.space)
-    entries = _embedded_product(A, emb_a)
-    for i, columns in enumerate(_columns(R.action)):
-        pi = A.space.parity(i)
-        for j, column in enumerate(columns):
-            s = koszul_sign(R.space.parity(j), pi)
+def _signed(algebra: SuperSpace, module: SuperSpace, columns: _Columns) -> _Columns:
+    """The columns of v -> -(-1)^{|x||v|} action(x) v: the one place the sign
+    of moving an algebra element x past a module vector v is taken, for
+    r(x)v = [v, x] on A + V, for the dual action and for rep_from_bimodule."""
+    signs = [tuple(-koszul_sign(p, q) for q in module.parities()) for p in (0, 1)]
+    return tuple(tuple(column if s > 0 else {k: -c for k, c in column.items()}
+                       for s, column in zip(signs[p], cols))
+                 for p, cols in zip(algebra.parities(), columns))
+
+
+def _maps(algebra: SuperSpace, module: SuperSpace,
+          columns: _Columns) -> tuple[GradedLinearMap, ...]:
+    """One graded linear map on the module per algebra basis element, filled
+    from its sparse columns."""
+    n = module.dim
+    maps = []
+    for p, cols in zip(algebra.parities(), columns):
+        matrix = [[ZERO] * n for _ in range(n)]
+        for j, column in enumerate(cols):
             for k, c in column.items():
-                entries[(emb_a[i], emb_v[j], emb_v[k])] = c
-                entries[(emb_v[j], emb_a[i], emb_v[k])] = -s * c
-    return Superalgebra.from_entries(total, {"mul": entries})
+                matrix[k][j] = c
+        maps.append(GradedLinearMap(module, module, matrix, p))
+    return tuple(maps)
 
 
-def semidirect_alternative(B: Bimodule) -> Superalgebra:
-    """Product on A + V:  (x+a)(y+b) = xy + l(x)b + r(y)a."""
-    A = B.algebra
-    total, emb_a, emb_v = direct_sum(A.space, B.space)
-    entries = _embedded_product(A, emb_a)
-    for i, (left, right) in enumerate(zip(_columns(B.left), _columns(B.right))):
-        for j in range(B.space.dim):
-            for k, c in left[j].items():
+def _semidirect(A: Superalgebra, V: SuperSpace, left: _Columns, right: _Columns) -> Superalgebra:
+    """Product on A + V:  (x+a)(y+b) = xy + left(x)b + right(y)a."""
+    total, emb_a, emb_v = direct_sum(A.space, V)
+    entries = {(emb_a[i], emb_a[j], emb_a[k]): c
+               for (i, j), row in A.rows().items() for k, c in row.items()}
+    for i, (lcols, rcols) in enumerate(zip(left, right)):
+        for j in range(V.dim):
+            for k, c in lcols[j].items():
                 entries[(emb_a[i], emb_v[j], emb_v[k])] = c
-            for k, c in right[j].items():
+            for k, c in rcols[j].items():
                 entries[(emb_v[j], emb_a[i], emb_v[k])] = c
     return Superalgebra.from_entries(total, {"mul": entries})
 
 
+def semidirect_malcev(R: Representation) -> Superalgebra:
+    """Bracket on A + V:  [x+a, y+b] = [x,y] + rho(x)b - (-1)^{|x||y|} rho(y)a."""
+    rho = _columns(R.action)
+    return _semidirect(R.algebra, R.space, rho, _signed(R.algebra.space, R.space, rho))
+
+
+def semidirect_alternative(B: Bimodule) -> Superalgebra:
+    """Product on A + V:  (x+a)(y+b) = xy + l(x)b + r(y)a."""
+    return _semidirect(B.algebra, B.space, _columns(B.left), _columns(B.right))
+
+
 def _dual_columns(columns: _Columns, algebra: SuperSpace, module: SuperSpace) -> _Columns:
     """The columns of rho* on V* from those of rho: <rho*(x)a*, b> =
-    -(-1)^{|x||a*|} <a*, rho(x)b>, so column jj of rho*(b_i) holds
-    -(-1)^{|i||jj|} <b_jj*, rho(b_i) b_ii> at row ii."""
-    apar, vpar = algebra.parities(), module.parities()
-    dual = []
-    for i, cols in enumerate(columns):
+    -(-1)^{|x||a*|} <a*, rho(x)b>, so rho*(x) is the signed transpose of rho(x):
+    column jj of rho*(b_i) holds -(-1)^{|i||jj|} <b_jj*, rho(b_i) b_ii> at row ii."""
+    transposed = []
+    for cols in columns:
         out: dict[int, Sparse] = {}
         for ii, column in enumerate(cols):
             for jj, c in column.items():
-                out.setdefault(jj, {})[ii] = -koszul_sign(apar[i], vpar[jj]) * c
-        dual.append(tuple(out.get(jj, EMPTY) for jj in range(module.dim)))
-    return tuple(dual)
-
-
-def _adjoint_columns(A: Superalgebra) -> _Columns:
-    """ad(b_k) b_j = b_k b_j, read off the rows."""
-    n, rows = A.space.dim, A.rows()
-    return tuple(tuple(rows.get((k, j), EMPTY) for j in range(n)) for k in range(n))
+                out.setdefault(jj, {})[ii] = c
+        transposed.append(tuple(out.get(jj, EMPTY) for jj in range(module.dim)))
+    return _signed(algebra, module, transposed)
 
 
 def dual_representation(R: Representation) -> Representation:
     """rho* on V* determined by <rho*(x)a*, b> = -(-1)^{|x||a*|} <a*, rho(x)b>."""
-    dual_space = R.space.dual()
-    n = R.space.dim
-    return Representation(R.algebra, dual_space, tuple(
-        GradedLinearMap(dual_space, dual_space,
-                        tuple(tuple(cols[c].get(r, ZERO) for c in range(n)) for r in range(n)),
-                        R.algebra.space.parity(i))
-        for i, cols in enumerate(_dual_columns(_columns(R.action), R.algebra.space, R.space))))
+    A, dual_space = R.algebra.space, R.space.dual()
+    return Representation(R.algebra, dual_space, _maps(
+        A, dual_space, _dual_columns(_columns(R.action), A, R.space)))
 
 
 def rep_from_bimodule(B: Bimodule) -> Representation:
-    """rho(x)v = l(x)v - (-1)^{|x||v|} r(x)v over the commutator algebra.
-
-    The Koszul sign depends on the parity of the module argument, so the
-    matrix of rho(b_i) is assembled column-block by column-block.
-    """
-    bracket = commutator_superalgebra(B.algebra)
-    n = B.space.dim
-    maps = []
-    for i in range(B.algebra.space.dim):
-        p = B.algebra.space.parity(i)
-        lmat, rmat = B.left[i].matrix, B.right[i].matrix
-        rows = tuple(
-            tuple(
-                lmat[r][c] - koszul_sign(p, B.space.parity(c)) * rmat[r][c]
-                for c in range(n)
-            )
-            for r in range(n)
-        )
-        maps.append(GradedLinearMap(B.space, B.space, rows, p))
-    return Representation(bracket, B.space, tuple(maps))
-
-
-def _multiplication_maps(A: Superalgebra, right: bool = False) -> tuple[GradedLinearMap, ...]:
-    """Left multiplications y -> b_i y, or with ``right`` y -> y b_i, one
-    matrix per basis element b_i, filled from the sparse rows."""
-    n = A.space.dim
-    mats = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for (i, j), row in A.rows().items():
-        for k, c in row.items():
-            if right:
-                mats[j][k][i] = c
-            else:
-                mats[i][k][j] = c
-    return tuple(GradedLinearMap(A.space, A.space, m, A.space.parity(i))
-                 for i, m in enumerate(mats))
+    """rho(x)v = l(x)v - (-1)^{|x||v|} r(x)v over the commutator algebra."""
+    columns = [[dict(column) for column in cols] for cols in _columns(B.left)]
+    for cols, right in zip(columns, _signed(B.algebra.space, B.space, _columns(B.right))):
+        for column, r in zip(cols, right):
+            add_scaled(column, r, 1)
+    return Representation(commutator_superalgebra(B.algebra), B.space,
+                          _maps(B.algebra.space, B.space, columns))
 
 
 def adjoint_representation(A: Superalgebra) -> Representation:
     """ad(x)y = x*y; a Malcev representation when A is a Malcev superalgebra."""
-    return Representation(A, A.space, _multiplication_maps(A))
+    return Representation(A, A.space, _maps(A.space, A.space, _multiplication_columns(A)))
 
 
 def coadjoint_representation(A: Superalgebra) -> Representation:
@@ -333,12 +325,14 @@ def left_multiplication_representation(P: Superalgebra) -> Representation:
     This is the representation for which the identity map is an invertible
     O-operator recovering the compatible pre-Malcev structure.
     """
-    return Representation(commutator_superalgebra(P), P.space, _multiplication_maps(P))
+    return Representation(commutator_superalgebra(P), P.space,
+                          _maps(P.space, P.space, _multiplication_columns(P)))
 
 
 def regular_bimodule(A: Superalgebra) -> Bimodule:
     """l = left multiplication, r = right multiplication on A itself."""
-    return Bimodule(A, A.space, _multiplication_maps(A), _multiplication_maps(A, right=True))
+    return Bimodule(A, A.space, _maps(A.space, A.space, _multiplication_columns(A)),
+                    _maps(A.space, A.space, _multiplication_columns(A, right=True)))
 
 
 def are_equivalent(R: Representation, Rp: Representation,
@@ -347,8 +341,14 @@ def are_equivalent(R: Representation, Rp: Representation,
     """Checks that phi intertwines the two actions: phi rho(x) = rho'(x) phi.
 
     phi must be an even bijection V -> V'; a failing algebra index i is
-    witnessed as (i, col) with the residual column.
+    witnessed as (i, col) with the residual column.  Raises ``DimensionMismatch``
+    if phi is not (even, odd)-shaped V -> V' or the algebras differ in size.
     """
+    got = _shape(phi.domain), _shape(phi.codomain), R.algebra.space.dim
+    want = _shape(R.space), _shape(Rp.space), Rp.algebra.space.dim
+    if got != want:
+        raise DimensionMismatch(f"equivalence: phi is {got[0]} -> {got[1]} (even, odd), expected "
+                                f"{want[0]} -> {want[1]}; algebra dimensions {got[2]}, {want[2]}")
     col = _WitnessCollector("equivalence", witness_limit)
     if phi.parity != 0:
         col.preconditions.append("phi is not even")

@@ -254,6 +254,19 @@ def test_parity_homogeneity_enforced_at_construction():
     space = SuperSpace(1, 1)
     with pytest.raises(ParityViolation):
         Superalgebra.from_entries(space, {"mul": {(0, 0, 1): 1}})
+    with pytest.raises(ParityViolation) as info:
+        Superalgebra.from_entries(space, {"prec": {(1, 0, 0): Fraction(1, 2)}})
+    assert str(info.value) == ("product 'prec': entry (1, 0, 0) = 1/2 maps "
+                               "parities (1, 0) to parity 0")
+
+
+@pytest.mark.parametrize("c", [1, 0])
+@pytest.mark.parametrize("i, j, k", [(0, 0, 2), (0, 2, 0), (2, 0, 0),
+                                     (0, 0, -1), (0, -1, 0), (-1, 0, 0), (0, 5, -3)])
+def test_constant_index_outside_the_space_raises(i, j, k, c):
+    # negative indices too: they must not wrap around to the odd end of the basis
+    with pytest.raises(IndexError):
+        Superalgebra.from_entries(SuperSpace(1, 1), {"mul": {(i, j, k): c}})
 
 
 # -- sparse storage ----------------------------------------------------------

@@ -36,6 +36,43 @@ def test_every_spanned_name_resolves_in_its_module():
             assert callable(getattr(module, name, None)), f"supermalcev.{layer}.{name}"
 
 
+def counted():
+    """The library names the tracer's counting pass swaps, read from the
+    ``if self.count_calls:`` block of ``Recorder.install``: every attribute
+    taken of a ``supermalcev`` module, or of a local name bound to one, as
+    (module, attribute path)."""
+    module = ast.parse(TRACER.read_text(encoding="utf-8"))
+    install = next(node for node in ast.walk(module)
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    paths = {alias.asname or alias.name: (alias.name, ()) for node in ast.walk(install)
+             if isinstance(node, ast.ImportFrom) and node.module == "supermalcev"
+             for alias in node.names}
+    block = next(node for node in install.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "self.count_calls")
+
+    def path(node):
+        if isinstance(node, ast.Name):
+            return paths.get(node.id)
+        if isinstance(node, ast.Attribute) and (base := path(node.value)):
+            return base[0], base[1] + (node.attr,)
+        return None
+
+    for stmt in block.body:  # local names such as cls = algebras.Superalgebra
+        if isinstance(stmt, ast.Assign) and (bound := path(stmt.value)):
+            paths.update({t.id: bound for t in stmt.targets if isinstance(t, ast.Name)})
+    return {found for node in ast.walk(block) if (found := path(node)) and found[1]}
+
+
+def test_every_counted_name_resolves_in_its_module():
+    names = counted()
+    assert len({m for m, _ in names}) >= 3, names
+    for layer, attrs in names:
+        obj = importlib.import_module(f"supermalcev.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        assert callable(obj), f"supermalcev.{layer}.{'.'.join(attrs)}"
+
+
 @pytest.mark.parametrize("limit", [1, 3, 10 ** 6])
 def test_one_witness_vector_per_witness_kept(monkeypatch, limit):
     # the tracer counts algebras.witness_vectors as the calls of

@@ -8,10 +8,12 @@ import pytest
 
 from supermalcev import (
     Bimodule,
+    DimensionMismatch,
     GradedLinearMap,
     ParityViolation,
     Representation,
     SuperSpace,
+    Superalgebra,
     adjoint_representation,
     are_equivalent,
     check_alternative_bimodule,
@@ -216,6 +218,21 @@ def test_bimodule_checker_matches_oracle_with_denominators(space, module, seed):
         assert_matches_oracle(report, expected, space.dim ** 2, limit)
 
 
+def seeded_bimodule(kind, space, module, seed):
+    """The bimodule of an ``ODD_CASES`` or a ``RATIONAL_CASES`` entry."""
+    if kind == "odd":
+        A = fixtures.random_product(space, seed)
+        return Bimodule(A, module, fixtures.random_action_maps(A, module, seed + 10),
+                        fixtures.random_action_maps(A, module, seed + 20))
+    A = rational_product(space, seed)
+    return Bimodule(A, module, rational_action(A, module, seed + 10, "left"),
+                    rational_action(A, module, seed + 20, "right"))
+
+
+SEEDED_CASES = ([("odd", *case) for case in ODD_CASES]
+                + [("rational", *case) for case in RATIONAL_CASES])
+
+
 def test_are_equivalent_with_denominators():
     space, module = SuperSpace(2, 2), SuperSpace(2, 2)
     A = rational_product(space, 5)
@@ -267,6 +284,23 @@ def test_random_action_fails_with_oracle_witnesses():
     assert bad
     report = check_malcev_representation(R, witness_limit=10 ** 6)
     assert {w[0][:3] for w in report.witnesses} == bad
+
+
+def test_action_shape_validated_by_even_and_odd_dimension():
+    # an even map b1 -> b0 of the 0|2 space has the dimension of a 1|1 module,
+    # but read with the module's parities it would send an odd vector to an
+    # even one
+    A = Superalgebra(SuperSpace(1, 0), {"mul": {}})
+    V, W = SuperSpace(1, 1), SuperSpace(0, 2)
+    on_w = GradedLinearMap(W, W, ((0, 1), (0, 0)), 0)
+    on_v = GradedLinearMap.zero(V, V, 0)
+    assert Representation(A, W, (on_w,)).action == (on_w,)
+    for build in (lambda: Representation(A, V, (on_w,)),
+                  lambda: Bimodule(A, V, (on_w,), (on_v,)),
+                  lambda: Bimodule(A, V, (on_v,), (on_w,)),
+                  lambda: Representation(A, V, (GradedLinearMap.zero(V, W, 0),))):
+        with pytest.raises(ValueError, match="does not act on the module space"):
+            build()
 
 
 def test_action_parity_validated():
@@ -439,6 +473,22 @@ def test_semidirect_zero_bimodule_square_zero_ideal():
             assert all(c == 0 for c in table[i][j])
 
 
+@pytest.mark.parametrize("kind, space, module, seed", SEEDED_CASES)
+def test_semidirect_malcev_is_the_semidirect_product_with_the_signed_right_action(
+        kind, space, module, seed):
+    """[v, x] = -(-1)^{|x||v|} rho(x) v, so A + V with the bracket of
+    semidirect_malcev is the product of semidirect_alternative with
+    l = rho and that r, built here column by column from the matrices."""
+    B = seeded_bimodule(kind, space, module, seed)
+    R = Representation(B.algebra, module, B.left)
+    par, vpar, n = space.parities(), module.parities(), module.dim
+    right = tuple(GradedLinearMap(module, module, [
+        [-sgn(par[i], vpar[c]) * m.matrix[r][c] for c in range(n)] for r in range(n)], par[i])
+        for i, m in enumerate(R.action))
+    assert semidirect_malcev(R) == semidirect_alternative(Bimodule(B.algebra, module,
+                                                                   R.action, right))
+
+
 # -- duals ---------------------------------------------------------------------
 
 
@@ -461,13 +511,18 @@ def test_dual_purely_even_is_minus_transpose():
 
 def test_dual_defining_equation_with_koszul_signs():
     # <rho*(x) a*, b> = -(-1)^{|x||a*|} <a*, rho(x) b>, checked entrywise
-    for A in (fixtures.heisenberg_1_1(), fixtures.affine_1_1()):
-        R = adjoint_representation(A)
+    reps = [adjoint_representation(A)
+            for A in (fixtures.heisenberg_1_1(), fixtures.affine_1_1())]
+    reps += [Representation(B.algebra, B.space, B.left)
+             for B in (seeded_bimodule(*case) for case in SEEDED_CASES)]
+    for R in reps:
         D = dual_representation(R)
-        n = A.space.dim
-        par = A.space.parities()
+        assert D.space == R.space.dual()
+        n = R.space.dim
+        par = R.algebra.space.parities()
         vpar = R.space.parities()
-        for x in range(n):
+        for x in range(R.algebra.space.dim):
+            assert D.action[x].parity == par[x]
             for a in range(n):       # dual basis index
                 for b in range(n):   # primal basis index
                     lhs = D.action[x].matrix[b][a]
@@ -519,6 +574,23 @@ def test_rep_from_bimodule_right_zero_gives_left():
     assert all(r.matrix == l.matrix for r, l in zip(R.action, B.left))
 
 
+def oracle_rep_from_bimodule(B):
+    """The matrices of rho(x)v = l(x)v - (-1)^{|x||v|} r(x)v, entry by entry."""
+    n, vpar = B.space.dim, B.space.parities()
+    return [tuple(tuple(l.matrix[r][c] - sgn(p, vpar[c]) * rm.matrix[r][c] for c in range(n))
+                  for r in range(n))
+            for p, l, rm in zip(B.algebra.space.parities(), B.left, B.right)]
+
+
+@pytest.mark.parametrize("kind, space, module, seed", SEEDED_CASES)
+def test_rep_from_bimodule_matches_the_dense_formula(kind, space, module, seed):
+    B = seeded_bimodule(kind, space, module, seed)
+    R = rep_from_bimodule(B)
+    assert R.algebra == commutator_superalgebra(B.algebra) and R.space == module
+    assert [m.matrix for m in R.action] == oracle_rep_from_bimodule(B)
+    assert [m.parity for m in R.action] == list(space.parities())
+
+
 def test_rep_from_bimodule_regular_is_adjoint_of_commutator():
     for A in (fixtures.split_octonions(), fixtures.clifford_1_1()):
         R = rep_from_bimodule(regular_bimodule(A))
@@ -541,6 +613,23 @@ def test_are_equivalent_identity_and_scalar():
     phi = GradedLinearMap.identity(R.space)
     assert are_equivalent(R, R, phi).ok
     assert are_equivalent(R, R, 3 * phi).ok
+
+
+def test_are_equivalent_checks_shapes_before_preconditions():
+    A = fixtures.sl2()
+    ad = adjoint_representation(A)
+    V = SuperSpace(2, 0)
+    zero = Representation(A, V, tuple(GradedLinearMap.zero(V, V, 0) for _ in range(3)))
+    W = SuperSpace(1, 1)
+    zero_w = Representation(A, W, tuple(GradedLinearMap.zero(W, W, 0) for _ in range(3)))
+    point = Superalgebra(SuperSpace(1, 0), {"mul": {}})
+    on_point = Representation(point, V, (GradedLinearMap.zero(V, V, 0),))
+    for R, Rp, phi in ((ad, zero, GradedLinearMap.identity(V)),
+                       (zero, ad, GradedLinearMap.identity(ad.space)),
+                       (zero, zero_w, GradedLinearMap.zero(V, V, 0)),
+                       (zero, on_point, GradedLinearMap.identity(V))):
+        with pytest.raises(DimensionMismatch, match="^equivalence: "):
+            are_equivalent(R, Rp, phi)
 
 
 def test_are_equivalent_negative_and_preconditions():
