@@ -311,10 +311,18 @@ class Tensor2:
         return _linalg.is_zero_matrix(self.coeffs)
 
     def is_skew_supersymmetric(self) -> bool:
-        return (self + sigma(self)).is_zero()
+        """sigma(self) = -self."""
+        return self._flips_to(-1)
 
     def is_supersymmetric(self) -> bool:
-        return (self - sigma(self)).is_zero()
+        """sigma(self) = self."""
+        return self._flips_to(1)
+
+    def _flips_to(self, sign: int) -> bool:
+        """sigma(self) = sign * self, entry by entry: c_ji = sign (-1)^{|i||j|} c_ij."""
+        c, par = self.coeffs, self.space.parities()
+        return all(c[j][i] == sign * koszul_sign(par[i], par[j]) * c[i][j]
+                   for i in range(len(c)) for j in range(i, len(c)))
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         if other.parity != self.parity:

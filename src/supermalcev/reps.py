@@ -14,6 +14,13 @@ identity between operators on V is decided column by column, on one
 module basis vector at a time, and a failing tuple is witnessed by its
 first nonzero residual column.
 
+The representation checker reads the composites rho(a)rho(b) from per-call
+tables, one block per first index i of the walk: the columns of
+rho(b_i)rho(b_b) and of rho(b_a)rho(b_i) for every a and b, and those of
+rho(b_k b_i), O(n dim(V)^2) entries dropped before the next block.  Each
+residual column is then one sparse sum over precomputed columns, with no
+product of two operators rebuilt per triple.
+
 The constructions work on sparse columns too, each job in one place:
 multiplication columns off the rows (``_multiplication_columns``), maps
 from columns (``_maps``), the factor -(-1)^{|x||v|} of moving x in A past
@@ -117,6 +124,11 @@ def _columns(maps: tuple[GradedLinearMap, ...]) -> _Columns:
     return tuple(m.columns for m in maps)
 
 
+def _pair_columns(f: tuple[Vector, ...], g: tuple[Vector, ...]) -> tuple[Vector, ...]:
+    """The columns of the composite f g, zero columns shared as ``EMPTY``."""
+    return tuple(apply(f, column) or EMPTY for column in g)
+
+
 def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
                           space: SuperSpace, scale: int, terms):
     """Witness ``indices + (c,)`` for the first module basis vector b_c whose
@@ -149,24 +161,44 @@ def check_malcev_representation(R: Representation,
     """
     col = _WitnessCollector("representation", witness_limit)
     A = R.algebra
-    n = A.space.dim
+    n, dim_v = A.space.dim, R.space.dim
     par = A.space.parities()
     rows, rho = A.rows(), _columns(R.action)
     D = denominator(rows.values(), *rho)
     rows, rho = scaled_rows(rows, D), scaled_columns(rho, D)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        xyz = mul(rows, rows.get((i, j), EMPTY), {k: 1})
-        zx, yz = rows.get((k, i), EMPTY), rows.get((j, k), EMPTY)
-        s2 = koszul_sign(par[k], par[i] + par[j])
-        s = koszul_sign(par[i], par[j] + par[k])
-        col.tick()
-        _witness_first_column(col, (i, j, k), R.space, D ** 3, lambda c: (
-            (1, act(rho, xyz, c)),
-            (-1, apply(rho[i], apply(rho[j], rho[k][c]))),
-            (s2, apply(rho[k], apply(rho[i], rho[j][c]))),
-            (-s, apply(rho[j], act(rho, zx, c))),
-            *((s * a, act(rho, yz, b)) for b, a in rho[i][c].items()),
-        ))
+    for i in range(n):
+        # the block of x = b_i, columns c of: left[b] = rho(x)rho(b_b),
+        # right[a] = rho(b_a)rho(x) and times_x[k] = rho(b_k x)
+        left = [_pair_columns(rho[i], rho[b]) for b in range(n)]
+        right = [_pair_columns(rho[a], rho[i]) for a in range(n)]
+        times_x = [tuple(act(rho, rows.get((k, i), EMPTY), c) or EMPTY for c in range(dim_v))
+                   for k in range(n)]
+        for j, k in itertools.product(range(n), repeat=2):
+            s2 = koszul_sign(par[k], par[i] + par[j])
+            s = koszul_sign(par[i], par[j] + par[k])
+            # terms that read column c of a table: rho((xy)z) b_c and s rho(yz)rho(x) b_c
+            columns = ([(a, rho[l]) for l, a in mul(rows, rows.get((i, j), EMPTY), {k: 1}).items()]
+                       + [(s * a, right[l]) for l, a in rows.get((j, k), EMPTY).items()])
+            # terms that apply a table to a column: -rho(x)rho(y) rho(z)b_c,
+            # s2 rho(z)rho(x) rho(y)b_c and -s rho(y) rho(zx)b_c
+            applied = ((-1, rho[k], left[j]), (s2, rho[j], right[k]), (-s, times_x[k], rho[j]))
+            col.tick()
+            for c in range(dim_v):
+                res: dict = {}
+                get = res.get
+                for a, table in columns:
+                    for r, v in table[c].items():
+                        res[r] = get(r, 0) + a * v
+                for sign, vectors, table in applied:
+                    for b, a in vectors[c].items():
+                        a *= sign
+                        for r, v in table[b].items():
+                            res[r] = get(r, 0) + a * v
+                if any(res.values()):
+                    col.add((i, j, k, c), lambda: vector_from_sparse(
+                        R.space, unscaled({r: v for r, v in res.items() if v}, D ** 3)))
+                    break
+        del left, right, times_x  # one block at a time
     return col.report()
 
 

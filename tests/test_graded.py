@@ -67,6 +67,36 @@ def test_symmetrization_split(t):
     assert (t - sigma(t)).is_skew_supersymmetric()
 
 
+def seeded_tensor(space, parity, seed):
+    """A seeded tensor of the given parity with denominators up to 5 and
+    nonzero diagonal entries at even and at odd basis vectors."""
+    rng = random.Random(seed)
+    par = space.parities()
+    return _tensor(space, [[Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3, 5)))
+                            if (par[i] + par[j]) % 2 == parity else 0
+                            for j in range(space.dim)] for i in range(space.dim)], parity)
+
+
+def test_symmetry_predicates_match_their_definition():
+    space = SuperSpace(2, 3)
+    corpus = []
+    for parity, seed in ((0, 1), (0, 2), (1, 3), (1, 4)):
+        t = seeded_tensor(space, parity, seed)
+        corpus += [t, t + sigma(t), t - sigma(t)]
+    even_diagonal = _tensor(space, [[1 if i == j == 0 else 0 for j in range(5)]
+                                    for i in range(5)])
+    odd_diagonal = _tensor(space, [[1 if i == j == 4 else 0 for j in range(5)]
+                                   for i in range(5)])
+    corpus += [even_diagonal, odd_diagonal, Tensor2.zero(space, 1)]
+    flags = set()
+    for t in corpus:
+        flag = (t.is_supersymmetric(), t.is_skew_supersymmetric())
+        assert flag == ((t - sigma(t)).is_zero(), (t + sigma(t)).is_zero())
+        flags.add(flag)
+    assert flags == {(True, False), (False, True), (False, False), (True, True)}
+    assert even_diagonal.is_supersymmetric() and odd_diagonal.is_skew_supersymmetric()
+
+
 def test_sigma_spec_examples():
     space = _space_22()
     # e1 (x) e2 (both even) flips with sign +1

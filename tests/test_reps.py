@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -45,8 +46,14 @@ Z = Fraction(0)
 
 
 def mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+    out = [[Z] * len(b[0]) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        out[i][j] += x * y
+    return out
 
 
 def mat_comb(mats, coords):
@@ -54,9 +61,10 @@ def mat_comb(mats, coords):
     out = [[Z] * n for _ in range(n)]
     for idx, c in enumerate(coords):
         if c:
-            for r in range(n):
-                for s in range(n):
-                    out[r][s] += c * mats[idx][r][s]
+            for r, row in enumerate(mats[idx]):
+                for s, x in enumerate(row):
+                    if x:
+                        out[r][s] += c * x
     return out
 
 
@@ -102,14 +110,12 @@ def oracle_rep_witnesses(R):
         t4 = mat_mul(mat_comb(mats, table[j][k]), mats[i])
         s34 = sgn(par[i], par[j] + par[k])
         n_v = len(lhs)
-        residual = [
-            [lhs[r][c] - rhs[r][c] + s2 * t2[r][c] - s34 * t3[r][c] + s34 * t4[r][c]
-             for c in range(n_v)]
-            for r in range(n_v)
-        ]
-        bad = first_bad_column(residual)
-        if bad:
-            found.append(((i, j, k, bad[0]), bad[1]))
+        for c in range(n_v):
+            column = [lhs[r][c] - rhs[r][c] + s2 * t2[r][c] - s34 * t3[r][c] + s34 * t4[r][c]
+                      for r in range(n_v)]
+            if any(column):
+                found.append(((i, j, k, c), column))
+                break
     return found
 
 
@@ -284,6 +290,102 @@ def test_random_action_fails_with_oracle_witnesses():
     assert bad
     report = check_malcev_representation(R, witness_limit=10 ** 6)
     assert {w[0][:3] for w in report.witnesses} == bad
+
+
+def with_matrices(R, maps):
+    return Representation(R.algebra, R.space, tuple(
+        GradedLinearMap(R.space, R.space, rows, m.parity) for m, rows in zip(R.action, maps)))
+
+
+def with_columns_kept(R, keep, seed):
+    """R with each column of each map kept with probability ``keep`` and the
+    others set to zero."""
+    rng = random.Random(seed)
+    kept = [[rng.random() < keep for _ in range(R.space.dim)] for _ in R.action]
+    return with_matrices(R, ([[x if k else Z for x, k in zip(row, ks)] for row in m.matrix]
+                        for m, ks in zip(R.action, kept)))
+
+
+def is_zero_matrix(m):
+    return not any(x for row in m for x in row)
+
+
+def sparse_case(space, module, seed):
+    A = rational_product(space, seed)
+    return with_columns_kept(Representation(A, module, rational_action(A, module, seed + 10)),
+                             0.3, seed)
+
+
+def scaled_octonion_coadjoint():
+    """The coadjoint action of [O] divided by 6: the identity's terms have
+    degree 1, 2 and 3 in the action, so they cancel only in part."""
+    co = coadjoint_representation(commutator_superalgebra(fixtures.split_octonions()))
+    return with_matrices(co, ([[x / 6 for x in row] for row in m.matrix] for m in co.action))
+
+
+def zero_on_the_odd_part(space, module, seed):
+    A = fixtures.random_product(space, seed)
+    R = Representation(A, module, fixtures.random_action_maps(A, module, seed + 10))
+    return with_matrices(R, (m.matrix if m.parity == 0 else [[Z] * module.dim] * module.dim
+                        for m in R.action))
+
+
+SPARSE_AND_CANCELLING = [
+    pytest.param(lambda: sparse_case(SuperSpace(2, 2), SuperSpace(2, 2), 7), id="sparse-2|2"),
+    pytest.param(lambda: sparse_case(SuperSpace(3, 3), SuperSpace(1, 2), 4), id="sparse-3|3"),
+    pytest.param(scaled_octonion_coadjoint, id="octonion-coadjoint/6"),
+    pytest.param(lambda: zero_on_the_odd_part(SuperSpace(2, 2), SuperSpace(2, 1), 3),
+                 id="zero-on-odd-2|2"),
+]
+
+
+@pytest.mark.parametrize("build", SPARSE_AND_CANCELLING)
+def test_representation_checker_matches_oracle_on_sparse_and_cancelling_inputs(build):
+    R = build()
+    mats = [m.matrix for m in R.action]
+    pairs = [is_zero_matrix(mat_mul(a, b)) for a in mats for b in mats]
+    assert any(pairs) and not all(pairs)  # some operators rho(a)rho(b) are zero, not all
+    expected = oracle_rep_witnesses(R)
+    for limit in (1, 3, 10 ** 6):
+        report = check_malcev_representation(R, witness_limit=limit)
+        assert_matches_oracle(report, expected, R.algebra.space.dim ** 3, limit)
+
+
+def composite_columns(f, g):
+    """The sparse columns of the composite f g of two maps given by theirs."""
+    out = []
+    for column in g:
+        res = {}
+        for j, a in column.items():
+            for r, v in f[j].items():
+                res[r] = res.get(r, 0) + a * v
+        out.append({r: v for r, v in res.items() if v})
+    return out
+
+
+def test_representation_checker_holds_one_block_of_pair_operators_at_a_time():
+    """On a dense action the checker's peak memory stays below what the
+    operators rho(a)rho(b) for all n^2 pairs a, b would take alone."""
+    A = commutator_superalgebra(fixtures.split_octonions())
+    V = SuperSpace(8, 8)
+    R = Representation(A, V, fixtures.random_action_maps(A, V, 2))
+    columns = [[{r: int(x) for r, x in column.items()} for column in m.columns]
+               for m in R.action]
+    assert sum(len(column) for cols in columns for column in cols) > 0.75 * 8 * 16 * 8
+    tracemalloc.start()
+    try:
+        pairs = [[composite_columns(f, g) for g in columns] for f in columns]
+        table_bytes = tracemalloc.get_traced_memory()[0]
+        del pairs
+        tracemalloc.reset_peak()
+        report = check_malcev_representation(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes
+    assert report.checked_tuples == 8 ** 3
+    assert report.violation_count > 0
+    assert check_malcev(semidirect_malcev(R)).ok == report.ok
 
 
 def test_action_shape_validated_by_even_and_odd_dimension():
