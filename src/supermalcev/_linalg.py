@@ -6,7 +6,9 @@ and callers decide invertibility by its pivots (square, with a pivot in
 every column).  Sizes in this package never exceed a few dozen rows, so no
 pivoting strategy beyond "first nonzero" is needed.  ``nullspace`` has no
 caller in the package; it stays because the test oracle
-``oracle_form_flags`` reads nondegeneracy from it.
+``oracle_form_flags`` reads nondegeneracy from it.  ``solve`` has no caller
+either; the benchmark tracer ``perfbench/tracing.py`` counts its calls by
+that name, and ``tests/test_benchmark_tracer.py`` guards the name.
 """
 
 from __future__ import annotations

@@ -281,6 +281,13 @@ class GradedLinearMap:
         )
 
 
+def _flips_to(c: Matrix, par: tuple[int, ...], sign: int) -> bool:
+    """c_ji = sign (-1)^{|i||j|} c_ij for all i, j: sigma(t) = sign * t for a
+    2-tensor, (skew-)supersymmetry for the matrix of a bilinear form."""
+    return all(c[j][i] == sign * koszul_sign(par[i], par[j]) * c[i][j]
+               for i in range(len(c)) for j in range(i, len(c)))
+
+
 @dataclass(frozen=True)
 class Tensor2:
     """An element of A (x) A as a dense coefficient matrix."""
@@ -312,17 +319,11 @@ class Tensor2:
 
     def is_skew_supersymmetric(self) -> bool:
         """sigma(self) = -self."""
-        return self._flips_to(-1)
+        return _flips_to(self.coeffs, self.space.parities(), -1)
 
     def is_supersymmetric(self) -> bool:
         """sigma(self) = self."""
-        return self._flips_to(1)
-
-    def _flips_to(self, sign: int) -> bool:
-        """sigma(self) = sign * self, entry by entry: c_ji = sign (-1)^{|i||j|} c_ij."""
-        c, par = self.coeffs, self.space.parities()
-        return all(c[j][i] == sign * koszul_sign(par[i], par[j]) * c[i][j]
-                   for i in range(len(c)) for j in range(i, len(c)))
+        return _flips_to(self.coeffs, self.space.parities(), 1)
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
         if other.parity != self.parity:

@@ -17,7 +17,9 @@ acting on itself, and A acting on its dual by the coadjoint action, are
 read straight off the sparse rows of the algebra's ``mul``.  A checker
 scales the rows, the action columns and the operator's columns by their
 common denominator D, so each residual is D^3 times the rational one.  The
-bilinear-form checkers read the form's matrix and the rows of ``mul``.
+bilinear-form layer reads one sparse table of w(b_i, b_j b_k) off the nonzero
+rows of ``mul``, in ``Fraction``s: invariance, the cocycle sums and the
+compatible product (one inverse of w^T) all follow its nonzero values.
 
 A grid search returns exactly the candidates its checker accepts, in grid
 order: the first ``support`` entry varies slowest, and each entry takes its
@@ -32,9 +34,10 @@ entry must be parity-0 (``ParityViolation`` before any candidate is
 tried), and ``limit`` caps the number of results.
 
 A checker raises ``DimensionMismatch`` when the (even, odd) dimensions of
-the operator's domain and codomain are not those of V and A.  Constructions
-validate their precondition and raise ``IdentityViolation`` carrying the
-offending report instead of returning a broken algebra.
+the operator's domain and codomain are not those of V and A, or those of a
+form's space not those of A.  Constructions validate their precondition and
+raise ``IdentityViolation`` carrying the offending report instead of
+returning a broken algebra.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .graded import (
     GradedLinearMap,
     ParityViolation,
     SuperSpace,
+    _flips_to,
     koszul_sign,
     vector_from_sparse,
 )
@@ -366,23 +370,27 @@ class FormFlags:
     invariant: bool
 
 
-def _paired_with_product(w: _linalg.Matrix, rows: Rows, i: int, j: int, k: int) -> Fraction:
-    """w(b_i, b_j b_k), read off the row of (j, k)."""
-    return sum((w[i][p] * c for p, c in rows.get((j, k), EMPTY).items()), start=ZERO)
+def _paired_with_products(w: _linalg.Matrix, rows: Rows) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero values of w(b_i, b_j b_k), keyed (i, j, k): w's columns
+    applied to each nonzero row (j, k)."""
+    columns = [{i: x for i, x in enumerate(column) if x} for column in zip(*w)]
+    return {(i, j, k): c for (j, k), row in rows.items() for i, c in apply(columns, row).items()}
 
 
 def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
-    """Exact flags: (skew-)supersymmetry, nondegeneracy, invariance."""
+    """Exact flags: (skew-)supersymmetry, nondegeneracy, invariance.  Raises
+    ``DimensionMismatch`` unless the form's (even, odd) dimensions are A's."""
+    if _shape(omega.space) != _shape(A.space):
+        raise DimensionMismatch(f"form has (even, odd) dimensions {_shape(omega.space)}, "
+                                f"the algebra {_shape(A.space)}")
     n, par, w, rows = A.space.dim, A.space.parities(), omega.matrix, A.rows()
-    pairs = list(itertools.product(range(n), repeat=2))
     return FormFlags(
-        all(w[i][j] == koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
-        all(w[i][j] == -koszul_sign(par[i], par[j]) * w[j][i] for i, j in pairs),
+        _flips_to(w, par, 1),
+        _flips_to(w, par, -1),
         len(_linalg.rref(w)[1]) == n,  # a pivot in every column
-        # w(b_i b_j, b_k) = w(b_i, b_j b_k)
-        all(sum((c * w[p][k] for p, c in rows.get((i, j), EMPTY).items()), start=ZERO)
-            == _paired_with_product(w, rows, i, j, k)
-            for i, j, k in itertools.product(range(n), repeat=3)),
+        # w(b_i b_j, b_k) = w^T(b_k, b_i b_j) equals w(b_i, b_j b_k)
+        {(i, j, k): c for (k, i, j), c in _paired_with_products(_linalg.transpose(w), rows).items()}
+        == _paired_with_products(w, rows),
     )
 
 
@@ -390,8 +398,8 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra,
                      witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """Super two-cocycle condition: the cyclic graded sum
     (-1)^{|x||z|} w(x,[y,z]) + (-1)^{|y||x|} w(y,[z,x]) + (-1)^{|z||y|} w(z,[x,y])
-    vanishes on all homogeneous basis triples.
-
+    vanishes on all homogeneous basis triples; a nonzero w(b_i, b_j b_k)
+    enters the sums at (i, j, k), (k, i, j) and (j, k, i) alone.
     Preconditions (skew-supersymmetric, nondegenerate) are reported as flag
     failures rather than witnesses.  Witness leftovers are scalars.
     """
@@ -401,37 +409,29 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra,
         col.preconditions.append("form is not skew-supersymmetric")
     if not flags.nondegenerate:
         col.preconditions.append("form is degenerate")
-    n, par, w, rows = A.space.dim, A.space.parities(), omega.matrix, A.rows()
-    for i, j, k in itertools.product(range(n), repeat=3):
-        col.tick()
-        total = (koszul_sign(par[i], par[k]) * _paired_with_product(w, rows, i, j, k)
-                 + koszul_sign(par[j], par[i]) * _paired_with_product(w, rows, j, k, i)
-                 + koszul_sign(par[k], par[j]) * _paired_with_product(w, rows, k, i, j))
-        if total != 0:
-            col.add((i, j, k), lambda: total)
+    par, sums = A.space.parities(), {}
+    for (i, j, k), c in _paired_with_products(omega.matrix, A.rows()).items():
+        for key in ((i, j, k), (k, i, j), (j, k, i)):  # one key when i = j = k
+            sums[key] = sums.get(key, ZERO) + koszul_sign(par[i], par[k]) * c
+    col.tally(A.space.dim ** 3, 0)
+    for key in sorted(key for key, total in sums.items() if total):
+        col.add(key, lambda: sums[key])
     return col.report()
 
 
 def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalgebra:
-    """The compatible product defined by
-    w(x.y, z) = (-1)^{|x|(|y|+|z|)} w(y, [z, x]), solved row by row against
-    the nondegenerate form."""
+    """The compatible product defined by w(x.y, z) = (-1)^{|x|(|y|+|z|)} w(y, [z, x]):
+    the row of (i, j) is (w^T)^{-1}, whose columns are the rows of w^{-1},
+    applied to rhs_z = sign * w(b_j, b_z b_i)."""
     report = check_symplectic(omega, A)
     if not report.ok:
         raise IdentityViolation(report)
-    n, par, w, rows = A.space.dim, A.space.parities(), omega.matrix, A.rows()
-    # (omega^T) u = rhs with rhs_k = sign * w(b_j, [b_k, b_i])
-    omega_t = _linalg.transpose(w)
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(n):
-        for j in range(n):
-            rhs = tuple(koszul_sign(par[i], par[j] + par[k])
-                        * _paired_with_product(w, rows, j, k, i) for k in range(n))
-            coords = _linalg.solve(omega_t, rhs)
-            for k, c in enumerate(coords):
-                if c != 0:
-                    entries[(i, j, k)] = c
-    return Superalgebra.from_entries(A.space, {"mul": entries})
+    par, rhs = A.space.parities(), {}
+    for (j, z, i), c in _paired_with_products(omega.matrix, A.rows()).items():
+        rhs.setdefault((i, j), {})[z] = koszul_sign(par[i], par[j] + par[z]) * c
+    inverse_t = [{k: x for k, x in enumerate(row) if x} for row in _linalg.invert(omega.matrix)]
+    return Superalgebra.from_entries(A.space, {"mul": {
+        (i, j, k): c for (i, j), v in rhs.items() for k, c in apply(inverse_t, v).items()}})
 
 
 # -- grid search (test/example utility, not a stability guarantee) --------

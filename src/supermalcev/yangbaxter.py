@@ -28,7 +28,6 @@ from .graded import (
     Tensor3,
     direct_sum,
     koszul_sign,
-    sigma,
 )
 from .algebras import (
     DEFAULT_WITNESS_LIMIT,
@@ -150,25 +149,24 @@ def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:
     A x|_{rho*} V* and return r = T - sigma(T).
 
     The embedding follows Hom(V, A) ~ A (x) V*:
-    T = sum_alpha T(v_alpha) (x) v_alpha*.  The returned candidate is
-    skew-supersymmetric by construction; it solves the MYBE in the double
-    iff T is a super O-operator for (V, rho) (tested, not assumed).
+    T = sum_alpha T(v_alpha) (x) v_alpha*.  An entry T[p][alpha] sits at
+    (a, v) = (b_p, v_alpha*) of r, and -sigma puts -(-1)^{|a||v|} T[p][alpha]
+    at (v, a).  The returned candidate is skew-supersymmetric by
+    construction; it solves the MYBE in the double iff T is a super
+    O-operator for (V, rho) (tested, not assumed).
     """
     if T.parity != 0:
         raise ValueError("only even operator candidates embed into the double")
     rho_star = dual_representation(R)
     double = semidirect_malcev(rho_star)
     total, emb_a, emb_v = direct_sum(R.algebra.space, rho_star.space)
-    n = total.dim
-    coeffs = [[ZERO] * n for _ in range(n)]
-    for alpha in range(R.space.dim):
-        for p in range(R.algebra.space.dim):
-            val = T.matrix[p][alpha]
-            if val != 0:
-                coeffs[emb_a[p]][emb_v[alpha]] = val
-    t_emb = Tensor2(total, tuple(tuple(row) for row in coeffs), 0)
-    r = t_emb - sigma(t_emb)
-    return MybeCandidate(double, r)
+    par = total.parities()
+    coeffs = [[ZERO] * total.dim for _ in range(total.dim)]
+    for alpha, column in enumerate(T.columns):
+        for p, val in column.items():
+            a, v = emb_a[p], emb_v[alpha]
+            coeffs[a][v], coeffs[v][a] = val, -koszul_sign(par[a], par[v]) * val
+    return MybeCandidate(double, Tensor2(total, coeffs, 0))
 
 
 def canonical_r(P: Superalgebra) -> MybeCandidate:

@@ -88,6 +88,15 @@ def rebased(A: Superalgebra, P) -> Superalgebra:
     return Superalgebra.from_entries(A.space, {"mul": entries})
 
 
+def embedded(A: Superalgebra, space: SuperSpace, position) -> Superalgebra:
+    """A's product on the basis vectors ``position[i]`` of a larger space,
+    whose other basis vectors multiply to zero with everything."""
+    return Superalgebra(space, {name: {(position[i], position[j]): {position[k]: c
+                                                                    for k, c in row.items()}
+                                       for (i, j), row in A.rows(name).items()}
+                                for name in A.product_names()})
+
+
 def even_unimodular(space: SuperSpace, seed: int) -> tuple:
     """A seeded even integer matrix with an integer inverse: the product of
     a lower and an upper unit-triangular factor, zero off the parity blocks.

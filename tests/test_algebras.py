@@ -36,6 +36,7 @@ from supermalcev.cli import MAX_DIM
 from rational_inputs import (
     algebra_constants,
     denominator,
+    embedded,
     even_unimodular,
     rational_product,
     rebased,
@@ -883,15 +884,6 @@ def test_verdicts_survive_a_change_of_basis():
 
 
 # -- work and memory follow the nonzero constants -------------------------------
-
-
-def embedded(A, space, position):
-    """A's product on the basis vectors ``position[i]`` of a larger space,
-    whose other basis vectors multiply to zero with everything."""
-    return Superalgebra(space, {name: {(position[i], position[j]): {position[k]: c
-                                                                    for k, c in row.items()}
-                                       for (i, j), row in A.rows(name).items()}
-                                for name in A.product_names()})
 
 
 @pytest.mark.parametrize("checker, degree", [

@@ -5,7 +5,9 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,7 @@ from supermalcev import (
     pre_malcev_from_rota_baxter,
     pre_malcev_from_symplectic,
     r_as_map,
+    rb_from_invariant_form,
     regular_bimodule,
     rep_from_bimodule,
     search_o_operators_alternative,
@@ -56,9 +59,13 @@ from supermalcev import (
 )
 from supermalcev import fixtures
 from supermalcev import _linalg
+from supermalcev.algebras import ViolationReport
+from supermalcev.cli import MAX_DIM
+from supermalcev.serialize import parse
 from rational_inputs import (
     algebra_constants,
     denominator,
+    embedded,
     map_constants,
     rational_action,
     rational_operator,
@@ -74,6 +81,7 @@ from supermalcev.operators import (
 )
 
 Z = Fraction(0)
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def nonzero(T):
@@ -678,6 +686,82 @@ def test_pre_malcev_from_symplectic_scaling_invariance():
     assert P1.table("mul") == P2.table("mul")
     assert check_pre_malcev(P1).ok
     assert commutator_superalgebra(P1).table("mul") == c.algebra.table("mul")
+
+
+def zorn_double():
+    """The 16-dim double of the Zorn chain: the Rota-Baxter operator of
+    ``zorn_regular_rb.json``, then pre-alternative, pre-Malcev, canonical_r."""
+    doc = parse((FIX / "zorn_regular_rb.json").read_text())
+    return canonical_r(pre_malcev_from_pre_alternative(
+        pre_alternative_from_o_operator(doc.linear_map, doc.bimodule)))
+
+
+def test_symplectic_construction_satisfies_its_defining_identity():
+    # w(x.y, z) = (-1)^{|x|(|y|+|z|)} w(y, [z, x]) on every basis triple,
+    # read from the dense tables of the built product and of the bracket
+    c11, zorn = canonical_r(fixtures.pre_malcev_1_1()), zorn_double()
+    omega = symplectic_from_r(c11)
+    thirds = BilinearForm(omega.space, _linalg.mat_scale(Fraction(7, 3), omega.matrix))
+    for omega, A in ((omega, c11.algebra), (symplectic_from_r(zorn), zorn.algebra),
+                     (thirds, c11.algebra)):
+        n, par, w = A.space.dim, A.space.parities(), omega.matrix
+        dot, bracket = pre_malcev_from_symplectic(omega, A).table("mul"), A.table("mul")
+        assert any(c for plane in dot for row in plane for c in row)
+        for x, y, z in itertools.product(range(n), repeat=3):
+            assert (sum(dot[x][y][p] * w[p][z] for p in range(n))
+                    == koszul_sign(par[x], par[y] + par[z])
+                    * sum(w[y][p] * bracket[z][x][p] for p in range(n))), (x, y, z)
+    assert {c.denominator for row in thirds.matrix for c in row} == {1, 3}
+
+
+def test_forms_must_have_the_algebra_shape():
+    sl2 = fixtures.sl2()
+    cases = [
+        (BilinearForm(SuperSpace(4, 0), _blocks([((0, 1), (-1, 0))] * 2)), sl2,
+         r"\(4, 0\), the algebra \(3, 0\)"),
+        (BilinearForm(SuperSpace(1, 1), ((1, 0), (0, 1))), fixtures.zero_algebra(2, 0),
+         r"\(1, 1\), the algebra \(2, 0\)"),
+        (BilinearForm(SuperSpace(2, 0), ((0, 1), (-1, 0))), sl2,
+         r"\(2, 0\), the algebra \(3, 0\)"),
+    ]
+
+    def rota_baxter(omega, A):
+        return rb_from_invariant_form(MybeCandidate(A, Tensor2.zero(A.space)), omega)
+
+    for omega, A, shapes in cases:
+        for call in (classify_form, check_symplectic, pre_malcev_from_symplectic, rota_baxter):
+            with pytest.raises(DimensionMismatch, match=shapes):
+                call(omega, A)
+
+
+def test_form_work_follows_the_nonzero_constants():
+    # the 4-dim double of pre_malcev_1_1 and its form at four positions of a
+    # MAX_DIM space, the rest of the form even 2x2 skew blocks and an odd
+    # identity: a triple off those positions pairs to zero, so the report is
+    # the small one and the product is the small one relabelled
+    c = canonical_r(fixtures.pre_malcev_1_1())
+    small = symplectic_from_r(c)
+    half = MAX_DIM // 2
+    space, position = SuperSpace(half, half), (0, 1, half, half + 1)
+    w = [[Z] * MAX_DIM for _ in range(MAX_DIM)]
+    for i in range(2, half, 2):
+        w[i][i + 1], w[i + 1][i] = Fraction(1), Fraction(-1)
+    for i in range(half + 2, MAX_DIM):
+        w[i][i] = Fraction(1)
+    for (a, i), (b, j) in itertools.product(enumerate(position), repeat=2):
+        w[i][j] = small.matrix[a][b]
+    omega, A = BilinearForm(space, w), embedded(c.algebra, space, position)
+    start = time.perf_counter()
+    report = check_symplectic(omega, A)
+    check_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    P = pre_malcev_from_symplectic(omega, A)
+    build_seconds = time.perf_counter() - start
+    assert report == ViolationReport("symplectic", (), 0, MAX_DIM ** 3, ())
+    expected = embedded(pre_malcev_from_symplectic(small, c.algebra), space, position)
+    assert P.rows() == expected.rows() and P.rows()
+    assert check_seconds < 1.0
+    assert build_seconds < 1.0
 
 
 # -- oracles: the form checkers from the dense matrix and table ----------------------

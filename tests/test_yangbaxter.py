@@ -17,6 +17,7 @@ from supermalcev import (
     GradedLinearMap,
     IdentityViolation,
     MybeCandidate,
+    Representation,
     SuperSpace,
     Superalgebra,
     Tensor2,
@@ -42,7 +43,8 @@ from supermalcev import (
     symplectic_from_r,
 )
 from supermalcev import fixtures
-from supermalcev.graded import koszul_sign
+from supermalcev.graded import direct_sum, koszul_sign
+from rational_inputs import rational_action, rational_operator
 
 Z = Fraction(0)
 
@@ -405,6 +407,30 @@ def test_r_from_o_operator_double_is_malcev():
     c = r_from_o_operator(GradedLinearMap.identity(R.space), R)
     assert check_malcev(c.algebra).ok
     assert c.algebra.space.dim == 4
+
+
+def flip_difference(T, R):
+    """t - sigma(t) from the definitions: t has T[p][alpha] at
+    (b_p, v_alpha*) of A + V*, and sigma(t) has (-1)^{|i||j|} t[j][i] at (i, j)."""
+    total, emb_a, emb_v = direct_sum(R.algebra.space, R.space.dual())
+    n, par = total.dim, total.parities()
+    t = [[Z] * n for _ in range(n)]
+    for p, alpha in itertools.product(range(R.algebra.space.dim), range(R.space.dim)):
+        t[emb_a[p]][emb_v[alpha]] = T.matrix[p][alpha]
+    return Tensor2(total, tuple(tuple(t[i][j] - koszul_sign(par[i], par[j]) * t[j][i]
+                                      for j in range(n)) for i in range(n)), 0)
+
+
+def test_r_from_o_operator_is_the_operator_less_its_flip():
+    heis, V = fixtures.heisenberg_1_1(), SuperSpace(2, 2)
+    odd = rational_operator(V, heis.space, 3)  # over 4, with odd entries
+    assert any(odd.matrix[1][j] for j in (2, 3))
+    cases = [(fixtures.rb_sl2_nilpotent(), adjoint_representation(fixtures.sl2())),
+             (odd, Representation(heis, V, rational_action(heis, V, 3)))]
+    for T, R in cases:
+        r = r_from_o_operator(T, R).r
+        assert r == flip_difference(T, R)
+        assert not r.is_zero()
 
 
 def test_rb_embedding_solves_in_sl2_double():
