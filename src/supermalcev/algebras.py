@@ -274,6 +274,7 @@ _IDENTITIES = {
 }
 
 
+@functools.cache
 def _leaves(expr) -> tuple[int, ...]:
     if isinstance(expr, int):
         return (expr,)
@@ -291,13 +292,14 @@ def _renamed(expr, order: tuple[int, ...]):
     return tuple((coef, _renamed(sub, order)) for coef, sub in expr)
 
 
-def _products(expr) -> list[str]:
+@functools.cache
+def _products(expr) -> tuple[str, ...]:
     """The product names an expression reads, in the order they occur."""
     if isinstance(expr, int):
-        return []
+        return ()
     if isinstance(expr[0], str):
-        return [expr[0]] + _products(expr[1]) + _products(expr[2])
-    return [name for _, sub in expr for name in _products(sub)]
+        return (expr[0],) + _products(expr[1]) + _products(expr[2])
+    return tuple(name for _, sub in expr for name in _products(sub))
 
 
 def _is_lookup(expr) -> bool:

@@ -14,9 +14,12 @@ written once.  Checkers, grid searches and constructions share them.  The
 engine reads every action, and the operator itself, as sparse columns, with
 the sparse helpers of ``_kernel`` that the module checkers use too; A
 acting on itself, and A acting on its dual by the coadjoint action, are
-read straight off the sparse rows of the algebra's ``mul``.  A checker
-scales the rows, the action columns and the operator's columns by their
-common denominator D, so each residual is D^3 times the rational one.  The
+read straight off the sparse rows of the algebra's ``mul``.  A residual
+reads only the part of the action that the operator's image K reaches: the
+rows (p, q) with p and q in K and the left and right columns of K.  A
+checker cuts the context to that part and scales it, with the operator's
+columns, by their common denominator D, so each residual is D^3 times the
+rational one; a search does the same for the image of its ``support``.  The
 bilinear-form layer reads one sparse table of w(b_i, b_j b_k) off the nonzero
 rows of ``mul``, in ``Fraction``s: invariance, the cocycle sums and the
 compatible product (one inverse of w^T) all follow its nonzero values.
@@ -25,8 +28,9 @@ A grid search returns exactly the candidates its checker accepts, in grid
 order: the first ``support`` entry varies slowest, and each entry takes its
 values in the order of ``values``.  It does not try every candidate: each
 component of the residual is an exact quadratic form in the ``support``
-entries, read off the residual by polarization and scaled to integers, and
-a depth-first search assigns the entries in order with forward checking.
+entries, read off the residual by polarization and computed in integers
+(D times the rational form), and a depth-first search assigns the entries
+in order with forward checking.
 Once a form's entries are all assigned but its last, the values left for
 that last entry are cut to those where the form vanishes, and a partial
 assignment that leaves an entry no value is pruned.  Every ``support``
@@ -51,6 +55,7 @@ from typing import Iterable, Iterator, Sequence
 from . import _linalg
 from ._kernel import (
     EMPTY,
+    Number,
     Rows,
     act,
     add_scaled,
@@ -171,6 +176,22 @@ def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, S
         yield a, b, res
 
 
+def _scaled_to_image(ctx: _Context, image: set[int],
+                     extra: Sequence[Sparse] = ()) -> tuple[_Context, list, int]:
+    """``ctx`` cut to what ``_residuals`` reads of an operator whose columns
+    lie in the span of the ``image`` basis vectors of A: the rows (p, q) with
+    p and q in the image, and the left and right columns of the image (``()``
+    elsewhere, so a read outside it fails).  Those and the vectors ``extra``
+    are scaled to ``int`` by their common denominator D; returns the cut
+    context, the scaled ``extra`` and D."""
+    rows = {key: row for key, row in ctx.rows.items() if key[0] in image and key[1] in image}
+    left, right = (tuple(cols if k in image else () for k, cols in enumerate(columns))
+                   for columns in (ctx.left, ctx.right))
+    D = denominator(rows.values(), extra, *left, *right)
+    return (replace(ctx, rows=scaled_rows(rows, D), left=scaled_columns(left, D),
+                    right=scaled_columns(right, D)), [scaled(v, D) for v in extra], D)
+
+
 def _induced_product(columns: _Columns,
                      T: GradedLinearMap) -> dict[tuple[int, int, int], Fraction]:
     """Structure constants of x.y = action(T x) y on V."""
@@ -204,11 +225,10 @@ def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationRe
     if T.parity != 0:
         col.preconditions.append("operator candidate is not even")
         return col.report()
-    D = denominator(ctx.rows.values(), T.columns, *ctx.left, *ctx.right)
-    scaled_ctx = replace(ctx, rows=scaled_rows(ctx.rows, D), left=scaled_columns(ctx.left, D),
-                         right=scaled_columns(ctx.right, D))
+    image = {k for column in T.columns for k in column}
+    scaled_ctx, columns, D = _scaled_to_image(ctx, image, T.columns)
     space, scale = ctx.algebra.space, D ** 3
-    for a, b, res in _residuals(scaled_ctx, [scaled(v, D) for v in T.columns]):
+    for a, b, res in _residuals(scaled_ctx, columns):
         col.tick()
         if res:
             col.add((a, b), lambda: vector_from_sparse(space, unscaled(res, scale)))
@@ -377,17 +397,25 @@ def _paired_with_products(w: _linalg.Matrix, rows: Rows) -> dict[tuple[int, int,
     return {(i, j, k): c for (j, k), row in rows.items() for i, c in apply(columns, row).items()}
 
 
-def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
-    """Exact flags: (skew-)supersymmetry, nondegeneracy, invariance.  Raises
-    ``DimensionMismatch`` unless the form's (even, odd) dimensions are A's."""
+def _check_form_shape(omega: BilinearForm, A: Superalgebra) -> None:
     if _shape(omega.space) != _shape(A.space):
         raise DimensionMismatch(f"form has (even, odd) dimensions {_shape(omega.space)}, "
                                 f"the algebra {_shape(A.space)}")
-    n, par, w, rows = A.space.dim, A.space.parities(), omega.matrix, A.rows()
+
+
+def _nondegenerate(w: _linalg.Matrix) -> bool:
+    return len(_linalg.rref(w)[1]) == len(w)  # a pivot in every column
+
+
+def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
+    """Exact flags: (skew-)supersymmetry, nondegeneracy, invariance.  Raises
+    ``DimensionMismatch`` unless the form's (even, odd) dimensions are A's."""
+    _check_form_shape(omega, A)
+    par, w, rows = A.space.parities(), omega.matrix, A.rows()
     return FormFlags(
         _flips_to(w, par, 1),
         _flips_to(w, par, -1),
-        len(_linalg.rref(w)[1]) == n,  # a pivot in every column
+        _nondegenerate(w),
         # w(b_i b_j, b_k) = w^T(b_k, b_i b_j) equals w(b_i, b_j b_k)
         {(i, j, k): c for (k, i, j), c in _paired_with_products(_linalg.transpose(w), rows).items()}
         == _paired_with_products(w, rows),
@@ -403,13 +431,13 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra,
     Preconditions (skew-supersymmetric, nondegenerate) are reported as flag
     failures rather than witnesses.  Witness leftovers are scalars.
     """
+    _check_form_shape(omega, A)
     col = _WitnessCollector("symplectic", witness_limit)
-    flags = classify_form(omega, A)
-    if not flags.skew_supersymmetric:
-        col.preconditions.append("form is not skew-supersymmetric")
-    if not flags.nondegenerate:
-        col.preconditions.append("form is degenerate")
     par, sums = A.space.parities(), {}
+    if not _flips_to(omega.matrix, par, -1):
+        col.preconditions.append("form is not skew-supersymmetric")
+    if not _nondegenerate(omega.matrix):
+        col.preconditions.append("form is degenerate")
     for (i, j, k), c in _paired_with_products(omega.matrix, A.rows()).items():
         for key in ((i, j, k), (k, i, j), (j, k, i)):  # one key when i = j = k
             sums[key] = sums.get(key, ZERO) + koszul_sign(par[i], par[k]) * c
@@ -439,7 +467,7 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalg
 
 # A quadratic form {(e1, e2): coefficient}, e1 <= e2, in the values of the
 # support entries e1 and e2; zero coefficients are dropped.
-_Form = dict[tuple[int, int], Fraction]
+_Form = dict[tuple[int, int], Number]
 
 
 def _residual_forms(ctx: _Context,
@@ -452,15 +480,16 @@ def _residual_forms(ctx: _Context,
     whose only nonzero entry is a 1 at entry e, the coefficient of x_e^2 is
     the residual of E_e, and that of x_e x_f is the residual of E_e + E_f
     less those of E_e and E_f.  A repeated entry is read at its last
-    occurrence, the one that sets the operator's value.  Components that
-    vanish identically are left out."""
+    occurrence, the one that sets the operator's value.  The coefficients
+    are those of ``ctx``: ``int`` on a context scaled by D, and then D times
+    the rational ones.  Components that vanish identically are left out."""
     variables = sorted({entry: e for e, entry in enumerate(support)}.values())
 
-    def residual(*es: int) -> dict[tuple[int, int, int], Fraction]:
+    def residual(*es: int) -> dict[tuple[int, int, int], Number]:
         T: list[Sparse] = [{} for _ in range(ctx.module.dim)]
         for e in es:
             i, j = support[e]
-            T[j][i] = ONE
+            T[j][i] = 1
         return {(a, b, m): c for a, b, res in _residuals(ctx, T) for m, c in res.items()}
 
     squares = {e: residual(e) for e in variables}
@@ -483,11 +512,14 @@ def _search(ctx: _Context, values: Iterable[int],
     ``support`` whose residual vanishes on all basis pairs, in grid order,
     at most ``limit`` of them.
 
-    The forms are scaled to integers, and the values by the lcm L of their
-    denominators, which multiplies each form by L^2 and keeps its zero set.
-    Once a form's entries are all assigned but its last, it is a x^2 + b x
-    + c in that last entry, and it cuts the entry's domain to its roots; an
-    empty domain prunes.  A cut drops only values the form rejects, so no
+    The forms are computed in integers, on the context cut to the rows and
+    columns the support's image reaches and scaled by their common
+    denominator D (``_scaled_to_image``), so each is D times the rational
+    form.  The values are scaled by the lcm L of their denominators, which
+    multiplies each form by L^2.  Neither factor moves a zero set.  Once a
+    form's entries are all assigned but its last, it is a x^2 + b x + c in
+    that last entry, and it cuts the entry's domain to its roots; an empty
+    domain prunes.  A cut drops only values the form rejects, so no
     hit is lost and the grid order stays."""
     A, V = ctx.algebra.space, ctx.module
     if support is None:
@@ -505,8 +537,8 @@ def _search(ctx: _Context, values: Iterable[int],
         n = len(support)
         domains = [ints] * n
         cuts: list[list] = [[] for _ in range(n)]  # by the second-to-last entry read
-        for form in _residual_forms(ctx, support).values():
-            form = scaled(form, denominator([form]))
+        scaled_ctx = _scaled_to_image(ctx, {i for i, _ in support})[0]
+        for form in _residual_forms(scaled_ctx, support).values():
             last = max(e2 for _, e2 in form)
             linear = [(e1, c) for (e1, e2), c in form.items() if e2 == last != e1]
             rest = [(e1, e2, c) for (e1, e2), c in form.items() if e2 != last]

@@ -38,6 +38,7 @@ from supermalcev import (
     coadjoint_representation,
     commutator_superalgebra,
     compatible_pre_malcev_from_invertible_oop,
+    direct_sum,
     induced_structure_on_image,
     koszul_sign,
     left_multiplication_representation,
@@ -58,7 +59,8 @@ from supermalcev import (
     symplectic_from_r,
 )
 from supermalcev import fixtures
-from supermalcev import _linalg
+from supermalcev import _kernel, _linalg, operators
+from supermalcev._kernel import scaled
 from supermalcev.algebras import ViolationReport
 from supermalcev.cli import MAX_DIM
 from supermalcev.serialize import parse
@@ -224,14 +226,6 @@ def test_rb_is_o_operator_for_adjoint():
 # -- oracle: the O-operator identity expanded from dense matrices ---------------
 
 
-def _mat_comb(mats, coords, n):
-    out = _linalg.zero_matrix(n, n)
-    for m, c in zip(mats, coords):
-        if c != 0:
-            out = _linalg.mat_add(out, _linalg.mat_scale(c, m))
-    return out
-
-
 def oracle_o_operator_failures(T, context, sign_variant=False, product="mul"):
     """Failing basis pairs (a, b) of m(Ta, Tb) = T(left(Ta) b + s right(Tb) a),
     in lexicographic order with their leftovers, and the number of pairs.
@@ -265,12 +259,17 @@ def oracle_o_operator_failures(T, context, sign_variant=False, product="mul"):
     fails = []
     for a, b in itertools.product(range(nV), repeat=2):
         Ta, Tb = cols[a], cols[b]
-        lhs = [sum((Ta[p] * Tb[q] * table[p][q][k]
-                    for p in range(nA) for q in range(nA)), Z) for k in range(nA)]
-        la, rb = _mat_comb(left, Ta, nV), _mat_comb(right, Tb, nV)
+        # every sum below skips its zero terms only, and an empty one is int 0
+        pa, pb = [p for p in range(nA) if Ta[p]], [q for q in range(nA) if Tb[q]]
+        lhs = [sum(Ta[p] * Tb[q] * table[p][q][k] for p in pa for q in pb)
+               for k in range(nA)]
         s = sign(V.parity(a), V.parity(b))
-        inner = [la[r][b] + s * rb[r][a] for r in range(nV)]
-        res = [x - y for x, y in zip(lhs, _linalg.mat_vec(T.matrix, inner))]
+        # entry r of left(T a) b + s right(T b) a
+        inner = [sum(Ta[p] * left[p][r][b] for p in pa)
+                 + s * sum(Tb[q] * right[q][r][a] for q in pb) for r in range(nV)]
+        nonzero_inner = [r for r in range(nV) if inner[r]]
+        res = [x - sum(T.matrix[k][r] * inner[r] for r in nonzero_inner)
+               for k, x in enumerate(lhs)]
         if any(res):
             fails.append(((a, b), A.space.vector(res)))
     return fails, nV * nV
@@ -415,6 +414,158 @@ def test_checkers_match_oracle_on_operators_with_zero_columns():
         assert_matches_oracle(report, oracle, 16)
         failing += not report.ok
     assert failing >= 6
+
+
+def beyond_image(A, image, seed):
+    """A with each row (i, j) whose i and j both lie outside ``image``
+    divided by 7 or 11: an operator with that image never reads the row."""
+    rng = random.Random(seed)
+    entries = {}
+    for (i, j), row in A.rows().items():
+        d = 1 if i in image or j in image else rng.choice((7, 11))
+        entries.update({(i, j, k): c / d for k, c in row.items()})
+    return Superalgebra.from_entries(A.space, {"mul": entries})
+
+
+def maps_beyond_image(maps, image, seed):
+    """The action maps with the map of each basis vector outside ``image``
+    divided by 7 or 11."""
+    rng = random.Random(seed)
+    return tuple(m if k in image else GradedLinearMap(
+        m.domain, m.codomain, _linalg.mat_scale(Fraction(1, rng.choice((7, 11))), m.matrix),
+        m.parity) for k, m in enumerate(maps))
+
+
+def into_image(T, image):
+    """T with its rows outside ``image`` set to zero."""
+    return GradedLinearMap(T.domain, T.codomain, tuple(
+        row if i in image else (Z,) * T.domain.dim for i, row in enumerate(T.matrix)), 0)
+
+
+def mybe_candidate(X, entries):
+    n = X.space.dim
+    return MybeCandidate(X, Tensor2(X.space, tuple(
+        tuple(Fraction(entries.get((i, j), 0)) for j in range(n)) for i in range(n)), 0))
+
+
+def image_denominators(A, image, T, *groups):
+    """The common denominator of a whole context, and that of the part an
+    operator with that image reads: the rows that touch the image, the maps
+    of its basis vectors in each group of action maps, and the operator."""
+    reached = [c for (i, j), row in A.rows().items() if i in image or j in image
+               for c in row.values()]
+    return (denominator(*algebra_constants(A), *map_constants(T, *itertools.chain(*groups))),
+            denominator(*reached, *map_constants(T, *(g[k] for g in groups for k in image))))
+
+
+def sl2_beside_rational():
+    """sl2 (at b0, b1, b2) + a seeded 1|2 algebra with constants over 2, 3, 7
+    and 11 (at b3, b4, b5), the two summands multiplying to zero."""
+    sl2, C = fixtures.sl2(), rational_product(SuperSpace(1, 2, ("u", "x", "y")), 3)
+    total, at, at_c = direct_sum(sl2.space, C.space)
+    assert at == (0, 1, 2)
+    return beyond_image(Superalgebra.from_entries(total, {"mul": {
+        (emb[i], emb[j], emb[k]): c for summand, emb in ((sl2, at), (C, at_c))
+        for (i, j), row in summand.rows().items() for k, c in row.items()}}), set(at), 3)
+
+
+def test_checkers_match_oracle_when_the_image_misses_part_of_the_algebra():
+    # failing: seeded rational inputs whose operators map into b0, b1, b3
+    # of a 3|2 algebra
+    image = {0, 1, 3}
+    S, V = SuperSpace(3, 2), SuperSpace(2, 2)
+    A = beyond_image(rational_product(S, 8), image, 8)
+    R = Representation(A, V, maps_beyond_image(rational_action(A, V, 8), image, 9))
+    B = Bimodule(A, V, maps_beyond_image(rational_action(A, V, 18, "left"), image, 10),
+                 maps_beyond_image(rational_action(A, V, 28, "right"), image, 11))
+    T = into_image(rational_operator(V, S, 8), image)
+    Rop = into_image(rational_operator(S, S, 9), image)
+    c = mybe_candidate(A, {(0, 1): Fraction(1, 4), (1, 0): Fraction(-1, 4),
+                           (3, 3): Fraction(3, 4)})
+    # (operator, its context for the oracle, checker at a witness limit,
+    # signed Rota-Baxter variant)
+    failing = [
+        (T, R, lambda limit: check_o_operator_malcev(T, R, witness_limit=limit), False),
+        (T, B, lambda limit: check_o_operator_alternative(T, B, witness_limit=limit), False),
+        (Rop, A, lambda limit: check_rota_baxter(Rop, A, witness_limit=limit), False),
+        (Rop, A, lambda limit: check_rota_baxter(Rop, A, sign_variant=True, witness_limit=limit),
+         True),
+        (r_as_map(c), coadjoint_representation(A),
+         lambda limit: check_operator_form(c, witness_limit=limit), False),
+    ]
+    # passing: sl2 + a rational 1|2 algebra, with the nilpotent Rota-Baxter
+    # operator f -> e and r = h ^ e of sl2, zero on the second summand
+    X = sl2_beside_rational()
+    rb = single_entry(X.space, 1, 2)
+    ad, reg = adjoint_representation(X), regular_bimodule(X)
+    h_e = mybe_candidate(X, {(0, 1): 1, (1, 0): -1})
+    passing = [
+        (rb, ad, lambda limit: check_o_operator_malcev(rb, ad, witness_limit=limit), False),
+        (rb, reg, lambda limit: check_o_operator_alternative(rb, reg, witness_limit=limit),
+         False),
+        (rb, X, lambda limit: check_rota_baxter(rb, X, witness_limit=limit), False),
+        (rb, X, lambda limit: check_rota_baxter(rb, X, sign_variant=True, witness_limit=limit),
+         True),
+        (r_as_map(h_e), coadjoint_representation(X),
+         lambda limit: check_operator_form(h_e, witness_limit=limit), False),
+    ]
+    for ok, cases in ((False, failing), (True, passing)):
+        for op, context, check, signed in cases:
+            if isinstance(context, Superalgebra):
+                algebra, groups = context, ()
+            elif isinstance(context, Representation):
+                algebra, groups = context.algebra, (context.action,)
+            else:
+                algebra, groups = context.algebra, (context.left, context.right)
+            img = {i for i, row in enumerate(op.matrix) if any(row)}
+            whole, reached = image_denominators(algebra, img, op, *groups)
+            assert whole % 77 == 0 and reached % 7 and reached % 11
+            oracle = oracle_o_operator_failures(op, context, sign_variant=signed)
+            assert bool(oracle[0]) != ok
+            for limit in (1, 3, 10 ** 6):
+                report = check(limit)
+                assert report.ok == ok
+                assert_matches_oracle(report, oracle, limit)
+
+
+def seeded_sparse_product(space, seed, count):
+    """``count`` seeded constants over 1, 2 and 5 at random (i, j), each on a
+    b_k of the parity of b_i b_j."""
+    rng = random.Random(seed)
+    par = space.parities()
+    by_parity = [[k for k in range(space.dim) if par[k] == p] for p in (0, 1)]
+    entries = {}
+    for _ in range(count):
+        i, j = rng.randrange(space.dim), rng.randrange(space.dim)
+        k = rng.choice(by_parity[par[i] ^ par[j]])
+        entries[(i, j, k)] = Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 5)))
+    return Superalgebra.from_entries(space, {"mul": entries})
+
+
+def test_o_operator_check_scales_only_what_the_image_reaches(monkeypatch):
+    # a one-entry operator b_q -> b_p reads the row (p, p), the left and
+    # right columns of b_p and its one nonzero column; scaling the whole
+    # context would copy every row and every nonzero action column
+    space = SuperSpace(MAX_DIM // 2, MAX_DIM // 2)
+    A = seeded_sparse_product(space, 3, 400)
+    B = regular_bimodule(A)
+    touches = [sum(p in key for key in A.rows()) for p in range(space.dim)]
+    p = touches.index(max(touches))
+    q = next(j for j in range(space.dim) if j != p and space.parity(j) == space.parity(p))
+    T = single_entry(space, p, q)
+    copies = []
+
+    def counting(vec, D):
+        copies.extend([vec] if vec else [])
+        return scaled(vec, D)
+    monkeypatch.setattr(_kernel, "scaled", counting)
+    monkeypatch.setattr(operators, "scaled", counting)
+    report = check_o_operator_alternative(T, B, witness_limit=10 ** 6)
+    monkeypatch.undo()
+    assert len(copies) <= 2 * space.dim + 1 + 1
+    assert 3 * len(A.rows()) > 4 * len(copies)  # what the whole context would copy
+    assert not report.ok
+    assert_matches_oracle(report, oracle_o_operator_failures(T, B), 10 ** 6)
 
 
 # -- constructions ----------------------------------------------------------------
@@ -1133,7 +1284,8 @@ def test_search_semantics_are_pinned():
 
 def _rational_search_cases():
     """(search taking values and keywords, checker, domain, codomain, support)
-    on inputs whose constants have denominators 2 to 6."""
+    on inputs whose constants have denominators 2 to 6, or 2 to 11 outside
+    the image of the support."""
     A = rational_product(SuperSpace(2, 1), 4)
     P = rational_product(SuperSpace(1, 2), 2, two_products=True)
     succ = Superalgebra(P.space, {"mul": P.rows("succ")})
@@ -1148,6 +1300,10 @@ def _rational_search_cases():
     S = rebased(sl2, ((1, half, 0), (0, 1, 0), (0, third, 1)))
     ad = adjoint_representation(S)
     support = ((0, 0), (0, 1), (0, 2), (2, 0), (2, 1))
+    # a support whose image, h and e of sl2, avoids every rational constant of
+    # X; one entry reads the other summand's b3
+    X = sl2_beside_rational()
+    integral = ((0, 0), (0, 3), (1, 0), (1, 1), (1, 2))
     return [
         (lambda values, **kw: search_rota_baxter(A, values, **kw),
          lambda T: check_rota_baxter(T, A), A.space, A.space, None),
@@ -1161,10 +1317,12 @@ def _rational_search_cases():
          lambda T: check_rota_baxter(T, S), S.space, S.space, support),
         (lambda values, **kw: search_o_operators_malcev(ad, values, **kw),
          lambda T: check_o_operator_malcev(T, ad), S.space, S.space, support),
+        (lambda values, **kw: search_rota_baxter(X, values, **kw),
+         lambda T: check_rota_baxter(T, X), X.space, X.space, integral),
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(7))
 def test_search_matches_brute_force_on_rational_inputs(case):
     search, check, domain, codomain, support = _rational_search_cases()[case]
     support = support or parity_zero_support(domain, codomain)
