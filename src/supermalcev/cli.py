@@ -290,7 +290,7 @@ def _declared_dimensions(obj):
                         ("bimodule", obj.get("bimodule"))):
         if isinstance(block, dict):
             dims = block.get("even_dim"), block.get("odd_dim")
-            if all(isinstance(d, int) and d >= 0 for d in dims):
+            if all(type(d) is int and d >= 0 for d in dims):  # not bool
                 yield what, sum(dims)
 
 

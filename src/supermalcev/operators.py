@@ -11,10 +11,12 @@ One engine serves them all: the residual
 
 on basis pairs of V, and the induced product x.y = action(T x) y, are each
 written once.  Checkers, grid searches and constructions share them.  The
-engine reads every action, and the operator itself, as sparse columns, with
-the sparse helpers of ``_kernel`` that the module checkers use too; A
-acting on itself, and A acting on its dual by the coadjoint action, are
-read straight off the sparse rows of the algebra's ``mul``.  A residual
+sign s(a, b) depends only on whether a and b are both odd, so a context
+carries it as one pair of factors.  The engine reads every action, and the
+operator itself, as sparse columns, with the sparse helpers of ``_kernel``
+that the module checkers use too; A acting on itself, and A acting on its
+dual by the coadjoint action, are read straight off the sparse rows of the
+algebra's ``mul``.  A residual
 reads only the part of the action that the operator's image K reaches: the
 rows (p, q) with p and q in K and the left and right columns of K.  A
 checker cuts the context to that part and scales it, with the operator's
@@ -39,9 +41,11 @@ tried), and ``limit`` caps the number of results.
 
 A checker raises ``DimensionMismatch`` when the (even, odd) dimensions of
 the operator's domain and codomain are not those of V and A, or those of a
-form's space not those of A.  Constructions validate their precondition and
-raise ``IdentityViolation`` carrying the offending report instead of
-returning a broken algebra.
+form's space not those of A.  A construction runs its check once, at the
+default witness limit, and raises ``IdentityViolation`` carrying that report
+instead of returning a broken algebra; otherwise it builds from what the
+check built: the context's action columns, or for a symplectic form the
+table of w(b_i, b_j b_k) and the elimination that decided nondegeneracy.
 """
 
 from __future__ import annotations
@@ -118,28 +122,17 @@ class _Context:
     module: SuperSpace
     left: _Columns
     right: _Columns
-    signs: tuple[tuple[int, ...], ...]  # factor of the right term on (a, b)
-
-
-def _signs(space: SuperSpace, sign) -> tuple[tuple[int, ...], ...]:
-    par = space.parities()
-    return tuple(tuple(sign(p, q) for q in par) for p in par)
-
-
-def _rep_signs(space: SuperSpace) -> tuple[tuple[int, ...], ...]:
-    return _signs(space, lambda p, q: -koszul_sign(p, q))
+    signs: tuple[int, int]  # the right term's factor: a, b not both odd; both odd
 
 
 def _rep_context(R: Representation) -> _Context:
     cols = _columns(R.action)
-    return _Context("o-operator", R.algebra, R.algebra.rows(), R.space, cols, cols,
-                    _rep_signs(R.space))
+    return _Context("o-operator", R.algebra, R.algebra.rows(), R.space, cols, cols, (-1, 1))
 
 
 def _bimodule_context(B: Bimodule) -> _Context:
     return _Context("o-operator-alternative", B.algebra, B.algebra.rows(), B.space,
-                    _columns(B.left), _columns(B.right),
-                    _signs(B.space, lambda p, q: 1))
+                    _columns(B.left), _columns(B.right), (1, 1))
 
 
 def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
@@ -147,7 +140,7 @@ def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
     return _Context(
         "rota-baxter-signed" if sign_variant else "rota-baxter", A, A.rows(), A.space,
         _multiplication_columns(A), _multiplication_columns(A, right=True),
-        _signs(A.space, koszul_sign if sign_variant else lambda p, q: 1),
+        (1, -1) if sign_variant else (1, 1),
     )
 
 
@@ -155,22 +148,21 @@ def _coadjoint_context(A: Superalgebra) -> _Context:
     """A acting on its dual by the coadjoint action, read off the rows; its
     O-operators are the r-maps of the operator form of the MYBE."""
     coad = _dual_columns(_multiplication_columns(A), A.space, A.space)
-    dual = A.space.dual()
-    return _Context("operator-form", A, A.rows(), dual, coad, coad, _rep_signs(dual))
+    return _Context("operator-form", A, A.rows(), A.space.dual(), coad, coad, (-1, 1))
 
 
 def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:
     """(a, b, residual) over basis pairs of V in lexicographic order; ``T``
     holds the sparse columns of the operator.  Every term reads T(a) or
     T(b), so a pair whose two columns are zero has an empty residual."""
-    n = ctx.module.dim
-    for a, b in itertools.product(range(n), repeat=2):
+    par = ctx.module.parities()
+    for a, b in itertools.product(range(len(par)), repeat=2):
         if not (T[a] or T[b]):
             yield a, b, EMPTY
             continue
         res = mul(ctx.rows, T[a], T[b])
         inner = act(ctx.left, T[a], b)
-        add_scaled(inner, act(ctx.right, T[b], a), ctx.signs[a][b])
+        add_scaled(inner, act(ctx.right, T[b], a), ctx.signs[par[a] & par[b]])
         for k, c in inner.items():
             add_scaled(res, T[k], -c)
         yield a, b, res
@@ -203,15 +195,18 @@ def _induced_product(columns: _Columns,
     }
 
 
-def _compatible_structure(A: Superalgebra, columns: _Columns,
-                          T: GradedLinearMap) -> Superalgebra:
-    """x.y = T(action(x) T^{-1} y) on A, for an invertible T : V -> A."""
-    n = A.space.dim
-    tinv = T.inverse().columns
+def _compatible_structure(ctx: _Context, T: GradedLinearMap, singular: str) -> Superalgebra:
+    """x.y = T(left(x) T^{-1} y) on A, for T : V -> A checked on ``ctx``;
+    ``ValueError(singular)`` unless T is invertible (one elimination of T)."""
+    try:
+        tinv = T.inverse().columns
+    except ValueError:
+        raise ValueError(singular) from None
+    A = ctx.algebra
     return Superalgebra.from_entries(A.space, {"mul": {
         (i, j, k): c
-        for i, j in itertools.product(range(n), repeat=2)
-        for k, c in apply(T.columns, apply(columns[i], tinv[j])).items()
+        for i, j in itertools.product(range(A.space.dim), repeat=2)
+        for k, c in apply(T.columns, apply(ctx.left[i], tinv[j])).items()
     }})
 
 
@@ -233,6 +228,18 @@ def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationRe
         if res:
             col.add((a, b), lambda: vector_from_sparse(space, unscaled(res, scale)))
     return col.report()
+
+
+def _require(report: ViolationReport) -> None:
+    """Raise ``IdentityViolation`` with ``report`` unless it passes."""
+    if not report.ok:
+        raise IdentityViolation(report)
+
+
+def _checked(ctx: _Context, T: GradedLinearMap) -> _Context:
+    """``ctx``, once ``T`` passes its check there at the default witness limit."""
+    _require(_check(ctx, T, DEFAULT_WITNESS_LIMIT))
+    return ctx
 
 
 def check_o_operator_malcev(T: GradedLinearMap, R: Representation,
@@ -264,11 +271,8 @@ def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra, sign_variant: bool 
 
 def pre_malcev_from_o_operator(T: GradedLinearMap, R: Representation) -> Superalgebra:
     """a.b = rho(T(a))b on V; requires T to be a super O-operator."""
-    report = check_o_operator_malcev(T, R)
-    if not report.ok:
-        raise IdentityViolation(report)
-    return Superalgebra.from_entries(
-        R.space, {"mul": _induced_product(_rep_context(R).left, T)})
+    ctx = _checked(_rep_context(R), T)
+    return Superalgebra.from_entries(R.space, {"mul": _induced_product(ctx.left, T)})
 
 
 @dataclass(frozen=True)
@@ -303,8 +307,7 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
             res = T.apply_sparse(prod)
             if res:
                 col.add((j,), lambda: vector_from_sparse(R.algebra.space, res))
-    if col.count:
-        raise IdentityViolation(col.report())
+    _require(col.report())
 
     # homogeneous image basis: the pivot columns of T, the even ones first
     # as in V.  T = C R, with C the pivot columns and R the nonzero rows of
@@ -326,40 +329,26 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
 def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
                                               R: Representation) -> Superalgebra:
     """x.y = T(rho(x) T^{-1}(y)) on A itself; requires invertible T."""
-    report = check_o_operator_malcev(T, R)
-    if not report.ok:
-        raise IdentityViolation(report)
-    if not T.is_invertible():
-        raise ValueError("singular operator: no compatible structure")
-    return _compatible_structure(R.algebra, _rep_context(R).left, T)
+    return _compatible_structure(_checked(_rep_context(R), T), T,
+                                 "singular operator: no compatible structure")
 
 
 def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra) -> Superalgebra:
     """x.y = [R(x), y]; requires the (default-variant) Rota-Baxter identity."""
-    report = check_rota_baxter(Rop, A)
-    if not report.ok:
-        raise IdentityViolation(report)
-    return Superalgebra.from_entries(
-        A.space, {"mul": _induced_product(_rota_baxter_context(A, False).left, Rop)})
+    ctx = _checked(_rota_baxter_context(A, False), Rop)
+    return Superalgebra.from_entries(A.space, {"mul": _induced_product(ctx.left, Rop)})
 
 
 def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap,
                                            A: Superalgebra) -> Superalgebra:
     """The compatible structure x.y = R([x, R^{-1}(y)]) for invertible R."""
-    report = check_rota_baxter(Rop, A)
-    if not report.ok:
-        raise IdentityViolation(report)
-    if not Rop.is_invertible():
-        raise ValueError("singular Rota-Baxter operator")
-    return _compatible_structure(A, _rota_baxter_context(A, False).left, Rop)
+    return _compatible_structure(_checked(_rota_baxter_context(A, False), Rop), Rop,
+                                 "singular Rota-Baxter operator")
 
 
 def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalgebra:
     """a succ b = l(T(a))b, a prec b = r(T(b))a on V."""
-    report = check_o_operator_alternative(T, B)
-    if not report.ok:
-        raise IdentityViolation(report)
-    ctx = _bimodule_context(B)
+    ctx = _checked(_bimodule_context(B), T)
     prec = {(i, j, k): c for (j, i, k), c in _induced_product(ctx.right, T).items()}
     return Superalgebra.from_entries(B.space, {
         "prec": prec, "succ": _induced_product(ctx.left, T)})
@@ -422,6 +411,26 @@ def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     )
 
 
+def _symplectic(omega: BilinearForm, A: Superalgebra, nondegenerate: bool,
+                witness_limit: int) -> tuple[ViolationReport, dict]:
+    """The report of ``check_symplectic``, given whether w is nondegenerate,
+    and the table of w(b_i, b_j b_k) it read."""
+    col = _WitnessCollector("symplectic", witness_limit)
+    par, sums = A.space.parities(), {}
+    if not _flips_to(omega.matrix, par, -1):
+        col.preconditions.append("form is not skew-supersymmetric")
+    if not nondegenerate:
+        col.preconditions.append("form is degenerate")
+    table = _paired_with_products(omega.matrix, A.rows())
+    for (i, j, k), c in table.items():
+        for key in ((i, j, k), (k, i, j), (j, k, i)):  # one key when i = j = k
+            sums[key] = sums.get(key, ZERO) + koszul_sign(par[i], par[k]) * c
+    col.tally(A.space.dim ** 3, 0)
+    for key in sorted(key for key, total in sums.items() if total):
+        col.add(key, lambda: sums[key])
+    return col.report(), table
+
+
 def check_symplectic(omega: BilinearForm, A: Superalgebra,
                      witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """Super two-cocycle condition: the cyclic graded sum
@@ -432,32 +441,26 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra,
     failures rather than witnesses.  Witness leftovers are scalars.
     """
     _check_form_shape(omega, A)
-    col = _WitnessCollector("symplectic", witness_limit)
-    par, sums = A.space.parities(), {}
-    if not _flips_to(omega.matrix, par, -1):
-        col.preconditions.append("form is not skew-supersymmetric")
-    if not _nondegenerate(omega.matrix):
-        col.preconditions.append("form is degenerate")
-    for (i, j, k), c in _paired_with_products(omega.matrix, A.rows()).items():
-        for key in ((i, j, k), (k, i, j), (j, k, i)):  # one key when i = j = k
-            sums[key] = sums.get(key, ZERO) + koszul_sign(par[i], par[k]) * c
-    col.tally(A.space.dim ** 3, 0)
-    for key in sorted(key for key, total in sums.items() if total):
-        col.add(key, lambda: sums[key])
-    return col.report()
+    return _symplectic(omega, A, _nondegenerate(omega.matrix), witness_limit)[0]
 
 
 def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalgebra:
     """The compatible product defined by w(x.y, z) = (-1)^{|x|(|y|+|z|)} w(y, [z, x]):
     the row of (i, j) is (w^T)^{-1}, whose columns are the rows of w^{-1},
-    applied to rhs_z = sign * w(b_j, b_z b_i)."""
-    report = check_symplectic(omega, A)
-    if not report.ok:
-        raise IdentityViolation(report)
+    applied to rhs_z = sign * w(b_j, b_z b_i).  Inverting w is the one
+    elimination, and decides nondegeneracy for the check, whose table of
+    w(b_i, b_j b_k) gives the right-hand sides."""
+    _check_form_shape(omega, A)
+    try:
+        inverse = _linalg.invert(omega.matrix)
+    except ValueError:  # singular
+        inverse = None
+    report, table = _symplectic(omega, A, inverse is not None, DEFAULT_WITNESS_LIMIT)
+    _require(report)
     par, rhs = A.space.parities(), {}
-    for (j, z, i), c in _paired_with_products(omega.matrix, A.rows()).items():
+    for (j, z, i), c in table.items():
         rhs.setdefault((i, j), {})[z] = koszul_sign(par[i], par[j] + par[z]) * c
-    inverse_t = [{k: x for k, x in enumerate(row) if x} for row in _linalg.invert(omega.matrix)]
+    inverse_t = [{k: x for k, x in enumerate(row) if x} for row in inverse]
     return Superalgebra.from_entries(A.space, {"mul": {
         (i, j, k): c for (i, j), v in rhs.items() for k, c in apply(inverse_t, v).items()}})
 

@@ -78,7 +78,8 @@ def _space_to_json(space: SuperSpace) -> dict:
 
 def _parse_space(obj: Mapping, where: str) -> SuperSpace:
     for key in ("even_dim", "odd_dim"):
-        if key not in obj or not isinstance(obj[key], int) or obj[key] < 0:
+        # JSON true and false decode to bool, a subclass of int
+        if key not in obj or type(obj[key]) is not int or obj[key] < 0:
             raise ParseError(f"{where}.{key}: expected a nonnegative integer")
     labels = obj.get("basis_labels", [])
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -122,7 +123,7 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
                 raise ParseError(f"{where}: expected [i, j, k, scalar]")
             i, j, k = item[0], item[1], item[2]
             for pos, v in (("i", i), ("j", j), ("k", k)):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if type(v) is not int or not 0 <= v < n:
                     raise ParseError(f"{where}.{pos}: index out of range 0..{n - 1}")
             c = _parse_scalar(item[3], f"{where}.scalar")
             if (i, j, k) in sparse:
@@ -286,7 +287,7 @@ def from_json(obj: Any) -> AlgebraDocument:
                 + repr(linear_map_domain)
             )
         parity = block.get("parity", 0)
-        if parity not in (0, 1):
+        if type(parity) is not int or parity not in (0, 1):
             raise ParseError("linear_map.parity: expected 0 or 1")
         if linear_map_domain == "module":
             source = representation.space if representation is not None else (
@@ -312,7 +313,7 @@ def from_json(obj: Any) -> AlgebraDocument:
         if not isinstance(block, Mapping):
             raise ParseError("tensor2: expected an object")
         parity = block.get("parity", 0)
-        if parity not in (0, 1):
+        if type(parity) is not int or parity not in (0, 1):
             raise ParseError("tensor2.parity: expected 0 or 1")
         coeffs = _parse_matrix(block.get("coeffs"), space.dim, space.dim,
                                "tensor2.coeffs")

@@ -46,8 +46,10 @@ from .operators import (
     BilinearForm,
     IdentityViolation,
     _check,
+    _checked,
     _coadjoint_context,
     _induced_product,
+    _require,
     classify_form,
 )
 
@@ -106,14 +108,8 @@ def r_as_map(c: MybeCandidate) -> GradedLinearMap:
     """The even map A* -> A determined by the pairing identity; with the
     basis conventions used here its matrix is minus the transpose of the
     coefficient matrix (image of b_j* has coefficients -coeffs[j][i])."""
-    n = c.algebra.space.dim
-    coeffs = c.r.coeffs
-    rows = tuple(
-        tuple(-coeffs[j][i] for j in range(n)) for i in range(n)
-    )
-    return GradedLinearMap(
-        c.algebra.space.dual(), c.algebra.space, rows, c.r.parity
-    )
+    rows = tuple(tuple(-x for x in column) for column in zip(*c.r.coeffs))
+    return GradedLinearMap(c.algebra.space.dual(), c.algebra.space, rows, c.r.parity)
 
 
 def check_operator_form(c: MybeCandidate,
@@ -136,12 +132,11 @@ def check_operator_form(c: MybeCandidate,
 
 def pre_malcev_on_dual_from_r(c: MybeCandidate) -> Superalgebra:
     """x*.y* = ad*(r(x*))(y*) on the dual space; requires the operator form."""
-    report = check_operator_form(c)
-    if not report.ok:
-        raise IdentityViolation(report)
-    coad = _coadjoint_context(c.algebra)
-    return Superalgebra.from_entries(
-        coad.module, {"mul": _induced_product(coad.left, r_as_map(c))})
+    if not c.r.is_skew_supersymmetric():
+        raise IdentityViolation(check_operator_form(c))  # the precondition's report
+    T = r_as_map(c)
+    coad = _checked(_coadjoint_context(c.algebra), T)
+    return Superalgebra.from_entries(coad.module, {"mul": _induced_product(coad.left, T)})
 
 
 def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:
@@ -176,9 +171,7 @@ def canonical_r(P: Superalgebra) -> MybeCandidate:
     the double.  Coefficientwise
     r = sum_i (e_i (x) e_i* - e_i* (x) e_i) + sum_j (f_j (x) f_j* + f_j* (x) f_j).
     """
-    report = check_pre_malcev(P)
-    if not report.ok:
-        raise IdentityViolation(report)
+    _require(check_pre_malcev(P))
     L = left_multiplication_representation(P)
     return r_from_o_operator(GradedLinearMap.identity(P.space), L)
 

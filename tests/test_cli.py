@@ -340,6 +340,23 @@ def test_declared_dimension_over_the_cap_exits_2(capsys, tmp_path):
     assert code == 0 and parse(out).algebra.space.dim == MAX_DIM
 
 
+def test_booleans_are_not_integers(capsys, tmp_path):
+    # taken as 1, "odd_dim": true once made a document at the cap read one
+    # over it, and a boolean index made the parity error name (True, True, True)
+    cases = (
+        ({"even_dim": MAX_DIM, "odd_dim": True, "products": {"mul": []}},
+         "top level.odd_dim: expected a nonnegative integer"),
+        ({"even_dim": 1, "odd_dim": 1, "products": {"mul": [[True, True, True, "1"]]}},
+         "products.mul[0].i: index out of range 0..1"),
+    )
+    for doc, message in cases:
+        path = tmp_path / "booleans.json"
+        path.write_text(json.dumps({"format": "superalg/1", **doc}))
+        code, out, err = run(capsys, "check", str(path), "--identity", "malcev")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("block", ["algebra", "representation", "bimodule"])
 def test_declared_dimension_is_refused_before_the_document_is_built(capsys, tmp_path, block):
     # the 10**6 default labels of a space this size took a 109 MB traced peak

@@ -48,7 +48,9 @@ from supermalcev import (
     pre_malcev_from_pre_alternative,
     pre_malcev_from_rota_baxter,
     pre_malcev_from_symplectic,
+    pre_malcev_on_dual_from_r,
     r_as_map,
+    r_from_o_operator,
     rb_from_invariant_form,
     regular_bimodule,
     rep_from_bimodule,
@@ -61,7 +63,7 @@ from supermalcev import (
 from supermalcev import fixtures
 from supermalcev import _kernel, _linalg, operators
 from supermalcev._kernel import scaled
-from supermalcev.algebras import ViolationReport
+from supermalcev.algebras import DEFAULT_WITNESS_LIMIT, ViolationReport
 from supermalcev.cli import MAX_DIM
 from supermalcev.serialize import parse
 from rational_inputs import (
@@ -612,6 +614,94 @@ def test_construction_precondition_raises_with_report():
     assert exc.value.report.violation_count > 0
 
 
+def seeded_skew_form(A, drop=None):
+    """A skew form with seeded entries, and zero row and column ``drop``."""
+    n = A.space.dim
+    rows = [[Z] * n for _ in range(n)]
+    for val, (i, j) in enumerate(itertools.combinations(range(n), 2), 1):
+        if drop not in (i, j):
+            rows[i][j] = Fraction((val * 7 + 3) % 5 - 2)
+            rows[j][i] = -rows[i][j]
+    return BilinearForm(A.space, tuple(tuple(r) for r in rows))
+
+
+def failing_constructions():
+    """(construction, its public check) on seeded inputs that fail the
+    check more often than the default witness limit, or fail a precondition."""
+    S, S2 = SuperSpace(3, 3), SuperSpace(2, 2)
+    A, A2 = fixtures.random_product(S, 4), fixtures.random_product(S2, 5)
+    R = Representation(A, S, fixtures.random_action_maps(A, S, 4))
+    B = Bimodule(A, S, fixtures.random_action_maps(A, S, 14),
+                 fixtures.random_action_maps(A, S, 24))
+    T = fixtures.random_even_matrix(S, S, 0, random.Random(4))  # invertible
+    R2 = Representation(A2, S2, fixtures.random_action_maps(A2, S2, 5))
+    c = r_from_o_operator(fixtures.random_even_matrix(S2, S2, 0, random.Random(5)), R2)
+    not_skew = MybeCandidate(fixtures.sl2(), Tensor2(fixtures.sl2().space, (
+        (Fraction(1), Z, Z), (Z, Z, Z), (Z, Z, Z)), 0))
+    double = semidirect_malcev(adjoint_representation(fixtures.sl2()))
+    return {
+        "oop": (lambda: pre_malcev_from_o_operator(T, R),
+                lambda: check_o_operator_malcev(T, R)),
+        "oop-inv": (lambda: compatible_pre_malcev_from_invertible_oop(T, R),
+                    lambda: check_o_operator_malcev(T, R)),
+        "rb": (lambda: pre_malcev_from_rota_baxter(T, A), lambda: check_rota_baxter(T, A)),
+        "rb-inv": (lambda: pre_malcev_from_invertible_rota_baxter(T, A),
+                   lambda: check_rota_baxter(T, A)),
+        "prealt-oop": (lambda: pre_alternative_from_o_operator(T, B),
+                       lambda: check_o_operator_alternative(T, B)),
+        "dual-from-r": (lambda: pre_malcev_on_dual_from_r(c), lambda: check_operator_form(c)),
+        "dual-from-r, not skew": (lambda: pre_malcev_on_dual_from_r(not_skew),
+                                  lambda: check_operator_form(not_skew)),
+        "symplectic": (lambda: pre_malcev_from_symplectic(seeded_skew_form(double), double),
+                       lambda: check_symplectic(seeded_skew_form(double), double)),
+        "symplectic, degenerate": (
+            lambda: pre_malcev_from_symplectic(seeded_skew_form(double, 2), double),
+            lambda: check_symplectic(seeded_skew_form(double, 2), double)),
+        "canonical-r": (lambda: canonical_r(A2), lambda: check_pre_malcev(A2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(failing_constructions()))
+def test_failing_construction_raises_its_checkers_report(name):
+    construct, check = failing_constructions()[name]
+    report = check()
+    assert report.violation_count > DEFAULT_WITNESS_LIMIT or report.precondition_failures
+    with pytest.raises(IdentityViolation) as exc:
+        construct()
+    assert exc.value.report == report
+
+
+def test_each_construction_builds_its_action_once(monkeypatch):
+    # a construction builds from the context its check read: one set of
+    # action columns for the check and the product together, and a
+    # compatible structure eliminates its operator once
+    P = fixtures.pre_lie_sl2()
+    sl2, L, rb = fixtures.sl2(), left_multiplication_representation(P), fixtures.rb_sl2_nilpotent()
+    zorn = parse((FIX / "zorn_regular_rb.json").read_text())
+    ident, heis, c = GradedLinearMap.identity(P.space), fixtures.heisenberg_1_1(), canonical_r(P)
+    builds = []
+    for module, name in ((operators, "_columns"), (operators, "_multiplication_columns"),
+                         (operators, "_dual_columns"), (_linalg, "rref")):
+        def counting(*args, _build=getattr(module, name), _name=name, **kwargs):
+            builds.append(_name)
+            return _build(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    for construct, want in (
+        (lambda: pre_malcev_from_o_operator(ident, L), ["_columns"]),
+        (lambda: compatible_pre_malcev_from_invertible_oop(ident, L), ["_columns", "rref"]),
+        (lambda: pre_malcev_from_rota_baxter(rb, sl2), ["_multiplication_columns"] * 2),
+        (lambda: pre_malcev_from_invertible_rota_baxter(diag_map(heis.space, [1, 2]), heis),
+         ["_multiplication_columns"] * 2 + ["rref"]),
+        (lambda: pre_alternative_from_o_operator(zorn.linear_map, zorn.bimodule),
+         ["_columns"] * 2),
+        (lambda: pre_malcev_on_dual_from_r(c),
+         ["_multiplication_columns", "_dual_columns"]),
+    ):
+        builds.clear()
+        construct()
+        assert builds == want
+
+
 def test_scale_equivariance_of_o_operator_product():
     R = coadjoint_representation(fixtures.sl2())
     candidates = [T for T in search_o_operators_malcev(R, values=(-1, 0, 1))
@@ -837,6 +927,22 @@ def test_pre_malcev_from_symplectic_scaling_invariance():
     assert P1.table("mul") == P2.table("mul")
     assert check_pre_malcev(P1).ok
     assert commutator_superalgebra(P1).table("mul") == c.algebra.table("mul")
+
+
+def test_symplectic_construction_reads_one_table_and_one_elimination(monkeypatch):
+    # the check's table of w(b_i, b_j b_k) and its elimination of [w | 1]
+    # serve the construction too
+    c = canonical_r(fixtures.pre_malcev_1_1())
+    omega = symplectic_from_r(c)
+    calls = []
+    for module, name in ((operators, "_paired_with_products"), (_linalg, "rref")):
+        def counting(*args, _call=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _call(*args)
+        monkeypatch.setattr(module, name, counting)
+    P = pre_malcev_from_symplectic(omega, c.algebra)
+    assert sorted(calls) == ["_paired_with_products", "rref"]
+    assert P.rows() == {(1, 2): {3: -2}, (2, 1): {3: -4}, (2, 2): {0: 2}}
 
 
 def zorn_double():

@@ -135,6 +135,34 @@ def test_parse_memory_is_bounded_by_the_input():
     assert peak < 2 * 1024 * 1024
 
 
+@pytest.mark.parametrize("field, path", [
+    ("top level.even_dim", ("even_dim",)),
+    ("top level.odd_dim", ("odd_dim",)),
+    ("representation.even_dim", ("representation", "even_dim")),
+    ("products.mul[0].i", ("products", "mul", 0, 0)),
+    ("products.mul[0].j", ("products", "mul", 0, 1)),
+    ("products.mul[0].k", ("products", "mul", 0, 2)),
+    ("linear_map.parity", ("linear_map", "parity")),
+    ("tensor2.parity", ("tensor2", "parity")),
+])
+def test_boolean_where_an_integer_is_wanted_is_rejected(field, path):
+    # true and false decode to bool, a subclass of int; taken as 1 and 0,
+    # they used to be written back as booleans in the "canonical" output
+    doc = _base(products=[[0, 1, 1, "1"], [1, 1, 0, "1"]])
+    doc["representation"] = {"even_dim": 1, "odd_dim": 0, "matrices": [[["0"]], [["0"]]]}
+    doc["linear_map"] = {"domain": "algebra", "parity": 0, "matrix": [["1", "0"], ["0", "1"]]}
+    doc["tensor2"] = {"parity": 0, "coeffs": [["0", "0"], ["0", "1"]]}
+    parse(json.dumps(doc))
+    *keys, last = path
+    block = doc
+    for key in keys:
+        block = block[key]
+    block[last] = bool(block[last])
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value).startswith(field + ":")
+
+
 def test_bad_format_and_syntax():
     with pytest.raises(ParseError):
         parse("{not json")
