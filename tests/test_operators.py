@@ -828,13 +828,17 @@ def test_pre_malcev_from_rota_baxter_paths():
 
 
 def test_invertible_rb_compatible_structure():
-    # diag(1, 2) is an invertible Rota-Baxter map on the Heisenberg bracket
-    A = fixtures.heisenberg_1_1()
-    R = diag_map(A.space, [1, 2])
-    P = pre_malcev_from_rota_baxter(R, A)
-    Q = pre_malcev_from_invertible_rota_baxter(R, A)
-    assert check_pre_malcev(P).ok and check_pre_malcev(Q).ok
-    assert commutator_superalgebra(Q).table("mul") == A.table("mul")
+    # diag(1, 2) is an invertible Rota-Baxter map on the Heisenberg bracket;
+    # on the even Heisenberg bracket [x, y] = z, whose left and right
+    # multiplications differ, diag(1, 1, 1/2) inverts the derivation diag(1, 1, 2)
+    heis = fixtures.heisenberg_1_1()
+    h3 = Superalgebra.from_entries(SuperSpace(3, 0), {"mul": {(0, 1, 2): 1, (1, 0, 2): -1}})
+    for A, R in ((heis, diag_map(heis.space, [1, 2])),
+                 (h3, diag_map(h3.space, [1, 1, Fraction(1, 2)]))):
+        P = pre_malcev_from_rota_baxter(R, A)
+        Q = pre_malcev_from_invertible_rota_baxter(R, A)
+        assert check_pre_malcev(P).ok and check_pre_malcev(Q).ok
+        assert commutator_superalgebra(Q).table("mul") == A.table("mul")
 
 
 # -- bilinear forms ----------------------------------------------------------------
