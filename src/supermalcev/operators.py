@@ -185,13 +185,14 @@ def _scaled_to_image(ctx: _Context, image: set[int],
 
 
 def _induced_product(columns: _Columns,
-                     T: GradedLinearMap) -> dict[tuple[int, int, int], Fraction]:
-    """Structure constants of x.y = action(T x) y on V."""
-    n = T.domain.dim
+                     T: Sequence[Sparse]) -> dict[tuple[int, int, int], Fraction]:
+    """Structure constants of x.y = action(T x) y on V; ``T`` holds the
+    sparse columns of the operator."""
+    n = len(T)
     return {
         (i, j, k): c
         for i, j in itertools.product(range(n), repeat=2)
-        for k, c in act(columns, T.columns[i], j).items()
+        for k, c in act(columns, T[i], j).items()
     }
 
 
@@ -210,18 +211,30 @@ def _compatible_structure(ctx: _Context, T: GradedLinearMap, singular: str) -> S
     }})
 
 
-def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationReport:
-    got = _shape(T.domain), _shape(T.codomain)
-    want = _shape(ctx.module), _shape(ctx.algebra.space)
+def _check_shape(identity: str, T: GradedLinearMap, module: SuperSpace,
+                 algebra: SuperSpace) -> None:
+    """``DimensionMismatch`` unless T is (even, odd)-shaped module -> algebra."""
+    got, want = (_shape(T.domain), _shape(T.codomain)), (_shape(module), _shape(algebra))
     if got != want:
-        raise DimensionMismatch(f"{ctx.identity}: operator has (even, odd) dimensions "
+        raise DimensionMismatch(f"{identity}: operator has (even, odd) dimensions "
                                 f"{got[0]} -> {got[1]}, expected {want[0]} -> {want[1]}")
-    col = _WitnessCollector(ctx.identity, witness_limit)
+
+
+def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationReport:
+    _check_shape(ctx.identity, T, ctx.module, ctx.algebra.space)
     if T.parity != 0:
+        col = _WitnessCollector(ctx.identity, witness_limit)
         col.preconditions.append("operator candidate is not even")
         return col.report()
-    image = {k for column in T.columns for k in column}
-    scaled_ctx, columns, D = _scaled_to_image(ctx, image, T.columns)
+    return _walk(ctx, T.columns, witness_limit)
+
+
+def _walk(ctx: _Context, T: Sequence[Sparse], witness_limit: int) -> ViolationReport:
+    """The report of ``_check`` for an even operator, V -> A, with the sparse
+    columns ``T``: the residual walk, past the guard on a public map."""
+    col = _WitnessCollector(ctx.identity, witness_limit)
+    image = {k for column in T for k in column}
+    scaled_ctx, columns, D = _scaled_to_image(ctx, image, T)
     space, scale = ctx.algebra.space, D ** 3
     for a, b, res in _residuals(scaled_ctx, columns):
         col.tick()
@@ -272,7 +285,7 @@ def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra, sign_variant: bool 
 def pre_malcev_from_o_operator(T: GradedLinearMap, R: Representation) -> Superalgebra:
     """a.b = rho(T(a))b on V; requires T to be a super O-operator."""
     ctx = _checked(_rep_context(R), T)
-    return Superalgebra.from_entries(R.space, {"mul": _induced_product(ctx.left, T)})
+    return Superalgebra.from_entries(R.space, {"mul": _induced_product(ctx.left, T.columns)})
 
 
 @dataclass(frozen=True)
@@ -336,7 +349,7 @@ def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
 def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra) -> Superalgebra:
     """x.y = [R(x), y]; requires the (default-variant) Rota-Baxter identity."""
     ctx = _checked(_rota_baxter_context(A, False), Rop)
-    return Superalgebra.from_entries(A.space, {"mul": _induced_product(ctx.left, Rop)})
+    return Superalgebra.from_entries(A.space, {"mul": _induced_product(ctx.left, Rop.columns)})
 
 
 def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap,
@@ -349,9 +362,9 @@ def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap,
 def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalgebra:
     """a succ b = l(T(a))b, a prec b = r(T(b))a on V."""
     ctx = _checked(_bimodule_context(B), T)
-    prec = {(i, j, k): c for (j, i, k), c in _induced_product(ctx.right, T).items()}
+    prec = {(i, j, k): c for (j, i, k), c in _induced_product(ctx.right, T.columns).items()}
     return Superalgebra.from_entries(B.space, {
-        "prec": prec, "succ": _induced_product(ctx.left, T)})
+        "prec": prec, "succ": _induced_product(ctx.left, T.columns)})
 
 
 # -- bilinear forms -------------------------------------------------------

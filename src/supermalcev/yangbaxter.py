@@ -13,17 +13,30 @@ theorem that the test suite asserts over a corpus of solutions and
 non-solutions, never assumes.  Both compute in integers: the rows and the
 entries of r are scaled by their common denominator D, and every term of
 the tensor side is a product of three scaled factors (D^3).
+
+No dense map is built on the way: one pass over r's entries decides
+skew-supersymmetry and reads the r-map's sparse columns, which the
+O-operator engine walks.  The double A x|_{rho*} V* and r = T - sigma(T)
+are built in one place from the action's columns and T's: the dual action
+is their signed transpose (``reps._dual_columns``), the double its
+semidirect product (``reps._semidirect``).  ``canonical_r`` passes the left
+multiplication columns of P and unit columns for the identity.
+``r_as_map`` builds the dense map, for the symplectic form and the
+Rota-Baxter operator of an invariant form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import _linalg
-from ._kernel import EMPTY, add_scaled, denominator, scaled, scaled_rows, unscaled
-from ._linalg import ZERO
+from ._kernel import EMPTY, Vector, denominator, scaled, scaled_rows, unscaled
+from ._linalg import ONE, ZERO
 from .graded import (
+    DimensionMismatch,
     GradedLinearMap,
+    SuperSpace,
     Tensor2,
     Tensor3,
     direct_sum,
@@ -35,21 +48,27 @@ from .algebras import (
     ViolationReport,
     _WitnessCollector,
     check_pre_malcev,
+    commutator_superalgebra,
 )
 from .reps import (
     Representation,
-    dual_representation,
-    left_multiplication_representation,
-    semidirect_malcev,
+    _columns,
+    _Columns,
+    _dual_columns,
+    _multiplication_columns,
+    _semidirect,
+    _shape,
+    _signed,
 )
 from .operators import (
     BilinearForm,
     IdentityViolation,
-    _check,
-    _checked,
+    _check_shape,
     _coadjoint_context,
+    _Context,
     _induced_product,
     _require,
+    _walk,
     classify_form,
 )
 
@@ -57,14 +76,18 @@ from .operators import (
 @dataclass(frozen=True)
 class MybeCandidate:
     """An even 2-tensor over a Malcev superalgebra, to be tested against
-    the MYBE.  Skew-supersymmetry is checked on demand, not enforced."""
+    the MYBE.  Skew-supersymmetry is checked on demand, not enforced.
+    Raises ``DimensionMismatch`` unless r's space has the algebra's (even,
+    odd) dimensions."""
 
     algebra: Superalgebra
     r: Tensor2
 
     def __post_init__(self):
-        if self.r.space.dim != self.algebra.space.dim:
-            raise ValueError("tensor does not live over the algebra's space")
+        got, want = _shape(self.r.space), _shape(self.algebra.space)
+        if got != want:
+            raise DimensionMismatch(f"tensor has (even, odd) dimensions {got}, "
+                                    f"the algebra {want}")
         if self.r.parity != 0:
             raise ValueError("only even candidates are supported (|r| = 0)")
 
@@ -82,7 +105,8 @@ def mybe_lhs(c: MybeCandidate) -> Tensor3:
     summed over pairs of entries (a,b), (c,d) of r.  The Koszul factors
     are the ones forced by the graded tensor-product multiplication for
     an even r (for the middle sum the factor of the first one cancels
-    against moving the bracket's arguments back into place).
+    against moving the bracket's arguments back into place).  Each term is
+    added into one sparse output in place.
     """
     A = c.algebra
     par = A.space.parities()
@@ -90,18 +114,22 @@ def mybe_lhs(c: MybeCandidate) -> Tensor3:
     D = denominator(rows.values(), (entries,))
     rows, entries = scaled_rows(rows, D), scaled(entries, D)
     out: dict[tuple[int, int, int], int] = {}
+    get = out.get
     for (a, b), rab in entries.items():
         for (cc, d), rcd in entries.items():
             coeff = rab * rcd
             # [r12, r13]: [b_a, b_c] (x) b_b (x) b_d
-            add_scaled(out, {(k, b, d): v for k, v in rows.get((a, cc), EMPTY).items()},
-                       koszul_sign(par[cc], par[b]) * coeff)
+            f = koszul_sign(par[cc], par[b]) * coeff
+            for k, v in rows.get((a, cc), EMPTY).items():
+                out[k, b, d] = get((k, b, d), 0) + f * v
             # [r12, r23]: b_a (x) [b_b, b_c] (x) b_d
-            add_scaled(out, {(a, k, d): v for k, v in rows.get((b, cc), EMPTY).items()}, coeff)
+            for k, v in rows.get((b, cc), EMPTY).items():
+                out[a, k, d] = get((a, k, d), 0) + coeff * v
             # [r13, r23]: b_a (x) b_c (x) [b_b, b_d]
-            add_scaled(out, {(a, cc, k): v for k, v in rows.get((b, d), EMPTY).items()},
-                       koszul_sign(par[a], par[cc]) * coeff)
-    return Tensor3(A.space, unscaled(out, D ** 3))
+            f = koszul_sign(par[a], par[cc]) * coeff
+            for k, v in rows.get((b, d), EMPTY).items():
+                out[a, cc, k] = get((a, cc, k), 0) + f * v
+    return Tensor3(A.space, unscaled({key: v for key, v in out.items() if v}, D ** 3))
 
 
 def r_as_map(c: MybeCandidate) -> GradedLinearMap:
@@ -112,6 +140,37 @@ def r_as_map(c: MybeCandidate) -> GradedLinearMap:
     return GradedLinearMap(c.algebra.space.dual(), c.algebra.space, rows, c.r.parity)
 
 
+def _r_map_columns(r: Tensor2) -> list[dict] | None:
+    """The sparse columns of the r-map, column j holding -r[j][i] at i, or
+    ``None`` when r is not skew-supersymmetric: one pass over r's nonzero
+    entries decides both.  r = -sigma(r) says r[i][j] = -(-1)^{|i||j|} r[j][i],
+    and an entry whose mirror is zero fails at the entry itself."""
+    par, coeffs = r.space.parities(), r.coeffs
+    columns: list[dict] = []
+    for j, row in enumerate(coeffs):
+        column = {}
+        for i, x in enumerate(row):
+            if x:
+                column[i] = -x
+                if coeffs[i][j] != (x if par[i] & par[j] else column[i]):
+                    return None
+        columns.append(column)
+    return columns
+
+
+def _operator_form(c: MybeCandidate,
+                   witness_limit: int) -> tuple[ViolationReport, _Context | None, list | None]:
+    """The report of ``check_operator_form``, and the coadjoint context and
+    r-map columns it read (``None`` when r is not skew-supersymmetric)."""
+    columns = _r_map_columns(c.r)
+    if columns is None:
+        col = _WitnessCollector("operator-form", witness_limit)
+        col.preconditions.append("r is not skew-supersymmetric")
+        return col.report(), None, None
+    ctx = _coadjoint_context(c.algebra)
+    return _walk(ctx, columns, witness_limit), ctx, columns
+
+
 def check_operator_form(c: MybeCandidate,
                         witness_limit: int = DEFAULT_WITNESS_LIMIT) -> ViolationReport:
     """[r(x*), r(y*)] = r(ad*(r(x*))y* - (-1)^{|x*||y*|} ad*(r(y*))x*)
@@ -120,48 +179,55 @@ def check_operator_form(c: MybeCandidate,
     Preconditions: r skew-supersymmetric (flagged otherwise).  This is the
     O-operator identity of the r-map for the coadjoint representation,
     decided by the O-operator engine on the coadjoint action read off the
-    rows (no dense coadjoint matrices); it never touches the tensor-form
-    code.
+    rows and on the r-map's columns read off r's entries; it never touches
+    the tensor-form code.
     """
-    if not c.r.is_skew_supersymmetric():
-        col = _WitnessCollector("operator-form", witness_limit)
-        col.preconditions.append("r is not skew-supersymmetric")
-        return col.report()
-    return _check(_coadjoint_context(c.algebra), r_as_map(c), witness_limit)
+    return _operator_form(c, witness_limit)[0]
 
 
 def pre_malcev_on_dual_from_r(c: MybeCandidate) -> Superalgebra:
     """x*.y* = ad*(r(x*))(y*) on the dual space; requires the operator form."""
-    if not c.r.is_skew_supersymmetric():
-        raise IdentityViolation(check_operator_form(c))  # the precondition's report
-    T = r_as_map(c)
-    coad = _checked(_coadjoint_context(c.algebra), T)
-    return Superalgebra.from_entries(coad.module, {"mul": _induced_product(coad.left, T)})
+    report, coad, columns = _operator_form(c, DEFAULT_WITNESS_LIMIT)
+    _require(report)
+    return Superalgebra.from_entries(coad.module, {"mul": _induced_product(coad.left, columns)})
+
+
+def _double(algebra: Superalgebra, module: SuperSpace, action: _Columns,
+            T: Sequence[Vector]) -> MybeCandidate:
+    """r = T - sigma(T) in the double A x|_{rho*} V*, from the sparse columns
+    of the action rho of A on V and of the even operator T: V -> A.
+
+    The double is the semidirect product of the dual action, whose columns
+    are the signed transpose of rho's.  T = sum_alpha T(v_alpha) (x) v_alpha*
+    by Hom(V, A) ~ A (x) V*: an entry T[p][alpha] sits at (a, v) =
+    (b_p, v_alpha*) of r, and -sigma puts -(-1)^{|a||v|} T[p][alpha] at (v, a).
+    """
+    A, dual = algebra.space, module.dual()
+    rho_star = _dual_columns(action, A, module)
+    double = _semidirect(algebra, dual, rho_star, _signed(A, dual, rho_star))
+    total, emb_a, emb_v = direct_sum(A, dual)
+    par = total.parities()
+    coeffs = [[ZERO] * total.dim for _ in range(total.dim)]
+    for alpha, column in enumerate(T):
+        for p, val in column.items():
+            a, v = emb_a[p], emb_v[alpha]
+            coeffs[a][v], coeffs[v][a] = val, -koszul_sign(par[a], par[v]) * val
+    return MybeCandidate(double, Tensor2(total, coeffs, 0))
 
 
 def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:
     """Embed T: V -> A as an element of A (x) V* inside the double
     A x|_{rho*} V* and return r = T - sigma(T).
 
-    The embedding follows Hom(V, A) ~ A (x) V*:
-    T = sum_alpha T(v_alpha) (x) v_alpha*.  An entry T[p][alpha] sits at
-    (a, v) = (b_p, v_alpha*) of r, and -sigma puts -(-1)^{|a||v|} T[p][alpha]
-    at (v, a).  The returned candidate is skew-supersymmetric by
-    construction; it solves the MYBE in the double iff T is a super
-    O-operator for (V, rho) (tested, not assumed).
+    The returned candidate is skew-supersymmetric by construction; it
+    solves the MYBE in the double iff T is a super O-operator for (V, rho)
+    (tested, not assumed).  Raises ``DimensionMismatch`` unless T is (even,
+    odd)-shaped V -> A.
     """
+    _check_shape("o-operator", T, R.space, R.algebra.space)
     if T.parity != 0:
         raise ValueError("only even operator candidates embed into the double")
-    rho_star = dual_representation(R)
-    double = semidirect_malcev(rho_star)
-    total, emb_a, emb_v = direct_sum(R.algebra.space, rho_star.space)
-    par = total.parities()
-    coeffs = [[ZERO] * total.dim for _ in range(total.dim)]
-    for alpha, column in enumerate(T.columns):
-        for p, val in column.items():
-            a, v = emb_a[p], emb_v[alpha]
-            coeffs[a][v], coeffs[v][a] = val, -koszul_sign(par[a], par[v]) * val
-    return MybeCandidate(double, Tensor2(total, coeffs, 0))
+    return _double(R.algebra, R.space, _columns(R.action), T.columns)
 
 
 def canonical_r(P: Superalgebra) -> MybeCandidate:
@@ -172,8 +238,8 @@ def canonical_r(P: Superalgebra) -> MybeCandidate:
     r = sum_i (e_i (x) e_i* - e_i* (x) e_i) + sum_j (f_j (x) f_j* + f_j* (x) f_j).
     """
     _require(check_pre_malcev(P))
-    L = left_multiplication_representation(P)
-    return r_from_o_operator(GradedLinearMap.identity(P.space), L)
+    return _double(commutator_superalgebra(P), P.space, _multiplication_columns(P),
+                   [{i: ONE} for i in range(P.space.dim)])
 
 
 def symplectic_from_r(c: MybeCandidate) -> BilinearForm:

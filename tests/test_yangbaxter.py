@@ -6,6 +6,7 @@ accumulation never feeds it.  The Thm-equivalence tests treat agreement of
 independent code paths as the assertion, never as an assumption.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 
 from supermalcev import (
     BilinearForm,
+    DimensionMismatch,
     GradedLinearMap,
     IdentityViolation,
     MybeCandidate,
@@ -32,6 +34,8 @@ from supermalcev import (
     coadjoint_representation,
     check_rota_baxter,
     commutator_superalgebra,
+    dual_representation,
+    left_multiplication_representation,
     mybe_lhs,
     pre_malcev_from_rota_baxter,
     pre_malcev_from_symplectic,
@@ -40,6 +44,8 @@ from supermalcev import (
     r_from_o_operator,
     rb_from_invariant_form,
     search_o_operators_malcev,
+    search_rota_baxter,
+    semidirect_malcev,
     symplectic_from_r,
 )
 from supermalcev import fixtures
@@ -421,16 +427,156 @@ def flip_difference(T, R):
                                       for j in range(n)) for i in range(n)), 0)
 
 
-def test_r_from_o_operator_is_the_operator_less_its_flip():
+def sl2_operators():
+    """The nonzero O-operators of sl2's adjoint action with entries in
+    (-1, 0, 1), and that action."""
+    R = adjoint_representation(fixtures.sl2())
+    return [T for T in search_o_operators_malcev(R, values=(-1, 0, 1))
+            if any(any(row) for row in T.matrix)], R
+
+
+def heisenberg_module_operators(seeds=range(6)):
+    """Seeded rational even operators into the 1|1 Heisenberg bracket from
+    a seeded rational 2|2 module of it."""
     heis, V = fixtures.heisenberg_1_1(), SuperSpace(2, 2)
-    odd = rational_operator(V, heis.space, 3)  # over 4, with odd entries
+    for seed in seeds:
+        yield rational_operator(V, heis.space, seed), Representation(
+            heis, V, rational_action(heis, V, seed))
+
+
+def test_r_from_o_operator_is_the_operator_less_its_flip():
+    # in the double of the dual action, built as the public functions build it
+    odd, _ = list(heisenberg_module_operators())[3]  # over 4, with odd entries
     assert any(odd.matrix[1][j] for j in (2, 3))
-    cases = [(fixtures.rb_sl2_nilpotent(), adjoint_representation(fixtures.sl2())),
-             (odd, Representation(heis, V, rational_action(heis, V, 3)))]
+    found, R = sl2_operators()
+    cases = [(fixtures.rb_sl2_nilpotent(), R)] + [(T, R) for T in found[:12]]
+    cases += heisenberg_module_operators()
     for T, R in cases:
-        r = r_from_o_operator(T, R).r
-        assert r == flip_difference(T, R)
-        assert not r.is_zero()
+        c = r_from_o_operator(T, R)
+        assert c.algebra == semidirect_malcev(dual_representation(R))
+        assert c.r == flip_difference(T, R)
+        assert not c.r.is_zero()
+    assert len(cases) == 19
+
+
+def pre_malcev_inputs():
+    """Pre-Malcev algebras, even and odd: fixtures, the zero products, the
+    products of sl2's Rota-Baxter operators and the 2|2 product that the
+    symplectic form of the canonical r of ``pre_malcev_1_1`` gives."""
+    sl2 = fixtures.sl2()
+    rbs = [R for R in search_rota_baxter(sl2, values=(-1, 0, 1)) if any(any(r) for r in R.matrix)]
+    c = canonical_r(fixtures.pre_malcev_1_1())
+    out = [fixtures.pre_malcev_1_1(), fixtures.pre_lie_sl2(), fixtures.zero_algebra(1, 0),
+           fixtures.zero_algebra(1, 1),
+           pre_malcev_from_symplectic(symplectic_from_r(c), c.algebra)]
+    out += [pre_malcev_from_rota_baxter(R, sl2) for R in rbs[::4]]
+    assert all(check_pre_malcev(P).ok for P in out)
+    return out
+
+
+def test_canonical_r_is_the_identity_in_the_double_of_left_multiplication():
+    inputs = pre_malcev_inputs()
+    for P in inputs:
+        L = left_multiplication_representation(P)
+        c = canonical_r(P)
+        assert c.algebra == semidirect_malcev(dual_representation(L))
+        assert c.r == flip_difference(GradedLinearMap.identity(P.space), L)
+    assert len(inputs) >= 10
+    assert any(P.space.odd_dim and P.rows() for P in inputs)
+
+
+def random_even_tensor(space, rng):
+    """A seeded even 2-tensor, skew-supersymmetric only by chance."""
+    n = space.dim
+    return Tensor2(space, tuple(
+        tuple(Fraction(rng.randint(-2, 2)) if space.parity(i) == space.parity(j) else Z
+              for j in range(n)) for i in range(n)), 0)
+
+
+def operator_form_corpus():
+    """Passing, failing and non-skew candidates over even and odd algebras."""
+    found, R = sl2_operators()
+    out = mixed_corpus() + [r_from_o_operator(T, R) for T in found[:6]]
+    out += [canonical_r(P) for P in pre_malcev_inputs()]
+    out += [r_from_o_operator(T, R) for T, R in heisenberg_module_operators()]
+    rng = random.Random(19)
+    for seed, A in lopsided_products(range(2)):
+        out.append(MybeCandidate(A, random_skew(A.space, rng, -1, 1)))
+    for A in (fixtures.sl2(), out[10].algebra, fixtures.heisenberg_1_1()):
+        out += [MybeCandidate(A, random_even_tensor(A.space, rng)) for _ in range(3)]
+    return out
+
+
+def test_operator_form_is_the_engine_report_of_the_r_map():
+    # the operator form reads the r-map's columns off r's entries; its
+    # report is the O-operator report of r_as_map on the coadjoint action
+    seen = {"pass": 0, "fail": 0, "not skew": 0}
+    for c in operator_form_corpus():
+        skew = c.r.is_skew_supersymmetric()
+        for limit in (1, 3, 10 ** 6):
+            report = check_operator_form(c, witness_limit=limit)
+            if skew:
+                engine = check_o_operator_malcev(r_as_map(c), coadjoint_representation(c.algebra),
+                                                 witness_limit=limit)
+                assert report == dataclasses.replace(engine, identity="operator-form")
+            else:
+                assert report.identity == "operator-form"
+                assert report.precondition_failures == ("r is not skew-supersymmetric",)
+                assert (report.witnesses, report.violation_count, report.checked_tuples) == ((), 0, 0)
+        seen["not skew" if not skew else "pass" if report.ok else "fail"] += 1
+    assert min(seen.values()) >= 8
+
+
+def test_mybe_pipeline_builds_no_dense_map(monkeypatch):
+    # the double, r and the r-map are built from sparse columns: no
+    # GradedLinearMap is made by the constructions or the operator form
+    P = fixtures.pre_malcev_1_1()
+    found, R = sl2_operators()
+    T, (heis_T, heis_R) = found[0], next(heisenberg_module_operators())
+    c = canonical_r(fixtures.pre_lie_sl2())
+    not_skew = MybeCandidate(c.algebra, random_even_tensor(c.algebra.space, random.Random(3)))
+    assert not not_skew.r.is_skew_supersymmetric()
+    built = []
+    post_init = GradedLinearMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(GradedLinearMap, "__post_init__", counting)
+    candidates = [canonical_r(P), r_from_o_operator(T, R), r_from_o_operator(heis_T, heis_R)]
+    reports = [check_operator_form(x) for x in candidates + [c, not_skew]]
+    pre_malcev_on_dual_from_r(c)
+    assert built == []
+    assert [r.ok for r in reports] == [True, True, False, True, False]
+
+
+def test_r_from_o_operator_checks_the_operator_shape():
+    # a 2|0 -> 3|0 map used to give r from 2 of V's 3 columns, and a
+    # 2|1 -> 3|0 map an r over a wrongly graded double
+    sl2 = fixtures.sl2()
+    R = adjoint_representation(sl2)
+    for domain in (SuperSpace(2, 0), SuperSpace(2, 1)):
+        T = GradedLinearMap(domain, sl2.space, tuple(
+            tuple(Fraction(1) if i == j and domain.parity(j) == 0 else Z
+                  for j in range(domain.dim)) for i in range(3)), 0)
+        with pytest.raises(DimensionMismatch) as raised:
+            r_from_o_operator(T, R)
+        with pytest.raises(DimensionMismatch) as checked:
+            check_o_operator_malcev(T, R)
+        assert str(raised.value) == str(checked.value)
+        assert str(raised.value).startswith("o-operator: operator has (even, odd) dimensions (2, ")
+
+
+def test_candidate_compares_even_and_odd_dimensions():
+    # an r over 2|0 on the 1|1 Heisenberg bracket has the right total
+    # dimension but the wrong grading
+    heis = fixtures.heisenberg_1_1()
+    r = skew_tensor(SuperSpace(2, 0), {(0, 1): 1})
+    with pytest.raises(DimensionMismatch, match=r"\(2, 0\), the algebra \(1, 1\)"):
+        MybeCandidate(heis, r)
+    with pytest.raises(ValueError):
+        MybeCandidate(heis, Tensor2.zero(SuperSpace(1, 0)))
+    assert check_operator_form(MybeCandidate(heis, Tensor2.zero(heis.space))).ok
 
 
 def test_rb_embedding_solves_in_sl2_double():
