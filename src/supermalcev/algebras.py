@@ -67,9 +67,11 @@ from typing import Callable, Mapping, Union
 from ._kernel import denominator, mul, scaled_rows, unscaled
 from ._linalg import ZERO, as_scalar
 from .graded import (
+    DimensionMismatch,
     GradedVector,
     ParityViolation,
     SuperSpace,
+    _shape,
     vector_from_sparse,
 )
 
@@ -215,8 +217,8 @@ class Superalgebra:
 
     def mul(self, x: GradedVector, y: GradedVector, product: str = "mul") -> GradedVector:
         """Bilinear extension of the structure constants to whole vectors."""
-        if x.space.dim != self.space.dim or y.space.dim != self.space.dim:
-            raise ValueError("vectors do not live in the algebra's space")
+        if _shape(x.space) != _shape(self.space) or _shape(y.space) != _shape(self.space):
+            raise DimensionMismatch("vectors do not live in the algebra's space")
         return vector_from_sparse(
             self.space, self.mul_sparse(x.sparse(), y.sparse(), product)
         )

@@ -9,9 +9,10 @@ a construction whose precondition fails.  Every malformed or unsupported
 input (an unreadable or invalid document, an algebra or module dimension
 over ``MAX_DIM``, a missing block or product, a linear map with the wrong
 domain, mismatched dimensions, an unknown ``--identities`` name) exits 2
-with one ``error:`` line on stderr and no traceback.  With ``--json``
-every verdict, including a failed construction precondition, is printed as
-a JSON report.
+with one ``error:`` line on stderr and no traceback.  The document parser
+applies the cap, before it builds the space of the block over it.  With
+``--json`` every verdict, including a failed construction precondition, is
+printed as a JSON report.
 
 One ordered table, ``_IDENTITIES``, lists the identities.  It drives
 ``check``, ``report``, the ``--identity`` choices and the validation of the
@@ -69,7 +70,7 @@ from .yangbaxter import (
     r_from_o_operator,
     symplectic_from_r,
 )
-from .serialize import AlgebraDocument, ParseError, from_json, loads, serialize
+from .serialize import AlgebraDocument, ParseError, _parse, serialize
 
 PASS, FAIL, INPUT_ERROR, ALARM = 0, 1, 2, 3
 
@@ -281,35 +282,16 @@ def _need_product(doc: AlgebraDocument, product: str, what: str) -> None:
         raise InputError(f"{what} needs {noun}")
 
 
-def _declared_dimensions(obj):
-    """(space, dimension) for each space of a decoded document that declares
-    both dimensions as nonnegative integers; the rest is left to the parser."""
-    if not isinstance(obj, dict):
-        return
-    for what, block in (("algebra", obj), ("representation", obj.get("representation")),
-                        ("bimodule", obj.get("bimodule"))):
-        if isinstance(block, dict):
-            dims = block.get("even_dim"), block.get("odd_dim")
-            if all(type(d) is int and d >= 0 for d in dims):  # not bool
-                yield what, sum(dims)
-
-
 def _load(args, product: str | None = "mul") -> AlgebraDocument:
     """Parse the input document and check it has the product the command needs.
 
-    Declared dimensions over ``MAX_DIM`` are refused before any space is built."""
-    path = Path(args.file)
+    The parser refuses a space over ``MAX_DIM`` dimensions before it builds it."""
     try:
-        data = path.read_bytes()
+        data = Path(args.file).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from None
     try:
-        obj = loads(data)
-        for what, dim in _declared_dimensions(obj):
-            if dim > MAX_DIM:
-                raise InputError(f"{args.file}: {what} dimension {dim} "
-                                 f"exceeds the cap of {MAX_DIM}")
-        doc = from_json(obj)
+        doc = _parse(data, MAX_DIM)
     except ParseError as exc:
         raise InputError(f"{args.file}: {exc}") from None
     if product is not None:

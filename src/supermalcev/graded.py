@@ -40,6 +40,10 @@ class ParityViolation(ValueError):
     """An entry sits at an index whose parity contradicts the declared one."""
 
 
+def _shape(space: SuperSpace) -> tuple[int, int]:
+    return space.even_dim, space.odd_dim
+
+
 def _default_labels(even_dim: int, odd_dim: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(even_dim)) + tuple(
         f"f{j + 1}" for j in range(odd_dim)
@@ -174,7 +178,7 @@ class GradedVector:
         return GradedVector(self.space, tuple(c * a for a in self.coords))
 
     def _check_space(self, other: "GradedVector"):
-        if self.space.dim != other.space.dim:
+        if _shape(self.space) != _shape(other.space):
             raise DimensionMismatch("vectors live in different spaces")
 
     def sparse(self) -> dict[int, Fraction]:
@@ -233,7 +237,7 @@ class GradedLinearMap:
         return GradedLinearMap(domain, codomain, zero_matrix(codomain.dim, domain.dim), parity)
 
     def __call__(self, v: GradedVector) -> GradedVector:
-        if v.space.dim != self.domain.dim:
+        if _shape(v.space) != _shape(self.domain):
             raise DimensionMismatch("vector not in the domain")
         return GradedVector(self.codomain, mat_vec(self.matrix, v.coords))
 
@@ -242,7 +246,7 @@ class GradedLinearMap:
 
     def compose(self, inner: "GradedLinearMap") -> "GradedLinearMap":
         """self after inner."""
-        if inner.codomain.dim != self.domain.dim:
+        if _shape(inner.codomain) != _shape(self.domain):
             raise DimensionMismatch("composition shape mismatch")
         return GradedLinearMap(
             inner.domain,
@@ -301,11 +305,10 @@ class Tensor2:
         n = self.space.dim
         if len(self.coeffs) != n or any(len(row) != n for row in self.coeffs):
             raise DimensionMismatch("coefficient matrix shape mismatch")
+        par = self.space.parities()
         for i, row in enumerate(self.coeffs):
             for j, entry in enumerate(row):
-                if entry != 0 and (
-                    (self.space.parity(i) + self.space.parity(j)) % 2 != self.parity
-                ):
+                if entry and (par[i] + par[j]) % 2 != self.parity:
                     raise ParityViolation(
                         f"tensor entry ({i}, {j}) = {entry} violates parity {self.parity}"
                     )
@@ -349,14 +352,12 @@ class Tensor2:
 
 def sigma(t: Tensor2) -> Tensor2:
     """The graded flip: sigma(b_i (x) b_j) = (-1)^{|b_i||b_j|} b_j (x) b_i."""
-    n = t.space.dim
+    n, par = t.space.dim, t.space.parities()
     out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        pi = t.space.parity(i)
-        for j in range(n):
-            c = t.coeffs[i][j]
+    for i, row in enumerate(t.coeffs):
+        for j, c in enumerate(row):
             if c != 0:
-                out[j][i] = koszul_sign(pi, t.space.parity(j)) * c
+                out[j][i] = koszul_sign(par[i], par[j]) * c
     return Tensor2(t.space, tuple(tuple(row) for row in out), t.parity)
 
 
@@ -384,9 +385,7 @@ class Tensor3:
 
 def pair(x_star: GradedVector, y: GradedVector) -> Fraction:
     """Canonical pairing <x*, y>; on dual-basis pairs <b_i*, b_j> = delta_ij."""
-    if x_star.space.dim != y.space.dim or (
-        x_star.space.even_dim != y.space.even_dim
-    ):
+    if _shape(x_star.space) != _shape(y.space):
         raise DimensionMismatch("pairing of incompatible spaces")
     return sum(
         (a * b for a, b in zip(x_star.coords, y.coords)), start=ZERO
@@ -399,12 +398,11 @@ def pair_tensor(s: Tensor2, t: Tensor2) -> Fraction:
     Extends the canonical pairing by
     <a1* (x) a2*, b1 (x) b2> = (-1)^{|a2*||b1|} <a1*, b1> <a2*, b2>.
     """
-    if s.space.dim != t.space.dim or s.space.even_dim != t.space.even_dim:
+    if _shape(s.space) != _shape(t.space):
         raise DimensionMismatch("pairing of incompatible spaces")
-    total = ZERO
+    total, par = ZERO, t.space.parities()
     for i, row in enumerate(s.coeffs):
-        pi = t.space.parity(i)
         for j, c in enumerate(row):
             if c != 0 and t.coeffs[i][j] != 0:
-                total += koszul_sign(t.space.parity(j), pi) * c * t.coeffs[i][j]
+                total += koszul_sign(par[j], par[i]) * c * t.coeffs[i][j]
     return total

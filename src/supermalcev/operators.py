@@ -78,6 +78,7 @@ from .graded import (
     ParityViolation,
     SuperSpace,
     _flips_to,
+    _shape,
     koszul_sign,
     vector_from_sparse,
 )
@@ -95,7 +96,6 @@ from .reps import (
     _Columns,
     _dual_columns,
     _multiplication_columns,
-    _shape,
 )
 
 
@@ -381,7 +381,7 @@ class BilinearForm:
         object.__setattr__(self, "matrix", _linalg.freeze(self.matrix))
         n = self.space.dim
         if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError("form matrix shape mismatch")
+            raise DimensionMismatch("form matrix shape mismatch")
 
 
 @dataclass(frozen=True)

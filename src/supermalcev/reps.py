@@ -59,6 +59,7 @@ from .graded import (
     GradedLinearMap,
     ParityViolation,
     SuperSpace,
+    _shape,
     direct_sum,
     koszul_sign,
     vector_from_sparse,
@@ -73,17 +74,13 @@ from .algebras import (
 )
 
 
-def _shape(space: SuperSpace) -> tuple[int, int]:
-    return space.even_dim, space.odd_dim
-
-
 def _validate_action(algebra: Superalgebra, space: SuperSpace,
                      maps: tuple[GradedLinearMap, ...], what: str):
     if len(maps) != algebra.space.dim:
-        raise ValueError(f"{what}: one map per algebra basis element required")
+        raise DimensionMismatch(f"{what}: one map per algebra basis element required")
     for i, m in enumerate(maps):
         if _shape(m.domain) != _shape(space) or _shape(m.codomain) != _shape(space):
-            raise ValueError(f"{what}: map {i} does not act on the module space")
+            raise DimensionMismatch(f"{what}: map {i} does not act on the module space")
         if m.parity != algebra.space.parity(i):
             raise ParityViolation(
                 f"{what}: map for basis element {i} has parity {m.parity}, "

@@ -5,6 +5,11 @@ optional blocks: a representation, a bimodule, a linear map, a 2-tensor,
 and a bilinear form.  Output is canonical: fixed key order, product triples
 sorted lexicographically, scalars in reduced "p/q" form; parsing followed
 by serializing is the identity on canonical files.
+
+This module is the only reader of a document's fields.  ``parse`` takes
+any dimension; the CLI passes its cap to ``_parse``, which refuses an
+algebra, representation or bimodule over it when it reaches that block,
+before the space is built.
 """
 
 from __future__ import annotations
@@ -76,11 +81,16 @@ def _space_to_json(space: SuperSpace) -> dict:
     }
 
 
-def _parse_space(obj: Mapping, where: str) -> SuperSpace:
+def _parse_space(obj: Mapping, where: str, what: str, cap: int | None) -> SuperSpace:
+    """The space ``what`` declared at ``where``; over ``cap`` dimensions it is
+    refused before its labels are read or made."""
     for key in ("even_dim", "odd_dim"):
         # JSON true and false decode to bool, a subclass of int
         if key not in obj or type(obj[key]) is not int or obj[key] < 0:
             raise ParseError(f"{where}.{key}: expected a nonnegative integer")
+    dim = obj["even_dim"] + obj["odd_dim"]
+    if cap is not None and dim > cap:
+        raise ParseError(f"{what} dimension {dim} exceeds the cap of {cap}")
     labels = obj.get("basis_labels", [])
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError(f"{where}.basis_labels: expected a list of strings")
@@ -221,10 +231,11 @@ def _dumps_canonical(value, indent: int = 0) -> str:
 
 
 def parse(text: str | bytes) -> AlgebraDocument:
-    return from_json(loads(text))
+    """The document in ``text``; every malformed input is a ParseError."""
+    return _parse(text)
 
 
-def loads(text: str | bytes) -> Any:
+def _loads(text: str | bytes) -> Any:
     """The JSON value of a document; every decoding failure is a ParseError."""
     if isinstance(text, bytes):
         try:
@@ -241,102 +252,79 @@ def loads(text: str | bytes) -> Any:
         raise ParseError("arrays or objects nested too deeply") from None
 
 
-def from_json(obj: Any) -> AlgebraDocument:
-    """The document held by a decoded JSON value."""
+def _block(obj: Mapping, name: str) -> Mapping | None:
+    """The optional block ``name``: None if absent, else it must be an object."""
+    if name not in obj:
+        return None
+    if not isinstance(obj[name], Mapping):
+        raise ParseError(f"{name}: expected an object")
+    return obj[name]
+
+
+def _parse_parity(block: Mapping, where: str) -> int:
+    parity = block.get("parity", 0)
+    if type(parity) is not int or parity not in (0, 1):
+        raise ParseError(f"{where}.parity: expected 0 or 1")
+    return parity
+
+
+def _parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
+    """The document in ``text``.  A space of more than ``cap`` dimensions is
+    refused when the parser reaches its block, before the space is built."""
+    obj = _loads(text)
     if not isinstance(obj, Mapping):
         raise ParseError("top level: expected an object")
     if obj.get("format") != FORMAT:
         raise ParseError(f"format: expected {FORMAT!r}, got {obj.get('format')!r}")
-    space = _parse_space(obj, "top level")
+    space = _parse_space(obj, "top level", "algebra", cap)
     if "products" not in obj:
         raise ParseError("products: missing")
     algebra = _parse_products(obj["products"], space)
+    fields: dict[str, Any] = {"algebra": algebra}
 
-    representation = None
-    if "representation" in obj:
-        block = obj["representation"]
-        if not isinstance(block, Mapping):
-            raise ParseError("representation: expected an object")
-        vspace = _parse_space(block, "representation")
+    if (block := _block(obj, "representation")) is not None:
+        vspace = _parse_space(block, "representation", "representation", cap)
         if "mul" not in algebra.products:
             raise ParseError("representation: requires a 'mul' product")
-        action = _parse_action(block.get("matrices"), algebra, vspace,
-                               "representation.matrices")
-        representation = Representation(algebra, vspace, action)
+        fields["representation"] = Representation(algebra, vspace, _parse_action(
+            block.get("matrices"), algebra, vspace, "representation.matrices"))
 
-    bimodule = None
-    if "bimodule" in obj:
-        block = obj["bimodule"]
-        if not isinstance(block, Mapping):
-            raise ParseError("bimodule: expected an object")
-        vspace = _parse_space(block, "bimodule")
-        left = _parse_action(block.get("left"), algebra, vspace, "bimodule.left")
-        right = _parse_action(block.get("right"), algebra, vspace, "bimodule.right")
-        bimodule = Bimodule(algebra, vspace, left, right)
+    if (block := _block(obj, "bimodule")) is not None:
+        vspace = _parse_space(block, "bimodule", "bimodule", cap)
+        fields["bimodule"] = Bimodule(
+            algebra, vspace,
+            _parse_action(block.get("left"), algebra, vspace, "bimodule.left"),
+            _parse_action(block.get("right"), algebra, vspace, "bimodule.right"))
 
-    linear_map = None
-    linear_map_domain = None
-    if "linear_map" in obj:
-        block = obj["linear_map"]
-        if not isinstance(block, Mapping):
-            raise ParseError("linear_map: expected an object")
-        linear_map_domain = block.get("domain", "algebra")
-        if linear_map_domain not in ("module", "algebra"):
-            raise ParseError(
-                "linear_map.domain: expected 'module' or 'algebra', got "
-                + repr(linear_map_domain)
-            )
-        parity = block.get("parity", 0)
-        if type(parity) is not int or parity not in (0, 1):
-            raise ParseError("linear_map.parity: expected 0 or 1")
-        if linear_map_domain == "module":
-            source = representation.space if representation is not None else (
-                bimodule.space if bimodule is not None else None
-            )
-            if source is None:
+    if (block := _block(obj, "linear_map")) is not None:
+        domain = block.get("domain", "algebra")
+        if domain not in ("module", "algebra"):
+            raise ParseError(f"linear_map.domain: expected 'module' or 'algebra', got {domain!r}")
+        parity = _parse_parity(block, "linear_map")
+        source = space
+        if domain == "module":
+            module = fields.get("representation") or fields.get("bimodule")
+            if module is None:
                 raise ParseError(
-                    "linear_map: domain 'module' requires a representation or "
-                    "bimodule block"
-                )
-        else:
-            source = algebra.space
-        matrix = _parse_matrix(block.get("matrix"), algebra.space.dim,
-                               source.dim, "linear_map.matrix")
+                    "linear_map: domain 'module' requires a representation or bimodule block")
+            source = module.space
+        matrix = _parse_matrix(block.get("matrix"), space.dim, source.dim, "linear_map.matrix")
         try:
-            linear_map = GradedLinearMap(source, algebra.space, matrix, parity)
+            fields["linear_map"] = GradedLinearMap(source, space, matrix, parity)
         except ParityViolation as exc:
             raise ParseError(f"linear_map.matrix: {exc}") from None
+        fields["linear_map_domain"] = domain
 
-    tensor2 = None
-    if "tensor2" in obj:
-        block = obj["tensor2"]
-        if not isinstance(block, Mapping):
-            raise ParseError("tensor2: expected an object")
-        parity = block.get("parity", 0)
-        if type(parity) is not int or parity not in (0, 1):
-            raise ParseError("tensor2.parity: expected 0 or 1")
-        coeffs = _parse_matrix(block.get("coeffs"), space.dim, space.dim,
-                               "tensor2.coeffs")
+    if (block := _block(obj, "tensor2")) is not None:
+        parity = _parse_parity(block, "tensor2")
+        coeffs = _parse_matrix(block.get("coeffs"), space.dim, space.dim, "tensor2.coeffs")
         try:
-            tensor2 = Tensor2(space, coeffs, parity)
+            fields["tensor2"] = Tensor2(space, coeffs, parity)
         except ParityViolation as exc:
             raise ParseError(f"tensor2.coeffs: {exc}") from None
 
-    bilinear_form = None
-    if "bilinear_form" in obj:
-        block = obj["bilinear_form"]
-        if not isinstance(block, Mapping):
-            raise ParseError("bilinear_form: expected an object")
-        matrix = _parse_matrix(block.get("matrix"), space.dim, space.dim,
-                               "bilinear_form.matrix")
-        bilinear_form = BilinearForm(space, matrix)
+    if (block := _block(obj, "bilinear_form")) is not None:
+        fields["bilinear_form"] = BilinearForm(space, _parse_matrix(
+            block.get("matrix"), space.dim, space.dim, "bilinear_form.matrix"))
 
-    return AlgebraDocument(
-        algebra=algebra,
-        representation=representation,
-        bimodule=bimodule,
-        linear_map=linear_map,
-        linear_map_domain=linear_map_domain,
-        tensor2=tensor2,
-        bilinear_form=bilinear_form,
-    )
+    return AlgebraDocument(**fields)

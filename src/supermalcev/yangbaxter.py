@@ -39,6 +39,7 @@ from .graded import (
     SuperSpace,
     Tensor2,
     Tensor3,
+    _shape,
     direct_sum,
     koszul_sign,
 )
@@ -57,12 +58,10 @@ from .reps import (
     _dual_columns,
     _multiplication_columns,
     _semidirect,
-    _shape,
     _signed,
 )
 from .operators import (
     BilinearForm,
-    IdentityViolation,
     _check_shape,
     _coadjoint_context,
     _Context,

@@ -133,6 +133,37 @@ def test_pair_dimension_mismatch():
         pair(SuperSpace(2, 0).dual().zero(), SuperSpace(3, 0).zero())
 
 
+# each pair of spaces has one total dimension and different (even, odd) ones
+
+
+def test_map_applies_only_to_vectors_of_its_even_and_odd_dimensions():
+    # the odd f1 of 1|2 once came back as e2, an even vector of 2|1
+    with pytest.raises(DimensionMismatch, match="vector not in the domain"):
+        GradedLinearMap.identity(SuperSpace(2, 1))(SuperSpace(1, 2).basis_vector(1))
+
+
+def test_vectors_add_only_in_equal_even_and_odd_dimensions():
+    x, y = SuperSpace(2, 1).basis_vector(0), SuperSpace(1, 2).basis_vector(0)
+    for combine in (lambda: x + y, lambda: x - y):
+        with pytest.raises(DimensionMismatch, match="vectors live in different spaces"):
+            combine()
+
+
+def test_maps_compose_only_through_equal_even_and_odd_dimensions():
+    inner = GradedLinearMap.zero(SuperSpace(1, 0), SuperSpace(2, 0))
+    outer = GradedLinearMap.zero(SuperSpace(1, 1), SuperSpace(1, 0))
+    with pytest.raises(DimensionMismatch, match="composition shape mismatch"):
+        outer.compose(inner)
+
+
+def test_algebra_multiplies_only_vectors_of_its_even_and_odd_dimensions():
+    heis = fixtures.heisenberg_1_1()
+    x = SuperSpace(0, 2).basis_vector(1)
+    for args in ((x, heis.space.basis_vector(1)), (heis.space.basis_vector(1), x)):
+        with pytest.raises(DimensionMismatch, match="vectors do not live in the algebra's space"):
+            heis.mul(*args)
+
+
 def test_pair_tensor_spec_examples():
     space = SuperSpace(2, 1)
     dual = space.dual()

@@ -886,6 +886,13 @@ def test_skew_nonsingular_even_form_on_abelian():
     assert check_symplectic(omega, A).ok
 
 
+def test_form_matrix_of_the_wrong_shape_is_a_dimension_mismatch():
+    space = SuperSpace(1, 1)
+    for matrix in (((0, 1),), ((0, 1), (-1,)), ((0, 1, 0), (-1, 0, 0), (0, 0, 0))):
+        with pytest.raises(DimensionMismatch, match="form matrix shape mismatch"):
+            BilinearForm(space, matrix)
+
+
 def test_symplectic_precondition_flags():
     A = fixtures.zero_algebra(2, 0)
     degenerate = BilinearForm(A.space, ((0, 0), (0, 0)))

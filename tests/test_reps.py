@@ -401,7 +401,18 @@ def test_action_shape_validated_by_even_and_odd_dimension():
                   lambda: Bimodule(A, V, (on_w,), (on_v,)),
                   lambda: Bimodule(A, V, (on_v,), (on_w,)),
                   lambda: Representation(A, V, (GradedLinearMap.zero(V, W, 0),))):
-        with pytest.raises(ValueError, match="does not act on the module space"):
+        with pytest.raises(DimensionMismatch, match="does not act on the module space"):
+            build()
+
+
+def test_action_with_a_map_count_other_than_the_algebra_dimension_is_a_dimension_mismatch():
+    A, V = fixtures.heisenberg_1_1(), SuperSpace(1, 0)
+    action = GradedLinearMap.zero(V, V, 0), GradedLinearMap.zero(V, V, 1)
+    for build, what in ((lambda: Representation(A, V, action[:1]), "representation"),
+                        (lambda: Bimodule(A, V, action[:1], action), "bimodule left action"),
+                        (lambda: Bimodule(A, V, action, ()), "bimodule right action")):
+        with pytest.raises(DimensionMismatch,
+                           match=f"^{what}: one map per algebra basis element required$"):
             build()
 
 

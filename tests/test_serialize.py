@@ -203,6 +203,38 @@ def test_linear_map_module_requires_context():
     assert "module" in str(exc.value)
 
 
+_ZERO_2X2 = [["0", "0"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"representation": []}, "representation: expected an object"),
+    ({"bimodule": []}, "bimodule: expected an object"),
+    ({"linear_map": []}, "linear_map: expected an object"),
+    ({"tensor2": []}, "tensor2: expected an object"),
+    ({"bilinear_form": []}, "bilinear_form: expected an object"),
+    ({"linear_map": {"parity": 2, "matrix": _ZERO_2X2}}, "linear_map.parity: expected 0 or 1"),
+    ({"tensor2": {"parity": 2, "coeffs": _ZERO_2X2}}, "tensor2.parity: expected 0 or 1"),
+    ({"linear_map": {"domain": "both", "matrix": _ZERO_2X2}},
+     "linear_map.domain: expected 'module' or 'algebra', got 'both'"),
+    ({"linear_map": {"domain": "module", "matrix": _ZERO_2X2}},
+     "linear_map: domain 'module' requires a representation or bimodule block"),
+    ({"products": {"prec": [], "succ": []},
+      "representation": {"even_dim": 1, "odd_dim": 0, "matrices": [[["0"]], [["0"]]]}},
+     "representation: requires a 'mul' product"),
+    ({"products": None}, "products: missing"),
+])
+def test_parse_error_messages_in_full(edits, message):
+    doc = _base()
+    for key, value in edits.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_non_utf8_rejected():
     with pytest.raises(ParseError):
         parse(b"\xff\xfe{}")
