@@ -35,9 +35,12 @@ expression renamed by its leaf order), so the four Malcev terms
 variables is the rows themselves.  The identity itself is summed one block
 of its first index at a time: each summand of a block joins the values of
 its side that holds the first index to the other side's values through
-the rows' partner lists and that side's index by support.  No table over
-all n^d tuples is held; the failing tuples of a block are its nonzero keys,
-and the witnesses are read off them in lexicographic order.
+the rows' partner lists and that side's index by support, and adds each
+term straight into the output vector of the tuple it changes (looked up
+once per pair of keys), with the Koszul sign of the two keys' parity
+masks.  No table over all n^d tuples is held; the failing tuples of a block
+are its nonzero keys, and the witnesses are read off them in lexicographic
+order.
 
 On a graded-anticommutative product the residual M of the four-variable
 Malcev identity satisfies M(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} M(x,y,z,t).
@@ -351,13 +354,13 @@ class _Table:
 
     @functools.cached_property
     def support(self) -> list:
-        """support[j] -> (key, coefficient of b_j, min(key)) of each value
-        with b_j in its support, by decreasing min(key)."""
+        """support[j] -> (key, coefficient of b_j, min(key), parity mask of
+        key) of each value with b_j in its support, by decreasing min(key)."""
         support = [[] for _ in range(self.dim)]
         for key in sorted(self.values, key=min, reverse=True):
-            least = min(key)
+            least, mask = min(key), self.masks[key]
             for j, c in self.values[key].items():
-                support[j].append((key, c, least))
+                support[j].append((key, c, least, mask))
         return support
 
     def at(self, p: int) -> dict:
@@ -411,40 +414,42 @@ class _Evaluator:
     def plan(self, expr) -> list:
         """The summands of a sum or product bound to this call's tables."""
         return [(self.table(driven), self.table(driven).at(p), self.partners[name][flip],
-                 self.table(other).support, self.table(other).masks, rekey, signs)
+                 self.table(other).support, rekey, signs)
                 for name, flip, driven, p, other, rekey, signs in _summands(expr)]
 
     def block(self, plans, a: int, low: int = 0) -> dict:
         """The nonzero values at the tuples whose first index is ``a`` and
-        whose indices are all at least ``low``."""
+        whose indices are all at least ``low``, with no zero components.
+
+        Each term is added straight into the output vector it changes: per
+        driven key, the first term that reaches an other-side key looks up
+        its output vector, and every term adds sign * c * d * row into that
+        vector in place, the sign read off the two keys' parity masks.
+        Zeros are dropped in one pass at the end."""
         out: dict = {}
-        for driven, at, partners, support, masks, rekey, signs in plans:
+        for driven, at, partners, support, rekey, signs in plans:
             for key in at.get(a, ()):
-                if min(key) < low:
+                if low and min(key) < low:
                     continue
-                vec = driven.values[key]
-                acc: dict = {}  # the other side's key -> (factor, row) pairs
-                for i, c in vec.items():
+                sign = signs[driven.masks[key]]
+                dsts: dict = {}  # the other side's key -> output vector
+                for i, c in driven.values[key].items():
                     for j, row in partners[i]:
-                        for okey, d, oleast in support[j]:
+                        for okey, d, oleast, omask in support[j]:
                             if oleast < low:
                                 break
-                            if okey in acc:
-                                acc[okey].append((c * d, row))
-                            else:
-                                acc[okey] = [(c * d, row)]
-                sign = signs[driven.masks[key]]
-                for okey, terms in acc.items():
-                    s, full = sign[masks[okey]], rekey(key + okey)
-                    dst = out.get(full)
-                    if dst is None:
-                        dst = out[full] = {}
-                    for f, row in terms:
-                        f *= s
-                        for k, r in row.items():
-                            dst[k] = dst.get(k, 0) + f * r
-        out = {key: {k: c for k, c in vec.items() if c} for key, vec in out.items()}
-        return {key: vec for key, vec in out.items() if vec}
+                            dst = dsts.get(okey)
+                            if dst is None:
+                                full = rekey(key + okey)
+                                dst = out.get(full)
+                                if dst is None:
+                                    dst = out[full] = {}
+                                dsts[okey] = dst
+                            f = sign[omask] * c * d
+                            for k, r in row.items():
+                                dst[k] = dst.get(k, 0) + f * r
+        return {key: {k: c for k, c in vec.items() if c}
+                for key, vec in out.items() if any(vec.values())}
 
 
 def _rotations(idx: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:

@@ -94,7 +94,7 @@ from .reps import (
     Representation,
     _columns,
     _Columns,
-    _dual_columns,
+    _coadjoint_columns,
     _multiplication_columns,
 )
 
@@ -147,7 +147,7 @@ def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
 def _coadjoint_context(A: Superalgebra) -> _Context:
     """A acting on its dual by the coadjoint action, read off the rows; its
     O-operators are the r-maps of the operator form of the MYBE."""
-    coad = _dual_columns(_multiplication_columns(A), A.space, A.space)
+    coad = _coadjoint_columns(A)
     return _Context("operator-form", A, A.rows(), A.space.dual(), coad, coad, (-1, 1))
 
 
@@ -180,8 +180,11 @@ def _scaled_to_image(ctx: _Context, image: set[int],
     left, right = (tuple(cols if k in image else () for k, cols in enumerate(columns))
                    for columns in (ctx.left, ctx.right))
     D = denominator(rows.values(), extra, *left, *right)
-    return (replace(ctx, rows=scaled_rows(rows, D), left=scaled_columns(left, D),
-                    right=scaled_columns(right, D)), [scaled(v, D) for v in extra], D)
+    left = scaled_columns(left, D)
+    # the representation and coadjoint contexts act by one set of columns
+    right = left if ctx.right is ctx.left else scaled_columns(right, D)
+    return (replace(ctx, rows=scaled_rows(rows, D), left=left, right=right),
+            [scaled(v, D) for v in extra], D)
 
 
 def _induced_product(columns: _Columns,

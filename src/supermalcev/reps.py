@@ -12,7 +12,11 @@ The checkers, the semidirect products and the O-operator engine in
 the image of each module basis vector under each ``action[i]``.  An
 identity between operators on V is decided column by column, on one
 module basis vector at a time, and a failing tuple is witnessed by its
-first nonzero residual column.
+first nonzero residual column.  Each residual column is one dict that every
+term is added into in place, as a coefficient times a sparse column; the
+zeros that cancellation leaves are dropped only from a kept witness.  The
+bimodule checker reads l(x) b_c and r(x) b_c off the transposed columns
+``Lc[c]`` and ``Rc[c]``, built once per call.
 
 The representation checker reads the composites rho(a)rho(b) from per-call
 tables, one block per first index i of the walk: the columns of
@@ -22,7 +26,8 @@ residual column is then one sparse sum over precomputed columns, with no
 product of two operators rebuilt per triple.
 
 The constructions work on sparse columns too, each job in one place:
-multiplication columns off the rows (``_multiplication_columns``), maps
+multiplication columns off the rows (``_multiplication_columns``), the
+coadjoint columns in one pass over the rows (``_coadjoint_columns``), maps
 from columns (``_maps``), the factor -(-1)^{|x||v|} of moving x in A past
 v in V (``_signed``) and the semidirect product (``_semidirect``).
 
@@ -129,15 +134,22 @@ def _pair_columns(f: tuple[Vector, ...], g: tuple[Vector, ...]) -> tuple[Vector,
 def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
                           space: SuperSpace, scale: int, terms):
     """Witness ``indices + (c,)`` for the first module basis vector b_c whose
-    residual column, the sum of factor * vector over the (factor, vector)
-    pairs of ``terms(c)``, is nonzero, if there is one.  The residual is
-    ``scale`` times the rational one."""
+    residual column is nonzero, if there is one.  The residual is the sum of
+    factor * (the map with columns ``table``) applied to ``vector`` over the
+    (factor, table, vector) triples of ``terms(c)``, each term added in
+    place into one dict; its zeros are dropped only for a kept witness.  The
+    residual is ``scale`` times the rational one."""
     for c in range(space.dim):
         res: dict = {}
-        for factor, v in terms(c):
-            add_scaled(res, v, factor)
-        if res:
-            col.add(indices + (c,), lambda: vector_from_sparse(space, unscaled(res, scale)))
+        get = res.get
+        for factor, table, vector in terms(c):
+            for b, a in vector.items():
+                a *= factor
+                for r, v in table[b].items():
+                    res[r] = get(r, 0) + a * v
+        if any(res.values()):
+            col.add(indices + (c,), lambda: vector_from_sparse(
+                space, unscaled({r: v for r, v in res.items() if v}, scale)))
             return
 
 
@@ -222,23 +234,25 @@ def check_alternative_bimodule(B: Bimodule,
     rows, L, R = A.rows(), _columns(B.left), _columns(B.right)
     D = denominator(rows.values(), *L, *R)
     rows, L, R = scaled_rows(rows, D), scaled_columns(L, D), scaled_columns(R, D)
+    # Lc[c][k] = L[k][c]: l(x) b_c is the map with columns Lc[c] applied to x
+    Lc, Rc = tuple(zip(*L)), tuple(zip(*R))
     for i, j in itertools.product(range(n), repeat=2):
         col.tick()
         s, t, u = koszul_sign(par[i], par[j]), vsign[par[i]], vsign[par[j]]
         xy, yx = rows.get((i, j), EMPTY), rows.get((j, i), EMPTY)
         identities = (
             # l(xy) + s l(yx) - l(x)l(y) - s l(y)l(x)
-            lambda c: ((1, act(L, xy, c)), (s, act(L, yx, c)),
-                       (-1, apply(L[i], L[j][c])), (-s, apply(L[j], L[i][c]))),
+            lambda c: ((1, Lc[c], xy), (s, Lc[c], yx),
+                       (-1, L[i], L[j][c]), (-s, L[j], L[i][c])),
             # r(y)r(x) + s r(x)r(y) - r(xy) - s r(yx)
-            lambda c: ((1, apply(R[j], R[i][c])), (s, apply(R[i], R[j][c])),
-                       (-1, act(R, xy, c)), (-s, act(R, yx, c))),
+            lambda c: ((1, R[j], R[i][c]), (s, R[i], R[j][c]),
+                       (-1, Rc[c], xy), (-s, Rc[c], yx)),
             # r(y)r(x) + t r(y)l(x) - t l(x)r(y) - r(xy),  t = (-1)^{|x||v|}
-            lambda c: ((1, apply(R[j], R[i][c])), (t[c], apply(R[j], L[i][c])),
-                       (-t[c], apply(L[i], R[j][c])), (-1, act(R, xy, c))),
+            lambda c: ((1, R[j], R[i][c]), (t[c], R[j], L[i][c]),
+                       (-t[c], L[i], R[j][c]), (-1, Rc[c], xy)),
             # r(y)l(x) + u l(xy) - u l(x)l(y) - l(x)r(y),  u = (-1)^{|v||y|}
-            lambda c: ((1, apply(R[j], L[i][c])), (u[c], act(L, xy, c)),
-                       (-u[c], apply(L[i], L[j][c])), (-1, apply(L[i], R[j][c]))),
+            lambda c: ((1, R[j], L[i][c]), (u[c], Lc[c], xy),
+                       (-u[c], L[i], L[j][c]), (-1, L[i], R[j][c])),
         )
         for q, terms in enumerate(identities):
             _witness_first_column(col, (q, i, j), B.space, D ** 2, terms)
@@ -320,6 +334,19 @@ def _dual_columns(columns: _Columns, algebra: SuperSpace, module: SuperSpace) ->
     return _signed(algebra, module, transposed)
 
 
+def _coadjoint_columns(A: Superalgebra) -> _Columns:
+    """The columns of ad* on A*, in one pass over the rows: the
+    ``_dual_columns`` of left multiplication, so column jj of ad*(b_i) holds
+    -(-1)^{|i||jj|} <b_jj*, b_i b_ii> at row ii."""
+    n = A.space.dim
+    transposed: list[dict[int, Sparse]] = [{} for _ in range(n)]
+    for (i, ii), row in A.rows().items():
+        for jj, c in row.items():
+            transposed[i].setdefault(jj, {})[ii] = c
+    return _signed(A.space, A.space, [tuple(out.get(jj, EMPTY) for jj in range(n))
+                                      for out in transposed])
+
+
 def dual_representation(R: Representation) -> Representation:
     """rho* on V* determined by <rho*(x)a*, b> = -(-1)^{|x||a*|} <a*, rho(x)b>."""
     A, dual_space = R.algebra.space, R.space.dual()
@@ -344,7 +371,8 @@ def adjoint_representation(A: Superalgebra) -> Representation:
 
 def coadjoint_representation(A: Superalgebra) -> Representation:
     """ad* = dual of the adjoint representation."""
-    return dual_representation(adjoint_representation(A))
+    dual = A.space.dual()
+    return Representation(A, dual, _maps(A.space, dual, _coadjoint_columns(A)))
 
 
 def left_multiplication_representation(P: Superalgebra) -> Representation:
@@ -393,7 +421,7 @@ def are_equivalent(R: Representation, Rp: Representation,
     for i in range(R.algebra.space.dim):
         col.tick()
         _witness_first_column(col, (i,), Rp.space, D ** 2, lambda c: (
-            (1, apply(phi_cols, rho[i][c])), (-1, apply(rho_p[i], phi_cols[c]))))
+            (1, phi_cols, rho[i][c]), (-1, rho_p[i], phi_cols[c])))
     return col.report()
 
 

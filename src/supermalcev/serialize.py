@@ -63,13 +63,25 @@ def _matrix_to_json(matrix) -> list[list[str]]:
 
 
 def _parse_matrix(value: Any, nrows: int, ncols: int, where: str):
+    """The matrix at ``where``; each distinct scalar is parsed once.  Only
+    ``str`` and ``int`` entries are cached, keyed with their type because
+    JSON true == 1; any other entry is parsed, and refused, where it is."""
     if not isinstance(value, list) or len(value) != nrows:
         raise ParseError(f"{where}: expected {nrows} rows")
-    out = []
+    out, seen = [], {}
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError(f"{where}[{i}]: expected {ncols} entries")
-        out.append(tuple(_parse_scalar(c, f"{where}[{i}][{j}]") for j, c in enumerate(row)))
+        parsed = []
+        for j, c in enumerate(row):
+            key = type(c), c
+            if key[0] not in (str, int):
+                parsed.append(_parse_scalar(c, f"{where}[{i}][{j}]"))
+                continue
+            if key not in seen:
+                seen[key] = _parse_scalar(c, f"{where}[{i}][{j}]")
+            parsed.append(seen[key])
+        out.append(tuple(parsed))
     return tuple(out)
 
 
@@ -120,7 +132,7 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
             "products: expected either {'mul'} or {'prec', 'succ'}, got "
             + repr(sorted(names))
         )
-    n = space.dim
+    n, par = space.dim, space.parities()
     entries: dict[str, dict[tuple[int, int, int], Fraction]] = {}
     for name in sorted(names):
         triples = obj[name]
@@ -138,12 +150,10 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
             c = _parse_scalar(item[3], f"{where}.scalar")
             if (i, j, k) in sparse:
                 raise ParseError(f"{where}: duplicate entry ({i}, {j}, {k})")
-            target = (space.parity(i) + space.parity(j)) % 2
-            if c != 0 and space.parity(k) != target:
+            if c != 0 and par[k] != (par[i] + par[j]) % 2:
                 raise ParseError(
                     f"{where}: parity violation: entry ({i}, {j}, {k}) maps "
-                    f"parities ({space.parity(i)}, {space.parity(j)}) to "
-                    f"parity {space.parity(k)}"
+                    f"parities ({par[i]}, {par[j]}) to parity {par[k]}"
                 )
             if c != 0:
                 sparse[(i, j, k)] = c

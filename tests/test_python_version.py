@@ -4,7 +4,8 @@ declares (``requires-python = ">=3.10"``).
 Two guards: every file parses with the 3.10 grammar (``except*`` groups are
 3.11), and no file uses a standard-library name added after 3.10 (listed in
 ``NEWER``), read off the syntax tree: an imported module, a name imported
-from a module, an attribute of an imported module, or a builtin."""
+from a module, an attribute of an imported module, a builtin, or a method
+of a standard-library type (``NEWER_METHODS``)."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,11 @@ NEWER = {
 NEWER_MODULES = {"tomllib": "3.11"}
 NEWER_BUILTINS = {"ExceptionGroup": "3.11", "BaseExceptionGroup": "3.11",
                   "PythonFinalizationError": "3.13"}
+# method -> the version that added it to a standard-library type.  The
+# syntax tree does not know an object's type, so every attribute of the
+# name is flagged: float.is_integer is older, but int.is_integer and
+# Fraction.is_integer are 3.12.
+NEWER_METHODS = {"is_integer": "3.12"}
 
 
 def newer_names(source: str) -> list[str]:
@@ -67,7 +73,9 @@ def newer_names(source: str) -> list[str]:
                 if added:
                     found.append(f"{node.module}.{alias.name} ({added})")
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        if isinstance(node, ast.Attribute) and node.attr in NEWER_METHODS:
+            found.append(f".{node.attr} ({NEWER_METHODS[node.attr]})")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
             module = aliases[node.value.id]
             added = NEWER.get(module, {}).get(node.attr)
@@ -108,6 +116,10 @@ def test_no_source_uses_a_standard_library_name_added_after_3_10():
     ("import itertools, math\nitertools.pairwise(xs)\nmath.lcm(2, 3)", []),
     ("import datetime\ndatetime.timezone.utc\nx.batched", []),
     ("from .math import cbrt", []),
+    # methods: any attribute of the name, and not a plain name
+    ("Fraction(3, 2).is_integer()", [".is_integer (3.12)"]),
+    ("c.numerator.is_integer()", [".is_integer (3.12)"]),
+    ("c.denominator == 1\nis_integer(c)", []),
 ])
 def test_newer_names_are_found(source, expected):
     assert newer_names(source) == expected

@@ -37,6 +37,7 @@ from supermalcev import fixtures
 from rational_inputs import (
     algebra_constants,
     denominator,
+    even_unimodular,
     map_constants,
     rational_action,
     rational_product,
@@ -239,6 +240,26 @@ SEEDED_CASES = ([("odd", *case) for case in ODD_CASES]
                 + [("rational", *case) for case in RATIONAL_CASES])
 
 
+def oracle_equivalence_witnesses(R, Rp, phi):
+    """The failing algebra indices i in order, each as ((i, col), column)
+    with the first nonzero column of phi rho(b_i) - rho'(b_i) phi."""
+    found = []
+    for i, (m, mp) in enumerate(zip(R.action, Rp.action)):
+        residual = [[x - y for x, y in zip(ra, rb)] for ra, rb in
+                    zip(mat_mul(phi.matrix, m.matrix), mat_mul(mp.matrix, phi.matrix))]
+        bad = first_bad_column(residual)
+        if bad:
+            found.append(((i, bad[0]), bad[1]))
+    return found
+
+
+def conjugated(R, phi):
+    """The representation phi rho phi^{-1}, equivalent to R through phi."""
+    inverse = phi.inverse()
+    return Representation(R.algebra, R.space, tuple(phi.compose(m).compose(inverse)
+                                                    for m in R.action))
+
+
 def test_are_equivalent_with_denominators():
     space, module = SuperSpace(2, 2), SuperSpace(2, 2)
     A = rational_product(space, 5)
@@ -246,20 +267,11 @@ def test_are_equivalent_with_denominators():
     phi = GradedLinearMap(module, module, tuple(
         tuple(Fraction(1, 2 + i) if i == j else (Fraction(1, 3) if (i, j) == (0, 1) else Z)
               for j in range(4)) for i in range(4)), 0)
-    inverse = phi.inverse()
-    conjugated = Representation(A, module, tuple(phi.compose(m).compose(inverse)
-                                                 for m in R.action))
-    assert are_equivalent(R, conjugated, phi).ok
+    assert are_equivalent(R, conjugated(R, phi), phi).ok
     # against R itself, index i fails at the first nonzero column of
     # phi rho(b_i) - rho(b_i) phi
     report = are_equivalent(R, R, phi, witness_limit=10 ** 6)
-    expected = []
-    for i, m in enumerate(R.action):
-        residual = [[x - y for x, y in zip(ra, rb)] for ra, rb in
-                    zip(mat_mul(phi.matrix, m.matrix), mat_mul(m.matrix, phi.matrix))]
-        bad = first_bad_column(residual)
-        if bad:
-            expected.append(((i, bad[0]), bad[1]))
+    expected = oracle_equivalence_witnesses(R, R, phi)
     assert expected
     assert report.violation_count == len(expected)
     assert [(w, list(v.coords)) for w, v in report.witnesses] == expected
@@ -754,3 +766,58 @@ def test_are_equivalent_negative_and_preconditions():
     singular = GradedLinearMap.zero(R.space, R.space, 0)
     report = are_equivalent(R, R, singular)
     assert report.precondition_failures == ("phi is not bijective",)
+
+
+# -- residuals of which some components cancel exactly and others do not ------
+
+
+def one_entry_changed(maps, k):
+    """``maps`` with 1 added to the first nonzero entry of map k: the terms of
+    an identity still cancel exactly wherever they do not read that entry."""
+    m = maps[k]
+    r, c = next((r, c) for r, row in enumerate(m.matrix) for c, x in enumerate(row) if x)
+    rows = [list(row) for row in m.matrix]
+    rows[r][c] += 1
+    return maps[:k] + (GradedLinearMap(m.domain, m.codomain, rows, m.parity),) + maps[k + 1:]
+
+
+def test_module_checkers_match_oracles_where_some_components_cancel():
+    # H (x) Lambda(xi1) is associative, so its regular bimodule is alternative
+    # and the coadjoint action of its commutator a Malcev representation
+    A = fixtures.tensor_grassmann(fixtures.quaternions(), 1)
+    C, odd = commutator_superalgebra(A), A.space.dim - 1  # k (x) xi1, not central in C
+    co, B = coadjoint_representation(C), regular_bimodule(A)
+    assert check_malcev_representation(co).ok and check_alternative_bimodule(B).ok
+    R = Representation(C, co.space, one_entry_changed(co.action, odd))
+    expected = oracle_rep_witnesses(R)
+    assert len(expected) < 8 ** 3
+    for limit in (1, 3, 10 ** 6):
+        assert_matches_oracle(check_malcev_representation(R, witness_limit=limit),
+                              expected, 8 ** 3, limit)
+    for changed in (Bimodule(A, A.space, one_entry_changed(B.left, odd), B.right),
+                    Bimodule(A, A.space, B.left, one_entry_changed(B.right, odd))):
+        expected = oracle_bimodule_witnesses(changed)
+        assert len({w[1:3] for w, _ in expected}) < 8 ** 2
+        for limit in (1, 3, 10 ** 6):
+            assert_matches_oracle(check_alternative_bimodule(changed, witness_limit=limit),
+                                  expected, 8 ** 2, limit)
+
+
+@pytest.mark.parametrize("space, module, seed", [
+    (SuperSpace(2, 2), SuperSpace(2, 2), 3), (SuperSpace(3, 3), SuperSpace(1, 2), 4)])
+def test_are_equivalent_matches_the_dense_oracle_on_odd_inputs(space, module, seed):
+    A = fixtures.random_product(space, seed)
+    R = Representation(A, module, fixtures.random_action_maps(A, module, seed + 10))
+    phi = GradedLinearMap(module, module, even_unimodular(module, seed), 0)
+    assert are_equivalent(R, conjugated(R, phi), phi).ok
+    odd = space.dim - 1  # an odd basis element of A
+    for Rp in (Representation(A, module, fixtures.random_action_maps(A, module, seed + 20)),
+               # equivalent but for one entry: most columns cancel exactly
+               Representation(A, module, one_entry_changed(conjugated(R, phi).action, odd))):
+        expected = oracle_equivalence_witnesses(R, Rp, phi)
+        assert expected
+        for limit in (1, 3, 10 ** 6):
+            report = are_equivalent(R, Rp, phi, witness_limit=limit)
+            assert report.violation_count == len(expected)
+            assert report.checked_tuples == space.dim
+            assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]

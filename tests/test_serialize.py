@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from supermalcev import (
+    SuperSpace,
+    Superalgebra,
     Tensor2,
     adjoint_representation,
     regular_bimodule,
@@ -133,6 +135,39 @@ def test_parse_memory_is_bounded_by_the_input():
         tracemalloc.stop()
     assert algebra.space.dim == 150
     assert peak < 2 * 1024 * 1024
+
+
+def test_parse_memory_of_a_sparse_action_at_the_cap_follows_its_distinct_scalars():
+    # a 32|32 algebra with two constants and its adjoint action: 262144
+    # matrix entries and 3 distinct scalars.  One Fraction per entry peaked
+    # at 16.5 MB; one per distinct scalar of a matrix peaks at 4.5 MB.
+    A = Superalgebra.from_entries(SuperSpace(32, 32), {"mul": {(0, 1, 2): 1, (1, 0, 2): -1}})
+    text = serialize(AlgebraDocument(A, representation=adjoint_representation(A)))
+    tracemalloc.start()
+    try:
+        doc = parse(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.representation.action == adjoint_representation(A).action
+    assert peak < 8 * 1024 * 1024
+
+
+@pytest.mark.parametrize("entry, message", [
+    (True, "expected a scalar string, got a boolean"),
+    ([2], "expected a scalar string, got list"),
+    ({}, "expected a scalar string, got dict"),
+    (None, "expected a scalar string, got NoneType"),
+    (1.5, "expected a scalar string, got float"),
+])
+def test_a_bad_matrix_entry_after_a_valid_1_keeps_its_message(entry, message):
+    # a matrix parses each distinct scalar once; JSON true == 1, and a list
+    # or an object cannot be a dict key, so none of them may meet the cache
+    doc = _base()
+    doc["bilinear_form"] = {"matrix": [[1, entry], ["0", "0"]]}
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == f"bilinear_form.matrix[0][1]: {message}"
 
 
 @pytest.mark.parametrize("field, path", [
