@@ -6,7 +6,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from supermalcev import Tensor2, adjoint_representation, canonical_r
+from supermalcev import adjoint_representation, canonical_r
 from supermalcev import fixtures
 from supermalcev.serialize import AlgebraDocument, parse, serialize
 

@@ -12,11 +12,11 @@ The checkers, the semidirect products and the O-operator engine in
 the image of each module basis vector under each ``action[i]``.  An
 identity between operators on V is decided column by column, on one
 module basis vector at a time, and a failing tuple is witnessed by its
-first nonzero residual column.  Each residual column is one dict that every
-term is added into in place, as a coefficient times a sparse column; the
-zeros that cancellation leaves are dropped only from a kept witness.  The
-bimodule checker reads l(x) b_c and r(x) b_c off the transposed columns
-``Lc[c]`` and ``Rc[c]``, built once per call.
+first nonzero residual column, in the one such walk for every identity
+(``_witness_first_column``).  A checker builds each tuple's terms once; the
+walk adds them into one dict per residual column in place, and drops the
+zeros that cancellation leaves only from a kept witness.  Signs that depend
+on the module vector come from copies of L and R with odd columns negated.
 
 The representation checker reads the composites rho(a)rho(b) from per-call
 tables, one block per first index i of the walk: the columns of
@@ -132,18 +132,22 @@ def _pair_columns(f: tuple[Vector, ...], g: tuple[Vector, ...]) -> tuple[Vector,
 
 
 def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
-                          space: SuperSpace, scale: int, terms):
+                          space: SuperSpace, scale: int, columns, applied):
     """Witness ``indices + (c,)`` for the first module basis vector b_c whose
-    residual column is nonzero, if there is one.  The residual is the sum of
-    factor * (the map with columns ``table``) applied to ``vector`` over the
-    (factor, table, vector) triples of ``terms(c)``, each term added in
-    place into one dict; its zeros are dropped only for a kept witness.  The
-    residual is ``scale`` times the rational one."""
+    residual column is nonzero, if there is one; the one loop over module
+    columns.  Column c adds factor * ``table[c]`` for each (factor, table) of
+    ``columns`` and factor * (the map with columns ``table``) applied to
+    ``vectors[c]`` for each (factor, vectors, table) of ``applied``, each term
+    in place into one dict; its zeros are dropped only for a kept witness.
+    The residual is ``scale`` times the rational one."""
     for c in range(space.dim):
         res: dict = {}
         get = res.get
-        for factor, table, vector in terms(c):
-            for b, a in vector.items():
+        for factor, table in columns:
+            for r, v in table[c].items():
+                res[r] = get(r, 0) + factor * v
+        for factor, vectors, table in applied:
+            for b, a in vectors[c].items():
                 a *= factor
                 for r, v in table[b].items():
                     res[r] = get(r, 0) + a * v
@@ -192,21 +196,7 @@ def check_malcev_representation(R: Representation,
             # s2 rho(z)rho(x) rho(y)b_c and -s rho(y) rho(zx)b_c
             applied = ((-1, rho[k], left[j]), (s2, rho[j], right[k]), (-s, times_x[k], rho[j]))
             col.tick()
-            for c in range(dim_v):
-                res: dict = {}
-                get = res.get
-                for a, table in columns:
-                    for r, v in table[c].items():
-                        res[r] = get(r, 0) + a * v
-                for sign, vectors, table in applied:
-                    for b, a in vectors[c].items():
-                        a *= sign
-                        for r, v in table[b].items():
-                            res[r] = get(r, 0) + a * v
-                if any(res.values()):
-                    col.add((i, j, k, c), lambda: vector_from_sparse(
-                        R.space, unscaled({r: v for r, v in res.items() if v}, D ** 3)))
-                    break
+            _witness_first_column(col, (i, j, k), R.space, D ** 3, columns, applied)
         del left, right, times_x  # one block at a time
     return col.report()
 
@@ -229,33 +219,37 @@ def check_alternative_bimodule(B: Bimodule,
     A = B.algebra
     n = A.space.dim
     par = A.space.parities()
-    # vsign[p][c] = (-1)^{p |v|} for the module basis vector v = b_c
-    vsign = [tuple(koszul_sign(p, q) for q in B.space.parities()) for p in (0, 1)]
     rows, L, R = A.rows(), _columns(B.left), _columns(B.right)
     D = denominator(rows.values(), *L, *R)
     rows, L, R = scaled_rows(rows, D), scaled_columns(L, D), scaled_columns(R, D)
-    # Lc[c][k] = L[k][c]: l(x) b_c is the map with columns Lc[c] applied to x
-    Lc, Rc = tuple(zip(*L)), tuple(zip(*R))
+    vpar = B.space.parities()
+    # signed[p] = (L, R) with column b_c times (-1)^{p|b_c|}: for p = 1 odd ones negated
+    signed = ((L, R), tuple(tuple(tuple({r: -v for r, v in column.items()} if q else column
+                                        for q, column in zip(vpar, cols)) for cols in M)
+                            for M in (L, R)))
     for i, j in itertools.product(range(n), repeat=2):
         col.tick()
-        s, t, u = koszul_sign(par[i], par[j]), vsign[par[i]], vsign[par[j]]
-        xy, yx = rows.get((i, j), EMPTY), rows.get((j, i), EMPTY)
+        s = koszul_sign(par[i], par[j])
+        # t = (-1)^{|x||v|} and u = (-1)^{|v||y|} come with the copies Lt, Rt and Lu
+        (Lt, Rt), (Lu, _) = signed[par[i]], signed[par[j]]
+        xy, yx = rows.get((i, j), EMPTY).items(), rows.get((j, i), EMPTY).items()
+        minus_r_xy = [(-a, R[k]) for k, a in xy]
         identities = (
             # l(xy) + s l(yx) - l(x)l(y) - s l(y)l(x)
-            lambda c: ((1, Lc[c], xy), (s, Lc[c], yx),
-                       (-1, L[i], L[j][c]), (-s, L[j], L[i][c])),
+            ([(a, L[k]) for k, a in xy] + [(s * a, L[k]) for k, a in yx],
+             ((-1, L[j], L[i]), (-s, L[i], L[j]))),
             # r(y)r(x) + s r(x)r(y) - r(xy) - s r(yx)
-            lambda c: ((1, R[j], R[i][c]), (s, R[i], R[j][c]),
-                       (-1, Rc[c], xy), (-s, Rc[c], yx)),
-            # r(y)r(x) + t r(y)l(x) - t l(x)r(y) - r(xy),  t = (-1)^{|x||v|}
-            lambda c: ((1, R[j], R[i][c]), (t[c], R[j], L[i][c]),
-                       (-t[c], L[i], R[j][c]), (-1, Rc[c], xy)),
-            # r(y)l(x) + u l(xy) - u l(x)l(y) - l(x)r(y),  u = (-1)^{|v||y|}
-            lambda c: ((1, R[j], L[i][c]), (u[c], Lc[c], xy),
-                       (-u[c], L[i], L[j][c]), (-1, L[i], R[j][c])),
+            (minus_r_xy + [(-s * a, R[k]) for k, a in yx],
+             ((1, R[i], R[j]), (s, R[j], R[i]))),
+            # r(y)r(x) + t r(y)l(x) - t l(x)r(y) - r(xy)
+            (minus_r_xy,
+             ((1, R[i], R[j]), (1, Lt[i], R[j]), (-1, Rt[j], L[i]))),
+            # r(y)l(x) + u l(xy) - u l(x)l(y) - l(x)r(y)
+            ([(a, Lu[k]) for k, a in xy],
+             ((1, L[i], R[j]), (-1, Lu[j], L[i]), (-1, R[j], L[i]))),
         )
-        for q, terms in enumerate(identities):
-            _witness_first_column(col, (q, i, j), B.space, D ** 2, terms)
+        for q, (columns, applied) in enumerate(identities):
+            _witness_first_column(col, (q, i, j), B.space, D ** 2, columns, applied)
     return col.report()
 
 
@@ -420,8 +414,8 @@ def are_equivalent(R: Representation, Rp: Representation,
     rho, rho_p = scaled_columns(rho, D), scaled_columns(rho_p, D)
     for i in range(R.algebra.space.dim):
         col.tick()
-        _witness_first_column(col, (i,), Rp.space, D ** 2, lambda c: (
-            (1, phi_cols, rho[i][c]), (-1, rho_p[i], phi_cols[c])))
+        _witness_first_column(col, (i,), Rp.space, D ** 2, (),
+                              ((1, rho[i], phi_cols), (-1, phi_cols, rho_p[i])))
     return col.report()
 
 

@@ -33,7 +33,7 @@ from supermalcev import (
     check_right_alternative,
 )
 from supermalcev.reps import double_dual_identification
-from supermalcev import fixtures
+from supermalcev import fixtures, reps
 from rational_inputs import (
     algebra_constants,
     denominator,
@@ -41,6 +41,7 @@ from rational_inputs import (
     map_constants,
     rational_action,
     rational_product,
+    rebased,
 )
 
 Z = Fraction(0)
@@ -821,3 +822,114 @@ def test_are_equivalent_matches_the_dense_oracle_on_odd_inputs(space, module, se
             assert report.violation_count == len(expected)
             assert report.checked_tuples == space.dim
             assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
+
+
+# -- one walk over module columns ----------------------------------------------
+
+
+def test_every_module_checker_walks_its_columns_in_the_one_walker(monkeypatch):
+    # each checker hands every tuple, in order, to reps._witness_first_column
+    # and loops over no module column of its own: n^3 calls for the
+    # representation identity, 4 n^2 for the bimodule ones, n for an equivalence
+    walked = []
+    walk = reps._witness_first_column
+
+    def counting(col, indices, *args):
+        walked.append(indices)
+        return walk(col, indices, *args)
+    monkeypatch.setattr(reps, "_witness_first_column", counting)
+    A, V = fixtures.random_product(SuperSpace(2, 1), 3), SuperSpace(1, 2)
+    n = A.space.dim
+    R = Representation(A, V, fixtures.random_action_maps(A, V, 13))
+    B = Bimodule(A, V, R.action, fixtures.random_action_maps(A, V, 23))
+    for check, count, tuples in (
+            (lambda: check_malcev_representation(R), n ** 3,
+             itertools.product(range(n), repeat=3)),
+            (lambda: check_alternative_bimodule(B), 4 * n ** 2,
+             ((q, i, j) for i, j in itertools.product(range(n), repeat=2) for q in range(4))),
+            (lambda: are_equivalent(R, R, GradedLinearMap.identity(V)), n,
+             ((i,) for i in range(n)))):
+        walked.clear()
+        check()
+        assert len(walked) == count
+        assert walked == list(tuples)
+
+
+# -- metamorphic: the module verdicts in other bases ---------------------------
+
+
+def transported(maps, P, S):
+    """An action in the bases b'_j = sum_i P[i][j] b_i of A and the columns of
+    the even bijection S of V: rho'(b'_j) = S^-1 (sum_i P[i][j] rho(b_i)) S."""
+    inverse = S.inverse()
+    out = []
+    for j, m in enumerate(maps):
+        combined = GradedLinearMap.zero(m.domain, m.codomain, m.parity)
+        for i, other in enumerate(maps):
+            if P[i][j]:
+                combined = combined + P[i][j] * other
+        out.append(inverse.compose(combined).compose(S))
+    return tuple(out)
+
+
+def unimodular_map(space, seed):
+    return GradedLinearMap(space, space, even_unimodular(space, seed), 0)
+
+
+def seeded_2_1(seed, bimodule=False):
+    A, V = fixtures.random_product(SuperSpace(2, 1), seed), SuperSpace(2, 1)
+    action = fixtures.random_action_maps(A, V, seed + 10)
+    if bimodule:
+        return Bimodule(A, V, action, fixtures.random_action_maps(A, V, seed + 20))
+    return Representation(A, V, action)
+
+
+# (name, module, holds): the coadjoint representation of [O] and the Zorn
+# regular bimodule hold; so do those of H (x) Lambda(xi1), which has odd
+# elements; the seeded 2|1 modules fail
+REPRESENTATION_CASES = [
+    ("coadjoint [O]", lambda: coadjoint_representation(
+        commutator_superalgebra(fixtures.split_octonions())), True),
+    ("coadjoint [H x L1]", lambda: coadjoint_representation(
+        commutator_superalgebra(fixtures.tensor_grassmann(fixtures.quaternions(), 1))), True),
+    ("2|1 representation", lambda: seeded_2_1(3), False),
+]
+BIMODULE_CASES = [
+    ("Zorn regular", lambda: regular_bimodule(fixtures.zorn_split_octonions()), True),
+    ("H x L1 regular", lambda: regular_bimodule(
+        fixtures.tensor_grassmann(fixtures.quaternions(), 1)), True),
+    ("2|1 bimodule", lambda: seeded_2_1(4, bimodule=True), False),
+]
+
+
+@pytest.mark.parametrize("build, holds", [pytest.param(build, holds, id=name) for name, build, holds
+                                          in REPRESENTATION_CASES + BIMODULE_CASES])
+def test_module_verdicts_do_not_depend_on_the_bases(build, holds):
+    """Rebasing A by an even unimodular P and V by an even unimodular S keeps
+    every verdict; the counts may move with the basis."""
+    M = build()
+    A, V = M.algebra, M.space
+    P, S = even_unimodular(A.space, 5), unimodular_map(V, 6)
+    assert any(P[i][j] for i in range(A.space.dim) for j in range(A.space.dim) if i != j)
+    Ap = rebased(A, P)
+    if isinstance(M, Representation):
+        check, Mp = check_malcev_representation, Representation(
+            Ap, V, transported(M.action, P, S))
+    else:
+        check, Mp = check_alternative_bimodule, Bimodule(
+            Ap, V, transported(M.left, P, S), transported(M.right, P, S))
+    assert check(M).ok is check(Mp).ok is holds
+
+
+@pytest.mark.parametrize("build", [pytest.param(build, id=name)
+                                   for name, build, _ in REPRESENTATION_CASES])
+def test_a_representation_transported_on_v_alone_is_equivalent_through_s(build):
+    R = build()
+    n = R.algebra.space.dim
+    S = unimodular_map(R.space, 7)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    Rp = Representation(R.algebra, R.space, transported(R.action, identity, S))
+    assert are_equivalent(Rp, R, S).ok
+    # b_{n-1} acts as a nonzero map in each case, and an odd one where A has odd elements
+    changed = Representation(R.algebra, R.space, one_entry_changed(Rp.action, n - 1))
+    assert not are_equivalent(changed, R, S).ok

@@ -1,17 +1,23 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, and no test, demo or fixture script, imports a
+name it never uses.
 
 Read off the syntax tree with ``ast``: every name a module binds by
 ``import`` or ``from ... import`` must occur as a name somewhere in the
-module.  ``__init__.py`` re-exports its imports, and ``from __future__``
-binds nothing, so both are left out."""
+module.  The package's ``__init__.py`` re-exports its imports, and
+``from __future__`` binds nothing, so both are left out.  So is
+``perfbench/``, the benchmark, whose tracer imports a module for its side
+effect."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supermalcev"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "supermalcev"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for folder in ("tests", "demos", "fixtures")
+                 for p in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +40,7 @@ def test_the_guard_sees_an_unused_import():
     assert unused_imports(source) == ["line 2: osp", "line 3: Fraction"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: (
+    p.name if p.parent == PACKAGE else p.relative_to(ROOT).as_posix()))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
