@@ -32,24 +32,8 @@ def freeze(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(as_scalar(x) for x in row) for row in rows)
 
 
-def zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return tuple((ZERO,) * ncols for _ in range(nrows))
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -61,16 +45,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def invert(a: Matrix) -> Matrix:

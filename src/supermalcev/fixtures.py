@@ -8,8 +8,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from ._linalg import ONE, ZERO
-from .graded import GradedLinearMap, SuperSpace
+from ._linalg import ONE
+from .graded import GradedLinearMap, SuperSpace, _map_from_columns
 from .algebras import Superalgebra
 
 
@@ -175,11 +175,7 @@ def pre_malcev_1_1() -> Superalgebra:
 def rb_sl2_nilpotent() -> GradedLinearMap:
     """Rota-Baxter map on sl(2): f -> e, everything else -> 0."""
     space = sl2().space
-    return GradedLinearMap(space, space, (
-        (0, 0, 0),
-        (0, 0, 1),
-        (0, 0, 0),
-    ), 0)
+    return _map_from_columns(space, space, [{}, {}, {1: ONE}])
 
 
 def pre_lie_sl2() -> Superalgebra:
@@ -215,16 +211,14 @@ def random_product(space: SuperSpace, seed: int, low: int = -2, high: int = 2,
 
 def random_even_matrix(domain: SuperSpace, codomain: SuperSpace, parity: int,
                        rng: random.Random, low: int = -2, high: int = 2) -> GradedLinearMap:
-    rows = []
-    for i in range(codomain.dim):
-        row = []
+    columns: list[dict] = [{} for _ in range(domain.dim)]
+    for i in range(codomain.dim):  # row by row, the order of the draws
         for j in range(domain.dim):
             if codomain.parity(i) == (domain.parity(j) + parity) % 2:
-                row.append(Fraction(rng.randint(low, high)))
-            else:
-                row.append(ZERO)
-        rows.append(tuple(row))
-    return GradedLinearMap(domain, codomain, tuple(rows), parity)
+                c = rng.randint(low, high)
+                if c:
+                    columns[j][i] = Fraction(c)
+    return _map_from_columns(domain, codomain, columns, parity)
 
 
 def random_action_maps(A: Superalgebra, V: SuperSpace, seed: int,

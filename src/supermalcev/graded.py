@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from ._kernel import EMPTY, apply
-from ._linalg import ONE, ZERO, Matrix, as_scalar, freeze, mat_mul, mat_vec, zero_matrix
+from ._kernel import EMPTY, add_scaled, apply
+from ._linalg import ONE, ZERO, Matrix, as_scalar, freeze
 from . import _linalg
 
 
@@ -192,54 +192,73 @@ def vector_from_sparse(space: SuperSpace, entries: Mapping[int, Fraction]) -> Gr
     return GradedVector(space, tuple(coords))
 
 
-@dataclass(frozen=True)
-class GradedLinearMap:
-    """A parity-homogeneous linear map; rows index the codomain basis.
+def _frozen(columns: Iterable[Mapping[int, Fraction]]) -> tuple[Mapping[int, Fraction], ...]:
+    """Read-only copies of sparse columns, each in index order."""
+    return tuple(MappingProxyType(dict(sorted(c.items()))) if c else EMPTY for c in columns)
 
-    ``columns`` holds the image of each domain basis vector as a read-only
-    sparse vector, built with the map from its nonzero entries."""
+
+@dataclass(frozen=True, init=False)
+class GradedLinearMap:
+    """A parity-homogeneous linear map; rows of ``matrix`` index the codomain
+    basis.
+
+    The stored form is ``columns``: the image of each domain basis vector as
+    a read-only sparse vector of its nonzero entries.  ``matrix`` rebuilds
+    the dense matrix on every read, for the dense readers (serialization and
+    elimination).  ``GradedLinearMap(domain, codomain, matrix, parity)``
+    takes a dense matrix; the package builds maps from sparse columns with
+    ``_map_from_columns``, and both check parity the same way."""
 
     domain: SuperSpace
     codomain: SuperSpace
-    matrix: Matrix
-    parity: int = 0
-    columns: tuple[Mapping[int, Fraction], ...] = field(init=False, compare=False, repr=False)
+    parity: int
+    columns: tuple[Mapping[int, Fraction], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", freeze(self.matrix))
-        if len(self.matrix) != self.codomain.dim or any(
-            len(row) != self.domain.dim for row in self.matrix
-        ):
+    def __init__(self, domain: SuperSpace, codomain: SuperSpace, matrix: Matrix,
+                 parity: int = 0):
+        matrix = freeze(matrix)
+        if len(matrix) != codomain.dim or any(len(row) != domain.dim for row in matrix):
             raise DimensionMismatch("matrix shape does not match domain/codomain")
-        columns: list[dict[int, Fraction]] = [{} for _ in range(self.domain.dim)]
-        rows_par, cols_par = self.codomain.parities(), self.domain.parities()
-        for i, row in enumerate(self.matrix):
+        columns: list[dict[int, Fraction]] = [{} for _ in range(domain.dim)]
+        for i, row in enumerate(matrix):
             for j, entry in enumerate(row):
                 if entry:
-                    if rows_par[i] != (cols_par[j] + self.parity) % 2:
-                        raise ParityViolation(
-                            f"entry ({i}, {j}) = {entry} violates parity {self.parity}"
-                        )
                     columns[j][i] = entry
-        object.__setattr__(self, "columns", tuple(
-            MappingProxyType(column) if column else EMPTY for column in columns))
+        _store_map(self, domain, codomain, columns, parity)
 
     def __reduce__(self):
-        # rebuilt from the matrix: the read-only columns do not pickle
-        return GradedLinearMap, (self.domain, self.codomain, self.matrix, self.parity)
+        # rebuilt from the columns: the read-only columns do not pickle
+        return _map_from_columns, (self.domain, self.codomain,
+                                   [dict(c) for c in self.columns], self.parity)
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.parity,
+                     tuple(tuple(c.items()) for c in self.columns)))
+
+    def __repr__(self):
+        return (f"GradedLinearMap(domain={self.domain!r}, codomain={self.codomain!r}, "
+                f"matrix={self.matrix!r}, parity={self.parity!r})")
+
+    @property
+    def matrix(self) -> Matrix:
+        rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
+        for j, column in enumerate(self.columns):
+            for i, c in column.items():
+                rows[i][j] = c
+        return tuple(map(tuple, rows))
 
     @staticmethod
     def identity(space: SuperSpace) -> "GradedLinearMap":
-        return GradedLinearMap(space, space, _linalg.identity_matrix(space.dim), 0)
+        return _map_from_columns(space, space, [{i: ONE} for i in range(space.dim)], 0)
 
     @staticmethod
     def zero(domain: SuperSpace, codomain: SuperSpace, parity: int = 0) -> "GradedLinearMap":
-        return GradedLinearMap(domain, codomain, zero_matrix(codomain.dim, domain.dim), parity)
+        return _map_from_columns(domain, codomain, [EMPTY] * domain.dim, parity)
 
     def __call__(self, v: GradedVector) -> GradedVector:
         if _shape(v.space) != _shape(self.domain):
             raise DimensionMismatch("vector not in the domain")
-        return GradedVector(self.codomain, mat_vec(self.matrix, v.coords))
+        return vector_from_sparse(self.codomain, apply(self.columns, v.sparse()))
 
     def apply_sparse(self, entries: Mapping[int, Fraction]) -> dict[int, Fraction]:
         return apply(self.columns, entries)
@@ -248,12 +267,9 @@ class GradedLinearMap:
         """self after inner."""
         if _shape(inner.codomain) != _shape(self.domain):
             raise DimensionMismatch("composition shape mismatch")
-        return GradedLinearMap(
-            inner.domain,
-            self.codomain,
-            mat_mul(self.matrix, inner.matrix),
-            (self.parity + inner.parity) % 2,
-        )
+        return _map_from_columns(inner.domain, self.codomain,
+                                 [apply(self.columns, c) for c in inner.columns],
+                                 (self.parity + inner.parity) % 2)
 
     def is_invertible(self) -> bool:
         # square, with a pivot in every column
@@ -265,100 +281,169 @@ class GradedLinearMap:
             self.codomain, self.domain, _linalg.invert(self.matrix), self.parity
         )
 
-    def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
+    def _plus(self, other: "GradedLinearMap", factor: int, verb: str) -> "GradedLinearMap":
+        """self + factor * other, for maps of one parity and one shape."""
         if other.parity != self.parity:
-            raise ParityViolation("cannot add maps of different parities")
-        return GradedLinearMap(
-            self.domain, self.codomain, _linalg.mat_add(self.matrix, other.matrix), self.parity
-        )
+            raise ParityViolation(f"cannot {verb} maps of different parities")
+        if (_shape(other.domain), _shape(other.codomain)) != (
+                _shape(self.domain), _shape(self.codomain)):
+            raise DimensionMismatch(f"cannot {verb} maps of different (even, odd) dimensions")
+        columns = [dict(c) for c in self.columns]
+        for column, c in zip(columns, other.columns):
+            add_scaled(column, c, factor)
+        return _map_from_columns(self.domain, self.codomain, columns, self.parity)
+
+    def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
+        return self._plus(other, 1, "add")
 
     def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        if other.parity != self.parity:
-            raise ParityViolation("cannot subtract maps of different parities")
-        return GradedLinearMap(
-            self.domain, self.codomain, _linalg.mat_sub(self.matrix, other.matrix), self.parity
-        )
+        return self._plus(other, -1, "subtract")
 
     def __rmul__(self, scalar) -> "GradedLinearMap":
-        return GradedLinearMap(
-            self.domain, self.codomain, _linalg.mat_scale(as_scalar(scalar), self.matrix), self.parity
-        )
+        c = as_scalar(scalar)
+        return _map_from_columns(self.domain, self.codomain, [
+            {i: c * x for i, x in column.items()} if c else EMPTY
+            for column in self.columns], self.parity)
 
 
-def _flips_to(c: Matrix, par: tuple[int, ...], sign: int) -> bool:
-    """c_ji = sign (-1)^{|i||j|} c_ij for all i, j: sigma(t) = sign * t for a
-    2-tensor, (skew-)supersymmetry for the matrix of a bilinear form."""
-    return all(c[j][i] == sign * koszul_sign(par[i], par[j]) * c[i][j]
-               for i in range(len(c)) for j in range(i, len(c)))
+def _store_map(m: GradedLinearMap, domain: SuperSpace, codomain: SuperSpace,
+               columns: Sequence[Mapping[int, Fraction]], parity: int) -> None:
+    """Check the parity of every entry (the first failing one in row-major
+    order is named) and store the columns."""
+    rows_par, cols_par = codomain.parities(), domain.parities()
+    bad = [(i, j) for j, column in enumerate(columns) for i in column
+           if rows_par[i] != (cols_par[j] + parity) % 2]
+    if bad:
+        i, j = min(bad)
+        raise ParityViolation(f"entry ({i}, {j}) = {columns[j][i]} violates parity {parity}")
+    for name, value in (("domain", domain), ("codomain", codomain), ("parity", parity),
+                        ("columns", _frozen(columns))):
+        object.__setattr__(m, name, value)
 
 
-@dataclass(frozen=True)
+def _map_from_columns(domain: SuperSpace, codomain: SuperSpace,
+                      columns: Sequence[Mapping[int, Fraction]],
+                      parity: int = 0) -> GradedLinearMap:
+    """The map whose column j is ``columns[j]``, a sparse vector of nonzero
+    ``Fraction``s; raises ``ParityViolation`` as the public constructor does."""
+    m = object.__new__(GradedLinearMap)
+    _store_map(m, domain, codomain, columns, parity)
+    return m
+
+
+def _flips_to(entries: Mapping[tuple[int, int], Fraction], par: tuple[int, ...],
+              sign: int) -> bool:
+    """c_ji = sign (-1)^{|i||j|} c_ij for all i, j, read off the nonzero
+    entries c_ij: sigma(t) = sign * t for a 2-tensor, (skew-)supersymmetry
+    for a bilinear form.  An entry whose mirror is zero fails at the entry."""
+    return all(entries.get((j, i), 0) == sign * koszul_sign(par[i], par[j]) * c
+               for (i, j), c in entries.items())
+
+
+@dataclass(frozen=True, init=False)
 class Tensor2:
-    """An element of A (x) A as a dense coefficient matrix."""
+    """An element of A (x) A, stored as its nonzero coefficients keyed by
+    basis index pairs.  ``coeffs`` rebuilds the dense coefficient matrix on
+    every read; ``Tensor2(space, coeffs, parity)`` takes a dense matrix, and
+    the package builds tensors from entries with ``_tensor_from_entries``."""
 
     space: SuperSpace
-    coeffs: Matrix
-    parity: int = 0
+    parity: int
+    _entries: Mapping[tuple[int, int], Fraction]
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", freeze(self.coeffs))
-        n = self.space.dim
-        if len(self.coeffs) != n or any(len(row) != n for row in self.coeffs):
+    def __init__(self, space: SuperSpace, coeffs: Matrix, parity: int = 0):
+        coeffs = freeze(coeffs)
+        n = space.dim
+        if len(coeffs) != n or any(len(row) != n for row in coeffs):
             raise DimensionMismatch("coefficient matrix shape mismatch")
-        par = self.space.parities()
-        for i, row in enumerate(self.coeffs):
-            for j, entry in enumerate(row):
-                if entry and (par[i] + par[j]) % 2 != self.parity:
-                    raise ParityViolation(
-                        f"tensor entry ({i}, {j}) = {entry} violates parity {self.parity}"
-                    )
+        _store_tensor(self, space, {(i, j): c for i, row in enumerate(coeffs)
+                                    for j, c in enumerate(row) if c}, parity)
+
+    def __reduce__(self):
+        return _tensor_from_entries, (self.space, dict(self._entries), self.parity)
+
+    def __hash__(self):
+        return hash((self.space, self.parity, tuple(self._entries.items())))
+
+    def __repr__(self):
+        return f"Tensor2(space={self.space!r}, coeffs={self.coeffs!r}, parity={self.parity!r})"
+
+    @property
+    def coeffs(self) -> Matrix:
+        n = self.space.dim
+        rows = [[ZERO] * n for _ in range(n)]
+        for (i, j), c in self._entries.items():
+            rows[i][j] = c
+        return tuple(map(tuple, rows))
 
     @staticmethod
     def zero(space: SuperSpace, parity: int = 0) -> "Tensor2":
-        return Tensor2(space, zero_matrix(space.dim, space.dim), parity)
+        return _tensor_from_entries(space, {}, parity)
 
     def is_zero(self) -> bool:
-        return _linalg.is_zero_matrix(self.coeffs)
+        return not self._entries
 
     def is_skew_supersymmetric(self) -> bool:
         """sigma(self) = -self."""
-        return _flips_to(self.coeffs, self.space.parities(), -1)
+        return _flips_to(self._entries, self.space.parities(), -1)
 
     def is_supersymmetric(self) -> bool:
         """sigma(self) = self."""
-        return _flips_to(self.coeffs, self.space.parities(), 1)
+        return _flips_to(self._entries, self.space.parities(), 1)
+
+    def _plus(self, other: "Tensor2", factor: int, verb: str) -> "Tensor2":
+        """self + factor * other, for tensors of one parity and one shape."""
+        if other.parity != self.parity:
+            raise ParityViolation(f"cannot {verb} tensors of different parities")
+        if _shape(other.space) != _shape(self.space):
+            raise DimensionMismatch(f"cannot {verb} tensors of different (even, odd) dimensions")
+        entries = dict(self._entries)
+        add_scaled(entries, other._entries, factor)
+        return _tensor_from_entries(self.space, entries, self.parity)
 
     def __add__(self, other: "Tensor2") -> "Tensor2":
-        if other.parity != self.parity:
-            raise ParityViolation("cannot add tensors of different parities")
-        return Tensor2(self.space, _linalg.mat_add(self.coeffs, other.coeffs), self.parity)
+        return self._plus(other, 1, "add")
 
     def __sub__(self, other: "Tensor2") -> "Tensor2":
-        if other.parity != self.parity:
-            raise ParityViolation("cannot subtract tensors of different parities")
-        return Tensor2(self.space, _linalg.mat_sub(self.coeffs, other.coeffs), self.parity)
+        return self._plus(other, -1, "subtract")
 
     def __neg__(self) -> "Tensor2":
-        return Tensor2(self.space, _linalg.mat_scale(Fraction(-1), self.coeffs), self.parity)
+        return _tensor_from_entries(
+            self.space, {key: -c for key, c in self._entries.items()}, self.parity)
 
     def sparse(self) -> dict[tuple[int, int], Fraction]:
-        return {
-            (i, j): c
-            for i, row in enumerate(self.coeffs)
-            for j, c in enumerate(row)
-            if c != 0
-        }
+        return dict(self._entries)
+
+
+def _store_tensor(t: Tensor2, space: SuperSpace, entries: Mapping[tuple[int, int], Fraction],
+                  parity: int) -> None:
+    """Check the parity of every entry (the first failing one in row-major
+    order is named) and store the entries in row-major order."""
+    par = space.parities()
+    bad = [key for key in entries if (par[key[0]] + par[key[1]]) % 2 != parity]
+    if bad:
+        i, j = min(bad)
+        raise ParityViolation(
+            f"tensor entry ({i}, {j}) = {entries[i, j]} violates parity {parity}")
+    for name, value in (("space", space), ("parity", parity),
+                        ("_entries", MappingProxyType(dict(sorted(entries.items()))))):
+        object.__setattr__(t, name, value)
+
+
+def _tensor_from_entries(space: SuperSpace, entries: Mapping[tuple[int, int], Fraction],
+                         parity: int = 0) -> Tensor2:
+    """The tensor with these nonzero ``Fraction`` coefficients; raises
+    ``ParityViolation`` as the public constructor does."""
+    t = object.__new__(Tensor2)
+    _store_tensor(t, space, entries, parity)
+    return t
 
 
 def sigma(t: Tensor2) -> Tensor2:
     """The graded flip: sigma(b_i (x) b_j) = (-1)^{|b_i||b_j|} b_j (x) b_i."""
-    n, par = t.space.dim, t.space.parities()
-    out = [[ZERO] * n for _ in range(n)]
-    for i, row in enumerate(t.coeffs):
-        for j, c in enumerate(row):
-            if c != 0:
-                out[j][i] = koszul_sign(par[i], par[j]) * c
-    return Tensor2(t.space, tuple(tuple(row) for row in out), t.parity)
+    par = t.space.parities()
+    return _tensor_from_entries(t.space, {(j, i): koszul_sign(par[i], par[j]) * c
+                                          for (i, j), c in t._entries.items()}, t.parity)
 
 
 @dataclass(frozen=True)
@@ -400,9 +485,6 @@ def pair_tensor(s: Tensor2, t: Tensor2) -> Fraction:
     """
     if _shape(s.space) != _shape(t.space):
         raise DimensionMismatch("pairing of incompatible spaces")
-    total, par = ZERO, t.space.parities()
-    for i, row in enumerate(s.coeffs):
-        for j, c in enumerate(row):
-            if c != 0 and t.coeffs[i][j] != 0:
-                total += koszul_sign(par[j], par[i]) * c * t.coeffs[i][j]
-    return total
+    par, entries = t.space.parities(), t._entries
+    return sum((koszul_sign(par[j], par[i]) * c * entries[i, j]
+                for (i, j), c in s._entries.items() if (i, j) in entries), start=ZERO)

@@ -78,6 +78,7 @@ from .graded import (
     ParityViolation,
     SuperSpace,
     _flips_to,
+    _map_from_columns,
     _shape,
     koszul_sign,
     vector_from_sparse,
@@ -337,8 +338,7 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
         (a, b, k): c
         for (a, pa), (b, pb) in itertools.product(enumerate(pivots), repeat=2)
         for k, c in apply(coord_columns, rows.get((pa, pb), EMPTY)).items()}})
-    embedding = GradedLinearMap(
-        image_space, R.algebra.space, tuple(tuple(row[p] for p in pivots) for row in T.matrix), 0)
+    embedding = _map_from_columns(image_space, R.algebra.space, [T.columns[p] for p in pivots])
     return ImageStructure(algebra, embedding, pivots)
 
 
@@ -408,6 +408,10 @@ def _check_form_shape(omega: BilinearForm, A: Superalgebra) -> None:
                                 f"the algebra {_shape(A.space)}")
 
 
+def _entries(w: _linalg.Matrix) -> dict[tuple[int, int], Fraction]:
+    return {(i, j): x for i, row in enumerate(w) for j, x in enumerate(row) if x}
+
+
 def _nondegenerate(w: _linalg.Matrix) -> bool:
     return len(_linalg.rref(w)[1]) == len(w)  # a pivot in every column
 
@@ -417,9 +421,10 @@ def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     ``DimensionMismatch`` unless the form's (even, odd) dimensions are A's."""
     _check_form_shape(omega, A)
     par, w, rows = A.space.parities(), omega.matrix, A.rows()
+    entries = _entries(w)
     return FormFlags(
-        _flips_to(w, par, 1),
-        _flips_to(w, par, -1),
+        _flips_to(entries, par, 1),
+        _flips_to(entries, par, -1),
         _nondegenerate(w),
         # w(b_i b_j, b_k) = w^T(b_k, b_i b_j) equals w(b_i, b_j b_k)
         {(i, j, k): c for (k, i, j), c in _paired_with_products(_linalg.transpose(w), rows).items()}
@@ -433,7 +438,7 @@ def _symplectic(omega: BilinearForm, A: Superalgebra, nondegenerate: bool,
     and the table of w(b_i, b_j b_k) it read."""
     col = _WitnessCollector("symplectic", witness_limit)
     par, sums = A.space.parities(), {}
-    if not _flips_to(omega.matrix, par, -1):
+    if not _flips_to(_entries(omega.matrix), par, -1):
         col.preconditions.append("form is not skew-supersymmetric")
     if not nondegenerate:
         col.preconditions.append("form is degenerate")
@@ -574,9 +579,11 @@ def _search(ctx: _Context, values: Iterable[int],
             the cuts are undone before the next value."""
             if d == n:
                 value = {entry: value_of[v] for entry, v in zip(support, x)}
-                yield GradedLinearMap(V, A, tuple(
-                    tuple(value.get((i, j), ZERO) for j in range(V.dim))
-                    for i in range(A.dim)), 0)
+                columns: list[dict] = [{} for _ in range(V.dim)]
+                for (i, j), c in value.items():
+                    if c:
+                        columns[j][i] = c
+                yield _map_from_columns(V, A, columns)
                 return
             for v in domains[d]:
                 x[d] = v

@@ -58,12 +58,12 @@ from ._kernel import (
     scaled_rows,
     unscaled,
 )
-from ._linalg import ZERO
 from .graded import (
     DimensionMismatch,
     GradedLinearMap,
     ParityViolation,
     SuperSpace,
+    _map_from_columns,
     _shape,
     direct_sum,
     koszul_sign,
@@ -276,17 +276,10 @@ def _signed(algebra: SuperSpace, module: SuperSpace, columns: _Columns) -> _Colu
 
 def _maps(algebra: SuperSpace, module: SuperSpace,
           columns: _Columns) -> tuple[GradedLinearMap, ...]:
-    """One graded linear map on the module per algebra basis element, filled
+    """One graded linear map on the module per algebra basis element, built
     from its sparse columns."""
-    n = module.dim
-    maps = []
-    for p, cols in zip(algebra.parities(), columns):
-        matrix = [[ZERO] * n for _ in range(n)]
-        for j, column in enumerate(cols):
-            for k, c in column.items():
-                matrix[k][j] = c
-        maps.append(GradedLinearMap(module, module, matrix, p))
-    return tuple(maps)
+    return tuple(_map_from_columns(module, module, cols, p)
+                 for p, cols in zip(algebra.parities(), columns))
 
 
 def _semidirect(A: Superalgebra, V: SuperSpace, left: _Columns, right: _Columns) -> Superalgebra:
@@ -423,14 +416,5 @@ def double_dual_identification(space: SuperSpace) -> GradedLinearMap:
     """The canonical even isomorphism V -> V** induced by
     <a*, b> = (-1)^{|a*||b|} <b, a*>: identity on the even part, minus
     identity on the odd part."""
-    dd = space.dual().dual()
-    n = space.dim
-    rows = tuple(
-        tuple(
-            (Fraction(koszul_sign(space.parity(i), space.parity(i)))
-             if i == j else ZERO)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return GradedLinearMap(space, dd, rows, 0)
+    return _map_from_columns(space, space.dual().dual(), [
+        {i: Fraction(koszul_sign(p, p))} for i, p in enumerate(space.parities())], 0)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .graded import GradedLinearMap, ParityViolation, SuperSpace, Tensor2
+from .graded import (GradedLinearMap, ParityViolation, SuperSpace, Tensor2, _map_from_columns,
+                     _tensor_from_entries)
 from .algebras import Superalgebra
 from .operators import BilinearForm
 from .reps import Bimodule, Representation
@@ -62,27 +63,34 @@ def _matrix_to_json(matrix) -> list[list[str]]:
     return [[str(c) for c in row] for row in matrix]
 
 
-def _parse_matrix(value: Any, nrows: int, ncols: int, where: str):
-    """The matrix at ``where``; each distinct scalar is parsed once.  Only
-    ``str`` and ``int`` entries are cached, keyed with their type because
-    JSON true == 1; any other entry is parsed, and refused, where it is."""
+def _parse_entries(value: Any, nrows: int, ncols: int,
+                   where: str) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of the matrix at ``where``, keyed (row, column);
+    each distinct scalar is parsed once.  Only ``str`` and ``int`` entries
+    are cached, keyed with their type because JSON true == 1; any other
+    entry is refused where it is."""
     if not isinstance(value, list) or len(value) != nrows:
         raise ParseError(f"{where}: expected {nrows} rows")
-    out, seen = [], {}
+    entries, seen = {}, {}
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError(f"{where}[{i}]: expected {ncols} entries")
-        parsed = []
         for j, c in enumerate(row):
             key = type(c), c
-            if key[0] not in (str, int):
-                parsed.append(_parse_scalar(c, f"{where}[{i}][{j}]"))
-                continue
-            if key not in seen:
-                seen[key] = _parse_scalar(c, f"{where}[{i}][{j}]")
-            parsed.append(seen[key])
-        out.append(tuple(parsed))
-    return tuple(out)
+            if key[0] not in (str, int) or key not in seen:
+                x = _parse_scalar(c, f"{where}[{i}][{j}]")
+                seen[key] = x if x else None
+            x = seen[key]
+            if x is not None:
+                entries[i, j] = x
+    return entries
+
+
+def _columns(entries: Mapping[tuple[int, int], Fraction], ncols: int) -> list[dict]:
+    columns: list[dict] = [{} for _ in range(ncols)]
+    for (i, j), x in entries.items():
+        columns[j][i] = x
+    return columns
 
 
 def _space_to_json(space: SuperSpace) -> dict:
@@ -174,11 +182,10 @@ def _parse_action(value: Any, algebra: Superalgebra, space: SuperSpace,
         )
     maps = []
     for i, mat in enumerate(value):
-        matrix = _parse_matrix(mat, space.dim, space.dim, f"{where}[{i}]")
+        entries = _parse_entries(mat, space.dim, space.dim, f"{where}[{i}]")
         try:
-            maps.append(
-                GradedLinearMap(space, space, matrix, algebra.space.parity(i))
-            )
+            maps.append(_map_from_columns(
+                space, space, _columns(entries, space.dim), algebra.space.parity(i)))
         except ParityViolation as exc:
             raise ParseError(f"{where}[{i}]: {exc}") from None
     return tuple(maps)
@@ -318,23 +325,26 @@ def _parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
                 raise ParseError(
                     "linear_map: domain 'module' requires a representation or bimodule block")
             source = module.space
-        matrix = _parse_matrix(block.get("matrix"), space.dim, source.dim, "linear_map.matrix")
+        entries = _parse_entries(block.get("matrix"), space.dim, source.dim, "linear_map.matrix")
         try:
-            fields["linear_map"] = GradedLinearMap(source, space, matrix, parity)
+            fields["linear_map"] = _map_from_columns(
+                source, space, _columns(entries, source.dim), parity)
         except ParityViolation as exc:
             raise ParseError(f"linear_map.matrix: {exc}") from None
         fields["linear_map_domain"] = domain
 
     if (block := _block(obj, "tensor2")) is not None:
         parity = _parse_parity(block, "tensor2")
-        coeffs = _parse_matrix(block.get("coeffs"), space.dim, space.dim, "tensor2.coeffs")
+        entries = _parse_entries(block.get("coeffs"), space.dim, space.dim, "tensor2.coeffs")
         try:
-            fields["tensor2"] = Tensor2(space, coeffs, parity)
+            fields["tensor2"] = _tensor_from_entries(space, entries, parity)
         except ParityViolation as exc:
             raise ParseError(f"tensor2.coeffs: {exc}") from None
 
     if (block := _block(obj, "bilinear_form")) is not None:
-        fields["bilinear_form"] = BilinearForm(space, _parse_matrix(
-            block.get("matrix"), space.dim, space.dim, "bilinear_form.matrix"))
+        entries = _parse_entries(block.get("matrix"), space.dim, space.dim,
+                                 "bilinear_form.matrix")
+        fields["bilinear_form"] = BilinearForm(space, [
+            [entries.get((i, j), 0) for j in range(space.dim)] for i in range(space.dim)])
 
     return AlgebraDocument(**fields)

@@ -32,14 +32,16 @@ from typing import Sequence
 
 from . import _linalg
 from ._kernel import EMPTY, Vector, denominator, scaled, scaled_rows, unscaled
-from ._linalg import ONE, ZERO
+from ._linalg import ONE
 from .graded import (
     DimensionMismatch,
     GradedLinearMap,
     SuperSpace,
     Tensor2,
     Tensor3,
+    _map_from_columns,
     _shape,
+    _tensor_from_entries,
     direct_sum,
     koszul_sign,
 )
@@ -109,7 +111,7 @@ def mybe_lhs(c: MybeCandidate) -> Tensor3:
     """
     A = c.algebra
     par = A.space.parities()
-    rows, entries = A.rows(), c.r.sparse()
+    rows, entries = A.rows(), c.r._entries
     D = denominator(rows.values(), (entries,))
     rows, entries = scaled_rows(rows, D), scaled(entries, D)
     out: dict[tuple[int, int, int], int] = {}
@@ -135,8 +137,10 @@ def r_as_map(c: MybeCandidate) -> GradedLinearMap:
     """The even map A* -> A determined by the pairing identity; with the
     basis conventions used here its matrix is minus the transpose of the
     coefficient matrix (image of b_j* has coefficients -coeffs[j][i])."""
-    rows = tuple(tuple(-x for x in column) for column in zip(*c.r.coeffs))
-    return GradedLinearMap(c.algebra.space.dual(), c.algebra.space, rows, c.r.parity)
+    columns: list[dict] = [{} for _ in range(c.algebra.space.dim)]
+    for (j, i), x in c.r._entries.items():
+        columns[j][i] = -x
+    return _map_from_columns(c.algebra.space.dual(), c.algebra.space, columns, c.r.parity)
 
 
 def _r_map_columns(r: Tensor2) -> list[dict] | None:
@@ -144,16 +148,12 @@ def _r_map_columns(r: Tensor2) -> list[dict] | None:
     ``None`` when r is not skew-supersymmetric: one pass over r's nonzero
     entries decides both.  r = -sigma(r) says r[i][j] = -(-1)^{|i||j|} r[j][i],
     and an entry whose mirror is zero fails at the entry itself."""
-    par, coeffs = r.space.parities(), r.coeffs
-    columns: list[dict] = []
-    for j, row in enumerate(coeffs):
-        column = {}
-        for i, x in enumerate(row):
-            if x:
-                column[i] = -x
-                if coeffs[i][j] != (x if par[i] & par[j] else column[i]):
-                    return None
-        columns.append(column)
+    par, entries = r.space.parities(), r._entries
+    columns: list[dict] = [{} for _ in range(r.space.dim)]
+    for (j, i), x in entries.items():
+        if entries.get((i, j), 0) != (x if par[i] & par[j] else -x):
+            return None
+        columns[j][i] = -x
     return columns
 
 
@@ -205,13 +205,12 @@ def _double(algebra: Superalgebra, module: SuperSpace, action: _Columns,
     rho_star = _dual_columns(action, A, module)
     double = _semidirect(algebra, dual, rho_star, _signed(A, dual, rho_star))
     total, emb_a, emb_v = direct_sum(A, dual)
-    par = total.parities()
-    coeffs = [[ZERO] * total.dim for _ in range(total.dim)]
+    par, entries = total.parities(), {}
     for alpha, column in enumerate(T):
         for p, val in column.items():
             a, v = emb_a[p], emb_v[alpha]
-            coeffs[a][v], coeffs[v][a] = val, -koszul_sign(par[a], par[v]) * val
-    return MybeCandidate(double, Tensor2(total, coeffs, 0))
+            entries[a, v], entries[v, a] = val, -koszul_sign(par[a], par[v]) * val
+    return MybeCandidate(double, _tensor_from_entries(total, entries))
 
 
 def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:

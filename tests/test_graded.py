@@ -20,6 +20,8 @@ from supermalcev import (
     sigma,
 )
 from supermalcev import fixtures
+from supermalcev.graded import _map_from_columns, _tensor_from_entries
+from supermalcev.serialize import AlgebraDocument, serialize
 
 parities = st.integers(min_value=0, max_value=5)
 scalars = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -149,6 +151,24 @@ def test_vectors_add_only_in_equal_even_and_odd_dimensions():
             combine()
 
 
+def test_maps_and_tensors_add_only_in_equal_even_and_odd_dimensions():
+    # a 2|0 identity plus the 3|0 identity once came back as 2 I on 2|0
+    two = GradedLinearMap(SuperSpace(2, 0), SuperSpace(2, 0), ((1, 0), (0, 1)))
+    maps = (GradedLinearMap.identity(SuperSpace(3, 0)),
+            GradedLinearMap.zero(SuperSpace(3, 0), SuperSpace(2, 0)),
+            GradedLinearMap.zero(SuperSpace(2, 0), SuperSpace(1, 1)))
+    tensor = Tensor2(SuperSpace(2, 0), ((1, 0), (0, 1)))
+    tensors = (Tensor2.zero(SuperSpace(3, 0)), Tensor2.zero(SuperSpace(1, 1)))
+    for x, others, what in ((two, maps, "maps"), (tensor, tensors, "tensors")):
+        for y in others:
+            for combine, verb in ((lambda: x + y, "add"), (lambda: y + x, "add"),
+                                  (lambda: x - y, "subtract"), (lambda: y - x, "subtract")):
+                with pytest.raises(DimensionMismatch, match=(
+                        rf"cannot {verb} {what} of different \(even, odd\) dimensions")):
+                    combine()
+    assert two + two == 2 * two and (tensor - tensor).is_zero()
+
+
 def test_maps_compose_only_through_equal_even_and_odd_dimensions():
     inner = GradedLinearMap.zero(SuperSpace(1, 0), SuperSpace(2, 0))
     outer = GradedLinearMap.zero(SuperSpace(1, 1), SuperSpace(1, 0))
@@ -225,8 +245,8 @@ def test_stored_columns_are_read_only_and_outside_equality():
     assert same.columns is not m.columns
     assert same == m and hash(same) == hash(m)
     assert "columns" not in repr(m)
-    assert [f.name for f in dataclasses.fields(m) if f.compare or f.hash or f.repr] == [
-        "domain", "codomain", "matrix", "parity"]
+    # the columns are the one stored form; the dense matrix is not stored
+    assert [f.name for f in dataclasses.fields(m)] == ["domain", "codomain", "parity", "columns"]
     for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
         assert twin == m and twin.columns == m.columns
 
@@ -279,3 +299,176 @@ def test_scalar_serialization_form():
     assert str(Fraction(6, -4)) == "-3/2"
     assert str(Fraction(4, 2)) == "2"
     assert Fraction("-3/2") == Fraction(-3, 2)
+
+
+# -- the dense constructors against the ones from columns and entries -----
+
+
+def oracle_sigma(t: Tensor2) -> Tensor2:
+    """The graded flip on the dense coefficient matrix."""
+    n, par = t.space.dim, t.space.parities()
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(t.coeffs):
+        for j, c in enumerate(row):
+            if c != 0:
+                out[j][i] = koszul_sign(par[i], par[j]) * c
+    return Tensor2(t.space, out, t.parity)
+
+
+def oracle_pair_tensor(s: Tensor2, t: Tensor2) -> Fraction:
+    """<a1* (x) a2*, b1 (x) b2> = (-1)^{|a2*||b1|} <a1*, b1> <a2*, b2>, summed
+    over the dense coefficient matrices."""
+    total, par = Fraction(0), t.space.parities()
+    for i, row in enumerate(s.coeffs):
+        for j, c in enumerate(row):
+            if c != 0 and t.coeffs[i][j] != 0:
+                total += koszul_sign(par[j], par[i]) * c * t.coeffs[i][j]
+    return total
+
+
+def oracle_flips_to(c, par, sign) -> bool:
+    """c_ji = sign (-1)^{|i||j|} c_ij for all i, j of a dense matrix."""
+    return all(c[j][i] == sign * koszul_sign(par[i], par[j]) * c[i][j]
+               for i in range(len(c)) for j in range(i, len(c)))
+
+
+MAP_SHAPES = [((0, 0), (0, 0)), ((0, 2), (0, 3)), ((3, 0), (2, 0)), ((0, 2), (2, 0)),
+              ((2, 1), (1, 2)), ((3, 2), (2, 3))]
+TENSOR_SHAPES = [(0, 0), (0, 3), (3, 0), (2, 2), (2, 3)]
+
+
+def random_entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+
+
+def random_columns(domain, codomain, parity, rng, density=0.6):
+    """Sparse rational columns of a map of this parity."""
+    return [{i: random_entry(rng) for i in range(codomain.dim)
+             if codomain.parity(i) == (domain.parity(j) + parity) % 2 and rng.random() < density}
+            for j in range(domain.dim)]
+
+
+def random_entries(space, parity, rng, density=0.6):
+    """Sparse rational entries of a 2-tensor of this parity."""
+    par = space.parities()
+    return {(i, j): random_entry(rng) for i in range(space.dim) for j in range(space.dim)
+            if (par[i] + par[j]) % 2 == parity and rng.random() < density}
+
+
+def dense(entries, nrows, ncols):
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for (i, j), c in entries.items():
+        rows[i][j] = c
+    return tuple(tuple(row) for row in rows)
+
+
+def assert_twins(a, b):
+    """Two constructions of one value agree on everything observable."""
+    assert a == b and b == a and hash(a) == hash(b) and repr(a) == repr(b)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == b and hash(twin) == hash(b)
+
+
+@pytest.mark.parametrize("shape", MAP_SHAPES)
+@pytest.mark.parametrize("parity", [0, 1])
+def test_a_map_from_columns_equals_the_map_from_its_matrix(shape, parity):
+    (de, do), (ce, co) = shape
+    domain, codomain = SuperSpace(de, do), SuperSpace(ce, co)
+    rng = random.Random(f"{shape} {parity}")
+    for _ in range(8):
+        columns = random_columns(domain, codomain, parity, rng)
+        matrix = dense({(i, j): c for j, col in enumerate(columns) for i, c in col.items()},
+                       codomain.dim, domain.dim)
+        by_matrix = GradedLinearMap(domain, codomain, matrix, parity)
+        by_columns = _map_from_columns(domain, codomain, columns, parity)
+        assert_twins(by_matrix, by_columns)
+        for m in (by_matrix, by_columns):
+            assert m.matrix == matrix and type(m.matrix) is tuple
+            assert all(type(row) is tuple and all(type(c) is Fraction for c in row)
+                       for row in m.matrix)
+            assert m.columns == tuple(columns)
+            assert [list(c) for c in m.columns] == [sorted(c) for c in columns]
+        algebra = fixtures.zero_algebra(ce, co)
+        assert serialize(AlgebraDocument(algebra, linear_map=by_matrix)) == serialize(
+            AlgebraDocument(algebra, linear_map=by_columns))
+        if by_matrix.domain.dim and by_matrix.codomain.dim:
+            assert (by_matrix + by_columns) == 2 * by_columns
+            assert (by_matrix - by_columns).columns == (({},) * domain.dim)
+
+
+@pytest.mark.parametrize("shape", [s for s in MAP_SHAPES if s[0] != (0, 0) != s[1]])
+def test_both_map_constructors_name_the_same_parity_violation(shape):
+    (de, do), (ce, co) = shape
+    domain, codomain = SuperSpace(de, do), SuperSpace(ce, co)
+    rng = random.Random(str(shape))
+    for parity in (0, 1):
+        wrong = [(i, j) for i in range(codomain.dim) for j in range(domain.dim)
+                 if codomain.parity(i) != (domain.parity(j) + parity) % 2]
+        for _ in range(4 if wrong else 0):
+            columns = random_columns(domain, codomain, parity, rng)
+            for i, j in rng.sample(wrong, min(len(wrong), 2)):
+                columns[j][i] = random_entry(rng)
+            matrix = dense({(i, j): c for j, col in enumerate(columns) for i, c in col.items()},
+                           codomain.dim, domain.dim)
+            with pytest.raises(ParityViolation) as by_matrix:
+                GradedLinearMap(domain, codomain, matrix, parity)
+            with pytest.raises(ParityViolation) as by_columns:
+                _map_from_columns(domain, codomain, columns, parity)
+            assert str(by_matrix.value) == str(by_columns.value)
+            i, j = min(key for key in wrong if matrix[key[0]][key[1]])
+            assert str(by_matrix.value) == (
+                f"entry ({i}, {j}) = {matrix[i][j]} violates parity {parity}")
+
+
+@pytest.mark.parametrize("shape", TENSOR_SHAPES)
+@pytest.mark.parametrize("parity", [0, 1])
+def test_a_tensor_from_entries_equals_the_tensor_from_its_matrix(shape, parity):
+    space = SuperSpace(*shape)
+    rng = random.Random(f"{shape} {parity}")
+    for _ in range(8):
+        entries = random_entries(space, parity, rng)
+        coeffs = dense(entries, space.dim, space.dim)
+        by_matrix = Tensor2(space, coeffs, parity)
+        by_entries = _tensor_from_entries(space, entries, parity)
+        assert_twins(by_matrix, by_entries)
+        for t in (by_matrix, by_entries):
+            assert t.coeffs == coeffs and type(t.coeffs) is tuple
+            assert all(type(c) is Fraction for row in t.coeffs for c in row)
+            assert t.sparse() == entries and list(t.sparse()) == sorted(entries)
+            assert t.is_zero() == (not entries)
+        algebra = fixtures.zero_algebra(*shape)
+        assert serialize(AlgebraDocument(algebra, tensor2=by_matrix)) == serialize(
+            AlgebraDocument(algebra, tensor2=by_entries))
+        wrong = [(i, j) for i in range(space.dim) for j in range(space.dim)
+                 if (space.parity(i) + space.parity(j)) % 2 != parity]
+        if wrong:
+            bad = dict(entries)
+            for key in rng.sample(wrong, min(len(wrong), 2)):
+                bad[key] = random_entry(rng)
+            with pytest.raises(ParityViolation) as raised_by_matrix:
+                Tensor2(space, dense(bad, space.dim, space.dim), parity)
+            with pytest.raises(ParityViolation) as raised_by_entries:
+                _tensor_from_entries(space, bad, parity)
+            i, j = min(key for key in wrong if key in bad)
+            assert str(raised_by_matrix.value) == str(raised_by_entries.value) == (
+                f"tensor entry ({i}, {j}) = {bad[i, j]} violates parity {parity}")
+
+
+@pytest.mark.parametrize("shape", TENSOR_SHAPES)
+def test_sigma_pairing_and_symmetry_match_their_dense_oracles(shape):
+    space = SuperSpace(*shape)
+    par = space.parities()
+    rng = random.Random(str(shape))
+    flags = set()
+    for parity in (0, 1):
+        for _ in range(6):
+            t = _tensor_from_entries(space, random_entries(space, parity, rng), parity)
+            s = _tensor_from_entries(space.dual(), random_entries(space, parity, rng), parity)
+            assert pair_tensor(s, t) == oracle_pair_tensor(s, t)
+            for u in (t, t + sigma(t), t - sigma(t), -t, sigma(t)):
+                assert sigma(u) == oracle_sigma(u)
+                for sign, predicate in ((1, u.is_supersymmetric), (-1, u.is_skew_supersymmetric)):
+                    assert predicate() == oracle_flips_to(u.coeffs, par, sign)
+                flags.add((u.is_supersymmetric(), u.is_skew_supersymmetric()))
+    if space.dim:
+        assert {(True, False), (False, True)} <= flags

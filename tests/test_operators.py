@@ -433,9 +433,8 @@ def maps_beyond_image(maps, image, seed):
     """The action maps with the map of each basis vector outside ``image``
     divided by 7 or 11."""
     rng = random.Random(seed)
-    return tuple(m if k in image else GradedLinearMap(
-        m.domain, m.codomain, _linalg.mat_scale(Fraction(1, rng.choice((7, 11))), m.matrix),
-        m.parity) for k, m in enumerate(maps))
+    return tuple(m if k in image else Fraction(1, rng.choice((7, 11))) * m
+                 for k, m in enumerate(maps))
 
 
 def into_image(T, image):
@@ -845,7 +844,7 @@ def test_invertible_rb_compatible_structure():
 
 def test_classify_zero_form():
     A = fixtures.sl2()
-    omega = BilinearForm(A.space, _linalg.zero_matrix(3, 3))
+    omega = BilinearForm(A.space, [[0] * 3] * 3)
     flags = classify_form(omega, A)
     assert flags.supersymmetric and flags.skew_supersymmetric
     assert not flags.nondegenerate
@@ -932,7 +931,7 @@ def test_pre_malcev_from_symplectic_scaling_invariance():
     c = canonical_r(fixtures.pre_malcev_1_1())
     omega = symplectic_from_r(c)
     P1 = pre_malcev_from_symplectic(omega, c.algebra)
-    scaled = BilinearForm(omega.space, _linalg.mat_scale(Fraction(7), omega.matrix))
+    scaled = BilinearForm(omega.space, [[7 * x for x in row] for row in omega.matrix])
     P2 = pre_malcev_from_symplectic(scaled, c.algebra)
     assert P1.table("mul") == P2.table("mul")
     assert check_pre_malcev(P1).ok
@@ -968,7 +967,7 @@ def test_symplectic_construction_satisfies_its_defining_identity():
     # read from the dense tables of the built product and of the bracket
     c11, zorn = canonical_r(fixtures.pre_malcev_1_1()), zorn_double()
     omega = symplectic_from_r(c11)
-    thirds = BilinearForm(omega.space, _linalg.mat_scale(Fraction(7, 3), omega.matrix))
+    thirds = BilinearForm(omega.space, [[Fraction(7, 3) * x for x in row] for row in omega.matrix])
     for omega, A in ((omega, c11.algebra), (symplectic_from_r(zorn), zorn.algebra),
                      (thirds, c11.algebra)):
         n, par, w = A.space.dim, A.space.parities(), omega.matrix

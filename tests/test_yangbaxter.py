@@ -48,7 +48,7 @@ from supermalcev import (
     semidirect_malcev,
     symplectic_from_r,
 )
-from supermalcev import fixtures
+from supermalcev import fixtures, graded
 from supermalcev.graded import direct_sum, koszul_sign
 from rational_inputs import rational_action, rational_operator
 
@@ -529,7 +529,8 @@ def test_operator_form_is_the_engine_report_of_the_r_map():
 
 def test_mybe_pipeline_builds_no_dense_map(monkeypatch):
     # the double, r and the r-map are built from sparse columns: no
-    # GradedLinearMap is made by the constructions or the operator form
+    # GradedLinearMap is made by the constructions or the operator form,
+    # through the public constructor or the one from columns
     P = fixtures.pre_malcev_1_1()
     found, R = sl2_operators()
     T, (heis_T, heis_R) = found[0], next(heisenberg_module_operators())
@@ -537,12 +538,12 @@ def test_mybe_pipeline_builds_no_dense_map(monkeypatch):
     not_skew = MybeCandidate(c.algebra, random_even_tensor(c.algebra.space, random.Random(3)))
     assert not not_skew.r.is_skew_supersymmetric()
     built = []
-    post_init = GradedLinearMap.__post_init__
+    store = graded._store_map
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
-    monkeypatch.setattr(GradedLinearMap, "__post_init__", counting)
+    def counting(m, *args):
+        built.append(m)
+        store(m, *args)
+    monkeypatch.setattr(graded, "_store_map", counting)
     candidates = [canonical_r(P), r_from_o_operator(T, R), r_from_o_operator(heis_T, heis_R)]
     reports = [check_operator_form(x) for x in candidates + [c, not_skew]]
     pre_malcev_on_dual_from_r(c)
