@@ -1,14 +1,14 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact dense linear algebra over the rationals, for the dense readers.
 
-Matrices are tuples of row tuples of Fraction.  ``rref`` is the one
-elimination: ``invert`` and ``solve`` reduce an augmented matrix with it,
-and callers decide invertibility by its pivots (square, with a pivot in
-every column).  Sizes in this package never exceed a few dozen rows, so no
-pivoting strategy beyond "first nonzero" is needed.  ``nullspace`` has no
-caller in the package; it stays because the test oracle
-``oracle_form_flags`` reads nondegeneracy from it.  ``solve`` has no caller
-either; the benchmark tracer ``perfbench/tracing.py`` counts its calls by
-that name, and ``tests/test_benchmark_tracer.py`` guards the name.
+Matrices are tuples of row tuples of Fraction.  Maps and 2-tensors store
+sparse entries (``graded``), so what is left is elimination and the dense
+products of bilinear forms.  ``rref`` is the one elimination; ``invert``
+reduces an augmented matrix with it, and callers decide invertibility by
+its pivots (square, with a pivot in every column).  Sizes never exceed a few
+dozen rows, so no pivoting beyond "first nonzero" is needed.  Two helpers
+have no caller in the package (``tests/test_dead_helpers.py``): the test
+oracle ``oracle_form_flags`` reads ``nullspace``, and the benchmark tracer
+``perfbench/tracing.py`` counts the calls of ``solve`` by name.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 from ._linalg import ONE
-from .graded import GradedLinearMap, SuperSpace, _map_from_columns
+from .graded import GradedLinearMap, SuperSpace, _sparse_columns
 from .algebras import Superalgebra
 
 
@@ -175,7 +175,7 @@ def pre_malcev_1_1() -> Superalgebra:
 def rb_sl2_nilpotent() -> GradedLinearMap:
     """Rota-Baxter map on sl(2): f -> e, everything else -> 0."""
     space = sl2().space
-    return _map_from_columns(space, space, [{}, {}, {1: ONE}])
+    return GradedLinearMap._from_columns(space, space, [{}, {}, {1: ONE}])
 
 
 def pre_lie_sl2() -> Superalgebra:
@@ -211,14 +211,12 @@ def random_product(space: SuperSpace, seed: int, low: int = -2, high: int = 2,
 
 def random_even_matrix(domain: SuperSpace, codomain: SuperSpace, parity: int,
                        rng: random.Random, low: int = -2, high: int = 2) -> GradedLinearMap:
-    columns: list[dict] = [{} for _ in range(domain.dim)]
-    for i in range(codomain.dim):  # row by row, the order of the draws
-        for j in range(domain.dim):
-            if codomain.parity(i) == (domain.parity(j) + parity) % 2:
-                c = rng.randint(low, high)
-                if c:
-                    columns[j][i] = Fraction(c)
-    return _map_from_columns(domain, codomain, columns, parity)
+    # one draw per parity-allowed entry, in row-major order; zeros are dropped
+    entries = {(i, j): c for i in range(codomain.dim) for j in range(domain.dim)
+               if codomain.parity(i) == (domain.parity(j) + parity) % 2
+               and (c := Fraction(rng.randint(low, high)))}
+    return GradedLinearMap._from_columns(domain, codomain, _sparse_columns(entries, domain.dim),
+                                         parity)
 
 
 def random_action_maps(A: Superalgebra, V: SuperSpace, seed: int,

@@ -12,13 +12,17 @@ Conventions used throughout the package:
 * the graded flip on 2-tensors is ``sigma(x (x) y) = (-1)^{|x||y|} y (x) x``;
   a 2-tensor is skew-supersymmetric when ``r = -sigma(r)``;
 * the dual space carries the dual gradation (a dual basis vector has the
-  parity of its primal partner) and ``pair(b_i*, b_j) = delta_ij``.
+  parity of its primal partner) and ``pair(b_i*, b_j) = delta_ij``;
+* a linear map stores only its sparse columns and a 2-tensor only its
+  nonzero entries; ``matrix`` and ``coeffs`` rebuild the dense matrix on
+  every read, for the dense readers (serialization and elimination).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partialmethod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -192,44 +196,73 @@ def vector_from_sparse(space: SuperSpace, entries: Mapping[int, Fraction]) -> Gr
     return GradedVector(space, tuple(coords))
 
 
-def _frozen(columns: Iterable[Mapping[int, Fraction]]) -> tuple[Mapping[int, Fraction], ...]:
-    """Read-only copies of sparse columns, each in index order."""
-    return tuple(MappingProxyType(dict(sorted(c.items()))) if c else EMPTY for c in columns)
+def _nonzero(matrix: Matrix) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of a dense matrix, keyed (row, column)."""
+    return {(i, j): x for i, row in enumerate(matrix) for j, x in enumerate(row) if x}
+
+
+def _sparse_columns(entries: Mapping[tuple[int, int], Fraction], ncols: int) -> list[dict]:
+    """The sparse columns of the matrix with these entries."""
+    columns: list[dict] = [{} for _ in range(ncols)]
+    for (i, j), x in entries.items():
+        columns[j][i] = x
+    return columns
+
+
+def _dense(entries: Iterable[tuple[tuple[int, int], Fraction]], nrows: int, ncols: int) -> Matrix:
+    rows = [[ZERO] * ncols for _ in range(nrows)]
+    for (i, j), c in entries:
+        rows[i][j] = c
+    return tuple(map(tuple, rows))
+
+
+def _check_parity(keys: Iterable[tuple[int, int]], rows_par: tuple[int, ...],
+                  cols_par: tuple[int, ...], parity: int, value, what: str) -> None:
+    """Raise ``ParityViolation`` naming the first key, in row-major order,
+    whose row and column parities do not add up to ``parity``."""
+    bad = [key for key in keys if (rows_par[key[0]] + cols_par[key[1]] + parity) % 2]
+    if bad:
+        i, j = min(bad)
+        raise ParityViolation(f"{what} ({i}, {j}) = {value(i, j)} violates parity {parity}")
 
 
 @dataclass(frozen=True, init=False)
 class GradedLinearMap:
-    """A parity-homogeneous linear map; rows of ``matrix`` index the codomain
-    basis.
-
-    The stored form is ``columns``: the image of each domain basis vector as
-    a read-only sparse vector of its nonzero entries.  ``matrix`` rebuilds
-    the dense matrix on every read, for the dense readers (serialization and
-    elimination).  ``GradedLinearMap(domain, codomain, matrix, parity)``
-    takes a dense matrix; the package builds maps from sparse columns with
-    ``_map_from_columns``, and both check parity the same way."""
+    """A parity-homogeneous linear map.  The one stored form is ``columns``,
+    the image of each domain basis vector as a read-only sparse vector; the
+    rows of ``matrix``, rebuilt on every read, index the codomain basis.
+    The package builds maps from columns with ``_from_columns``, which
+    checks parity as the public constructor does."""
 
     domain: SuperSpace
     codomain: SuperSpace
     parity: int
     columns: tuple[Mapping[int, Fraction], ...]
 
-    def __init__(self, domain: SuperSpace, codomain: SuperSpace, matrix: Matrix,
-                 parity: int = 0):
+    def __new__(cls, domain: SuperSpace, codomain: SuperSpace, matrix: Matrix, parity: int = 0):
         matrix = freeze(matrix)
         if len(matrix) != codomain.dim or any(len(row) != domain.dim for row in matrix):
             raise DimensionMismatch("matrix shape does not match domain/codomain")
-        columns: list[dict[int, Fraction]] = [{} for _ in range(domain.dim)]
-        for i, row in enumerate(matrix):
-            for j, entry in enumerate(row):
-                if entry:
-                    columns[j][i] = entry
-        _store_map(self, domain, codomain, columns, parity)
+        return cls._from_columns(domain, codomain, _sparse_columns(_nonzero(matrix), domain.dim),
+                                 parity)
+
+    @classmethod
+    def _from_columns(cls, domain: SuperSpace, codomain: SuperSpace,
+                      columns: Sequence[Mapping[int, Fraction]], parity: int = 0):
+        """The map whose column j is ``columns[j]``, a sparse vector of
+        nonzero ``Fraction``s."""
+        _check_parity(((i, j) for j, column in enumerate(columns) for i in column),
+                      codomain.parities(), domain.parities(), parity,
+                      lambda i, j: columns[j][i], "entry")
+        m = object.__new__(cls)
+        m.__dict__.update(domain=domain, codomain=codomain, parity=parity, columns=tuple(
+            MappingProxyType(dict(sorted(c.items()))) if c else EMPTY for c in columns))
+        return m
 
     def __reduce__(self):
         # rebuilt from the columns: the read-only columns do not pickle
-        return _map_from_columns, (self.domain, self.codomain,
-                                   [dict(c) for c in self.columns], self.parity)
+        return self._from_columns, (self.domain, self.codomain,
+                                    [dict(c) for c in self.columns], self.parity)
 
     def __hash__(self):
         return hash((self.domain, self.codomain, self.parity,
@@ -241,19 +274,16 @@ class GradedLinearMap:
 
     @property
     def matrix(self) -> Matrix:
-        rows = [[ZERO] * self.domain.dim for _ in range(self.codomain.dim)]
-        for j, column in enumerate(self.columns):
-            for i, c in column.items():
-                rows[i][j] = c
-        return tuple(map(tuple, rows))
+        return _dense((((i, j), c) for j, column in enumerate(self.columns)
+                       for i, c in column.items()), self.codomain.dim, self.domain.dim)
 
     @staticmethod
     def identity(space: SuperSpace) -> "GradedLinearMap":
-        return _map_from_columns(space, space, [{i: ONE} for i in range(space.dim)], 0)
+        return GradedLinearMap._from_columns(space, space, [{i: ONE} for i in range(space.dim)])
 
     @staticmethod
     def zero(domain: SuperSpace, codomain: SuperSpace, parity: int = 0) -> "GradedLinearMap":
-        return _map_from_columns(domain, codomain, [EMPTY] * domain.dim, parity)
+        return GradedLinearMap._from_columns(domain, codomain, [EMPTY] * domain.dim, parity)
 
     def __call__(self, v: GradedVector) -> GradedVector:
         if _shape(v.space) != _shape(self.domain):
@@ -267,9 +297,9 @@ class GradedLinearMap:
         """self after inner."""
         if _shape(inner.codomain) != _shape(self.domain):
             raise DimensionMismatch("composition shape mismatch")
-        return _map_from_columns(inner.domain, self.codomain,
-                                 [apply(self.columns, c) for c in inner.columns],
-                                 (self.parity + inner.parity) % 2)
+        return self._from_columns(inner.domain, self.codomain,
+                                  [apply(self.columns, c) for c in inner.columns],
+                                  (self.parity + inner.parity) % 2)
 
     def is_invertible(self) -> bool:
         # square, with a pivot in every column
@@ -277,12 +307,9 @@ class GradedLinearMap:
         return n == self.codomain.dim and len(_linalg.rref(self.matrix)[1]) == n
 
     def inverse(self) -> "GradedLinearMap":
-        return GradedLinearMap(
-            self.codomain, self.domain, _linalg.invert(self.matrix), self.parity
-        )
+        return GradedLinearMap(self.codomain, self.domain, _linalg.invert(self.matrix), self.parity)
 
     def _plus(self, other: "GradedLinearMap", factor: int, verb: str) -> "GradedLinearMap":
-        """self + factor * other, for maps of one parity and one shape."""
         if other.parity != self.parity:
             raise ParityViolation(f"cannot {verb} maps of different parities")
         if (_shape(other.domain), _shape(other.codomain)) != (
@@ -291,44 +318,16 @@ class GradedLinearMap:
         columns = [dict(c) for c in self.columns]
         for column, c in zip(columns, other.columns):
             add_scaled(column, c, factor)
-        return _map_from_columns(self.domain, self.codomain, columns, self.parity)
+        return self._from_columns(self.domain, self.codomain, columns, self.parity)
 
-    def __add__(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        return self._plus(other, 1, "add")
-
-    def __sub__(self, other: "GradedLinearMap") -> "GradedLinearMap":
-        return self._plus(other, -1, "subtract")
+    __add__ = partialmethod(_plus, factor=1, verb="add")
+    __sub__ = partialmethod(_plus, factor=-1, verb="subtract")
 
     def __rmul__(self, scalar) -> "GradedLinearMap":
         c = as_scalar(scalar)
-        return _map_from_columns(self.domain, self.codomain, [
+        return self._from_columns(self.domain, self.codomain, [
             {i: c * x for i, x in column.items()} if c else EMPTY
             for column in self.columns], self.parity)
-
-
-def _store_map(m: GradedLinearMap, domain: SuperSpace, codomain: SuperSpace,
-               columns: Sequence[Mapping[int, Fraction]], parity: int) -> None:
-    """Check the parity of every entry (the first failing one in row-major
-    order is named) and store the columns."""
-    rows_par, cols_par = codomain.parities(), domain.parities()
-    bad = [(i, j) for j, column in enumerate(columns) for i in column
-           if rows_par[i] != (cols_par[j] + parity) % 2]
-    if bad:
-        i, j = min(bad)
-        raise ParityViolation(f"entry ({i}, {j}) = {columns[j][i]} violates parity {parity}")
-    for name, value in (("domain", domain), ("codomain", codomain), ("parity", parity),
-                        ("columns", _frozen(columns))):
-        object.__setattr__(m, name, value)
-
-
-def _map_from_columns(domain: SuperSpace, codomain: SuperSpace,
-                      columns: Sequence[Mapping[int, Fraction]],
-                      parity: int = 0) -> GradedLinearMap:
-    """The map whose column j is ``columns[j]``, a sparse vector of nonzero
-    ``Fraction``s; raises ``ParityViolation`` as the public constructor does."""
-    m = object.__new__(GradedLinearMap)
-    _store_map(m, domain, codomain, columns, parity)
-    return m
 
 
 def _flips_to(entries: Mapping[tuple[int, int], Fraction], par: tuple[int, ...],
@@ -342,25 +341,34 @@ def _flips_to(entries: Mapping[tuple[int, int], Fraction], par: tuple[int, ...],
 
 @dataclass(frozen=True, init=False)
 class Tensor2:
-    """An element of A (x) A, stored as its nonzero coefficients keyed by
-    basis index pairs.  ``coeffs`` rebuilds the dense coefficient matrix on
-    every read; ``Tensor2(space, coeffs, parity)`` takes a dense matrix, and
-    the package builds tensors from entries with ``_tensor_from_entries``."""
+    """An element of A (x) A.  The one stored form is its nonzero
+    coefficients keyed by basis index pairs, in row-major order; ``coeffs``
+    rebuilds the dense coefficient matrix on every read.  The package builds
+    tensors from entries with ``_from_entries``."""
 
     space: SuperSpace
     parity: int
     _entries: Mapping[tuple[int, int], Fraction]
 
-    def __init__(self, space: SuperSpace, coeffs: Matrix, parity: int = 0):
-        coeffs = freeze(coeffs)
-        n = space.dim
+    def __new__(cls, space: SuperSpace, coeffs: Matrix, parity: int = 0):
+        coeffs, n = freeze(coeffs), space.dim
         if len(coeffs) != n or any(len(row) != n for row in coeffs):
             raise DimensionMismatch("coefficient matrix shape mismatch")
-        _store_tensor(self, space, {(i, j): c for i, row in enumerate(coeffs)
-                                    for j, c in enumerate(row) if c}, parity)
+        return cls._from_entries(space, _nonzero(coeffs), parity)
+
+    @classmethod
+    def _from_entries(cls, space: SuperSpace, entries: Mapping[tuple[int, int], Fraction],
+                      parity: int = 0):
+        """The tensor with these nonzero ``Fraction`` coefficients."""
+        par = space.parities()
+        _check_parity(entries, par, par, parity, lambda i, j: entries[i, j], "tensor entry")
+        t = object.__new__(cls)
+        t.__dict__.update(space=space, parity=parity,
+                          _entries=MappingProxyType(dict(sorted(entries.items()))))
+        return t
 
     def __reduce__(self):
-        return _tensor_from_entries, (self.space, dict(self._entries), self.parity)
+        return self._from_entries, (self.space, dict(self._entries), self.parity)
 
     def __hash__(self):
         return hash((self.space, self.parity, tuple(self._entries.items())))
@@ -370,15 +378,11 @@ class Tensor2:
 
     @property
     def coeffs(self) -> Matrix:
-        n = self.space.dim
-        rows = [[ZERO] * n for _ in range(n)]
-        for (i, j), c in self._entries.items():
-            rows[i][j] = c
-        return tuple(map(tuple, rows))
+        return _dense(self._entries.items(), self.space.dim, self.space.dim)
 
     @staticmethod
     def zero(space: SuperSpace, parity: int = 0) -> "Tensor2":
-        return _tensor_from_entries(space, {}, parity)
+        return Tensor2._from_entries(space, {}, parity)
 
     def is_zero(self) -> bool:
         return not self._entries
@@ -392,57 +396,29 @@ class Tensor2:
         return _flips_to(self._entries, self.space.parities(), 1)
 
     def _plus(self, other: "Tensor2", factor: int, verb: str) -> "Tensor2":
-        """self + factor * other, for tensors of one parity and one shape."""
         if other.parity != self.parity:
             raise ParityViolation(f"cannot {verb} tensors of different parities")
         if _shape(other.space) != _shape(self.space):
             raise DimensionMismatch(f"cannot {verb} tensors of different (even, odd) dimensions")
         entries = dict(self._entries)
         add_scaled(entries, other._entries, factor)
-        return _tensor_from_entries(self.space, entries, self.parity)
+        return self._from_entries(self.space, entries, self.parity)
 
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        return self._plus(other, 1, "add")
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self._plus(other, -1, "subtract")
+    __add__ = partialmethod(_plus, factor=1, verb="add")
+    __sub__ = partialmethod(_plus, factor=-1, verb="subtract")
 
     def __neg__(self) -> "Tensor2":
-        return _tensor_from_entries(
+        return self._from_entries(
             self.space, {key: -c for key, c in self._entries.items()}, self.parity)
 
     def sparse(self) -> dict[tuple[int, int], Fraction]:
         return dict(self._entries)
 
 
-def _store_tensor(t: Tensor2, space: SuperSpace, entries: Mapping[tuple[int, int], Fraction],
-                  parity: int) -> None:
-    """Check the parity of every entry (the first failing one in row-major
-    order is named) and store the entries in row-major order."""
-    par = space.parities()
-    bad = [key for key in entries if (par[key[0]] + par[key[1]]) % 2 != parity]
-    if bad:
-        i, j = min(bad)
-        raise ParityViolation(
-            f"tensor entry ({i}, {j}) = {entries[i, j]} violates parity {parity}")
-    for name, value in (("space", space), ("parity", parity),
-                        ("_entries", MappingProxyType(dict(sorted(entries.items()))))):
-        object.__setattr__(t, name, value)
-
-
-def _tensor_from_entries(space: SuperSpace, entries: Mapping[tuple[int, int], Fraction],
-                         parity: int = 0) -> Tensor2:
-    """The tensor with these nonzero ``Fraction`` coefficients; raises
-    ``ParityViolation`` as the public constructor does."""
-    t = object.__new__(Tensor2)
-    _store_tensor(t, space, entries, parity)
-    return t
-
-
 def sigma(t: Tensor2) -> Tensor2:
     """The graded flip: sigma(b_i (x) b_j) = (-1)^{|b_i||b_j|} b_j (x) b_i."""
     par = t.space.parities()
-    return _tensor_from_entries(t.space, {(j, i): koszul_sign(par[i], par[j]) * c
+    return Tensor2._from_entries(t.space, {(j, i): koszul_sign(par[i], par[j]) * c
                                           for (i, j), c in t._entries.items()}, t.parity)
 
 

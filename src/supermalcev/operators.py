@@ -78,8 +78,9 @@ from .graded import (
     ParityViolation,
     SuperSpace,
     _flips_to,
-    _map_from_columns,
+    _nonzero,
     _shape,
+    _sparse_columns,
     koszul_sign,
     vector_from_sparse,
 )
@@ -338,7 +339,8 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
         (a, b, k): c
         for (a, pa), (b, pb) in itertools.product(enumerate(pivots), repeat=2)
         for k, c in apply(coord_columns, rows.get((pa, pb), EMPTY)).items()}})
-    embedding = _map_from_columns(image_space, R.algebra.space, [T.columns[p] for p in pivots])
+    embedding = GradedLinearMap._from_columns(image_space, R.algebra.space,
+                                              [T.columns[p] for p in pivots])
     return ImageStructure(algebra, embedding, pivots)
 
 
@@ -408,10 +410,6 @@ def _check_form_shape(omega: BilinearForm, A: Superalgebra) -> None:
                                 f"the algebra {_shape(A.space)}")
 
 
-def _entries(w: _linalg.Matrix) -> dict[tuple[int, int], Fraction]:
-    return {(i, j): x for i, row in enumerate(w) for j, x in enumerate(row) if x}
-
-
 def _nondegenerate(w: _linalg.Matrix) -> bool:
     return len(_linalg.rref(w)[1]) == len(w)  # a pivot in every column
 
@@ -421,7 +419,7 @@ def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     ``DimensionMismatch`` unless the form's (even, odd) dimensions are A's."""
     _check_form_shape(omega, A)
     par, w, rows = A.space.parities(), omega.matrix, A.rows()
-    entries = _entries(w)
+    entries = _nonzero(w)
     return FormFlags(
         _flips_to(entries, par, 1),
         _flips_to(entries, par, -1),
@@ -438,7 +436,7 @@ def _symplectic(omega: BilinearForm, A: Superalgebra, nondegenerate: bool,
     and the table of w(b_i, b_j b_k) it read."""
     col = _WitnessCollector("symplectic", witness_limit)
     par, sums = A.space.parities(), {}
-    if not _flips_to(_entries(omega.matrix), par, -1):
+    if not _flips_to(_nonzero(omega.matrix), par, -1):
         col.preconditions.append("form is not skew-supersymmetric")
     if not nondegenerate:
         col.preconditions.append("form is degenerate")
@@ -579,11 +577,8 @@ def _search(ctx: _Context, values: Iterable[int],
             the cuts are undone before the next value."""
             if d == n:
                 value = {entry: value_of[v] for entry, v in zip(support, x)}
-                columns: list[dict] = [{} for _ in range(V.dim)]
-                for (i, j), c in value.items():
-                    if c:
-                        columns[j][i] = c
-                yield _map_from_columns(V, A, columns)
+                yield GradedLinearMap._from_columns(
+                    V, A, _sparse_columns({e: c for e, c in value.items() if c}, V.dim))
                 return
             for v in domains[d]:
                 x[d] = v

@@ -63,7 +63,6 @@ from .graded import (
     GradedLinearMap,
     ParityViolation,
     SuperSpace,
-    _map_from_columns,
     _shape,
     direct_sum,
     koszul_sign,
@@ -278,7 +277,7 @@ def _maps(algebra: SuperSpace, module: SuperSpace,
           columns: _Columns) -> tuple[GradedLinearMap, ...]:
     """One graded linear map on the module per algebra basis element, built
     from its sparse columns."""
-    return tuple(_map_from_columns(module, module, cols, p)
+    return tuple(GradedLinearMap._from_columns(module, module, cols, p)
                  for p, cols in zip(algebra.parities(), columns))
 
 
@@ -416,5 +415,5 @@ def double_dual_identification(space: SuperSpace) -> GradedLinearMap:
     """The canonical even isomorphism V -> V** induced by
     <a*, b> = (-1)^{|a*||b|} <b, a*>: identity on the even part, minus
     identity on the odd part."""
-    return _map_from_columns(space, space.dual().dual(), [
+    return GradedLinearMap._from_columns(space, space.dual().dual(), [
         {i: Fraction(koszul_sign(p, p))} for i, p in enumerate(space.parities())], 0)

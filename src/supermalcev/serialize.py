@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .graded import (GradedLinearMap, ParityViolation, SuperSpace, Tensor2, _map_from_columns,
-                     _tensor_from_entries)
+from .graded import GradedLinearMap, ParityViolation, SuperSpace, Tensor2, _dense, _sparse_columns
 from .algebras import Superalgebra
 from .operators import BilinearForm
 from .reps import Bimodule, Representation
@@ -84,13 +83,6 @@ def _parse_entries(value: Any, nrows: int, ncols: int,
             if x is not None:
                 entries[i, j] = x
     return entries
-
-
-def _columns(entries: Mapping[tuple[int, int], Fraction], ncols: int) -> list[dict]:
-    columns: list[dict] = [{} for _ in range(ncols)]
-    for (i, j), x in entries.items():
-        columns[j][i] = x
-    return columns
 
 
 def _space_to_json(space: SuperSpace) -> dict:
@@ -184,8 +176,8 @@ def _parse_action(value: Any, algebra: Superalgebra, space: SuperSpace,
     for i, mat in enumerate(value):
         entries = _parse_entries(mat, space.dim, space.dim, f"{where}[{i}]")
         try:
-            maps.append(_map_from_columns(
-                space, space, _columns(entries, space.dim), algebra.space.parity(i)))
+            maps.append(GradedLinearMap._from_columns(
+                space, space, _sparse_columns(entries, space.dim), algebra.space.parity(i)))
         except ParityViolation as exc:
             raise ParseError(f"{where}[{i}]: {exc}") from None
     return tuple(maps)
@@ -327,8 +319,8 @@ def _parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
             source = module.space
         entries = _parse_entries(block.get("matrix"), space.dim, source.dim, "linear_map.matrix")
         try:
-            fields["linear_map"] = _map_from_columns(
-                source, space, _columns(entries, source.dim), parity)
+            fields["linear_map"] = GradedLinearMap._from_columns(
+                source, space, _sparse_columns(entries, source.dim), parity)
         except ParityViolation as exc:
             raise ParseError(f"linear_map.matrix: {exc}") from None
         fields["linear_map_domain"] = domain
@@ -337,14 +329,12 @@ def _parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
         parity = _parse_parity(block, "tensor2")
         entries = _parse_entries(block.get("coeffs"), space.dim, space.dim, "tensor2.coeffs")
         try:
-            fields["tensor2"] = _tensor_from_entries(space, entries, parity)
+            fields["tensor2"] = Tensor2._from_entries(space, entries, parity)
         except ParityViolation as exc:
             raise ParseError(f"tensor2.coeffs: {exc}") from None
 
     if (block := _block(obj, "bilinear_form")) is not None:
-        entries = _parse_entries(block.get("matrix"), space.dim, space.dim,
-                                 "bilinear_form.matrix")
-        fields["bilinear_form"] = BilinearForm(space, [
-            [entries.get((i, j), 0) for j in range(space.dim)] for i in range(space.dim)])
+        entries = _parse_entries(block.get("matrix"), space.dim, space.dim, "bilinear_form.matrix")
+        fields["bilinear_form"] = BilinearForm(space, _dense(entries.items(), space.dim, space.dim))
 
     return AlgebraDocument(**fields)

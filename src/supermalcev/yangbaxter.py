@@ -14,15 +14,15 @@ non-solutions, never assumes.  Both compute in integers: the rows and the
 entries of r are scaled by their common denominator D, and every term of
 the tensor side is a product of three scaled factors (D^3).
 
-No dense map is built on the way: one pass over r's entries decides
-skew-supersymmetry and reads the r-map's sparse columns, which the
-O-operator engine walks.  The double A x|_{rho*} V* and r = T - sigma(T)
+No dense map is built on the way: the r-map's sparse columns, which the
+O-operator engine walks, come from r's stored entries, and so does the
+skew-supersymmetry test.  The double A x|_{rho*} V* and r = T - sigma(T)
 are built in one place from the action's columns and T's: the dual action
 is their signed transpose (``reps._dual_columns``), the double its
 semidirect product (``reps._semidirect``).  ``canonical_r`` passes the left
 multiplication columns of P and unit columns for the identity.
-``r_as_map`` builds the dense map, for the symplectic form and the
-Rota-Baxter operator of an invariant form.
+``r_as_map`` makes a map of the same columns, whose dense matrix the
+symplectic form and the Rota-Baxter operator of an invariant form read.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from .graded import (
     SuperSpace,
     Tensor2,
     Tensor3,
-    _map_from_columns,
     _shape,
-    _tensor_from_entries,
+    _sparse_columns,
     direct_sum,
     koszul_sign,
 )
@@ -137,36 +136,25 @@ def r_as_map(c: MybeCandidate) -> GradedLinearMap:
     """The even map A* -> A determined by the pairing identity; with the
     basis conventions used here its matrix is minus the transpose of the
     coefficient matrix (image of b_j* has coefficients -coeffs[j][i])."""
-    columns: list[dict] = [{} for _ in range(c.algebra.space.dim)]
-    for (j, i), x in c.r._entries.items():
-        columns[j][i] = -x
-    return _map_from_columns(c.algebra.space.dual(), c.algebra.space, columns, c.r.parity)
+    A = c.algebra.space
+    return GradedLinearMap._from_columns(A.dual(), A, _r_map_columns(c.r), c.r.parity)
 
 
-def _r_map_columns(r: Tensor2) -> list[dict] | None:
-    """The sparse columns of the r-map, column j holding -r[j][i] at i, or
-    ``None`` when r is not skew-supersymmetric: one pass over r's nonzero
-    entries decides both.  r = -sigma(r) says r[i][j] = -(-1)^{|i||j|} r[j][i],
-    and an entry whose mirror is zero fails at the entry itself."""
-    par, entries = r.space.parities(), r._entries
-    columns: list[dict] = [{} for _ in range(r.space.dim)]
-    for (j, i), x in entries.items():
-        if entries.get((i, j), 0) != (x if par[i] & par[j] else -x):
-            return None
-        columns[j][i] = -x
-    return columns
+def _r_map_columns(r: Tensor2) -> list[dict]:
+    """The sparse columns of the r-map, read off r's stored entries: column
+    j holds -r[j][i] at i."""
+    return _sparse_columns({(i, j): -x for (j, i), x in r._entries.items()}, r.space.dim)
 
 
 def _operator_form(c: MybeCandidate,
                    witness_limit: int) -> tuple[ViolationReport, _Context | None, list | None]:
     """The report of ``check_operator_form``, and the coadjoint context and
     r-map columns it read (``None`` when r is not skew-supersymmetric)."""
-    columns = _r_map_columns(c.r)
-    if columns is None:
+    if not c.r.is_skew_supersymmetric():
         col = _WitnessCollector("operator-form", witness_limit)
         col.preconditions.append("r is not skew-supersymmetric")
         return col.report(), None, None
-    ctx = _coadjoint_context(c.algebra)
+    ctx, columns = _coadjoint_context(c.algebra), _r_map_columns(c.r)
     return _walk(ctx, columns, witness_limit), ctx, columns
 
 
@@ -210,7 +198,7 @@ def _double(algebra: Superalgebra, module: SuperSpace, action: _Columns,
         for p, val in column.items():
             a, v = emb_a[p], emb_v[alpha]
             entries[a, v], entries[v, a] = val, -koszul_sign(par[a], par[v]) * val
-    return MybeCandidate(double, _tensor_from_entries(total, entries))
+    return MybeCandidate(double, Tensor2._from_entries(total, entries))
 
 
 def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:
@@ -271,8 +259,5 @@ def rb_from_invariant_form(c: MybeCandidate, B: BilinearForm) -> GradedLinearMap
     if not c.r.is_skew_supersymmetric():
         raise ValueError("r is not skew-supersymmetric")
     phi = _linalg.transpose(B.matrix)
-    rmap = r_as_map(c)
-    return GradedLinearMap(
-        c.algebra.space, c.algebra.space,
-        _linalg.mat_mul(rmap.matrix, phi), 0,
-    )
+    return GradedLinearMap(c.algebra.space, c.algebra.space,
+                           _linalg.mat_mul(r_as_map(c).matrix, phi))

@@ -20,7 +20,6 @@ from supermalcev import (
     sigma,
 )
 from supermalcev import fixtures
-from supermalcev.graded import _map_from_columns, _tensor_from_entries
 from supermalcev.serialize import AlgebraDocument, serialize
 
 parities = st.integers(min_value=0, max_value=5)
@@ -380,7 +379,7 @@ def test_a_map_from_columns_equals_the_map_from_its_matrix(shape, parity):
         matrix = dense({(i, j): c for j, col in enumerate(columns) for i, c in col.items()},
                        codomain.dim, domain.dim)
         by_matrix = GradedLinearMap(domain, codomain, matrix, parity)
-        by_columns = _map_from_columns(domain, codomain, columns, parity)
+        by_columns = GradedLinearMap._from_columns(domain, codomain, columns, parity)
         assert_twins(by_matrix, by_columns)
         for m in (by_matrix, by_columns):
             assert m.matrix == matrix and type(m.matrix) is tuple
@@ -413,7 +412,7 @@ def test_both_map_constructors_name_the_same_parity_violation(shape):
             with pytest.raises(ParityViolation) as by_matrix:
                 GradedLinearMap(domain, codomain, matrix, parity)
             with pytest.raises(ParityViolation) as by_columns:
-                _map_from_columns(domain, codomain, columns, parity)
+                GradedLinearMap._from_columns(domain, codomain, columns, parity)
             assert str(by_matrix.value) == str(by_columns.value)
             i, j = min(key for key in wrong if matrix[key[0]][key[1]])
             assert str(by_matrix.value) == (
@@ -429,7 +428,7 @@ def test_a_tensor_from_entries_equals_the_tensor_from_its_matrix(shape, parity):
         entries = random_entries(space, parity, rng)
         coeffs = dense(entries, space.dim, space.dim)
         by_matrix = Tensor2(space, coeffs, parity)
-        by_entries = _tensor_from_entries(space, entries, parity)
+        by_entries = Tensor2._from_entries(space, entries, parity)
         assert_twins(by_matrix, by_entries)
         for t in (by_matrix, by_entries):
             assert t.coeffs == coeffs and type(t.coeffs) is tuple
@@ -448,7 +447,7 @@ def test_a_tensor_from_entries_equals_the_tensor_from_its_matrix(shape, parity):
             with pytest.raises(ParityViolation) as raised_by_matrix:
                 Tensor2(space, dense(bad, space.dim, space.dim), parity)
             with pytest.raises(ParityViolation) as raised_by_entries:
-                _tensor_from_entries(space, bad, parity)
+                Tensor2._from_entries(space, bad, parity)
             i, j = min(key for key in wrong if key in bad)
             assert str(raised_by_matrix.value) == str(raised_by_entries.value) == (
                 f"tensor entry ({i}, {j}) = {bad[i, j]} violates parity {parity}")
@@ -462,8 +461,8 @@ def test_sigma_pairing_and_symmetry_match_their_dense_oracles(shape):
     flags = set()
     for parity in (0, 1):
         for _ in range(6):
-            t = _tensor_from_entries(space, random_entries(space, parity, rng), parity)
-            s = _tensor_from_entries(space.dual(), random_entries(space, parity, rng), parity)
+            t = Tensor2._from_entries(space, random_entries(space, parity, rng), parity)
+            s = Tensor2._from_entries(space.dual(), random_entries(space, parity, rng), parity)
             assert pair_tensor(s, t) == oracle_pair_tensor(s, t)
             for u in (t, t + sigma(t), t - sigma(t), -t, sigma(t)):
                 assert sigma(u) == oracle_sigma(u)

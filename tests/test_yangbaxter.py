@@ -48,7 +48,7 @@ from supermalcev import (
     semidirect_malcev,
     symplectic_from_r,
 )
-from supermalcev import fixtures, graded
+from supermalcev import fixtures
 from supermalcev.graded import direct_sum, koszul_sign
 from rational_inputs import rational_action, rational_operator
 
@@ -538,12 +538,14 @@ def test_mybe_pipeline_builds_no_dense_map(monkeypatch):
     not_skew = MybeCandidate(c.algebra, random_even_tensor(c.algebra.space, random.Random(3)))
     assert not not_skew.r.is_skew_supersymmetric()
     built = []
-    store = graded._store_map
+    from_columns = GradedLinearMap._from_columns
 
-    def counting(m, *args):
-        built.append(m)
-        store(m, *args)
-    monkeypatch.setattr(graded, "_store_map", counting)
+    def counting(cls, *args):
+        built.append(from_columns(*args))
+        return built[-1]
+    monkeypatch.setattr(GradedLinearMap, "_from_columns", classmethod(counting))
+    assert GradedLinearMap.identity(P.space) == built.pop()  # both constructors are counted
+    assert GradedLinearMap(P.space, P.space, ((1, 0), (0, 1))) == built.pop()
     candidates = [canonical_r(P), r_from_o_operator(T, R), r_from_o_operator(heis_T, heis_R)]
     reports = [check_operator_form(x) for x in candidates + [c, not_skew]]
     pre_malcev_on_dual_from_r(c)
