@@ -354,6 +354,13 @@ def random_entries(space, parity, rng, density=0.6):
             if (par[i] + par[j]) % 2 == parity and rng.random() < density}
 
 
+def shuffled(mapping, rng):
+    """The same mapping with its items in a random insertion order."""
+    items = list(mapping.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
 def dense(entries, nrows, ncols):
     rows = [[Fraction(0)] * ncols for _ in range(nrows)]
     for (i, j), c in entries.items():
@@ -379,7 +386,8 @@ def test_a_map_from_columns_equals_the_map_from_its_matrix(shape, parity):
         matrix = dense({(i, j): c for j, col in enumerate(columns) for i, c in col.items()},
                        codomain.dim, domain.dim)
         by_matrix = GradedLinearMap(domain, codomain, matrix, parity)
-        by_columns = GradedLinearMap._from_columns(domain, codomain, columns, parity)
+        by_columns = GradedLinearMap._from_columns(
+            domain, codomain, [shuffled(c, rng) for c in columns], parity)
         assert_twins(by_matrix, by_columns)
         for m in (by_matrix, by_columns):
             assert m.matrix == matrix and type(m.matrix) is tuple
@@ -428,7 +436,7 @@ def test_a_tensor_from_entries_equals_the_tensor_from_its_matrix(shape, parity):
         entries = random_entries(space, parity, rng)
         coeffs = dense(entries, space.dim, space.dim)
         by_matrix = Tensor2(space, coeffs, parity)
-        by_entries = Tensor2._from_entries(space, entries, parity)
+        by_entries = Tensor2._from_entries(space, shuffled(entries, rng), parity)
         assert_twins(by_matrix, by_entries)
         for t in (by_matrix, by_entries):
             assert t.coeffs == coeffs and type(t.coeffs) is tuple
