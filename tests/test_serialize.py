@@ -142,8 +142,8 @@ def test_parse_memory_of_a_sparse_action_at_the_cap_follows_its_distinct_scalars
     # matrix entries and 3 distinct scalars.  One Fraction per entry peaked
     # at 16.5 MB and one per distinct scalar of a matrix at 4.5 MB, with
     # every map stored dense.  Maps that store only their nonzero entries
-    # peak at 2.3 MB, of which the JSON decode alone is 2.26 MB; the bound
-    # leaves 0.45 MB of margin.
+    # peak at 2.31 MB, of which the JSON decode alone is 2.26 MB; the bound
+    # leaves 0.44 MB of margin.
     A = Superalgebra.from_entries(SuperSpace(32, 32), {"mul": {(0, 1, 2): 1, (1, 0, 2): -1}})
     text = serialize(AlgebraDocument(A, representation=adjoint_representation(A)))
     tracemalloc.start()
