@@ -1,7 +1,8 @@
 """The exact arithmetic under every checker: sparse vectors of integers
 scaled by one common denominator.
 
-A sparse vector maps basis indices to nonzero coefficients.  The helpers
+A sparse vector maps basis indices to nonzero coefficients; a stored one
+is a read-only, hashable and picklable ``Frozen`` dict.  The helpers
 ``add_scaled``, ``mul``, ``act`` and ``apply`` are the package's sparse
 product helpers, beside the joins of the algebra checkers in ``algebras``;
 they work unchanged on ``int`` and on ``Fraction`` coefficients, and the
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 Number = Union[int, Fraction]
@@ -30,7 +30,31 @@ Vector = Mapping[int, Number]
 Rows = Mapping[tuple[int, int], Vector]  # (i, j) -> the vector b_i * b_j
 Columns = Sequence[Sequence[Vector]]  # [k][j] -> the image of b_j under b_k's map
 
-EMPTY: Vector = MappingProxyType({})
+
+class Frozen(dict):
+    """A dict whose every mutator, a second ``__init__`` too, raises; it hashes by its items."""
+
+    __slots__ = ("_sealed",)
+
+    def __init__(self, *args, **kwargs):
+        if hasattr(self, "_sealed"):
+            self._read_only()
+        super().__init__(*args, **kwargs)
+        self._sealed = True
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = update = setdefault = pop = popitem = clear = _read_only
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+EMPTY: Vector = Frozen()
 
 
 def add_scaled(dst: dict, src: Mapping, factor: Number) -> None:

@@ -64,10 +64,9 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
-from ._kernel import denominator, mul, scaled_rows, unscaled
+from ._kernel import Frozen, denominator, mul, scaled_rows, unscaled
 from ._linalg import ZERO, as_scalar
 from .graded import (
     DimensionMismatch,
@@ -151,7 +150,7 @@ class _WitnessCollector:
 class Superalgebra:
     """Structure constants as sparse rows: ``products[name][(i, j)]`` maps
     each k with a nonzero coefficient of b_k in b_i * b_j to that
-    coefficient.  Rows are stored sorted, zeros dropped and frozen."""
+    coefficient.  Stored sorted, zeros dropped, read-only (``Frozen``)."""
 
     space: SuperSpace
     products: Mapping[str, Rows]
@@ -173,9 +172,8 @@ class Superalgebra:
                         )
                     if c:
                         cleaned.setdefault((i, j), {})[k] = c
-            frozen[name] = MappingProxyType(
-                {key: MappingProxyType(row) for key, row in cleaned.items()})
-        object.__setattr__(self, "products", MappingProxyType(frozen))
+            frozen[name] = Frozen({key: Frozen(row) for key, row in cleaned.items()})
+        object.__setattr__(self, "products", Frozen(frozen))
 
     @staticmethod
     def from_entries(

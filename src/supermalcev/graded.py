@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partialmethod
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from ._kernel import EMPTY, add_scaled, apply
+from ._kernel import EMPTY, Frozen, add_scaled, apply
 from ._linalg import ONE, ZERO, Matrix, as_scalar, freeze
 from . import _linalg
 
@@ -65,10 +64,8 @@ class SuperSpace:
     def __post_init__(self):
         if self.even_dim < 0 or self.odd_dim < 0:
             raise ValueError("negative dimension")
-        if not self.labels:
-            object.__setattr__(
-                self, "labels", _default_labels(self.even_dim, self.odd_dim)
-            )
+        object.__setattr__(self, "labels", tuple(self.labels)
+                           or _default_labels(self.even_dim, self.odd_dim))
         if len(self.labels) != self.dim:
             raise DimensionMismatch(
                 f"{len(self.labels)} labels for dimension {self.dim}"
@@ -256,17 +253,12 @@ class GradedLinearMap:
                       lambda i, j: columns[j][i], "entry")
         m = object.__new__(cls)
         m.__dict__.update(domain=domain, codomain=codomain, parity=parity, columns=tuple(
-            MappingProxyType(dict(sorted(c.items()))) if c else EMPTY for c in columns))
+            Frozen(sorted(c.items())) if c else EMPTY for c in columns))
         return m
 
     def __reduce__(self):
-        # rebuilt from the columns: the read-only columns do not pickle
-        return self._from_columns, (self.domain, self.codomain,
-                                    [dict(c) for c in self.columns], self.parity)
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, self.parity,
-                     tuple(tuple(c.items()) for c in self.columns)))
+        # the public constructor takes a dense matrix
+        return self._from_columns, (self.domain, self.codomain, self.columns, self.parity)
 
     def __repr__(self):
         return (f"GradedLinearMap(domain={self.domain!r}, codomain={self.codomain!r}, "
@@ -364,14 +356,11 @@ class Tensor2:
         _check_parity(entries, par, par, parity, lambda i, j: entries[i, j], "tensor entry")
         t = object.__new__(cls)
         t.__dict__.update(space=space, parity=parity,
-                          _entries=MappingProxyType(dict(sorted(entries.items()))))
+                          _entries=Frozen(sorted(entries.items())))
         return t
 
     def __reduce__(self):
-        return self._from_entries, (self.space, dict(self._entries), self.parity)
-
-    def __hash__(self):
-        return hash((self.space, self.parity, tuple(self._entries.items())))
+        return self._from_entries, (self.space, self._entries, self.parity)
 
     def __repr__(self):
         return f"Tensor2(space={self.space!r}, coeffs={self.coeffs!r}, parity={self.parity!r})"
@@ -424,24 +413,17 @@ def sigma(t: Tensor2) -> Tensor2:
 
 @dataclass(frozen=True)
 class Tensor3:
-    """A sparse element of A (x) A (x) A, keyed by basis index triples."""
+    """A sparse element of A (x) A (x) A: ``coeffs``, read-only, keyed by basis index triples."""
 
     space: SuperSpace
     coeffs: Mapping[tuple[int, int, int], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = {
-            key: as_scalar(c) for key, c in self.coeffs.items() if c != 0
-        }
-        object.__setattr__(self, "coeffs", MappingProxyType(cleaned))
+        object.__setattr__(self, "coeffs", Frozen(
+            (key, as_scalar(c)) for key, c in self.coeffs.items() if c != 0))
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Tensor3):
-            return NotImplemented
-        return self.space == other.space and dict(self.coeffs) == dict(other.coeffs)
 
 
 def pair(x_star: GradedVector, y: GradedVector) -> Fraction:

@@ -77,6 +77,7 @@ from .graded import (
     GradedLinearMap,
     ParityViolation,
     SuperSpace,
+    _check_parity,
     _flips_to,
     _nonzero,
     _shape,
@@ -383,10 +384,11 @@ class BilinearForm:
     matrix: _linalg.Matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _linalg.freeze(self.matrix))
-        n = self.space.dim
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+        w, par = _linalg.freeze(self.matrix), self.space.parities()
+        object.__setattr__(self, "matrix", w)
+        if len(w) != len(par) or any(len(row) != len(par) for row in w):
             raise DimensionMismatch("form matrix shape mismatch")
+        _check_parity(_nonzero(w), par, par, 0, lambda i, j: w[i][j], "form entry")
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,14 @@ def _maps_to_json(maps) -> list:
     return [_matrix_to_json(m.matrix) for m in maps]
 
 
+def _checked(where: str, build, *args):
+    """``build(*args)``, with a parity violation reported at ``where``."""
+    try:
+        return build(*args)
+    except ParityViolation as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def _parse_action(value: Any, algebra: Superalgebra, space: SuperSpace,
                   where: str) -> tuple[GradedLinearMap, ...]:
     if not isinstance(value, list) or len(value) != algebra.space.dim:
@@ -175,11 +183,8 @@ def _parse_action(value: Any, algebra: Superalgebra, space: SuperSpace,
     maps = []
     for i, mat in enumerate(value):
         entries = _parse_entries(mat, space.dim, space.dim, f"{where}[{i}]")
-        try:
-            maps.append(GradedLinearMap._from_columns(
-                space, space, _sparse_columns(entries, space.dim), algebra.space.parity(i)))
-        except ParityViolation as exc:
-            raise ParseError(f"{where}[{i}]: {exc}") from None
+        maps.append(_checked(f"{where}[{i}]", GradedLinearMap._from_columns, space, space,
+                             _sparse_columns(entries, space.dim), algebra.space.parity(i)))
     return tuple(maps)
 
 
@@ -318,23 +323,19 @@ def _parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
                     "linear_map: domain 'module' requires a representation or bimodule block")
             source = module.space
         entries = _parse_entries(block.get("matrix"), space.dim, source.dim, "linear_map.matrix")
-        try:
-            fields["linear_map"] = GradedLinearMap._from_columns(
-                source, space, _sparse_columns(entries, source.dim), parity)
-        except ParityViolation as exc:
-            raise ParseError(f"linear_map.matrix: {exc}") from None
+        fields["linear_map"] = _checked("linear_map.matrix", GradedLinearMap._from_columns,
+                                        source, space, _sparse_columns(entries, source.dim), parity)
         fields["linear_map_domain"] = domain
 
     if (block := _block(obj, "tensor2")) is not None:
         parity = _parse_parity(block, "tensor2")
         entries = _parse_entries(block.get("coeffs"), space.dim, space.dim, "tensor2.coeffs")
-        try:
-            fields["tensor2"] = Tensor2._from_entries(space, entries, parity)
-        except ParityViolation as exc:
-            raise ParseError(f"tensor2.coeffs: {exc}") from None
+        fields["tensor2"] = _checked("tensor2.coeffs", Tensor2._from_entries,
+                                     space, entries, parity)
 
     if (block := _block(obj, "bilinear_form")) is not None:
         entries = _parse_entries(block.get("matrix"), space.dim, space.dim, "bilinear_form.matrix")
-        fields["bilinear_form"] = BilinearForm(space, _dense(entries.items(), space.dim, space.dim))
+        fields["bilinear_form"] = _checked("bilinear_form.matrix", BilinearForm, space,
+                                           _dense(entries.items(), space.dim, space.dim))
 
     return AlgebraDocument(**fields)

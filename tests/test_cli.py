@@ -307,6 +307,22 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert err == f"error: --witness-limit must be at least 1, got {limit}\n"
 
 
+def test_a_form_of_parity_1_exits_2(capsys, tmp_path):
+    # the 1|1 Heisenberg bracket [f, f] = e with a form pairing e and f
+    path = tmp_path / "heisenberg_odd_form.json"
+    path.write_text(json.dumps({
+        "format": "superalg/1", "even_dim": 1, "odd_dim": 1,
+        "products": {"mul": [[1, 1, 0, "1"]]},
+        "bilinear_form": {"matrix": [["0", "1"], ["-1", "0"]]},
+    }), encoding="utf-8")
+    for argv in (["check", str(path), "--identity", "symplectic"],
+                 ["construct", str(path), "--via", "symplectic"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: bilinear_form.matrix: "
+                       "form entry (0, 1) = 1 violates parity 0\n")
+
+
 def test_declared_dimension_over_the_cap_exits_2(capsys, tmp_path):
     def write(name, doc):
         path = tmp_path / name

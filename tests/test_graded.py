@@ -275,6 +275,13 @@ def test_vector_parity_and_arithmetic():
     assert (v - v).is_zero()
 
 
+def test_labels_given_as_a_list_are_stored_as_a_tuple():
+    space = SuperSpace(1, 0, ["a"])
+    assert space.labels == ("a",) and type(space.labels) is tuple
+    assert space == SuperSpace(1, 0, ("a",))
+    assert hash(space) == hash(SuperSpace(1, 0, ("a",)))
+
+
 def test_direct_sum_interleaves_even_first():
     a = SuperSpace(1, 1, ("a", "b"))
     b = SuperSpace(2, 1, ("c", "d", "e"))

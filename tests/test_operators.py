@@ -891,6 +891,16 @@ def test_form_matrix_of_the_wrong_shape_is_a_dimension_mismatch():
             BilinearForm(space, matrix)
 
 
+def test_a_form_pairing_an_even_with_an_odd_vector_violates_parity_0():
+    A = fixtures.heisenberg_1_1()
+    with pytest.raises(ParityViolation) as exc:
+        BilinearForm(A.space, ((0, 1), (-1, 0)))
+    assert str(exc.value) == "form entry (0, 1) = 1 violates parity 0"
+    # the shape is checked first
+    with pytest.raises(DimensionMismatch, match="form matrix shape mismatch"):
+        BilinearForm(A.space, ((0, 1), (-1, 0), (0, 0)))
+
+
 def test_symplectic_precondition_flags():
     A = fixtures.zero_algebra(2, 0)
     degenerate = BilinearForm(A.space, ((0, 0), (0, 0)))
@@ -1067,14 +1077,14 @@ def oracle_symplectic(omega, A):
 def rational_form(space, seed, kind):
     """A seeded form with constants over 1, 2, 3 and 5: skew-supersymmetric
     and even ("skew"), the same with the last basis vector in its radical
-    ("degenerate"), or any matrix at all ("any")."""
+    ("degenerate"), or any parity-0 matrix ("any")."""
     rng = random.Random(seed)
     n, par = space.dim, space.parities()
     w = [[Z] * n for _ in range(n)]
     for i, j in itertools.product(range(n), repeat=2):
         value = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3, 5)))
         if kind == "any":
-            w[i][j] = value
+            w[i][j] = value if par[i] == par[j] else Z
         elif i <= j and par[i] == par[j] and (i < j or par[i]):
             w[i][j], w[j][i] = value, -koszul_sign(par[i], par[j]) * value
     if kind == "degenerate":
