@@ -252,8 +252,6 @@ _ZERO_2X2 = [["0", "0"], ["0", "0"]]
     ({"bilinear_form": []}, "bilinear_form: expected an object"),
     ({"linear_map": {"parity": 2, "matrix": _ZERO_2X2}}, "linear_map.parity: expected 0 or 1"),
     ({"tensor2": {"parity": 2, "coeffs": _ZERO_2X2}}, "tensor2.parity: expected 0 or 1"),
-    ({"bilinear_form": {"matrix": [["0", "1"], ["-1", "0"]]}},
-     "bilinear_form.matrix: form entry (0, 1) = 1 violates parity 0"),
     ({"linear_map": {"domain": "both", "matrix": _ZERO_2X2}},
      "linear_map.domain: expected 'module' or 'algebra', got 'both'"),
     ({"linear_map": {"domain": "module", "matrix": _ZERO_2X2}},
@@ -262,6 +260,8 @@ _ZERO_2X2 = [["0", "0"], ["0", "0"]]
       "representation": {"even_dim": 1, "odd_dim": 0, "matrices": [[["0"]], [["0"]]]}},
      "representation: requires a 'mul' product"),
     ({"products": None}, "products: missing"),
+    ({"bilinear_form": {"matrix": [["0", "1"], ["-1", "0"]]}},
+     "bilinear_form.matrix: form entry (0, 1) = 1 violates parity 0"),
 ])
 def test_parse_error_messages_in_full(edits, message):
     doc = _base()
