@@ -1,14 +1,14 @@
 """Exact dense linear algebra over the rationals, for the dense readers.
 
-Matrices are tuples of row tuples of Fraction.  Maps and 2-tensors store
-sparse entries (``graded``), so what is left is elimination and the dense
-products of bilinear forms.  ``rref`` is the one elimination; ``invert``
-reduces an augmented matrix with it, and callers decide invertibility by
-its pivots (square, with a pivot in every column).  Sizes never exceed a few
-dozen rows, so no pivoting beyond "first nonzero" is needed.  Two helpers
-have no caller in the package (``tests/test_dead_helpers.py``): the test
-oracle ``oracle_form_flags`` reads ``nullspace``, and the benchmark tracer
-``perfbench/tracing.py`` counts the calls of ``solve`` by name.
+Matrices are tuples of row tuples of Fraction.  Maps, 2-tensors and forms
+store sparse entries (``graded``), so what is left is elimination.  ``rref``
+is the one elimination; ``invert`` reduces an augmented matrix with it, and
+callers decide invertibility by its pivots (square, with a pivot in every
+column).  Sizes never exceed a few dozen rows, so no pivoting beyond "first
+nonzero" is needed.  Three helpers have no caller in the package
+(``tests/test_dead_helpers.py``): the test oracle ``oracle_form_flags``
+reads ``nullspace``, and the benchmark tracer ``perfbench/tracing.py``
+counts the calls of ``mat_mul`` and ``solve`` by name.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
 
 
 def invert(a: Matrix) -> Matrix:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from ._kernel import Frozen, denominator, mul, scaled_rows, unscaled
+from ._kernel import Frozen, Rows, Vector, denominator, mul, scaled_rows, unscaled
 from ._linalg import ZERO, as_scalar
 from .graded import (
     DimensionMismatch,
@@ -78,8 +78,6 @@ from .graded import (
 )
 
 Table = tuple[tuple[tuple[Fraction, ...], ...], ...]
-Sparse = dict[int, Fraction]
-Rows = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
 DEFAULT_WITNESS_LIMIT = 16
 
@@ -150,7 +148,8 @@ class _WitnessCollector:
 class Superalgebra:
     """Structure constants as sparse rows: ``products[name][(i, j)]`` maps
     each k with a nonzero coefficient of b_k in b_i * b_j to that
-    coefficient.  Stored sorted, zeros dropped, read-only (``Frozen``)."""
+    coefficient.  Stored sorted (the products by name, the rows by key),
+    zeros dropped, read-only (``Frozen``)."""
 
     space: SuperSpace
     products: Mapping[str, Rows]
@@ -158,7 +157,7 @@ class Superalgebra:
     def __post_init__(self):
         par, n = self.space.parities(), self.space.dim
         frozen = {}
-        for name, rows in self.products.items():
+        for name, rows in sorted(self.products.items()):
             cleaned: dict[tuple[int, int], dict[int, Fraction]] = {}
             for (i, j), row in sorted(rows.items()):
                 for k, c in sorted(row.items()):
@@ -209,11 +208,10 @@ class Superalgebra:
 
     # -- sparse product evaluation -------------------------------------
 
-    def mul_basis(self, i: int, j: int, product: str = "mul") -> Sparse:
+    def mul_basis(self, i: int, j: int, product: str = "mul") -> dict[int, Fraction]:
         return self.rows(product).get((i, j), {}).copy()
 
-    def mul_sparse(self, xs: Mapping[int, Fraction], ys: Mapping[int, Fraction],
-                   product: str = "mul") -> Sparse:
+    def mul_sparse(self, xs: Vector, ys: Vector, product: str = "mul") -> dict[int, Fraction]:
         return mul(self.rows(product), xs, ys)
 
     def mul(self, x: GradedVector, y: GradedVector, product: str = "mul") -> GradedVector:

@@ -13,8 +13,8 @@ Conventions used throughout the package:
   a 2-tensor is skew-supersymmetric when ``r = -sigma(r)``;
 * the dual space carries the dual gradation (a dual basis vector has the
   parity of its primal partner) and ``pair(b_i*, b_j) = delta_ij``;
-* a linear map stores only its sparse columns and a 2-tensor only its
-  nonzero entries; ``matrix`` and ``coeffs`` rebuild the dense matrix on
+* a linear map stores only its sparse columns, a 2-tensor or a form only
+  its nonzero entries; ``matrix`` and ``coeffs`` rebuild the dense matrix on
   every read, for the dense readers (serialization and elimination).
 """
 
@@ -335,17 +335,19 @@ def _flips_to(entries: Mapping[tuple[int, int], Fraction], par: tuple[int, ...],
 class Tensor2:
     """An element of A (x) A.  The one stored form is its nonzero
     coefficients keyed by basis index pairs, in row-major order; ``coeffs``
-    rebuilds the dense coefficient matrix on every read.  The package builds
-    tensors from entries with ``_from_entries``."""
+    rebuilds the dense matrix on every read.  The package builds tensors from
+    entries with ``_from_entries``; the error messages name the matrix and an
+    entry by ``_nouns``.  A bilinear form is the subclass ``BilinearForm``."""
 
     space: SuperSpace
     parity: int
     _entries: Mapping[tuple[int, int], Fraction]
+    _nouns = ("coefficient matrix", "tensor entry")
 
     def __new__(cls, space: SuperSpace, coeffs: Matrix, parity: int = 0):
         coeffs, n = freeze(coeffs), space.dim
         if len(coeffs) != n or any(len(row) != n for row in coeffs):
-            raise DimensionMismatch("coefficient matrix shape mismatch")
+            raise DimensionMismatch(f"{cls._nouns[0]} shape mismatch")
         return cls._from_entries(space, _nonzero(coeffs), parity)
 
     @classmethod
@@ -353,7 +355,7 @@ class Tensor2:
                       parity: int = 0):
         """The tensor with these nonzero ``Fraction`` coefficients."""
         par = space.parities()
-        _check_parity(entries, par, par, parity, lambda i, j: entries[i, j], "tensor entry")
+        _check_parity(entries, par, par, parity, lambda i, j: entries[i, j], cls._nouns[1])
         t = object.__new__(cls)
         t.__dict__.update(space=space, parity=parity,
                           _entries=Frozen(sorted(entries.items())))
@@ -369,9 +371,9 @@ class Tensor2:
     def coeffs(self) -> Matrix:
         return _dense(self._entries.items(), self.space.dim, self.space.dim)
 
-    @staticmethod
-    def zero(space: SuperSpace, parity: int = 0) -> "Tensor2":
-        return Tensor2._from_entries(space, {}, parity)
+    @classmethod
+    def zero(cls, space: SuperSpace, parity: int = 0) -> "Tensor2":
+        return cls._from_entries(space, {}, parity)
 
     def is_zero(self) -> bool:
         return not self._entries
@@ -413,12 +415,20 @@ def sigma(t: Tensor2) -> Tensor2:
 
 @dataclass(frozen=True)
 class Tensor3:
-    """A sparse element of A (x) A (x) A: ``coeffs``, read-only, keyed by basis index triples."""
+    """A sparse element of A (x) A (x) A: ``coeffs``, read-only, keyed by basis
+    index triples.  A key that is not a triple raises ``DimensionMismatch``,
+    an index out of range ``IndexError``."""
 
     space: SuperSpace
     coeffs: Mapping[tuple[int, int, int], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        n = self.space.dim
+        for key in self.coeffs:
+            if len(key) != 3:
+                raise DimensionMismatch(f"tensor key {key} is not a triple")
+            if not all(0 <= x < n for x in key):
+                raise IndexError(next(x for x in key if not 0 <= x < n))
         object.__setattr__(self, "coeffs", Frozen(
             (key, as_scalar(c)) for key, c in self.coeffs.items() if c != 0))
 

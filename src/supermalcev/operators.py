@@ -22,9 +22,9 @@ rows (p, q) with p and q in K and the left and right columns of K.  A
 checker cuts the context to that part and scales it, with the operator's
 columns, by their common denominator D, so each residual is D^3 times the
 rational one; a search does the same for the image of its ``support``.  The
-bilinear-form layer reads one sparse table of w(b_i, b_j b_k) off the nonzero
-rows of ``mul``, in ``Fraction``s: invariance, the cocycle sums and the
-compatible product (one inverse of w^T) all follow its nonzero values.
+form layer reads a form's stored entries, and one sparse table of
+w(b_i, b_j b_k) off the nonzero rows of ``mul``: all but nondegeneracy (and
+the one inverse of w^T for the compatible product) follow nonzero values.
 
 A grid search returns exactly the candidates its checker accepts, in grid
 order: the first ``support`` entry varies slowest, and each entry takes its
@@ -59,8 +59,10 @@ from typing import Iterable, Iterator, Sequence
 from . import _linalg
 from ._kernel import (
     EMPTY,
+    Columns,
     Number,
     Rows,
+    Vector,
     act,
     add_scaled,
     apply,
@@ -77,9 +79,7 @@ from .graded import (
     GradedLinearMap,
     ParityViolation,
     SuperSpace,
-    _check_parity,
-    _flips_to,
-    _nonzero,
+    Tensor2,
     _shape,
     _sparse_columns,
     koszul_sign,
@@ -87,7 +87,6 @@ from .graded import (
 )
 from .algebras import (
     DEFAULT_WITNESS_LIMIT,
-    Sparse,
     Superalgebra,
     ViolationReport,
     _WitnessCollector,
@@ -96,7 +95,6 @@ from .reps import (
     Bimodule,
     Representation,
     _columns,
-    _Columns,
     _coadjoint_columns,
     _multiplication_columns,
 )
@@ -123,8 +121,8 @@ class _Context:
     algebra: Superalgebra
     rows: Rows  # the structure constants of the product m
     module: SuperSpace
-    left: _Columns
-    right: _Columns
+    left: Columns
+    right: Columns
     signs: tuple[int, int]  # the right term's factor: a, b not both odd; both odd
 
 
@@ -154,7 +152,7 @@ def _coadjoint_context(A: Superalgebra) -> _Context:
     return _Context("operator-form", A, A.rows(), A.space.dual(), coad, coad, (-1, 1))
 
 
-def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, Sparse]]:
+def _residuals(ctx: _Context, T: Sequence[Vector]) -> Iterator[tuple[int, int, Vector]]:
     """(a, b, residual) over basis pairs of V in lexicographic order; ``T``
     holds the sparse columns of the operator.  Every term reads T(a) or
     T(b), so a pair whose two columns are zero has an empty residual."""
@@ -172,7 +170,7 @@ def _residuals(ctx: _Context, T: Sequence[Sparse]) -> Iterator[tuple[int, int, S
 
 
 def _scaled_to_image(ctx: _Context, image: set[int],
-                     extra: Sequence[Sparse] = ()) -> tuple[_Context, list, int]:
+                     extra: Sequence[Vector] = ()) -> tuple[_Context, list, int]:
     """``ctx`` cut to what ``_residuals`` reads of an operator whose columns
     lie in the span of the ``image`` basis vectors of A: the rows (p, q) with
     p and q in the image, and the left and right columns of the image (``()``
@@ -190,8 +188,8 @@ def _scaled_to_image(ctx: _Context, image: set[int],
             [scaled(v, D) for v in extra], D)
 
 
-def _induced_product(columns: _Columns,
-                     T: Sequence[Sparse]) -> dict[tuple[int, int, int], Fraction]:
+def _induced_product(columns: Columns,
+                     T: Sequence[Vector]) -> dict[tuple[int, int, int], Fraction]:
     """Structure constants of x.y = action(T x) y on V; ``T`` holds the
     sparse columns of the operator."""
     n = len(T)
@@ -235,7 +233,7 @@ def _check(ctx: _Context, T: GradedLinearMap, witness_limit: int) -> ViolationRe
     return _walk(ctx, T.columns, witness_limit)
 
 
-def _walk(ctx: _Context, T: Sequence[Sparse], witness_limit: int) -> ViolationReport:
+def _walk(ctx: _Context, T: Sequence[Vector], witness_limit: int) -> ViolationReport:
     """The report of ``_check`` for an even operator, V -> A, with the sparse
     columns ``T``: the residual walk, past the guard on a public map."""
     col = _WitnessCollector(ctx.identity, witness_limit)
@@ -376,19 +374,18 @@ def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalg
 # -- bilinear forms -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearForm:
-    """A parity-0 bilinear form as the matrix omega[i][j] = omega(b_i, b_j)."""
+class BilinearForm(Tensor2):
+    """A bilinear form w, an even element of A* (x) A*: the parity-0 ``Tensor2``
+    of its values w(b_i, b_j), whose ``matrix`` w[i][j] is rebuilt on each read."""
 
-    space: SuperSpace
-    matrix: _linalg.Matrix
+    _nouns = ("form matrix", "form entry")
+    matrix = Tensor2.coeffs
 
-    def __post_init__(self):
-        w, par = _linalg.freeze(self.matrix), self.space.parities()
-        object.__setattr__(self, "matrix", w)
-        if len(w) != len(par) or any(len(row) != len(par) for row in w):
-            raise DimensionMismatch("form matrix shape mismatch")
-        _check_parity(_nonzero(w), par, par, 0, lambda i, j: w[i][j], "form entry")
+    def __new__(cls, space: SuperSpace, matrix: _linalg.Matrix):
+        return super().__new__(cls, space, matrix)
+
+    def __repr__(self):
+        return f"BilinearForm(space={self.space!r}, matrix={self.matrix!r})"
 
 
 @dataclass(frozen=True)
@@ -399,10 +396,12 @@ class FormFlags:
     invariant: bool
 
 
-def _paired_with_products(w: _linalg.Matrix, rows: Rows) -> dict[tuple[int, int, int], Fraction]:
-    """The nonzero values of w(b_i, b_j b_k), keyed (i, j, k): w's columns
-    applied to each nonzero row (j, k)."""
-    columns = [{i: x for i, x in enumerate(column) if x} for column in zip(*w)]
+def _paired_with_products(w: dict[tuple[int, int], Fraction], n: int,
+                          rows: Rows) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero values of w(b_i, b_j b_k), keyed (i, j, k), for the n x n
+    form with the nonzero entries ``w``: its columns applied to each nonzero
+    row (j, k)."""
+    columns = _sparse_columns(w, n)
     return {(i, j, k): c for (j, k), row in rows.items() for i, c in apply(columns, row).items()}
 
 
@@ -420,15 +419,15 @@ def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     """Exact flags: (skew-)supersymmetry, nondegeneracy, invariance.  Raises
     ``DimensionMismatch`` unless the form's (even, odd) dimensions are A's."""
     _check_form_shape(omega, A)
-    par, w, rows = A.space.parities(), omega.matrix, A.rows()
-    entries = _nonzero(w)
+    n, w, rows = A.space.dim, omega._entries, A.rows()
+    transposed = {(j, i): x for (i, j), x in w.items()}
     return FormFlags(
-        _flips_to(entries, par, 1),
-        _flips_to(entries, par, -1),
-        _nondegenerate(w),
+        omega.is_supersymmetric(),
+        omega.is_skew_supersymmetric(),
+        _nondegenerate(omega.matrix),
         # w(b_i b_j, b_k) = w^T(b_k, b_i b_j) equals w(b_i, b_j b_k)
-        {(i, j, k): c for (k, i, j), c in _paired_with_products(_linalg.transpose(w), rows).items()}
-        == _paired_with_products(w, rows),
+        {(i, j, k): c for (k, i, j), c in _paired_with_products(transposed, n, rows).items()}
+        == _paired_with_products(w, n, rows),
     )
 
 
@@ -438,11 +437,11 @@ def _symplectic(omega: BilinearForm, A: Superalgebra, nondegenerate: bool,
     and the table of w(b_i, b_j b_k) it read."""
     col = _WitnessCollector("symplectic", witness_limit)
     par, sums = A.space.parities(), {}
-    if not _flips_to(_nonzero(omega.matrix), par, -1):
+    if not omega.is_skew_supersymmetric():
         col.preconditions.append("form is not skew-supersymmetric")
     if not nondegenerate:
         col.preconditions.append("form is degenerate")
-    table = _paired_with_products(omega.matrix, A.rows())
+    table = _paired_with_products(omega._entries, A.space.dim, A.rows())
     for (i, j, k), c in table.items():
         for key in ((i, j, k), (k, i, j), (j, k, i)):  # one key when i = j = k
             sums[key] = sums.get(key, ZERO) + koszul_sign(par[i], par[k]) * c
@@ -510,7 +509,7 @@ def _residual_forms(ctx: _Context,
     variables = sorted({entry: e for e, entry in enumerate(support)}.values())
 
     def residual(*es: int) -> dict[tuple[int, int, int], Number]:
-        T: list[Sparse] = [{} for _ in range(ctx.module.dim)]
+        T: list[dict] = [{} for _ in range(ctx.module.dim)]
         for e in es:
             i, j = support[e]
             T[j][i] = 1

@@ -8,7 +8,7 @@ means for the action map into gl(V) to be even).  Linearity in the algebra
 argument holds by construction and is never checked.
 
 The checkers, the semidirect products and the O-operator engine in
-``operators`` read an action through its sparse columns (``_Columns``):
+``operators`` read an action through its sparse columns (``_kernel.Columns``):
 the image of each module basis vector under each ``action[i]``.  An
 identity between operators on V is decided column by column, on one
 module basis vector at a time, and a failing tuple is witnessed by its
@@ -47,6 +47,7 @@ from fractions import Fraction
 
 from ._kernel import (
     EMPTY,
+    Columns,
     Vector,
     act,
     add_scaled,
@@ -70,7 +71,6 @@ from .graded import (
 )
 from .algebras import (
     DEFAULT_WITNESS_LIMIT,
-    Sparse,
     Superalgebra,
     ViolationReport,
     _WitnessCollector,
@@ -116,12 +116,7 @@ class Bimodule:
 
 # -- actions as sparse columns -------------------------------------------
 
-# _Columns[k][j]: the action of the algebra basis element b_k on the module
-# basis vector b_j, as a sparse vector of V
-_Columns = tuple[tuple[Vector, ...], ...]
-
-
-def _columns(maps: tuple[GradedLinearMap, ...]) -> _Columns:
+def _columns(maps: tuple[GradedLinearMap, ...]) -> Columns:
     return tuple(m.columns for m in maps)
 
 
@@ -255,7 +250,7 @@ def check_alternative_bimodule(B: Bimodule,
 # -- constructions -------------------------------------------------------
 
 
-def _multiplication_columns(A: Superalgebra, right: bool = False) -> _Columns:
+def _multiplication_columns(A: Superalgebra, right: bool = False) -> Columns:
     """Column b of the map of b_a is b_a b_b, or with ``right`` b_b b_a: left
     or right multiplication, read off the rows."""
     n, rows = A.space.dim, A.rows()
@@ -263,7 +258,7 @@ def _multiplication_columns(A: Superalgebra, right: bool = False) -> _Columns:
                  for a in range(n))
 
 
-def _signed(algebra: SuperSpace, module: SuperSpace, columns: _Columns) -> _Columns:
+def _signed(algebra: SuperSpace, module: SuperSpace, columns: Columns) -> Columns:
     """The columns of v -> -(-1)^{|x||v|} action(x) v: the one place the sign
     of moving an algebra element x past a module vector v is taken, for
     r(x)v = [v, x] on A + V, for the dual action and for rep_from_bimodule."""
@@ -274,14 +269,14 @@ def _signed(algebra: SuperSpace, module: SuperSpace, columns: _Columns) -> _Colu
 
 
 def _maps(algebra: SuperSpace, module: SuperSpace,
-          columns: _Columns) -> tuple[GradedLinearMap, ...]:
+          columns: Columns) -> tuple[GradedLinearMap, ...]:
     """One graded linear map on the module per algebra basis element, built
     from its sparse columns."""
     return tuple(GradedLinearMap._from_columns(module, module, cols, p)
                  for p, cols in zip(algebra.parities(), columns))
 
 
-def _semidirect(A: Superalgebra, V: SuperSpace, left: _Columns, right: _Columns) -> Superalgebra:
+def _semidirect(A: Superalgebra, V: SuperSpace, left: Columns, right: Columns) -> Superalgebra:
     """Product on A + V:  (x+a)(y+b) = xy + left(x)b + right(y)a."""
     total, emb_a, emb_v = direct_sum(A.space, V)
     entries = {(emb_a[i], emb_a[j], emb_a[k]): c
@@ -306,13 +301,13 @@ def semidirect_alternative(B: Bimodule) -> Superalgebra:
     return _semidirect(B.algebra, B.space, _columns(B.left), _columns(B.right))
 
 
-def _dual_columns(columns: _Columns, algebra: SuperSpace, module: SuperSpace) -> _Columns:
+def _dual_columns(columns: Columns, algebra: SuperSpace, module: SuperSpace) -> Columns:
     """The columns of rho* on V* from those of rho: <rho*(x)a*, b> =
     -(-1)^{|x||a*|} <a*, rho(x)b>, so rho*(x) is the signed transpose of rho(x):
     column jj of rho*(b_i) holds -(-1)^{|i||jj|} <b_jj*, rho(b_i) b_ii> at row ii."""
     transposed = []
     for cols in columns:
-        out: dict[int, Sparse] = {}
+        out: dict[int, dict] = {}
         for ii, column in enumerate(cols):
             for jj, c in column.items():
                 out.setdefault(jj, {})[ii] = c
@@ -320,12 +315,12 @@ def _dual_columns(columns: _Columns, algebra: SuperSpace, module: SuperSpace) ->
     return _signed(algebra, module, transposed)
 
 
-def _coadjoint_columns(A: Superalgebra) -> _Columns:
+def _coadjoint_columns(A: Superalgebra) -> Columns:
     """The columns of ad* on A*, in one pass over the rows: the
     ``_dual_columns`` of left multiplication, so column jj of ad*(b_i) holds
     -(-1)^{|i||jj|} <b_jj*, b_i b_ii> at row ii."""
     n = A.space.dim
-    transposed: list[dict[int, Sparse]] = [{} for _ in range(n)]
+    transposed: list[dict[int, dict]] = [{} for _ in range(n)]
     for (i, ii), row in A.rows().items():
         for jj, c in row.items():
             transposed[i].setdefault(jj, {})[ii] = c

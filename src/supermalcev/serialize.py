@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .graded import GradedLinearMap, ParityViolation, SuperSpace, Tensor2, _dense, _sparse_columns
+from .graded import GradedLinearMap, ParityViolation, SuperSpace, Tensor2, _sparse_columns
 from .algebras import Superalgebra
 from .operators import BilinearForm
 from .reps import Bimodule, Representation
@@ -335,7 +335,7 @@ def _parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
 
     if (block := _block(obj, "bilinear_form")) is not None:
         entries = _parse_entries(block.get("matrix"), space.dim, space.dim, "bilinear_form.matrix")
-        fields["bilinear_form"] = _checked("bilinear_form.matrix", BilinearForm, space,
-                                           _dense(entries.items(), space.dim, space.dim))
+        fields["bilinear_form"] = _checked("bilinear_form.matrix", BilinearForm._from_entries,
+                                           space, entries)
 
     return AlgebraDocument(**fields)

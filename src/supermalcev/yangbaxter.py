@@ -21,8 +21,8 @@ are built in one place from the action's columns and T's: the dual action
 is their signed transpose (``reps._dual_columns``), the double its
 semidirect product (``reps._semidirect``).  ``canonical_r`` passes the left
 multiplication columns of P and unit columns for the identity.
-``r_as_map`` makes a map of the same columns, whose dense matrix the
-symplectic form and the Rota-Baxter operator of an invariant form read.
+``r_as_map`` makes a map of the same columns; a symplectic form is read off
+its inverse's columns, and ``rb_from_invariant_form`` composes it.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import _linalg
-from ._kernel import EMPTY, Vector, denominator, scaled, scaled_rows, unscaled
+from ._kernel import EMPTY, Columns, Vector, denominator, scaled, scaled_rows, unscaled
 from ._linalg import ONE
 from .graded import (
     DimensionMismatch,
@@ -55,7 +54,6 @@ from .algebras import (
 from .reps import (
     Representation,
     _columns,
-    _Columns,
     _dual_columns,
     _multiplication_columns,
     _semidirect,
@@ -179,7 +177,7 @@ def pre_malcev_on_dual_from_r(c: MybeCandidate) -> Superalgebra:
     return Superalgebra.from_entries(coad.module, {"mul": _induced_product(coad.left, columns)})
 
 
-def _double(algebra: Superalgebra, module: SuperSpace, action: _Columns,
+def _double(algebra: Superalgebra, module: SuperSpace, action: Columns,
             T: Sequence[Vector]) -> MybeCandidate:
     """r = T - sigma(T) in the double A x|_{rho*} V*, from the sparse columns
     of the action rho of A on V and of the even operator T: V -> A.
@@ -233,10 +231,11 @@ def symplectic_from_r(c: MybeCandidate) -> BilinearForm:
     if not c.r.is_skew_supersymmetric():
         raise ValueError("r is not skew-supersymmetric")
     try:
-        inv = _linalg.invert(r_as_map(c).matrix)
+        inverse = r_as_map(c).inverse()
     except ValueError:
         raise ValueError("singular r: no symplectic form") from None
-    return BilinearForm(c.algebra.space, _linalg.transpose(inv))
+    return BilinearForm._from_entries(c.algebra.space, {
+        (i, j): x for i, column in enumerate(inverse.columns) for j, x in column.items()})
 
 
 def rb_from_invariant_form(c: MybeCandidate, B: BilinearForm) -> GradedLinearMap:
@@ -258,6 +257,8 @@ def rb_from_invariant_form(c: MybeCandidate, B: BilinearForm) -> GradedLinearMap
         raise ValueError(f"form fails flags: {', '.join(failing)}")
     if not c.r.is_skew_supersymmetric():
         raise ValueError("r is not skew-supersymmetric")
-    phi = _linalg.transpose(B.matrix)
-    return GradedLinearMap(c.algebra.space, c.algebra.space,
-                           _linalg.mat_mul(r_as_map(c).matrix, phi))
+    # column j of phi is row j of B
+    A = c.algebra.space
+    phi = GradedLinearMap._from_columns(A, A.dual(), _sparse_columns(
+        {(i, j): x for (j, i), x in B._entries.items()}, A.dim))
+    return r_as_map(c).compose(phi)

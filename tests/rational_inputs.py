@@ -88,6 +88,13 @@ def rebased(A: Superalgebra, P) -> Superalgebra:
     return Superalgebra.from_entries(A.space, {"mul": entries})
 
 
+def shuffled(mapping, rng):
+    """The same mapping with its items in a random insertion order."""
+    items = list(mapping.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
 def embedded(A: Superalgebra, space: SuperSpace, position) -> Superalgebra:
     """A's product on the basis vectors ``position[i]`` of a larger space,
     whose other basis vectors multiply to zero with everything."""

@@ -322,7 +322,8 @@ def test_insertion_order_does_not_matter():
         backward = {name: dict(reversed(list(forward[name].items())))
                     for name in reversed(A.product_names())}
         B = Superalgebra.from_entries(A.space, backward)
-        assert B == A
+        assert B == A and repr(B) == repr(A)
+        assert B.product_names() == A.product_names() == tuple(sorted(A.product_names()))
         assert serialize(AlgebraDocument(B)) == serialize(AlgebraDocument(A))
         for name in A.product_names():
             assert list(B.products[name]) == sorted(B.products[name])

@@ -15,6 +15,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supermalcev"
 HELPERS = ("_linalg", "_kernel")
 EXEMPT = {
+    "mat_mul": "perfbench/tracing.py counts its calls by this name, and "
+               "tests/test_benchmark_tracer.py guards the name",
     "solve": "perfbench/tracing.py counts its calls by this name, and "
              "tests/test_benchmark_tracer.py guards the name",
     "nullspace": "the test oracle oracle_form_flags (tests/test_operators.py) "

@@ -13,6 +13,7 @@ from supermalcev import (
     ParityViolation,
     SuperSpace,
     Tensor2,
+    Tensor3,
     direct_sum,
     koszul_sign,
     pair,
@@ -21,6 +22,7 @@ from supermalcev import (
 )
 from supermalcev import fixtures
 from supermalcev.serialize import AlgebraDocument, serialize
+from rational_inputs import shuffled
 
 parities = st.integers(min_value=0, max_value=5)
 scalars = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -210,6 +212,16 @@ def test_tensor_parity_enforced():
     _tensor(space, [[0, 1], [0, 0]], parity=1)  # fine as an odd tensor
 
 
+@pytest.mark.parametrize("c", [2, 0])
+@pytest.mark.parametrize("key, error", [
+    ((0, 0), DimensionMismatch), ((0, 1, 1, 0), DimensionMismatch),
+    ((5, 5, 5), IndexError), ((0, 2, 0), IndexError), ((0, 0, -1), IndexError)])
+def test_tensor3_refuses_a_key_that_is_not_a_basis_index_triple(key, error, c):
+    # negative indices too: they must not wrap around to the odd end of the basis
+    with pytest.raises(error):
+        Tensor3(SuperSpace(1, 1), {(0, 1, 1): 1, key: c})
+
+
 def test_graded_linear_map_parity_enforced():
     space = SuperSpace(1, 1)
     with pytest.raises(ParityViolation):
@@ -359,13 +371,6 @@ def random_entries(space, parity, rng, density=0.6):
     par = space.parities()
     return {(i, j): random_entry(rng) for i in range(space.dim) for j in range(space.dim)
             if (par[i] + par[j]) % 2 == parity and rng.random() < density}
-
-
-def shuffled(mapping, rng):
-    """The same mapping with its items in a random insertion order."""
-    items = list(mapping.items())
-    rng.shuffle(items)
-    return dict(items)
 
 
 def dense(entries, nrows, ncols):

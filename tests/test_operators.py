@@ -70,11 +70,13 @@ from rational_inputs import (
     algebra_constants,
     denominator,
     embedded,
+    even_unimodular,
     map_constants,
     rational_action,
     rational_operator,
     rational_product,
     rebased,
+    shuffled,
 )
 from supermalcev.operators import (
     _bimodule_context,
@@ -257,7 +259,7 @@ def oracle_o_operator_failures(T, context, sign_variant=False, product="mul"):
         sign = koszul_sign if sign_variant else (lambda p, q: 1)
     table = A.table(product)
     nA, nV = A.space.dim, V.dim
-    cols = _linalg.transpose(T.matrix)
+    cols = tuple(zip(*T.matrix))
     fails = []
     for a, b in itertools.product(range(nV), repeat=2):
         Ta, Tb = cols[a], cols[b]
@@ -891,6 +893,14 @@ def test_form_matrix_of_the_wrong_shape_is_a_dimension_mismatch():
             BilinearForm(space, matrix)
 
 
+def test_a_form_is_built_from_its_space_and_matrix_alone():
+    space, matrix = SuperSpace(1, 1), ((1, 0), (0, 2))
+    assert BilinearForm(space=space, matrix=matrix) == BilinearForm(space, matrix)
+    assert BilinearForm.zero(space) == BilinearForm(space, ((0, 0), (0, 0)))
+    with pytest.raises(TypeError):
+        BilinearForm(space, matrix, 1)
+
+
 def test_a_form_pairing_an_even_with_an_odd_vector_violates_parity_0():
     A = fixtures.heisenberg_1_1()
     with pytest.raises(ParityViolation) as exc:
@@ -1119,8 +1129,12 @@ def _form_cases():
 
 
 def test_form_checkers_match_dense_oracles():
-    seen = set()
-    for omega, A, kind in _form_cases():
+    seen, rng = set(), random.Random(2501)
+    for form, A, kind in _form_cases():
+        # the checkers read the stored entries, here those of a form built
+        # from its entries in a shuffled order
+        omega = BilinearForm._from_entries(form.space, shuffled(form.sparse(), rng))
+        assert omega == form and hash(omega) == hash(form) and omega.matrix == form.matrix
         flags = classify_form(omega, A)
         assert flags == oracle_form_flags(omega, A)
         fails, checked, preconditions = oracle_symplectic(omega, A)
@@ -1140,6 +1154,70 @@ def test_form_checkers_match_dense_oracles():
         ("supertrace", FormFlags(True, False, True, True), False),
     }
     assert seen >= expected
+
+
+def seeded_skew_r(space, seed):
+    """A seeded even skew-supersymmetric 2-tensor with constants over 1, 2, 3
+    and 5, built from its entries in a shuffled order: antisymmetric on the
+    even block and symmetric on the odd one."""
+    rng = random.Random(seed)
+    par, entries = space.parities(), {}
+    for i, j in itertools.combinations_with_replacement(range(space.dim), 2):
+        if par[i] == par[j] and (i < j or par[i]) and rng.random() < 0.8:
+            c = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3, 5)))
+            entries[i, j], entries[j, i] = c, -koszul_sign(par[i], par[j]) * c
+    return Tensor2._from_entries(space, shuffled(entries, rng))
+
+
+def test_r_constructions_match_their_dense_formulas():
+    # symplectic_from_r is transpose(invert(r-map)) and rb_from_invariant_form
+    # is r-map · B^T, both written here on dense matrices
+    seen = set()
+    for shape, seed in (((2, 1), 1), ((2, 2), 2), ((0, 3), 3), ((4, 2), 4), ((1, 2), 5)):
+        space = SuperSpace(*shape)
+        c = MybeCandidate(rational_product(space, seed), seeded_skew_r(space, seed))
+        try:
+            expected = tuple(zip(*_linalg.invert(r_as_map(c).matrix)))
+        except ValueError:
+            with pytest.raises(ValueError, match="^singular r: no symplectic form$"):
+                symplectic_from_r(c)
+            seen.add("singular")
+            continue
+        omega = symplectic_from_r(c)
+        assert omega.space == space and omega.matrix == expected
+        seen.add("invertible")
+    assert seen == {"singular", "invertible"}
+    rng = random.Random(2502)
+    for m, n in ((1, 1), (2, 1)):
+        G, form = supertrace_form(m, n)
+        B = BilinearForm._from_entries(G.space, shuffled(
+            {key: Fraction(7, 3) * x for key, x in form.sparse().items()}, rng))
+        for A in (G, commutator_superalgebra(G)):
+            c = MybeCandidate(A, seeded_skew_r(A.space, m + 2 * n))
+            r, w, k = r_as_map(c).matrix, B.matrix, A.space.dim
+            rt = rb_from_invariant_form(c, B)
+            assert rt.domain == rt.codomain == A.space and rt.parity == 0
+            assert rt.matrix == tuple(tuple(sum(r[i][p] * w[j][p] for p in range(k))
+                                            for j in range(k)) for i in range(k))
+
+
+def test_form_verdicts_do_not_depend_on_the_basis():
+    # w moves to P^T w P on rebased(A, P), the same form and product in the
+    # basis b'_j = sum_i P[i][j] b_i, for an even invertible rational P
+    for seed, (omega, A, kind) in enumerate(_form_cases()):
+        rng, n = random.Random(seed), A.space.dim
+        scale = [Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 2, 5))) for _ in range(n)]
+        P = [[x * scale[j] for j, x in enumerate(row)]
+             for row in even_unimodular(A.space, seed)]
+        w = omega.matrix
+        moved = BilinearForm(A.space, [[sum(P[a][i] * w[a][b] * P[b][j]
+                                            for a in range(n) for b in range(n))
+                                        for j in range(n)] for i in range(n)])
+        B = rebased(A, P)
+        assert classify_form(moved, B) == classify_form(omega, A), kind
+        before, after = check_symplectic(omega, A), check_symplectic(moved, B)
+        assert after.ok == before.ok, kind
+        assert after.precondition_failures == before.precondition_failures, kind
 
 
 def _pivots(size, zeros, rng):

@@ -3,10 +3,13 @@
 No module of ``src/supermalcev`` mentions ``MappingProxyType``, and no
 class there but ``Frozen`` defines ``__hash__`` or ``__eq__``, by a ``def``
 or by an assignment: every value type takes the equality and hash that its
-dataclass generates from its fields.  Read off the source text and its
+dataclass generates from its fields.  No class there annotates a field with
+the dense ``Matrix`` type either: every value stores sparse entries, and a
+dense matrix is rebuilt on each read.  Read off the source text and its
 syntax tree with ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -28,10 +31,19 @@ def defined_names(node: ast.ClassDef) -> set[str]:
     return names
 
 
+def dense_fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The fields of a class body whose annotation names ``Matrix``."""
+    return [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and re.search(r"\bMatrix\b", ast.unparse(stmt.annotation))]
+
+
 def offences(source: str) -> list[str]:
     out = [f"line {n}: MappingProxyType" for n, line in enumerate(source.splitlines(), 1)
            if "MappingProxyType" in line]
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            out += [f"line {stmt.lineno}: {node.name}.{ast.unparse(stmt.target)}: Matrix"
+                    for stmt in dense_fields(node)]
         if isinstance(node, ast.ClassDef) and node.name != READ_ONLY_MAPPING:
             out += [f"line {node.lineno}: {node.name}.{name}"
                     for name in sorted(defined_names(node) & {"__eq__", "__hash__"})]
@@ -45,6 +57,13 @@ def test_the_guard_sees_a_proxy_and_a_hand_written_hash_or_equality():
               "    __hash__ = None\n")
     assert offences(source) == ["line 1: MappingProxyType", "line 9: Value.__eq__",
                                 "line 9: Value.__hash__"]
+
+
+def test_the_guard_sees_a_dense_matrix_field():
+    source = ("class Form:\n    space: int\n    matrix: _linalg.Matrix\n\n\n"
+              "class Map:\n    rows: 'Matrix | None' = None\n    n_matrix: int = 0\n"
+              "    Matrix = tuple\n")
+    assert offences(source) == ["line 3: Form.matrix: Matrix", "line 7: Map.rows: Matrix"]
 
 
 def test_the_read_only_mapping_is_the_one_that_hashes():

@@ -147,6 +147,8 @@ def stored_mappings():
         "rows": A.rows(),
         "row": next(iter(A.rows().values())),
         "column": T.columns[2],
+        "Tensor2 entries": tensor2(False)._entries,
+        "BilinearForm entries": form(False)._entries,
         "Tensor3.coeffs": tensor3(False).coeffs,
         "EMPTY": EMPTY,
     }
