@@ -20,7 +20,6 @@ from supermalcev import (
     symplectic_from_r,
 )
 from supermalcev import fixtures
-from supermalcev import _linalg
 
 sl2 = fixtures.sl2()
 
@@ -65,7 +64,7 @@ print("symplectic route gives a compatible pre-Malcev product:",
 # With an invariant form, a solution turns into a Rota-Baxter operator.
 ad = adjoint_representation(sl2)
 killing = BilinearForm(sl2.space, tuple(
-    tuple(sum(_linalg.mat_mul(ad.action[i].matrix, ad.action[j].matrix)[k][k]
+    tuple(sum(ad.action[i].compose(ad.action[j]).columns[k].get(k, 0)
               for k in range(3)) for j in range(3))
     for i in range(3)))
 rt = rb_from_invariant_form(c, killing)

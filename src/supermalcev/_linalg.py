@@ -1,20 +1,23 @@
-"""Exact dense linear algebra over the rationals, for the dense readers.
+"""Exact sparse elimination over the rationals.
 
-Matrices are tuples of row tuples of Fraction.  Maps, 2-tensors and forms
-store sparse entries (``graded``), so what is left is elimination.  ``rref``
-is the one elimination; ``invert`` reduces an augmented matrix with it, and
-callers decide invertibility by its pivots (square, with a pivot in every
+A sparse vector maps indices to nonzero ``Fraction``s, the form every map,
+2-tensor and form stores (``graded``).  ``rref`` is the one elimination;
+``invert`` reduces the rows of ``[M^T | 1]`` with it, and callers decide
+invertibility and rank by its pivots (square, with a pivot in every
 column).  Sizes never exceed a few dozen rows, so no pivoting beyond "first
-nonzero" is needed.  Three helpers have no caller in the package
-(``tests/test_dead_helpers.py``): the test oracle ``oracle_form_flags``
-reads ``nullspace``, and the benchmark tracer ``perfbench/tracing.py``
-counts the calls of ``mat_mul`` and ``solve`` by name.
+nonzero" is needed.  ``Matrix`` and ``freeze`` serve the dense public
+constructors.  Two helpers have no caller in the package
+(``tests/test_dead_helpers.py``): the benchmark tracer
+``perfbench/tracing.py`` counts the calls of ``mat_mul`` and ``solve`` by
+name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
+
+from ._kernel import add_scaled
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -32,10 +35,6 @@ def freeze(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(as_scalar(x) for x in row) for row in rows)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} * {len(b)}x{len(b[0])}")
@@ -45,68 +44,48 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def invert(a: Matrix) -> Matrix:
-    """Inverse via Gauss-Jordan; raises ValueError on a singular input."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse of a non-square matrix")
-    return tuple(row[n:] for row in _reduce_augmented(a, identity_matrix(n)))
-
-
-def solve(a: Matrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Solve a*x = rhs for square nonsingular a."""
-    return tuple(row[-1] for row in _reduce_augmented(a, [(b,) for b in rhs]))
-
-
-def _reduce_augmented(a: Matrix, b: Sequence[Sequence]) -> Matrix:
-    """rref of [a | b] for square a; raises ValueError unless every column
-    of a has a pivot, so that the left block reduces to the identity."""
-    n = len(a)
-    reduced, pivots = rref(freeze([tuple(row) + tuple(extra) for row, extra in zip(a, b)]))
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("singular matrix")
-    return reduced
-
-
-def rref(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot column indices."""
-    if not a:
-        return (), ()
-    nrows, ncols = len(a), len(a[0])
-    m = [list(row) for row in a]
+def rref(rows: Sequence[Mapping[int, Fraction]],
+         ncols: int) -> tuple[list[dict[int, Fraction]], tuple[int, ...]]:
+    """The reduced row echelon form of the matrix with these sparse rows and
+    ``ncols`` columns: its nonzero rows, one per pivot, and the tuple of
+    pivot column indices."""
+    m = [dict(row) for row in rows]
     pivots: list[int] = []
-    row = 0
     for col in range(ncols):
-        if row == nrows:
-            break
-        pivot = next((r for r in range(row, nrows) if m[r][col] != 0), None)
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(m)) if col in m[r]), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
         inv = ONE / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+        m[row] = {k: x * inv for k, x in m[row].items()}
+        for r, other in enumerate(m):
+            if r != row and col in other:
+                add_scaled(other, m[row], -other[col])
         pivots.append(col)
-        row += 1
-    return tuple(tuple(r) for r in m), tuple(pivots)
+    return m[:len(pivots)], tuple(pivots)
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> tuple[tuple[Fraction, ...], ...]:
-    """Basis of the kernel of a, as coordinate tuples of length ncols."""
-    if ncols is None:
-        ncols = len(a[0]) if a else 0
-    if not a:
-        return tuple(identity_matrix(ncols))
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return tuple(basis)
+def invert(columns: Sequence[Mapping[int, Fraction]], n: int) -> list[dict[int, Fraction]]:
+    """The sparse columns of M^{-1}, for the n x n matrix M with these sparse
+    columns.  The rows ``[column_j | e_j]`` of ``[M^T | 1]`` reduce to
+    ``[1 | (M^T)^{-1}]``, whose rows are the columns of M^{-1}; raises
+    ValueError unless M is square with a pivot in every column."""
+    if len(columns) != n:
+        raise ValueError("inverse of a non-square matrix")
+    reduced, pivots = rref([{**column, n + j: ONE} for j, column in enumerate(columns)], 2 * n)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return [{k - n: x for k, x in row.items() if k >= n} for row in reduced]
+
+
+def solve(rows: Sequence[Mapping[int, Fraction]],
+          rhs: Mapping[int, Fraction]) -> dict[int, Fraction]:
+    """The sparse x with M x = rhs, for the square nonsingular M with these
+    sparse rows: the last column of the reduced ``[M | rhs]``."""
+    n = len(rows)
+    reduced, pivots = rref([{**row, n: rhs[i]} if i in rhs else row
+                            for i, row in enumerate(rows)], n + 1)
+    if pivots != tuple(range(n)):
+        raise ValueError("singular matrix")
+    return {i: row[n] for i, row in enumerate(reduced) if n in row}

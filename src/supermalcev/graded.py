@@ -15,7 +15,7 @@ Conventions used throughout the package:
   parity of its primal partner) and ``pair(b_i*, b_j) = delta_ij``;
 * a linear map stores only its sparse columns, a 2-tensor or a form only
   its nonzero entries; ``matrix`` and ``coeffs`` rebuild the dense matrix on
-  every read, for the dense readers (serialization and elimination).
+  every read, for serialization and ``repr`` alone.
 """
 
 from __future__ import annotations
@@ -294,12 +294,14 @@ class GradedLinearMap:
                                   (self.parity + inner.parity) % 2)
 
     def is_invertible(self) -> bool:
-        # square, with a pivot in every column
+        # square, of rank n: the columns are the rows of the transpose
         n = self.domain.dim
-        return n == self.codomain.dim and len(_linalg.rref(self.matrix)[1]) == n
+        return n == self.codomain.dim and len(_linalg.rref(self.columns, n)[1]) == n
 
     def inverse(self) -> "GradedLinearMap":
-        return GradedLinearMap(self.codomain, self.domain, _linalg.invert(self.matrix), self.parity)
+        """Raises ValueError unless the map is square and invertible."""
+        return self._from_columns(self.codomain, self.domain,
+                                  _linalg.invert(self.columns, self.codomain.dim), self.parity)
 
     def _plus(self, other: "GradedLinearMap", factor: int, verb: str) -> "GradedLinearMap":
         if other.parity != self.parity:

@@ -23,8 +23,8 @@ checker cuts the context to that part and scales it, with the operator's
 columns, by their common denominator D, so each residual is D^3 times the
 rational one; a search does the same for the image of its ``support``.  The
 form layer reads a form's stored entries, and one sparse table of
-w(b_i, b_j b_k) off the nonzero rows of ``mul``: all but nondegeneracy (and
-the one inverse of w^T for the compatible product) follow nonzero values.
+w(b_i, b_j b_k) off the nonzero rows of ``mul``; nondegeneracy, and the one
+inverse of w^T for the compatible product, reduce the form's sparse rows.
 
 A grid search returns exactly the candidates its checker accepts, in grid
 order: the first ``support`` entry varies slowest, and each entry takes its
@@ -311,11 +311,13 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     rank-deficient T still gives a well-defined product."""
     product = pre_malcev_from_o_operator(T, R)  # validates the precondition
     n = R.space.dim
-    reduced, pivots = _linalg.rref(T.matrix)
+    reduced, pivots = _linalg.rref(_sparse_columns(
+        {(j, i): x for j, column in enumerate(T.columns) for i, x in column.items()},
+        T.codomain.dim), n)
     col = _WitnessCollector("image-well-defined")
     for free in (j for j in range(n) if j not in pivots):
         # the kernel vector with a 1 at this free column, read off rref(T)
-        kernel = {free: ONE, **{p: -row[free] for row, p in zip(reduced, pivots) if row[free]}}
+        kernel = {free: ONE, **{p: -row[free] for row, p in zip(reduced, pivots) if free in row}}
         for j in range(n):
             col.tick()
             # a . k with T(k) = 0: T(a.k) must vanish (k.a vanishes already
@@ -331,8 +333,8 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     # rref(T), so T(v) has the coordinates R v in that basis.
     even = sum(1 for p in pivots if R.space.parity(p) == 0)
     image_space = SuperSpace(even, len(pivots) - even, tuple(f"t{p + 1}" for p in pivots))
-    coord_columns = [{k: row[j] for k, row in enumerate(reduced[:len(pivots)]) if row[j]}
-                     for j in range(n)]
+    coord_columns = _sparse_columns(
+        {(k, j): x for k, row in enumerate(reduced) for j, x in row.items()}, n)
     rows = product.rows()
     algebra = Superalgebra.from_entries(image_space, {"mul": {
         (a, b, k): c
@@ -411,8 +413,9 @@ def _check_form_shape(omega: BilinearForm, A: Superalgebra) -> None:
                                 f"the algebra {_shape(A.space)}")
 
 
-def _nondegenerate(w: _linalg.Matrix) -> bool:
-    return len(_linalg.rref(w)[1]) == len(w)  # a pivot in every column
+def _nondegenerate(w: dict[tuple[int, int], Fraction], n: int) -> bool:
+    # rank n, read off the rows of w^T: the columns of w
+    return len(_linalg.rref(_sparse_columns(w, n), n)[1]) == n
 
 
 def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
@@ -424,7 +427,7 @@ def classify_form(omega: BilinearForm, A: Superalgebra) -> FormFlags:
     return FormFlags(
         omega.is_supersymmetric(),
         omega.is_skew_supersymmetric(),
-        _nondegenerate(omega.matrix),
+        _nondegenerate(w, n),
         # w(b_i b_j, b_k) = w^T(b_k, b_i b_j) equals w(b_i, b_j b_k)
         {(i, j, k): c for (k, i, j), c in _paired_with_products(transposed, n, rows).items()}
         == _paired_with_products(w, n, rows),
@@ -461,7 +464,7 @@ def check_symplectic(omega: BilinearForm, A: Superalgebra,
     failures rather than witnesses.  Witness leftovers are scalars.
     """
     _check_form_shape(omega, A)
-    return _symplectic(omega, A, _nondegenerate(omega.matrix), witness_limit)[0]
+    return _symplectic(omega, A, _nondegenerate(omega._entries, A.space.dim), witness_limit)[0]
 
 
 def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalgebra:
@@ -471,16 +474,17 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalg
     elimination, and decides nondegeneracy for the check, whose table of
     w(b_i, b_j b_k) gives the right-hand sides."""
     _check_form_shape(omega, A)
-    try:
-        inverse = _linalg.invert(omega.matrix)
+    n = A.space.dim
+    try:  # w's rows are the columns of w^T, so these are those of (w^T)^{-1}
+        inverse_t = _linalg.invert(_sparse_columns(
+            {(j, i): x for (i, j), x in omega._entries.items()}, n), n)
     except ValueError:  # singular
-        inverse = None
-    report, table = _symplectic(omega, A, inverse is not None, DEFAULT_WITNESS_LIMIT)
+        inverse_t = None
+    report, table = _symplectic(omega, A, inverse_t is not None, DEFAULT_WITNESS_LIMIT)
     _require(report)
     par, rhs = A.space.parities(), {}
     for (j, z, i), c in table.items():
         rhs.setdefault((i, j), {})[z] = koszul_sign(par[i], par[j] + par[z]) * c
-    inverse_t = [{k: x for k, x in enumerate(row) if x} for row in inverse]
     return Superalgebra.from_entries(A.space, {"mul": {
         (i, j, k): c for (i, j), v in rhs.items() for k, c in apply(inverse_t, v).items()}})
 

@@ -11,9 +11,11 @@ brings a prime power the others lack.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from supermalcev import GradedLinearMap, SuperSpace, Superalgebra
-from supermalcev import _linalg, fixtures
+from supermalcev import fixtures
+import dense_linalg
 
 # kind of input -> the denominators its constants are divided by
 DENOMINATORS = {
@@ -79,13 +81,22 @@ def rebased(A: Superalgebra, P) -> Superalgebra:
     """The product of A in the basis b'_j = sum_i P[i][j] b_i, for an even
     invertible P; rational entries of P give its constants denominators."""
     n = A.space.dim
-    Q = _linalg.invert(P)
+    Q = dense_linalg.invert(P)
     entries: dict = {}
     for (a, b), row in A.rows().items():
         for m, c in row.items():
             for i, j, k in itertools.product(range(n), repeat=3):
                 entries[(i, j, k)] = entries.get((i, j, k), 0) + P[a][i] * P[b][j] * c * Q[k][m]
     return Superalgebra.from_entries(A.space, {"mul": entries})
+
+
+def rational_rows(nrows: int, ncols: int, keep: float, seed: int) -> list[dict]:
+    """Seeded sparse rows of an nrows x ncols matrix: each entry is kept with
+    probability ``keep``, as a nonzero integer from -3 to 3 over a
+    denominator from 1 to 6."""
+    rng = random.Random(seed)
+    return [{j: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 6))
+             for j in range(ncols) if rng.random() < keep} for _ in range(nrows)]
 
 
 def shuffled(mapping, rng):

@@ -19,8 +19,6 @@ EXEMPT = {
                "tests/test_benchmark_tracer.py guards the name",
     "solve": "perfbench/tracing.py counts its calls by this name, and "
              "tests/test_benchmark_tracer.py guards the name",
-    "nullspace": "the test oracle oracle_form_flags (tests/test_operators.py) "
-                 "reads nondegeneracy from it",
 }
 
 

@@ -22,7 +22,8 @@ from supermalcev import (
 )
 from supermalcev import fixtures
 from supermalcev.serialize import AlgebraDocument, serialize
-from rational_inputs import shuffled
+from rational_inputs import divided, shuffled
+import dense_linalg
 
 parities = st.integers(min_value=0, max_value=5)
 scalars = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -240,6 +241,38 @@ def test_map_compose_apply_inverse():
     assert m.is_invertible()
     singular = GradedLinearMap(space, space, ((1, 2, 0), (2, 4, 0), (0, 0, 1)), 0)
     assert not singular.is_invertible()
+
+
+def test_a_non_square_map_has_no_inverse():
+    for domain, codomain in ((SuperSpace(2, 1), SuperSpace(1, 1)),
+                             (SuperSpace(1, 1), SuperSpace(2, 1))):
+        T = fixtures.random_even_matrix(domain, codomain, 0, random.Random(7), 1, 2)
+        assert not T.is_invertible()
+        with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
+            T.inverse()
+
+
+def test_the_inverse_of_an_odd_map_is_odd_and_equals_the_dense_inverse():
+    rng = random.Random(2601)
+    domain, codomain = SuperSpace(2, 3), SuperSpace(3, 2)
+    seen = set()
+    for _ in range(30):
+        T = divided(fixtures.random_even_matrix(domain, codomain, 1, rng), "operator", rng)
+        try:
+            want = dense_linalg.invert(T.matrix)
+        except ValueError:
+            assert not T.is_invertible()
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                T.inverse()
+            seen.add("singular")
+            continue
+        inverse = T.inverse()
+        assert T.is_invertible()
+        assert (inverse.domain, inverse.codomain, inverse.parity) == (codomain, domain, 1)
+        assert inverse.matrix == want
+        assert inverse.compose(T) == GradedLinearMap.identity(domain)
+        seen.add("invertible")
+    assert seen == {"singular", "invertible"}
 
 
 def test_stored_columns_are_read_only_and_outside_equality():

@@ -684,9 +684,8 @@ def test_symplectic_from_singular_r_rejected():
 def killing_form(A):
     ad = adjoint_representation(A)
     n = A.space.dim
-    from supermalcev import _linalg
     return BilinearForm(A.space, tuple(
-        tuple(sum(_linalg.mat_mul(ad.action[i].matrix, ad.action[j].matrix)[k][k]
+        tuple(sum(ad.action[i].compose(ad.action[j]).columns[k].get(k, 0)
                   for k in range(n)) for j in range(n))
         for i in range(n)
     ))
