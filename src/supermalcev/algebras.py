@@ -38,17 +38,26 @@ its side that holds the first index to the other side's values through
 the rows' partner lists and that side's index by support, and adds each
 term straight into the output vector of the tuple it changes (looked up
 once per pair of keys), with the Koszul sign of the two keys' parity
-masks.  No table over all n^d tuples is held; the failing tuples of a block
-are its nonzero keys, and the witnesses are read off them in lexicographic
-order.
+masks.  No table over all n^d tuples is held (the Malcev walk of a product
+that is not anticommutative holds the nonzero values of one part of its
+residual until later blocks read them, below); the failing tuples of a
+block are its nonzero keys, and the witnesses are read off them in
+lexicographic order.
 
-On a graded-anticommutative product the residual M of the four-variable
-Malcev identity satisfies M(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} M(x,y,z,t).
-So once the anticommutativity walk has found no violation, block a yields
-only the quadruples whose indices are all at least a: they hold the least
-rotation of every orbit, and a failing one counts its orbit's 1, 2 or 4
-tuples.  The count, witnesses, their order and leftovers are those of the
-full walk.
+Four summands of the four-variable Malcev identity are the rotations of
+((xy)z)t, so on every product their signed sum, the cyclic part C,
+satisfies C(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} C(x,y,z,t), and block a
+joins C only at the quadruples whose indices are all at least a: they hold
+the least rotation of every orbit.  On a graded-anticommutative product the
+fifth summand J = (xz)(yt) obeys the same rule, so once the
+anticommutativity walk has found no violation the whole residual is walked
+that way, and a failing least rotation counts its orbit's 1, 2 or 4 tuples.
+Otherwise block a joins J at every quadruple whose first index is a and
+adds the C values it holds: those it joined and those earlier blocks handed
+on, since each block hands each nonzero C value it joins to the block of
+each later rotation, with that rotation's sign.  Until their blocks come,
+those values are held, at most the nonzero values of C.  Either way the
+count, witnesses, their order and leftovers are those of the full walk.
 
 Public values (structure constants, ``mul``, ``mul_sparse``, witness
 leftovers) stay ``Fraction``.  A check call computes in integers instead:
@@ -248,6 +257,8 @@ def _star(a, b):
 # components of one degree.  Only the tuples of the last walk are counted.
 # Each product is named by the algebra product it reads.  The sign rule
 # holds only if every summand uses each variable of its sum exactly once.
+# The Malcev quadruple walk reads its first summand as J = (xz)(yt) and the
+# other four, the rotations of ((xy)z)t, as the cyclic part C.
 _IDENTITIES = {
     "left-alternative": ((_assoc(X, Y, Z) + _assoc(Y, X, Z),),),
     "right-alternative": ((_assoc(X, Y, Z) + _assoc(X, Z, Y),),),
@@ -413,16 +424,17 @@ class _Evaluator:
                  self.table(other).support, rekey, signs)
                 for name, flip, driven, p, other, rekey, signs in _summands(expr)]
 
-    def block(self, plans, a: int, low: int = 0) -> dict:
+    def block(self, plans, a: int, low: int = 0, out: dict | None = None) -> dict:
         """The nonzero values at the tuples whose first index is ``a`` and
-        whose indices are all at least ``low``, with no zero components.
+        whose indices are all at least ``low``, with no zero components,
+        plus the values ``out`` already holds (it is added to in place).
 
         Each term is added straight into the output vector it changes: per
         driven key, the first term that reaches an other-side key looks up
         its output vector, and every term adds sign * c * d * row into that
         vector in place, the sign read off the two keys' parity masks.
         Zeros are dropped in one pass at the end."""
-        out: dict = {}
+        out = {} if out is None else out
         for driven, at, partners, support, rekey, signs in plans:
             for key in at.get(a, ()):
                 if low and min(key) < low:
@@ -460,9 +472,9 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
     of several components, component q witnesses ``(q,) + idx`` after the
     components before it at the same tuple.
 
-    The Malcev quadruples are evaluated one rotation orbit at a time once
-    the anticommutativity walk has found no violation (see
-    ``check_malcev``)."""
+    The Malcev quadruples are evaluated one rotation orbit at a time: the
+    whole residual once the anticommutativity walk has found no violation,
+    its cyclic part otherwise (see ``check_malcev``)."""
     col = _WitnessCollector(identity, witness_limit)
     walks = _IDENTITIES[identity]
     ev = _Evaluator(A, [expr for walk in walks for expr in walk])
@@ -472,15 +484,30 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
         degree = len(_leaves(components[0]))
         scale = ev.D ** (degree - 1)  # each term multiplies degree - 1 rows
         plans = [ev.plan(expr) for expr in components]
-        orbits = identity == "malcev" and w == 1 and not col.count
+        malcev = identity == "malcev" and w == 1
+        orbits = malcev and not col.count
+        cyclic = malcev and not orbits
         col.tally(n ** degree if w == len(walks) - 1 else 0, 0)
-        later = [[] for _ in range(n)]  # block -> failing rotations of earlier blocks
+        # block -> rotations handed on by earlier blocks: witnesses in the
+        # orbit walk, values of the cyclic part C in the cyclic walk
+        later = [[] for _ in range(n)]
         for a in range(n):
-            # in the orbit walk block a holds the tuples with no index below a
-            found = [(key, q, vec, 1) for q, plan in enumerate(plans)
-                     for key, vec in ev.block(plan, a, a if orbits else 0).items()]
-            least = [(key, vec) for key, _, vec, _ in found
-                     if key == min(_rotations(key))] if orbits else ()
+            if cyclic:
+                # C at the tuples with no index below a and at those handed
+                # on, plus J = (xz)(yt) at every tuple of the block
+                values = ev.block(plans[0][1:], a, a)
+                held = {key: dict(vec) for key, vec in values.items()}
+                held.update((r, {k: sign * c for k, c in vec.items()})
+                            for r, _, vec, sign in later[a])
+                later[a] = []
+                found = [(key, 0, vec, 1)
+                         for key, vec in ev.block(plans[0][:1], a, 0, held).items()]
+            else:
+                # in the orbit walk block a holds the tuples with no index below a
+                found = [(key, q, vec, 1) for q, plan in enumerate(plans)
+                         for key, vec in ev.block(plan, a, a if orbits else 0).items()]
+                values = {key: vec for key, _, vec, _ in found} if orbits else {}
+            least = [(key, vec) for key, vec in values.items() if key == min(_rotations(key))]
             col.tally(0, sum(len(set(_rotations(key))) for key, _ in least) if orbits
                       else len(found))
             for key, q, vec, sign in sorted(found + later[a]) if room else ():
@@ -488,7 +515,7 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
                     A.space, unscaled(vec, sign * scale)), failures=0)
                 if not room:
                     break
-            for key, vec in least if room else ():  # witnesses for the later blocks
+            for key, vec in least if room or cyclic else ():  # rotations for later blocks
                 rots = _rotations(key)
                 for r in dict.fromkeys(rots):
                     if r[0] != a:
@@ -525,8 +552,12 @@ def check_malcev(A: Superalgebra,
     rotations that fall in later blocks are kept for their blocks' witnesses
     while there is room, each with the least rotation's leftover times the
     signs (-1)^{|x|(|y|+|z|+|t|)} of the rotations between them.  Otherwise
-    every quadruple is evaluated.  Either way ``checked_tuples`` is n^4 and
-    the report is the same.
+    only the cyclic part C, the four rotations of ((xy)z)t, is evaluated
+    that way: each nonzero C value at a least rotation is held, with the
+    same signs, for the blocks of its later rotations, and block a adds
+    (xz)(yt) at every quadruple whose first index is a to the C values it
+    holds.  Either way ``checked_tuples`` is n^4 and the report is that of
+    a walk over every quadruple.
     """
     return _check(A, "malcev", witness_limit)
 

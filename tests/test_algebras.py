@@ -31,7 +31,7 @@ from supermalcev import (
     sum_pre_alternative,
 )
 from supermalcev import fixtures
-from supermalcev.algebras import _IDENTITIES, _check
+from supermalcev.algebras import _IDENTITIES, _Evaluator, _check
 from supermalcev.cli import MAX_DIM
 from rational_inputs import (
     algebra_constants,
@@ -704,24 +704,136 @@ def full_malcev_walk(A, limit, monkeypatch):
     return _check(A, "malcev, every quadruple", limit)
 
 
+def orbit_sizes(quadruples):
+    """The sizes of the rotation orbits of ``quadruples``."""
+    return {len({q[r:] + q[:r] for r in range(4)}) for q in quadruples}
+
+
+def malcev_walk_inputs():
+    """Seeded products, each followed by its commutator.  The products fail
+    anticommutativity, so their quadruples are walked with the cyclic part
+    held per orbit; the commutators are walked by orbits."""
+    products = [fixtures.random_product(SuperSpace(*shape), seed)
+                for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)) for seed in range(3)]
+    products += [rational_product(SuperSpace(*shape), seed)  # denominators 2 and 3
+                 for shape, seed in (((2, 2), 11), ((2, 1), 12))]
+    products.append(fixtures.random_product(SuperSpace(3, 3), 13, 1, 2))  # as in random_super
+    # purely even, and purely odd: the product of two odd elements is even,
+    # so every product on 0|3 is zero and holds
+    products += [fixtures.random_product(SuperSpace(*shape), seed)
+                 for shape, seed in (((3, 0), 14), ((0, 3), 15))]
+    for product in products:
+        yield product
+        yield commutator_superalgebra(product)
+
+
 def test_orbit_walk_matches_the_full_walk(monkeypatch):
     # commutators of seeded products above 1|1 fail the Malcev identity and
     # are walked by orbits, some failing on orbits of size 2; the products
-    # themselves fail anticommutativity
+    # themselves fail anticommutativity, and fail on orbits of every size
     walks = {2: 0, 4: 0}  # degree of the first witness -> failing inputs
-    periodic = 0
-    for shape in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (3, 2)):
-        for seed in range(3):
-            product = fixtures.random_product(SuperSpace(*shape), seed)
-            for A in (product, commutator_superalgebra(product)):
-                for limit in (1, 16, 10 ** 6):
-                    report, full = check_malcev(A, limit), full_malcev_walk(A, limit, monkeypatch)
-                    assert (report.violation_count, report.checked_tuples, report.witnesses) == (
-                        full.violation_count, full.checked_tuples, full.witnesses)
-                if full.witnesses:
-                    walks[len(full.witnesses[0][0])] += 1
-                    periodic += any(w[:2] == w[2:] for w, _ in full.witnesses)
-    assert walks == {2: 18, 4: 15} and periodic >= 10
+    sizes = {2: set(), 4: set()}  # the same -> orbit sizes of failing quadruples
+    for A in malcev_walk_inputs():
+        assert denominator(*algebra_constants(A)) in (1, 6)
+        for limit in (1, 16, 10 ** 6):
+            report, full = check_malcev(A, limit), full_malcev_walk(A, limit, monkeypatch)
+            assert (report.violation_count, report.checked_tuples, report.witnesses) == (
+                full.violation_count, full.checked_tuples, full.witnesses)
+        if full.witnesses:
+            first = len(full.witnesses[0][0])
+            walks[first] += 1
+            sizes[first] |= orbit_sizes(w for w, _ in full.witnesses if len(w) == 4)
+    assert walks == {2: 22, 4: 19} and sizes == {2: {1, 2, 4}, 4: {2, 4}}
+
+
+def koszul(order, parities):
+    """The Koszul sign of the permutation that sorts the variables ``order``,
+    variable v having parity ``parities[v]``."""
+    return (-1) ** sum(parities[a] * parities[b]
+                       for i, a in enumerate(order) for b in order[i + 1:] if a > b)
+
+
+def malcev_parts(A):
+    """J and C of the Malcev quadruple walk at every basis quadruple, from the
+    dense table: J is the first summand of the walk's sum in ``_IDENTITIES``
+    and C the sum of the other four, each summand signed by the Koszul sign of
+    sorting its leaf order."""
+    table, par = A.table("mul"), A.space.parities()
+    n = A.space.dim
+    (expr,) = _IDENTITIES["malcev"][1]
+
+    def value(sub, q):
+        if isinstance(sub, int):
+            return basis(n, q[sub])
+        return naive_mul(table, value(sub[1], q), value(sub[2], q))
+    J, C = {}, {}
+    for q in itertools.product(range(n), repeat=4):
+        parts = [[Z] * n, [Z] * n]
+        for s, (coef, sub) in enumerate(expr):
+            (order,) = expanded_leaf_orders(sub)
+            sign = coef * koszul(order, [par[i] for i in q])
+            parts[s > 0] = vec_add(parts[s > 0], value(sub, q), Fraction(sign))
+        J[q], C[q] = parts
+    return J, C
+
+
+@pytest.mark.parametrize("make, shape, seed", [
+    # every product on 0|3 is zero, so 1|3 stands in for the purely odd shape
+    (fixtures.random_product, (1, 3), 1), (fixtures.random_product, (3, 0), 2),
+    (fixtures.random_product, (2, 2), 3), (rational_product, (1, 2), 4)])
+def test_the_cyclic_part_of_the_malcev_identity_is_rotation_symmetric(make, shape, seed):
+    # C(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} C(x,y,z,t) on every product, which
+    # the quadruple walk of a product that fails anticommutativity relies on;
+    # J = (xz)(yt) obeys it only on anticommutative products
+    A = make(SuperSpace(*shape), seed)
+    table, par, n = A.table("mul"), A.space.parities(), A.space.dim
+    assert any(table[i][j][k] != -sgn(par[i], par[j]) * table[j][i][k]
+               for i, j, k in itertools.product(range(n), repeat=3))
+    J, C = malcev_parts(A)
+    assert any(C.values())
+    broken = False
+    for x, y, z, t in C:
+        sign = sgn(par[x], par[y] + par[z] + par[t])
+        assert C[y, z, t, x] == [sign * c for c in C[x, y, z, t]], (x, y, z, t)
+        broken |= J[y, z, t, x] != [sign * c for c in J[x, y, z, t]]
+    assert broken
+
+
+def test_the_cyclic_part_is_joined_once_per_rotation_orbit(monkeypatch):
+    # on a dense product that fails anticommutativity, block a joins the four
+    # rotations of ((xy)z)t only at the quadruples with no index below a, and
+    # J = (xz)(yt) at every quadruple; the full walk would join all five
+    # summands at every quadruple.  The commutator is walked by orbits.
+    calls = []
+    block = _Evaluator.block
+
+    def recording(self, plans, a, low=0, out=None):
+        values = block(self, plans, a, low, out)
+        calls.append((len(plans), a, low, values))
+        return values
+    monkeypatch.setattr(_Evaluator, "block", recording)
+    A = fixtures.random_product(SuperSpace(2, 2), 3, 1, 2)
+    n = A.space.dim
+    assert len(algebra_constants(A)) == n ** 3 // 2  # every parity-allowed constant
+    check_malcev(A)
+    assert [(a, low) for summands, a, low, _ in calls if summands == 4] == [
+        (a, a) for a in range(n)]
+    assert [(a, low) for summands, a, low, values in calls
+            if summands == 1 and any(len(key) == 4 for key in values)] == [
+        (a, 0) for a in range(n)]
+    assert not [call for call in calls if call[0] == 5]
+    # what the joins of the cyclic part return is C, nonzero, at the
+    # quadruples whose first index is their least
+    _, C = malcev_parts(A)
+    joined = {key: vector for summands, _, _, values in calls if summands == 4
+              for key, vector in values.items()}
+    assert {key: [vector.get(k, 0) for k in range(n)] for key, vector in joined.items()} == {
+        q: c for q, c in C.items() if q[0] == min(q) and not is_zero(c)}
+    calls.clear()
+    check_malcev(commutator_superalgebra(A))
+    assert [(a, low) for summands, a, low, _ in calls if summands == 5] == [
+        (a, a) for a in range(n)]
+    assert not [call for call in calls if call[0] == 4]
 
 
 def scaled_algebra(A, factor):
