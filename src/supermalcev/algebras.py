@@ -125,9 +125,6 @@ class _WitnessCollector:
         self.checked = 0
         self.preconditions: list[str] = []
 
-    def tick(self):
-        self.checked += 1
-
     def tally(self, tuples: int, failures: int):
         """Count checked and failing tuples whose witnesses come later."""
         self.checked += tuples

@@ -70,7 +70,7 @@ from .yangbaxter import (
     r_from_o_operator,
     symplectic_from_r,
 )
-from .serialize import AlgebraDocument, ParseError, _parse, serialize
+from .serialize import AlgebraDocument, ParseError, parse, serialize
 
 PASS, FAIL, INPUT_ERROR, ALARM = 0, 1, 2, 3
 
@@ -291,7 +291,7 @@ def _load(args, product: str | None = "mul") -> AlgebraDocument:
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from None
     try:
-        doc = _parse(data, MAX_DIM)
+        doc = parse(data, MAX_DIM)
     except ParseError as exc:
         raise InputError(f"{args.file}: {exc}") from None
     if product is not None:

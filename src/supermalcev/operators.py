@@ -14,9 +14,10 @@ written once.  Checkers, grid searches and constructions share them.  The
 sign s(a, b) depends only on whether a and b are both odd, so a context
 carries it as one pair of factors.  The engine reads every action, and the
 operator itself, as sparse columns, with the sparse helpers of ``_kernel``
-that the module checkers use too; A acting on itself, and A acting on its
-dual by the coadjoint action, are read straight off the sparse rows of the
-algebra's ``mul``.  A residual
+that the module checkers use too; A acting on itself is read straight off
+the sparse rows of the algebra's ``mul``, and A acting on its dual by the
+coadjoint action is the signed transpose of that left multiplication
+(``reps._dual_columns``, as for every dual action).  A residual
 reads only the part of the action that the operator's image K reaches: the
 rows (p, q) with p and q in K and the left and right columns of K.  A
 checker cuts the context to that part and scales it, with the operator's
@@ -95,7 +96,7 @@ from .reps import (
     Bimodule,
     Representation,
     _columns,
-    _coadjoint_columns,
+    _dual_columns,
     _multiplication_columns,
 )
 
@@ -146,9 +147,10 @@ def _rota_baxter_context(A: Superalgebra, sign_variant: bool) -> _Context:
 
 
 def _coadjoint_context(A: Superalgebra) -> _Context:
-    """A acting on its dual by the coadjoint action, read off the rows; its
-    O-operators are the r-maps of the operator form of the MYBE."""
-    coad = _coadjoint_columns(A)
+    """A acting on its dual by the coadjoint action, the signed transpose of
+    left multiplication; its O-operators are the r-maps of the operator form
+    of the MYBE."""
+    coad = _dual_columns(_multiplication_columns(A), A.space, A.space)
     return _Context("operator-form", A, A.rows(), A.space.dual(), coad, coad, (-1, 1))
 
 
@@ -240,8 +242,8 @@ def _walk(ctx: _Context, T: Sequence[Vector], witness_limit: int) -> ViolationRe
     image = {k for column in T for k in column}
     scaled_ctx, columns, D = _scaled_to_image(ctx, image, T)
     space, scale = ctx.algebra.space, D ** 3
+    col.tally(ctx.module.dim ** 2, 0)
     for a, b, res in _residuals(scaled_ctx, columns):
-        col.tick()
         if res:
             col.add((a, b), lambda: vector_from_sparse(space, unscaled(res, scale)))
     return col.report()
@@ -315,11 +317,11 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
         {(j, i): x for j, column in enumerate(T.columns) for i, x in column.items()},
         T.codomain.dim), n)
     col = _WitnessCollector("image-well-defined")
+    col.tally((n - len(pivots)) * n, 0)
     for free in (j for j in range(n) if j not in pivots):
         # the kernel vector with a 1 at this free column, read off rref(T)
         kernel = {free: ONE, **{p: -row[free] for row, p in zip(reduced, pivots) if free in row}}
         for j in range(n):
-            col.tick()
             # a . k with T(k) = 0: T(a.k) must vanish (k.a vanishes already
             # because the product reads the algebra through T).
             prod = product.mul_sparse({j: ONE}, kernel)

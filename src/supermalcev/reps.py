@@ -27,9 +27,11 @@ product of two operators rebuilt per triple.
 
 The constructions work on sparse columns too, each job in one place:
 multiplication columns off the rows (``_multiplication_columns``), the
-coadjoint columns in one pass over the rows (``_coadjoint_columns``), maps
-from columns (``_maps``), the factor -(-1)^{|x||v|} of moving x in A past
-v in V (``_signed``) and the semidirect product (``_semidirect``).
+factor -(-1)^{|x||v|} of moving x in A past v in V (``_move_signs``), read
+by the signed columns (``_signed``) and by the one signed transpose of an
+action (``_dual_columns``: rho*, and ad* as the dual of left
+multiplication), maps from columns (``_maps``) and the semidirect product
+(``_semidirect``).
 
 Actions and leftovers are public ``Fraction`` values; a checker computes
 in integers.  It scales the algebra's rows and the action columns it reads
@@ -173,6 +175,7 @@ def check_malcev_representation(R: Representation,
     rows, rho = A.rows(), _columns(R.action)
     D = denominator(rows.values(), *rho)
     rows, rho = scaled_rows(rows, D), scaled_columns(rho, D)
+    col.tally(n ** 3, 0)
     for i in range(n):
         # the block of x = b_i, columns c of: left[b] = rho(x)rho(b_b),
         # right[a] = rho(b_a)rho(x) and times_x[k] = rho(b_k x)
@@ -189,7 +192,6 @@ def check_malcev_representation(R: Representation,
             # terms that apply a table to a column: -rho(x)rho(y) rho(z)b_c,
             # s2 rho(z)rho(x) rho(y)b_c and -s rho(y) rho(zx)b_c
             applied = ((-1, rho[k], left[j]), (s2, rho[j], right[k]), (-s, times_x[k], rho[j]))
-            col.tick()
             _witness_first_column(col, (i, j, k), R.space, D ** 3, columns, applied)
         del left, right, times_x  # one block at a time
     return col.report()
@@ -221,8 +223,8 @@ def check_alternative_bimodule(B: Bimodule,
     signed = ((L, R), tuple(tuple(tuple({r: -v for r, v in column.items()} if q else column
                                         for q, column in zip(vpar, cols)) for cols in M)
                             for M in (L, R)))
+    col.tally(n ** 2, 0)
     for i, j in itertools.product(range(n), repeat=2):
-        col.tick()
         s = koszul_sign(par[i], par[j])
         # t = (-1)^{|x||v|} and u = (-1)^{|v||y|} come with the copies Lt, Rt and Lu
         (Lt, Rt), (Lu, _) = signed[par[i]], signed[par[j]]
@@ -258,11 +260,17 @@ def _multiplication_columns(A: Superalgebra, right: bool = False) -> Columns:
                  for a in range(n))
 
 
+def _move_signs(module: SuperSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``signs[p][v]`` = -(-1)^{p|b_v|}: the one place the factor of moving an
+    algebra element of parity p past a module basis vector b_v is written,
+    for ``_signed``, ``_dual_columns`` and the -sigma of the MYBE double."""
+    return tuple(tuple(-koszul_sign(p, q) for q in module.parities()) for p in (0, 1))
+
+
 def _signed(algebra: SuperSpace, module: SuperSpace, columns: Columns) -> Columns:
-    """The columns of v -> -(-1)^{|x||v|} action(x) v: the one place the sign
-    of moving an algebra element x past a module vector v is taken, for
-    r(x)v = [v, x] on A + V, for the dual action and for rep_from_bimodule."""
-    signs = [tuple(-koszul_sign(p, q) for q in module.parities()) for p in (0, 1)]
+    """The columns of v -> -(-1)^{|x||v|} action(x) v, for r(x)v = [v, x] on
+    A + V and for rep_from_bimodule."""
+    signs = _move_signs(module)
     return tuple(tuple(column if s > 0 else {k: -c for k, c in column.items()}
                        for s, column in zip(signs[p], cols))
                  for p, cols in zip(algebra.parities(), columns))
@@ -302,30 +310,18 @@ def semidirect_alternative(B: Bimodule) -> Superalgebra:
 
 
 def _dual_columns(columns: Columns, algebra: SuperSpace, module: SuperSpace) -> Columns:
-    """The columns of rho* on V* from those of rho: <rho*(x)a*, b> =
-    -(-1)^{|x||a*|} <a*, rho(x)b>, so rho*(x) is the signed transpose of rho(x):
-    column jj of rho*(b_i) holds -(-1)^{|i||jj|} <b_jj*, rho(b_i) b_ii> at row ii."""
-    transposed = []
-    for cols in columns:
-        out: dict[int, dict] = {}
+    """The columns of rho* on V* from those of rho, the one signed transpose
+    of an action (ad* is that of left multiplication): <rho*(x)a*, b> =
+    -(-1)^{|x||a*|} <a*, rho(x)b>, so column jj of rho*(b_i) holds
+    -(-1)^{|i||jj|} <b_jj*, rho(b_i) b_ii> at row ii, signed as it is moved."""
+    signs, dual = _move_signs(module), []
+    for p, cols in zip(algebra.parities(), columns):
+        sign, out = signs[p], {}
         for ii, column in enumerate(cols):
             for jj, c in column.items():
-                out.setdefault(jj, {})[ii] = c
-        transposed.append(tuple(out.get(jj, EMPTY) for jj in range(module.dim)))
-    return _signed(algebra, module, transposed)
-
-
-def _coadjoint_columns(A: Superalgebra) -> Columns:
-    """The columns of ad* on A*, in one pass over the rows: the
-    ``_dual_columns`` of left multiplication, so column jj of ad*(b_i) holds
-    -(-1)^{|i||jj|} <b_jj*, b_i b_ii> at row ii."""
-    n = A.space.dim
-    transposed: list[dict[int, dict]] = [{} for _ in range(n)]
-    for (i, ii), row in A.rows().items():
-        for jj, c in row.items():
-            transposed[i].setdefault(jj, {})[ii] = c
-    return _signed(A.space, A.space, [tuple(out.get(jj, EMPTY) for jj in range(n))
-                                      for out in transposed])
+                out.setdefault(jj, {})[ii] = c if sign[jj] > 0 else -c
+        dual.append(tuple(out.get(jj, EMPTY) for jj in range(module.dim)))
+    return tuple(dual)
 
 
 def dual_representation(R: Representation) -> Representation:
@@ -353,7 +349,8 @@ def adjoint_representation(A: Superalgebra) -> Representation:
 def coadjoint_representation(A: Superalgebra) -> Representation:
     """ad* = dual of the adjoint representation."""
     dual = A.space.dual()
-    return Representation(A, dual, _maps(A.space, dual, _coadjoint_columns(A)))
+    return Representation(A, dual, _maps(A.space, dual, _dual_columns(
+        _multiplication_columns(A), A.space, A.space)))
 
 
 def left_multiplication_representation(P: Superalgebra) -> Representation:
@@ -399,8 +396,8 @@ def are_equivalent(R: Representation, Rp: Representation,
     D = denominator(phi_cols, *rho, *rho_p)
     phi_cols = tuple(scaled(v, D) for v in phi_cols)
     rho, rho_p = scaled_columns(rho, D), scaled_columns(rho_p, D)
+    col.tally(R.algebra.space.dim, 0)
     for i in range(R.algebra.space.dim):
-        col.tick()
         _witness_first_column(col, (i,), Rp.space, D ** 2, (),
                               ((1, rho[i], phi_cols), (-1, phi_cols, rho_p[i])))
     return col.report()

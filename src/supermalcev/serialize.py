@@ -7,9 +7,9 @@ sorted lexicographically, scalars in reduced "p/q" form; parsing followed
 by serializing is the identity on canonical files.
 
 This module is the only reader of a document's fields.  ``parse`` takes
-any dimension; the CLI passes its cap to ``_parse``, which refuses an
-algebra, representation or bimodule over it when it reaches that block,
-before the space is built.
+any dimension unless given a cap, as the CLI gives it: then it refuses an
+algebra, representation or bimodule over the cap when it reaches that
+block, before the space is built.
 """
 
 from __future__ import annotations
@@ -244,11 +244,6 @@ def _dumps_canonical(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
-def parse(text: str | bytes) -> AlgebraDocument:
-    """The document in ``text``; every malformed input is a ParseError."""
-    return _parse(text)
-
-
 def _loads(text: str | bytes) -> Any:
     """The JSON value of a document; every decoding failure is a ParseError."""
     if isinstance(text, bytes):
@@ -282,9 +277,10 @@ def _parse_parity(block: Mapping, where: str) -> int:
     return parity
 
 
-def _parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
-    """The document in ``text``.  A space of more than ``cap`` dimensions is
-    refused when the parser reaches its block, before the space is built."""
+def parse(text: str | bytes, cap: int | None = None) -> AlgebraDocument:
+    """The document in ``text``; every malformed input is a ParseError.  A
+    space of more than ``cap`` dimensions is refused when the parser reaches
+    its block, before the space is built."""
     obj = _loads(text)
     if not isinstance(obj, Mapping):
         raise ParseError("top level: expected an object")

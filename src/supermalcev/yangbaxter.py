@@ -7,7 +7,8 @@ r solves the MYBE iff it vanishes.
 
 Operator side: a skew-supersymmetric even r is regarded as a map A* -> A
 and solves the MYBE iff that map is a super O-operator for the coadjoint
-representation, read straight off the algebra's rows.  The two sides share
+representation, the signed transpose of left multiplication
+(``reps._dual_columns``).  The two sides share
 no code path beyond the sparse helpers of ``_kernel``; their agreement is a
 theorem that the test suite asserts over a corpus of solutions and
 non-solutions, never assumes.  Both compute in integers: the rows and the
@@ -19,8 +20,10 @@ O-operator engine walks, come from r's stored entries, and so does the
 skew-supersymmetry test.  The double A x|_{rho*} V* and r = T - sigma(T)
 are built in one place from the action's columns and T's: the dual action
 is their signed transpose (``reps._dual_columns``), the double its
-semidirect product (``reps._semidirect``).  ``canonical_r`` passes the left
-multiplication columns of P and unit columns for the identity.
+semidirect product (``reps._semidirect``), and -sigma reads the sign of
+moving A past V* from the table the transpose reads (``reps._move_signs``).
+``canonical_r`` passes the left multiplication columns of P and unit columns
+for the identity.
 ``r_as_map`` makes a map of the same columns; a symplectic form is read off
 its inverse's columns, and ``rb_from_invariant_form`` composes it.
 """
@@ -55,6 +58,7 @@ from .reps import (
     Representation,
     _columns,
     _dual_columns,
+    _move_signs,
     _multiplication_columns,
     _semidirect,
     _signed,
@@ -191,11 +195,11 @@ def _double(algebra: Superalgebra, module: SuperSpace, action: Columns,
     rho_star = _dual_columns(action, A, module)
     double = _semidirect(algebra, dual, rho_star, _signed(A, dual, rho_star))
     total, emb_a, emb_v = direct_sum(A, dual)
-    par, entries = total.parities(), {}
+    par, signs, entries = A.parities(), _move_signs(module), {}
     for alpha, column in enumerate(T):
         for p, val in column.items():
             a, v = emb_a[p], emb_v[alpha]
-            entries[a, v], entries[v, a] = val, -koszul_sign(par[a], par[v]) * val
+            entries[a, v], entries[v, a] = val, signs[par[p]][alpha] * val
     return MybeCandidate(double, Tensor2._from_entries(total, entries))
 
 

@@ -12,8 +12,9 @@ import pytest
 
 from supermalcev import (SuperSpace, Tensor2, adjoint_representation, fixtures,
                          regular_bimodule, search_o_operators_malcev, sigma)
+from supermalcev import cli
 from supermalcev.cli import MAX_DIM, main
-from supermalcev.serialize import AlgebraDocument, parse, serialize
+from supermalcev.serialize import AlgebraDocument, ParseError, parse, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -356,6 +357,26 @@ def test_declared_dimension_over_the_cap_exits_2(capsys, tmp_path):
     assert code == 0 and parse(out).algebra.space.dim == MAX_DIM
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "sl2.json", "--identity", "malcev"],
+    ["report", "split_octonions.json"],
+    ["mybe-check", "sl2_r_solution.json"],
+    ["canonical-r", "pre_lie_sl2.json"],
+    ["dual-rep", "sl2_adjoint.json"],
+])
+def test_a_request_parses_its_document_once_through_the_public_parser(
+        capsys, monkeypatch, argv):
+    # the benchmark's tracer times the CLI's parse by wrapping serialize.parse
+    caps = []
+
+    def counting(text, cap=None):
+        caps.append(cap)
+        return parse(text, cap)
+    monkeypatch.setattr(cli, "parse", counting)
+    code, _, _ = run(capsys, argv[0], str(FIX / argv[1]), *argv[2:])
+    assert code in (0, 1) and caps == [MAX_DIM]  # a verdict, not an input error
+
+
 def test_booleans_are_not_integers(capsys, tmp_path):
     # taken as 1, "odd_dim": true once made a document at the cap read one
     # over it, and a boolean index made the parity error name (True, True, True)
@@ -385,16 +406,23 @@ def test_declared_dimension_is_refused_before_the_document_is_built(capsys, tmp_
         doc[block] = huge
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
+    message = f"{block} dimension {10 ** 6} exceeds the cap of {MAX_DIM}"
     tracemalloc.start()
     try:
         code = main(["check", str(path), "--identity", "malcev"])
         peak = tracemalloc.get_traced_memory()[1]
+        # the library refuses the block as the CLI does, given the same cap
+        tracemalloc.reset_peak()
+        with pytest.raises(ParseError) as refused:
+            parse(path.read_bytes(), MAX_DIM)
+        library_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
-    assert err == f"error: {path}: {block} dimension {10 ** 6} exceeds the cap of {MAX_DIM}\n"
-    assert peak < 5e6
+    assert err == f"error: {path}: {message}\n"
+    assert str(refused.value) == message
+    assert peak < 5e6 and library_peak < 5e6
 
 
 def test_every_json_decoding_failure_exits_2(capsys, tmp_path):

@@ -683,7 +683,7 @@ def test_each_construction_builds_its_action_once(monkeypatch):
     ident, heis, c = GradedLinearMap.identity(P.space), fixtures.heisenberg_1_1(), canonical_r(P)
     builds = []
     for module, name in ((operators, "_columns"), (operators, "_multiplication_columns"),
-                         (operators, "_coadjoint_columns"), (_linalg, "rref")):
+                         (operators, "_dual_columns"), (_linalg, "rref")):
         def counting(*args, _build=getattr(module, name), _name=name, **kwargs):
             builds.append(_name)
             return _build(*args, **kwargs)
@@ -696,7 +696,7 @@ def test_each_construction_builds_its_action_once(monkeypatch):
          ["_multiplication_columns"] * 2 + ["rref"]),
         (lambda: pre_alternative_from_o_operator(zorn.linear_map, zorn.bimodule),
          ["_columns"] * 2),
-        (lambda: pre_malcev_on_dual_from_r(c), ["_coadjoint_columns"]),
+        (lambda: pre_malcev_on_dual_from_r(c), ["_multiplication_columns", "_dual_columns"]),
     ):
         builds.clear()
         construct()

@@ -656,6 +656,23 @@ def test_dual_defining_equation_with_koszul_signs():
                     assert lhs == rhs
 
 
+@pytest.mark.parametrize("kind, space, module, seed", SEEDED_CASES)
+def test_dual_columns_are_the_dense_signed_transpose(kind, space, module, seed):
+    # column a of rho*(b_x) holds -(-1)^{|x||a|} rho(b_x)[a][b] at row b, and no zero
+    B = seeded_bimodule(kind, space, module, seed)
+    for V, maps in ((module, B.left), (module, B.right),
+                    (space, adjoint_representation(B.algebra).action)):
+        vpar = V.parities()
+        dual = reps._dual_columns(reps._columns(maps), space, V)
+        assert len(dual) == space.dim
+        for p, m, columns in zip(space.parities(), maps, dual):
+            assert len(columns) == V.dim
+            for a, column in enumerate(columns):
+                assert 0 not in column.values()
+                assert column == {b: -sgn(p, vpar[a]) * m.matrix[a][b]
+                                  for b in range(V.dim) if m.matrix[a][b]}
+
+
 def test_dual_representation_closure():
     reps = [
         adjoint_representation(fixtures.sl2()),
@@ -681,7 +698,9 @@ def test_double_dual_under_canonical_identification():
 
 
 def test_coadjoint_is_dual_of_adjoint():
-    for A in (fixtures.sl2(), fixtures.heisenberg_1_1()):
+    seeded = ([fixtures.random_product(space, seed) for space, _, seed in ODD_CASES]
+              + [rational_product(space, seed) for space, _, seed in RATIONAL_CASES])
+    for A in (fixtures.sl2(), fixtures.heisenberg_1_1(), *seeded):
         co = coadjoint_representation(A)
         via_dual = dual_representation(adjoint_representation(A))
         assert all(a.matrix == b.matrix for a, b in zip(co.action, via_dual.action))
