@@ -38,26 +38,26 @@ its side that holds the first index to the other side's values through
 the rows' partner lists and that side's index by support, and adds each
 term straight into the output vector of the tuple it changes (looked up
 once per pair of keys), with the Koszul sign of the two keys' parity
-masks.  No table over all n^d tuples is held (the Malcev walk of a product
-that is not anticommutative holds the nonzero values of one part of its
-residual until later blocks read them, below); the failing tuples of a
-block are its nonzero keys, and the witnesses are read off them in
-lexicographic order.
+masks.  No table over all n^d tuples is held (the Malcev walk holds the
+values it hands on until later blocks read them, below); the failing
+tuples of a block are its nonzero keys, and the witnesses are read off them
+in lexicographic order.
 
 Four summands of the four-variable Malcev identity are the rotations of
 ((xy)z)t, so on every product their signed sum, the cyclic part C,
-satisfies C(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} C(x,y,z,t), and block a
-joins C only at the quadruples whose indices are all at least a: they hold
-the least rotation of every orbit.  On a graded-anticommutative product the
-fifth summand J = (xz)(yt) obeys the same rule, so once the
-anticommutativity walk has found no violation the whole residual is walked
-that way, and a failing least rotation counts its orbit's 1, 2 or 4 tuples.
-Otherwise block a joins J at every quadruple whose first index is a and
-adds the C values it holds: those it joined and those earlier blocks handed
-on, since each block hands each nonzero C value it joins to the block of
-each later rotation, with that rotation's sign.  Until their blocks come,
-those values are held, at most the nonzero values of C.  Either way the
-count, witnesses, their order and leftovers are those of the full walk.
+satisfies C(y,z,t,x) = (-1)^{|x|(|y|+|z|+|t|)} C(x,y,z,t).  On a
+graded-anticommutative product the fifth summand J = (xz)(yt) obeys the
+same rule.  The quadruples are walked with one rule: block a joins the
+summands that obey it (all five once the anticommutativity walk has found
+no violation, C otherwise) only at the quadruples whose indices are all at
+least a, which hold the least rotation of every orbit, and J, if it is not
+among them, at every quadruple whose first index is a.  Each nonzero value
+joined at a least rotation is handed on to the block of each later
+rotation, with that rotation's sign, and added there: always when only C is
+joined per orbit, otherwise while witness room is left, after which the
+later rotations are counted in place.  Until their blocks come, those
+values are held: at most the nonzero values of C, or three per witness.
+The count, witnesses, their order and leftovers are those of the full walk.
 
 Public values (structure constants, ``mul``, ``mul_sparse``, witness
 leftovers) stay ``Fraction``.  A check call computes in integers instead:
@@ -430,7 +430,8 @@ class _Evaluator:
         driven key, the first term that reaches an other-side key looks up
         its output vector, and every term adds sign * c * d * row into that
         vector in place, the sign read off the two keys' parity masks.
-        Zeros are dropped in one pass at the end."""
+        Zeros are dropped in one pass at the end; a vector with none is
+        returned as it is, not copied."""
         out = {} if out is None else out
         for driven, at, partners, support, rekey, signs in plans:
             for key in at.get(a, ()):
@@ -453,7 +454,7 @@ class _Evaluator:
                             f = sign[omask] * c * d
                             for k, r in row.items():
                                 dst[k] = dst.get(k, 0) + f * r
-        return {key: {k: c for k, c in vec.items() if c}
+        return {key: vec if all(vec.values()) else {k: c for k, c in vec.items() if c}
                 for key, vec in out.items() if any(vec.values())}
 
 
@@ -469,9 +470,10 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
     of several components, component q witnesses ``(q,) + idx`` after the
     components before it at the same tuple.
 
-    The Malcev quadruples are evaluated one rotation orbit at a time: the
-    whole residual once the anticommutativity walk has found no violation,
-    its cyclic part otherwise (see ``check_malcev``)."""
+    The Malcev quadruples are walked one rotation orbit at a time: block a
+    joins the summands ``per_orbit`` only at the quadruples with no index
+    below a, and hands each value at a least rotation on to the blocks of
+    its later rotations (see ``check_malcev``)."""
     col = _WitnessCollector(identity, witness_limit)
     walks = _IDENTITIES[identity]
     ev = _Evaluator(A, [expr for walk in walks for expr in walk])
@@ -481,44 +483,40 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
         degree = len(_leaves(components[0]))
         scale = ev.D ** (degree - 1)  # each term multiplies degree - 1 rows
         plans = [ev.plan(expr) for expr in components]
-        malcev = identity == "malcev" and w == 1
-        orbits = malcev and not col.count
-        cyclic = malcev and not orbits
+        # the summands joined once per rotation orbit: on the Malcev quadruples
+        # all five once the anticommutativity walk has found no violation,
+        # else C, the last four; on any other walk none
+        cut, per_orbit = 1 if col.count else 0, []
+        if identity == "malcev" and w == 1:
+            plans, per_orbit = [plans[0][:cut]], plans[0][cut:]
         col.tally(n ** degree if w == len(walks) - 1 else 0, 0)
-        # block -> rotations handed on by earlier blocks: witnesses in the
-        # orbit walk, values of the cyclic part C in the cyclic walk
-        later = [[] for _ in range(n)]
+        later = [{} for _ in range(n)]  # block -> the signed values handed on to it
         for a in range(n):
-            if cyclic:
-                # C at the tuples with no index below a and at those handed
-                # on, plus J = (xz)(yt) at every tuple of the block
-                values = ev.block(plans[0][1:], a, a)
-                held = {key: dict(vec) for key, vec in values.items()}
-                held.update((r, {k: sign * c for k, c in vec.items()})
-                            for r, _, vec, sign in later[a])
-                later[a] = []
-                found = [(key, 0, vec, 1)
-                         for key, vec in ev.block(plans[0][:1], a, 0, held).items()]
-            else:
-                # in the orbit walk block a holds the tuples with no index below a
-                found = [(key, q, vec, 1) for q, plan in enumerate(plans)
-                         for key, vec in ev.block(plan, a, a if orbits else 0).items()]
-                values = {key: vec for key, _, vec, _ in found} if orbits else {}
-            least = [(key, vec) for key, vec in values.items() if key == min(_rotations(key))]
-            col.tally(0, sum(len(set(_rotations(key))) for key, _ in least) if orbits
-                      else len(found))
-            for key, q, vec, sign in sorted(found + later[a]) if room else ():
+            values = ev.block(per_orbit, a, a)
+            held, later[a] = later[a], {}
+            # J is added into held in place, so held takes copies of the values
+            held.update((key, dict(vec) if cut else vec) for key, vec in values.items())
+            # only a walk of one component is handed values
+            found = [(key, q, vec) for q, plan in enumerate(plans)
+                     for key, vec in ev.block(plan, a, 0, {} if q else held).items()]
+            for key, q, vec in sorted(found) if room else ():
                 room = col.add((q,) + key if len(plans) > 1 else key, lambda: vector_from_sparse(
-                    A.space, unscaled(vec, sign * scale)), failures=0)
+                    A.space, unscaled(vec, scale)), failures=0)
                 if not room:
                     break
-            for key, vec in least if room or cyclic else ():  # rotations for later blocks
+            past = 0  # later rotations counted here, past the last witness
+            for key, vec in values.items():
                 rots = _rotations(key)
+                if key != min(rots):
+                    continue
                 for r in dict.fromkeys(rots):
-                    if r[0] != a:
+                    if r[0] != a and (cut or room):  # handed on, signed, to its block
                         sign = (-1) ** sum(par[x] * (par[y] + par[z] + par[t])
                                            for x, y, z, t in rots[:rots.index(r)])
-                        later[r[0]].append((r, 0, vec, sign))
+                        later[r[0]][r] = {k: sign * c for k, c in vec.items()}
+                    elif r[0] != a:
+                        past += 1
+            col.tally(0, len(found) + past)
     return col.report()
 
 
@@ -542,19 +540,18 @@ def check_malcev(A: Superalgebra,
     anticommutativity scan over basis pairs contributes witnesses (index
     pairs) and violations but not tuples.
 
-    If the product is graded-anticommutative, the quadruples are checked
-    one rotation orbit at a time: block a of the first index evaluates only
-    the quadruples with no index below a, which hold the least rotation of
-    each orbit.  A failing least rotation counts its orbit's tuples, and the
-    rotations that fall in later blocks are kept for their blocks' witnesses
-    while there is room, each with the least rotation's leftover times the
-    signs (-1)^{|x|(|y|+|z|+|t|)} of the rotations between them.  Otherwise
-    only the cyclic part C, the four rotations of ((xy)z)t, is evaluated
-    that way: each nonzero C value at a least rotation is held, with the
-    same signs, for the blocks of its later rotations, and block a adds
-    (xz)(yt) at every quadruple whose first index is a to the C values it
-    holds.  Either way ``checked_tuples`` is n^4 and the report is that of
-    a walk over every quadruple.
+    The quadruples are checked one rotation orbit at a time.  The cyclic
+    part C, the four rotations of ((xy)z)t, and (xz)(yt) too once the
+    product has passed graded anticommutativity, are evaluated by block a
+    of the first index only at the quadruples with no index below a, which
+    hold the least rotation of each orbit.  Each nonzero value at a least
+    rotation is handed on to the blocks of its later rotations, times the
+    signs (-1)^{|x|(|y|+|z|+|t|)} of the rotations between them: always if
+    only C is evaluated that way, and otherwise while there is witness
+    room, after which the later rotations are counted where their least
+    rotation is.  If (xz)(yt) is not among them, block a adds it at every
+    quadruple whose first index is a.  ``checked_tuples`` is n^4 and the
+    report is that of a walk over every quadruple.
     """
     return _check(A, "malcev", witness_limit)
 

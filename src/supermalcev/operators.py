@@ -74,7 +74,7 @@ from ._kernel import (
     scaled_rows,
     unscaled,
 )
-from ._linalg import ONE, ZERO
+from ._linalg import ZERO
 from .graded import (
     DimensionMismatch,
     GradedLinearMap,
@@ -299,8 +299,9 @@ class ImageStructure:
     """Pre-Malcev structure induced on T(V) inside A.
 
     ``embedding`` sends the image basis into A; the image algebra's product
-    is T(a).T(b) = T(a.b) for any preimages a, b (well-definedness has been
-    verified on kernel generators before this object is built).
+    is T(a).T(b) = T(a.b) for any preimages a, b.  It is well defined by the
+    O-operator identity: for k with T(k) = 0,
+    T(a.k) = T(rho(T(a))k) = [T(a), T(k)] = 0, and k.a = rho(T(k))a = 0.
     """
 
     algebra: Superalgebra
@@ -309,26 +310,13 @@ class ImageStructure:
 
 
 def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageStructure:
-    """Push the O-operator product forward to T(V), checking first that a
-    rank-deficient T still gives a well-defined product."""
+    """Push the O-operator product forward to T(V); the O-operator identity,
+    checked first, makes it well defined even when T is rank-deficient."""
     product = pre_malcev_from_o_operator(T, R)  # validates the precondition
     n = R.space.dim
     reduced, pivots = _linalg.rref(_sparse_columns(
         {(j, i): x for j, column in enumerate(T.columns) for i, x in column.items()},
         T.codomain.dim), n)
-    col = _WitnessCollector("image-well-defined")
-    col.tally((n - len(pivots)) * n, 0)
-    for free in (j for j in range(n) if j not in pivots):
-        # the kernel vector with a 1 at this free column, read off rref(T)
-        kernel = {free: ONE, **{p: -row[free] for row, p in zip(reduced, pivots) if free in row}}
-        for j in range(n):
-            # a . k with T(k) = 0: T(a.k) must vanish (k.a vanishes already
-            # because the product reads the algebra through T).
-            prod = product.mul_sparse({j: ONE}, kernel)
-            res = T.apply_sparse(prod)
-            if res:
-                col.add((j,), lambda: vector_from_sparse(R.algebra.space, res))
-    _require(col.report())
 
     # homogeneous image basis: the pivot columns of T, the even ones first
     # as in V.  T = C R, with C the pivot columns and R the nonzero rows of

@@ -746,6 +746,21 @@ def test_orbit_walk_matches_the_full_walk(monkeypatch):
     assert walks == {2: 22, 4: 19} and sizes == {2: {1, 2, 4}, 4: {2, 4}}
 
 
+def test_the_count_past_the_witnesses_matches_the_full_walk_at_every_limit(monkeypatch):
+    # past the last witness the later rotations of a failing least rotation
+    # are counted in its block, so every limit up to the violation count
+    # moves that boundary; the commutator is walked by orbits of the whole
+    # residual, the product by orbits of its cyclic part
+    product = fixtures.random_product(SuperSpace(2, 1), 1)
+    for A in (commutator_superalgebra(product), product):
+        count = check_malcev(A, 10 ** 6).violation_count
+        assert count > 40
+        for limit in range(1, count + 1):
+            report, full = check_malcev(A, limit), full_malcev_walk(A, limit, monkeypatch)
+            assert (report.violation_count, report.checked_tuples, report.witnesses) == (
+                full.violation_count, full.checked_tuples, full.witnesses), limit
+
+
 def koszul(order, parities):
     """The Koszul sign of the permutation that sorts the variables ``order``,
     variable v having parity ``parities[v]``."""

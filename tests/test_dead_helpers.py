@@ -1,13 +1,15 @@
-"""Every module-level function of ``_linalg`` and ``_kernel`` has a caller in
-the package.
+"""Every module-level function of ``_linalg`` and ``_kernel``, and every
+private module-level function or class of the package, has a caller in the
+package.
 
 A helper that loses its last caller is deleted, not kept for later.  Read off
-the syntax tree with ``ast``: a function has a caller when its name occurs,
-as a name or as an attribute, in some module of ``src/supermalcev`` outside
-its own definition.  ``EXEMPT`` names the helpers kept without a caller in
-the package, each with the reader outside it that needs it."""
+the syntax tree with ``ast``: a function or class has a caller when its name
+occurs, as a name or as an attribute, in some module of ``src/supermalcev``
+outside its own definition.  ``EXEMPT`` names the helpers kept without a
+caller in the package, each with the reader outside it that needs it."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -22,28 +24,49 @@ EXEMPT = {
 }
 
 
+@functools.cache
+def parsed(source: str) -> ast.Module:
+    return ast.parse(source)
+
+
 def functions(source: str) -> list[str]:
-    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)]
+    return [node.name for node in parsed(source).body if isinstance(node, ast.FunctionDef)]
+
+
+def private_definitions(source: str) -> list[str]:
+    """The module-level functions and classes of ``source`` whose names
+    start with one underscore."""
+    return [node.name for node in parsed(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
 
 
 def used_names(source: str, defined: str | None = None) -> set[str]:
     """The names and attributes that occur in ``source``, leaving out the
-    body of the module-level function ``defined``."""
-    tree = ast.parse(source)
-    nodes = [node for node in tree.body
-             if not (isinstance(node, ast.FunctionDef) and node.name == defined)]
+    body of the module-level function or class ``defined``."""
+    nodes = [node for node in parsed(source).body
+             if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == defined)]
     return {n.id if isinstance(n, ast.Name) else n.attr
             for node in nodes for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def uncalled(helpers: dict[str, str], modules: dict[str, str]) -> list[str]:
-    """``module.function`` for each function of the ``helpers`` sources that
-    no source in ``modules`` uses outside its own definition."""
+@functools.cache
+def used_elsewhere(source: str) -> frozenset[str]:
+    """The names and attributes that occur anywhere in ``source``: those a
+    module uses of the definitions of another."""
+    return frozenset(used_names(source))
+
+
+def uncalled(helpers: dict[str, str], modules: dict[str, str],
+             definitions=functions) -> list[str]:
+    """``module.name`` for each of the ``definitions`` of the ``helpers``
+    sources that no source in ``modules`` uses outside its own definition."""
     out = []
     for helper, source in helpers.items():
-        for name in functions(source):
-            if not any(name in used_names(text, name if module == helper else None)
+        for name in definitions(source):
+            if not any(name in (used_names(text, name) if module == helper
+                                else used_elsewhere(text))
                        for module, text in modules.items()):
                 out.append(f"{helper}.{name}")
     return out
@@ -59,6 +82,13 @@ def test_the_guard_sees_a_helper_without_a_caller():
     assert uncalled({"helper": helper}, modules) == ["helper.dead"]
 
 
+def test_the_guard_sees_a_private_class_or_function_without_a_caller():
+    helper = ("class _Used:\n    pass\n\n\nclass _Dead:\n    def f(self):\n        return _Dead()\n"
+              "\n\ndef _dead():\n    return _Used()\n\n\ndef public():\n    pass\n")
+    modules = {"helper": helper}
+    assert uncalled(modules, modules, private_definitions) == ["helper._Dead", "helper._dead"]
+
+
 @pytest.mark.parametrize("helper", HELPERS)
 def test_every_helper_has_a_caller_in_the_package(helper):
     modules = package()
@@ -70,3 +100,8 @@ def test_each_exemption_is_a_helper_without_a_caller():
     modules = package()
     dead = uncalled({helper: modules[helper] for helper in HELPERS}, modules)
     assert sorted(name.split(".")[1] for name in dead) == sorted(EXEMPT)
+
+
+def test_every_private_function_and_class_has_a_caller_in_the_package():
+    modules = package()
+    assert uncalled(modules, modules, private_definitions) == []

@@ -776,6 +776,13 @@ def test_image_structures_of_every_gl_1_1_rota_baxter_operator():
         P = pre_malcev_from_o_operator(T, ad)
         space, emb, pre = image.algebra.space, image.embedding, image.preimage_indices
         shapes.add((space.even_dim, space.odd_dim))
+        # the image product is well defined: T(a.k) = [Ta, Tk] = 0 for every
+        # kernel vector k, by the O-operator identity that P's build checked
+        n = ad.space.dim
+        for k in dense_linalg.nullspace(T.matrix, n):
+            kernel = {i: c for i, c in enumerate(k) if c}
+            for a in range(n):
+                assert T.apply_sparse(P.mul_sparse({a: 1}, kernel)) == {}, (T.matrix, k, a)
         for a, b in itertools.product(range(space.dim), repeat=2):
             # the embedding carries the image product to T of the product
             assert emb.apply_sparse(image.algebra.mul_basis(a, b)) == \
