@@ -155,7 +155,8 @@ class Superalgebra:
     """Structure constants as sparse rows: ``products[name][(i, j)]`` maps
     each k with a nonzero coefficient of b_k in b_i * b_j to that
     coefficient.  Stored sorted (the products by name, the rows by key),
-    zeros dropped, read-only (``Frozen``)."""
+    zeros dropped, read-only (``Frozen``).  The parser and every
+    construction hand it their rows as they build them."""
 
     space: SuperSpace
     products: Mapping[str, Rows]
@@ -184,6 +185,8 @@ class Superalgebra:
     def from_entries(
         space: SuperSpace, entries: Mapping[str, Mapping[tuple[int, int, int], object]]
     ) -> "Superalgebra":
+        """The algebra of hand-written constants ``{(i, j, k): c}``, regrouped
+        into rows; the package itself builds rows directly."""
         products: dict[str, dict[tuple[int, int], dict[int, object]]] = {}
         for name, sparse in entries.items():
             rows = products[name] = {}

@@ -190,16 +190,12 @@ def _scaled_to_image(ctx: _Context, image: set[int],
             [scaled(v, D) for v in extra], D)
 
 
-def _induced_product(columns: Columns,
-                     T: Sequence[Vector]) -> dict[tuple[int, int, int], Fraction]:
-    """Structure constants of x.y = action(T x) y on V; ``T`` holds the
-    sparse columns of the operator."""
-    n = len(T)
-    return {
-        (i, j, k): c
-        for i, j in itertools.product(range(n), repeat=2)
-        for k, c in act(columns, T[i], j).items()
-    }
+def _induced_product(columns: Columns, T: Sequence[Vector]) -> dict[tuple[int, int], dict]:
+    """The nonzero rows of x.y = action(T x) y on V, keyed (i, j) as
+    ``Superalgebra`` stores them; ``T`` holds the sparse columns of the
+    operator."""
+    return {(i, j): row for i, j in itertools.product(range(len(T)), repeat=2)
+            if (row := act(columns, T[i], j))}
 
 
 def _compatible_structure(ctx: _Context, T: GradedLinearMap, singular: str) -> Superalgebra:
@@ -210,11 +206,9 @@ def _compatible_structure(ctx: _Context, T: GradedLinearMap, singular: str) -> S
     except ValueError:
         raise ValueError(singular) from None
     A = ctx.algebra
-    return Superalgebra.from_entries(A.space, {"mul": {
-        (i, j, k): c
-        for i, j in itertools.product(range(A.space.dim), repeat=2)
-        for k, c in apply(T.columns, apply(ctx.left[i], tinv[j])).items()
-    }})
+    return Superalgebra(A.space, {"mul": {
+        (i, j): row for i, j in itertools.product(range(A.space.dim), repeat=2)
+        if (row := apply(T.columns, apply(ctx.left[i], tinv[j])))}})
 
 
 def _check_shape(identity: str, T: GradedLinearMap, module: SuperSpace,
@@ -291,7 +285,7 @@ def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra, sign_variant: bool 
 def pre_malcev_from_o_operator(T: GradedLinearMap, R: Representation) -> Superalgebra:
     """a.b = rho(T(a))b on V; requires T to be a super O-operator."""
     ctx = _checked(_rep_context(R), T)
-    return Superalgebra.from_entries(R.space, {"mul": _induced_product(ctx.left, T.columns)})
+    return Superalgebra(R.space, {"mul": _induced_product(ctx.left, T.columns)})
 
 
 @dataclass(frozen=True)
@@ -326,10 +320,9 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     coord_columns = _sparse_columns(
         {(k, j): x for k, row in enumerate(reduced) for j, x in row.items()}, n)
     rows = product.rows()
-    algebra = Superalgebra.from_entries(image_space, {"mul": {
-        (a, b, k): c
-        for (a, pa), (b, pb) in itertools.product(enumerate(pivots), repeat=2)
-        for k, c in apply(coord_columns, rows.get((pa, pb), EMPTY)).items()}})
+    algebra = Superalgebra(image_space, {"mul": {
+        (a, b): row for (a, pa), (b, pb) in itertools.product(enumerate(pivots), repeat=2)
+        if (row := apply(coord_columns, rows.get((pa, pb), EMPTY)))}})
     embedding = GradedLinearMap._from_columns(image_space, R.algebra.space,
                                               [T.columns[p] for p in pivots])
     return ImageStructure(algebra, embedding, pivots)
@@ -345,7 +338,7 @@ def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
 def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra) -> Superalgebra:
     """x.y = [R(x), y]; requires the (default-variant) Rota-Baxter identity."""
     ctx = _checked(_rota_baxter_context(A, False), Rop)
-    return Superalgebra.from_entries(A.space, {"mul": _induced_product(ctx.left, Rop.columns)})
+    return Superalgebra(A.space, {"mul": _induced_product(ctx.left, Rop.columns)})
 
 
 def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap,
@@ -358,9 +351,8 @@ def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap,
 def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalgebra:
     """a succ b = l(T(a))b, a prec b = r(T(b))a on V."""
     ctx = _checked(_bimodule_context(B), T)
-    prec = {(i, j, k): c for (j, i, k), c in _induced_product(ctx.right, T.columns).items()}
-    return Superalgebra.from_entries(B.space, {
-        "prec": prec, "succ": _induced_product(ctx.left, T.columns)})
+    prec = {(i, j): row for (j, i), row in _induced_product(ctx.right, T.columns).items()}
+    return Superalgebra(B.space, {"prec": prec, "succ": _induced_product(ctx.left, T.columns)})
 
 
 # -- bilinear forms -------------------------------------------------------
@@ -475,8 +467,8 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalg
     par, rhs = A.space.parities(), {}
     for (j, z, i), c in table.items():
         rhs.setdefault((i, j), {})[z] = koszul_sign(par[i], par[j] + par[z]) * c
-    return Superalgebra.from_entries(A.space, {"mul": {
-        (i, j, k): c for (i, j), v in rhs.items() for k, c in apply(inverse_t, v).items()}})
+    return Superalgebra(A.space, {"mul": {
+        key: row for key, v in rhs.items() if (row := apply(inverse_t, v))}})
 
 
 # -- grid search (test/example utility, not a stability guarantee) --------

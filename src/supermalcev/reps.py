@@ -287,15 +287,15 @@ def _maps(algebra: SuperSpace, module: SuperSpace,
 def _semidirect(A: Superalgebra, V: SuperSpace, left: Columns, right: Columns) -> Superalgebra:
     """Product on A + V:  (x+a)(y+b) = xy + left(x)b + right(y)a."""
     total, emb_a, emb_v = direct_sum(A.space, V)
-    entries = {(emb_a[i], emb_a[j], emb_a[k]): c
-               for (i, j), row in A.rows().items() for k, c in row.items()}
+    rows = {(emb_a[i], emb_a[j]): {emb_a[k]: c for k, c in row.items()}
+            for (i, j), row in A.rows().items()}
     for i, (lcols, rcols) in enumerate(zip(left, right)):
-        for j in range(V.dim):
-            for k, c in lcols[j].items():
-                entries[(emb_a[i], emb_v[j], emb_v[k])] = c
-            for k, c in rcols[j].items():
-                entries[(emb_v[j], emb_a[i], emb_v[k])] = c
-    return Superalgebra.from_entries(total, {"mul": entries})
+        for j, (lcol, rcol) in enumerate(zip(lcols, rcols)):
+            if lcol:
+                rows[emb_a[i], emb_v[j]] = {emb_v[k]: c for k, c in lcol.items()}
+            if rcol:
+                rows[emb_v[j], emb_a[i]] = {emb_v[k]: c for k, c in rcol.items()}
+    return Superalgebra(total, {"mul": rows})
 
 
 def semidirect_malcev(R: Representation) -> Superalgebra:

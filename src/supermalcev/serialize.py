@@ -4,7 +4,8 @@ One document holds an algebra (dims, labels, sparse product triples) plus
 optional blocks: a representation, a bimodule, a linear map, a 2-tensor,
 and a bilinear form.  Output is canonical: fixed key order, product triples
 sorted lexicographically, scalars in reduced "p/q" form; parsing followed
-by serializing is the identity on canonical files.
+by serializing is the identity on canonical files.  Parsing reads the
+products straight into rows and the matrices into sparse entries.
 
 This module is the only reader of a document's fields.  ``parse`` takes
 any dimension unless given a cap, as the CLI gives it: then it refuses an
@@ -133,12 +134,12 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
             + repr(sorted(names))
         )
     n, par = space.dim, space.parities()
-    entries: dict[str, dict[tuple[int, int, int], Fraction]] = {}
+    products: dict[str, dict[tuple[int, int], dict[int, Fraction]]] = {}
     for name in sorted(names):
         triples = obj[name]
         if not isinstance(triples, list):
             raise ParseError(f"products.{name}: expected a list of triples")
-        sparse: dict[tuple[int, int, int], Fraction] = {}
+        rows = products[name] = {}
         for idx, item in enumerate(triples):
             where = f"products.{name}[{idx}]"
             if not isinstance(item, list) or len(item) != 4:
@@ -148,17 +149,16 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
                 if type(v) is not int or not 0 <= v < n:
                     raise ParseError(f"{where}.{pos}: index out of range 0..{n - 1}")
             c = _parse_scalar(item[3], f"{where}.scalar")
-            if (i, j, k) in sparse:
+            row = rows.setdefault((i, j), {})
+            if k in row:
                 raise ParseError(f"{where}: duplicate entry ({i}, {j}, {k})")
             if c != 0 and par[k] != (par[i] + par[j]) % 2:
                 raise ParseError(
                     f"{where}: parity violation: entry ({i}, {j}, {k}) maps "
                     f"parities ({par[i]}, {par[j]}) to parity {par[k]}"
                 )
-            if c != 0:
-                sparse[(i, j, k)] = c
-        entries[name] = sparse
-    return Superalgebra.from_entries(space, entries)
+            row[k] = c  # a zero is kept to refuse its repeat; Superalgebra drops it
+    return Superalgebra(space, products)
 
 
 def _maps_to_json(maps) -> list:

@@ -308,6 +308,19 @@ def test_input_errors_exit_2(capsys, tmp_path):
         assert err == f"error: --witness-limit must be at least 1, got {limit}\n"
 
 
+def test_a_repeated_product_triple_exits_2(capsys, tmp_path):
+    # the zero copy first or last: the zero is never checked as the value 5
+    path = tmp_path / "repeated.json"
+    for products in ([[0, 0, 0, "0"], [0, 0, 0, "5"]], [[0, 0, 0, "5"], [0, 0, 0, "0"]]):
+        path.write_text(json.dumps({
+            "format": "superalg/1", "even_dim": 1, "odd_dim": 0,
+            "products": {"mul": products},
+        }), encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path), "--identity", "malcev")
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: products.mul[1]: duplicate entry (0, 0, 0)\n"
+
+
 def test_a_form_of_parity_1_exits_2(capsys, tmp_path):
     # the 1|1 Heisenberg bracket [f, f] = e with a form pairing e and f
     path = tmp_path / "heisenberg_odd_form.json"

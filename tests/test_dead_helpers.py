@@ -6,7 +6,11 @@ A helper that loses its last caller is deleted, not kept for later.  Read off
 the syntax tree with ``ast``: a function or class has a caller when its name
 occurs, as a name or as an attribute, in some module of ``src/supermalcev``
 outside its own definition.  ``EXEMPT`` names the helpers kept without a
-caller in the package, each with the reader outside it that needs it."""
+caller in the package, each with the reader outside it that needs it.
+
+The package builds every algebra from its rows: ``Superalgebra.from_entries``,
+which regroups (i, j, k) triples into rows, is kept for hand-written
+constants, and no module but ``fixtures`` calls it."""
 
 import ast
 import functools
@@ -105,3 +109,28 @@ def test_each_exemption_is_a_helper_without_a_caller():
 def test_every_private_function_and_class_has_a_caller_in_the_package():
     modules = package()
     assert uncalled(modules, modules, private_definitions) == []
+
+
+def from_entries_calls(modules: dict[str, str]) -> list[str]:
+    """``module`` for each call of a function or method named ``from_entries``
+    in the ``modules`` sources other than ``fixtures``."""
+    return [module for module, source in modules.items() if module != "fixtures"
+            for node in ast.walk(parsed(source))
+            if isinstance(node, ast.Call) and "from_entries" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_the_guard_sees_a_call_of_from_entries():
+    modules = {
+        "algebras": "class Superalgebra:\n    def from_entries(space, entries):\n"
+                    "        return entries\n",
+        "fixtures": "A = Superalgebra.from_entries(space, {})\n",
+        "graded": "t = Tensor2._from_entries(space, {})\n",
+        "ops": "def build(s):\n    return Superalgebra.from_entries(s, {})\n",
+        "parse": "from .algebras import from_entries\nA = from_entries(s, {})\n",
+    }
+    assert from_entries_calls(modules) == ["ops", "parse"]
+
+
+def test_only_fixtures_build_an_algebra_from_triples():
+    assert from_entries_calls(package()) == []

@@ -95,10 +95,13 @@ def test_parity_violation_names_the_triple():
 
 
 def test_duplicate_entry_rejected():
-    doc = _base(products=[[0, 0, 0, "1"], [0, 0, 0, "2"]])
-    with pytest.raises(ParseError) as exc:
-        parse(json.dumps(doc))
-    assert "duplicate" in str(exc.value)
+    # a repeated triple is refused whichever of its copies is zero
+    for products in ([[0, 0, 0, "1"], [0, 0, 0, "2"]], [[0, 0, 0, "5"], [0, 0, 0, "0"]],
+                     [[0, 0, 0, "0"], [0, 0, 0, "5"]]):
+        doc = _base(even=1, odd=0, products=products)
+        with pytest.raises(ParseError) as exc:
+            parse(json.dumps(doc))
+        assert str(exc.value) == "products.mul[1]: duplicate entry (0, 0, 0)"
 
 
 def test_index_out_of_range_rejected():
