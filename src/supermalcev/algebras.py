@@ -38,10 +38,13 @@ its side that holds the first index to the other side's values through
 the rows' partner lists and that side's index by support, and adds each
 term straight into the output vector of the tuple it changes (looked up
 once per pair of keys), with the Koszul sign of the two keys' parity
-masks.  No table over all n^d tuples is held (the Malcev walk holds the
-values it hands on until later blocks read them, below); the failing
-tuples of a block are its nonzero keys, and the witnesses are read off them
-in lexicographic order.
+masks.  Where the other side is not a single variable, as in J = (xz)(yt)
+and pre-Malcev's [y,z](xt), a driven value of several entries is first
+folded into one sum of rows per partner, which each other-side key adds once.
+No table over all n^d tuples is held (the Malcev walk holds the values it
+hands on until later blocks read them, below); the failing tuples of a
+block are its nonzero keys, and the witnesses are read off them in
+lexicographic order.
 
 Four summands of the four-variable Malcev identity are the rotations of
 ((xy)z)t, so on every product their signed sum, the cyclic part C,
@@ -332,9 +335,10 @@ def _summands(expr) -> tuple:
     name, whether that leaf is on the right (the driven side), the driven
     and the other side's shapes, the leaf's position in the driven side,
     the re-keying of the driven side's key plus the other's into the
-    expression's leaf order, and the signed coefficient by the two keys'
-    parity masks.  It depends on the expression only, so it is built once
-    per expression of this module and reused by every call."""
+    expression's leaf order, the signed coefficient by the two keys' parity
+    masks, and whether to fold the driven values (the other side is not a
+    variable).  It depends on the expression only, so it is built once per
+    expression of this module and reused by every call."""
     leaves = _leaves(expr)
     out = []
     for coef, (name, left, right) in ((1, expr),) if isinstance(expr[0], str) else expr:
@@ -346,7 +350,8 @@ def _summands(expr) -> tuple:
                             for m in range(dm, 1 << len(joined), 1 << len(dl)))
                       for dm in range(1 << len(dl)))
         out.append((name, flip, driven, dl.index(leaves[0]), other,
-                    operator.itemgetter(*map(joined.index, leaves)), signs))
+                    operator.itemgetter(*map(joined.index, leaves)), signs,
+                    not isinstance(other, int)))
     return tuple(out)
 
 
@@ -421,8 +426,8 @@ class _Evaluator:
     def plan(self, expr) -> list:
         """The summands of a sum or product bound to this call's tables."""
         return [(self.table(driven), self.table(driven).at(p), self.partners[name][flip],
-                 self.table(other).support, rekey, signs)
-                for name, flip, driven, p, other, rekey, signs in _summands(expr)]
+                 self.table(other).support, rekey, signs, fold)
+                for name, flip, driven, p, other, rekey, signs, fold in _summands(expr)]
 
     def block(self, plans, a: int, low: int = 0, out: dict | None = None) -> dict:
         """The nonzero values at the tuples whose first index is ``a`` and
@@ -432,18 +437,29 @@ class _Evaluator:
         Each term is added straight into the output vector it changes: per
         driven key, the first term that reaches an other-side key looks up
         its output vector, and every term adds sign * c * d * row into that
-        vector in place, the sign read off the two keys' parity masks.
+        vector in place, the sign read off the two keys' parity masks.  A
+        folded value of several entries is first summed per partner j into
+        v_j = sum_i c * row (i, j), which each other-side key adds once.
         Zeros are dropped in one pass at the end; a vector with none is
         returned as it is, not copied."""
         out = {} if out is None else out
-        for driven, at, partners, support, rekey, signs in plans:
+        for driven, at, partners, support, rekey, signs, fold in plans:
             for key in at.get(a, ()):
                 if low and min(key) < low:
                     continue
                 sign = signs[driven.masks[key]]
                 dsts: dict = {}  # the other side's key -> output vector
-                for i, c in driven.values[key].items():
-                    for j, row in partners[i]:
+                items, walk = driven.values[key].items(), partners
+                if fold and len(items) > 1:
+                    sums: dict = {}  # j -> v_j
+                    for i, c in items:
+                        for j, row in partners[i]:
+                            v = sums.setdefault(j, {})
+                            for k, r in row.items():
+                                v[k] = v.get(k, 0) + c * r
+                    items, walk = ((0, 1),), (list(sums.items()),)  # 1 * each v_j
+                for i, c in items:
+                    for j, row in walk[i]:
                         for okey, d, oleast, omask in support[j]:
                             if oleast < low:
                                 break

@@ -42,6 +42,7 @@ from rational_inputs import (
     rebased,
     sparse_rational_product,
 )
+from work_counts import multiply_adds
 
 Z = Fraction(0)
 
@@ -849,6 +850,137 @@ def test_the_cyclic_part_is_joined_once_per_rotation_orbit(monkeypatch):
     assert [(a, low) for summands, a, low, _ in calls if summands == 5] == [
         (a, a) for a in range(n)]
     assert not [call for call in calls if call[0] == 4]
+
+
+# -- the fold of a driven value per row partner ----------------------------------
+
+
+def unfolded(monkeypatch):
+    """Switch the fold off: every driven key is joined one entry at a time."""
+    plan = _Evaluator.plan
+    monkeypatch.setattr(_Evaluator, "plan", lambda self, expr: [
+        summand[:-1] + (False,) for summand in plan(self, expr)])
+
+
+def cancelling_fold():
+    """A 3|0 product with constants ±1 whose folded sums cancel: the driven
+    key (0, 1) holds b1 + b2, which J = (xz)(yt) folds through the rows
+    (1, 0) and (2, 0), and pre-Malcev's [y,z](xt) through the rows (1, 1)
+    and (1, 2); each pair sums to zero."""
+    return Superalgebra.from_entries(SuperSpace(3, 0), {"mul": {
+        (0, 1, 1): 1, (0, 1, 2): 1, (1, 0, 0): 1, (2, 0, 0): -1, (1, 1, 0): 1, (1, 2, 0): -1}})
+
+
+def fold_inputs():
+    """The Malcev walk's inputs (rational ones among them), a dense 4|4
+    product, a dense odd-heavy 1|3 product and its commutator, and a
+    product whose folded sums cancel."""
+    yield from malcev_walk_inputs()
+    yield fixtures.random_product(SuperSpace(4, 4), 5, 1, 2)
+    odd = fixtures.random_product(SuperSpace(1, 3), 16, 1, 2)
+    yield odd
+    yield commutator_superalgebra(odd)
+    yield cancelling_fold()
+
+
+def test_the_fold_matches_the_join_per_entry(monkeypatch):
+    # the fold sums each multi-entry driven value per row partner before the
+    # other side's keys are walked; the reports are those of the join that
+    # walks them once per entry, leftovers included
+    for A in fold_inputs():
+        for check in (check_malcev, check_pre_malcev):
+            for limit in (1, 16, 10 ** 6):
+                folded = check(A, limit)
+                with monkeypatch.context() as patch:
+                    unfolded(patch)
+                    per_entry = check(A, limit)
+                assert (folded.violation_count, folded.checked_tuples, folded.witnesses) == (
+                    per_entry.violation_count, per_entry.checked_tuples, per_entry.witnesses)
+
+
+def test_the_fold_matches_the_oracles_where_its_sums_cancel():
+    # a cancelled sum leaves no zero leftover and no extra witness
+    A = cancelling_fold()
+    rows = A.rows()
+    assert len(rows[0, 1]) == 2
+    assert rows[1, 0][0] + rows[2, 0][0] == 0 == rows[1, 1][0] + rows[1, 2][0]
+    odd = fixtures.random_product(SuperSpace(1, 3), 16, 1, 2)
+    for B in (A, odd, commutator_superalgebra(odd), rational_product(SuperSpace(2, 2), 11)):
+        for name in ("malcev", "pre-malcev"):
+            assert assert_matches_the_oracle(B, name)  # and B fails the identity
+
+
+def test_the_fold_cuts_the_multiply_adds_on_a_dense_product(monkeypatch):
+    # 4|4 with every parity-allowed constant nonzero: Malcev 353 792 -> 165 376
+    # multiply-adds, pre-Malcev 387 200 -> 287 872
+    A = fixtures.random_product(SuperSpace(4, 4), 5, 1, 2)
+    for check, most in ((check_malcev, Fraction(1, 2)), (check_pre_malcev, 1)):
+        folded, work = multiply_adds(monkeypatch, check, A)
+        with monkeypatch.context() as patch:
+            unfolded(patch)
+            per_entry, before = multiply_adds(patch, check, A)
+        assert folded.violation_count == per_entry.violation_count > 0
+        assert work <= most * before and work < before
+
+
+def unit_brackets(space):
+    """Every graded-anticommutative bracket on ``space`` with constants in
+    {-1, 0, 1}, as its nonzero constants: those of [b_i, b_j], i <= j, are
+    chosen freely where the parities allow, and
+    [b_j, b_i] = -(-1)^{|b_i||b_j|} [b_i, b_j]."""
+    par, n = space.parities(), space.dim
+    free = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)
+            if par[k] == (par[i] + par[j]) % 2 and (i != j or par[i])]
+    for values in itertools.product((-1, 0, 1), repeat=len(free)):
+        entries = {}
+        for (i, j, k), c in zip(free, values):
+            if c:
+                entries[i, j, k] = c
+                entries[j, i, k] = -sgn(par[i], par[j]) * c
+        yield entries
+
+
+def parity_symmetries(space):
+    """Each relabelling of the basis that keeps every parity, as a list
+    old index -> new index, with each sign: the Malcev residual is cubic
+    in the constants, and basis-free."""
+    par = space.parities()
+    even, odd = ([i for i in range(space.dim) if par[i] == p] for p in (0, 1))
+    for new_even, new_odd in itertools.product(itertools.permutations(even),
+                                               itertools.permutations(odd)):
+        perm = [0] * space.dim
+        for old, new in zip(even + odd, new_even + new_odd):
+            perm[old] = new
+        yield perm, 1
+        yield perm, -1
+
+
+@pytest.mark.parametrize("shape, brackets, members", [((1, 1), 9, 5), ((2, 1), 729, 57)])
+def test_every_unit_bracket_on_a_small_space_matches_the_oracle(shape, brackets, members):
+    # the whole small scope; on 2|1 the rows have two entries, so the fold
+    # runs on J = (xz)(yt).  The oracle runs once per orbit of the parity
+    # symmetries, and each bracket of the orbit is checked against its
+    # failures relabelled and signed.
+    space = SuperSpace(*shape)
+    seen, found = set(), []
+    for entries in unit_brackets(space):
+        if frozenset(entries.items()) in seen:
+            continue
+        pairs, quads = oracle_malcev_failures(Superalgebra.from_entries(space, {"mul": entries}))
+        assert not pairs
+        for perm, sign in parity_symmetries(space):
+            image = {(perm[i], perm[j], perm[k]): sign * c for (i, j, k), c in entries.items()}
+            if frozenset(image.items()) in seen:
+                continue
+            seen.add(frozenset(image.items()))
+            expected = sorted((tuple(perm[i] for i in q),
+                               [sign * v[perm.index(k)] for k in range(space.dim)])
+                              for q, v in quads.items())
+            report = check_malcev(Superalgebra.from_entries(space, {"mul": image}), 10 ** 6)
+            assert report.violation_count == len(expected)
+            assert [(w, list(v.coords)) for w, v in report.witnesses] == expected
+            found.append(report.ok)
+    assert (len(found), sum(found)) == (brackets, members)
 
 
 def scaled_algebra(A, factor):
