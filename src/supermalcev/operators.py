@@ -155,20 +155,20 @@ def _coadjoint_context(A: Superalgebra) -> _Context:
 
 
 def _residuals(ctx: _Context, T: Sequence[Vector]) -> Iterator[tuple[int, int, Vector]]:
-    """(a, b, residual) over basis pairs of V in lexicographic order; ``T``
-    holds the sparse columns of the operator.  Every term reads T(a) or
-    T(b), so a pair whose two columns are zero has an empty residual."""
+    """(a, b, residual) over the basis pairs of V with T(a) or T(b) nonzero,
+    in lexicographic order; ``T`` holds the sparse columns of the operator.
+    Every term reads T(a) or T(b), so the pairs left out, whose two columns
+    are zero, have an empty residual and are never visited."""
     par = ctx.module.parities()
-    for a, b in itertools.product(range(len(par)), repeat=2):
-        if not (T[a] or T[b]):
-            yield a, b, EMPTY
-            continue
-        res = mul(ctx.rows, T[a], T[b])
-        inner = act(ctx.left, T[a], b)
-        add_scaled(inner, act(ctx.right, T[b], a), ctx.signs[par[a] & par[b]])
-        for k, c in inner.items():
-            add_scaled(res, T[k], -c)
-        yield a, b, res
+    everywhere, nonzero = range(len(par)), [b for b, column in enumerate(T) if column]
+    for a in everywhere:
+        for b in everywhere if T[a] else nonzero:
+            res = mul(ctx.rows, T[a], T[b])
+            inner = act(ctx.left, T[a], b)
+            add_scaled(inner, act(ctx.right, T[b], a), ctx.signs[par[a] & par[b]])
+            for k, c in inner.items():
+                add_scaled(res, T[k], -c)
+            yield a, b, res
 
 
 def _scaled_to_image(ctx: _Context, image: set[int],

@@ -18,12 +18,23 @@ walk adds them into one dict per residual column in place, and drops the
 zeros that cancellation leaves only from a kept witness.  Signs that depend
 on the module vector come from copies of L and R with odd columns negated.
 
+Both checkers visit only the tuples at which some term can be nonzero, in
+the order of the full grid, and count the whole grid.  At (x, y, z) a term
+of the representation identity has a zero factor unless the row xy is
+nonzero, or rho(x), rho(y) and rho(z) all are, or rho(x) and the row yz
+are, or rho(y) and the row zx are; a bimodule pair (x, y) needs xy or yx
+nonzero, or both x and y acting by a nonzero l or r.  A visited triple
+builds only its terms whose factors are all nonzero, (xy)z straight off
+the rows.
+
 The representation checker reads the composites rho(a)rho(b) from per-call
 tables, one block per first index i of the walk: the columns of
 rho(b_i)rho(b_b) and of rho(b_a)rho(b_i) for every a and b, and those of
-rho(b_k b_i), O(n dim(V)^2) entries dropped before the next block.  Each
-residual column is then one sparse sum over precomputed columns, with no
-product of two operators rebuilt per triple.
+rho(b_k b_i).  Each is built when a visited triple first reads it, a pair
+table whole and rho(b_k b_i) one column at a time, and a block, at most
+O(n dim(V)^2) entries, is dropped before the next.  Each residual column
+is then one sparse sum over those columns, with no product of two
+operators rebuilt per triple.
 
 The constructions work on sparse columns too, each job in one place:
 multiplication columns off the rows (``_multiplication_columns``), the
@@ -50,12 +61,12 @@ from fractions import Fraction
 from ._kernel import (
     EMPTY,
     Columns,
+    Rows,
     Vector,
     act,
     add_scaled,
     apply,
     denominator,
-    mul,
     scaled,
     scaled_columns,
     scaled_rows,
@@ -127,6 +138,34 @@ def _pair_columns(f: tuple[Vector, ...], g: tuple[Vector, ...]) -> tuple[Vector,
     return tuple(apply(f, column) or EMPTY for column in g)
 
 
+class _Lazy(dict):
+    """A table whose entry at a key is built by ``make(key)`` when first read."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _block(rows: Rows, rho: Columns, i: int) -> tuple[_Lazy, _Lazy, _Lazy]:
+    """The tables of the block of x = b_i, each built when first read:
+    ``left[b]`` = rho(x)rho(b_b) and ``right[a]`` = rho(b_a)rho(x) whole,
+    since rho(x)rho(y)rho(z) b_c and rho(z)rho(x)rho(y) b_c read them at
+    every vector that rho(z) b_c or rho(y) b_c holds, and ``times_x[k]`` =
+    rho(b_k x) a column at a time, since a triple reads it at the walk's
+    column only."""
+    x = rho[i]
+    left = _Lazy(lambda b: _pair_columns(x, rho[b]))
+    right = _Lazy(lambda a: _pair_columns(rho[a], x))
+    times_x = _Lazy(lambda k: _Lazy(lambda c: act(rho, rows.get((k, i), EMPTY), c) or EMPTY))
+    return left, right, times_x
+
+
 def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
                           space: SuperSpace, scale: int, columns, applied):
     """Witness ``indices + (c,)`` for the first module basis vector b_c whose
@@ -170,30 +209,45 @@ def check_malcev_representation(R: Representation,
     """
     col = _WitnessCollector("representation", witness_limit)
     A = R.algebra
-    n, dim_v = A.space.dim, R.space.dim
+    n = A.space.dim
     par = A.space.parities()
     rows, rho = A.rows(), _columns(R.action)
     D = denominator(rows.values(), *rho)
     rows, rho = scaled_rows(rows, D), scaled_columns(rho, D)
     col.tally(n ** 3, 0)
+    scale, acting = D ** 3, [any(cols) for cols in rho]
     for i in range(n):
-        # the block of x = b_i, columns c of: left[b] = rho(x)rho(b_b),
-        # right[a] = rho(b_a)rho(x) and times_x[k] = rho(b_k x)
-        left = [_pair_columns(rho[i], rho[b]) for b in range(n)]
-        right = [_pair_columns(rho[a], rho[i]) for a in range(n)]
-        times_x = [tuple(act(rho, rows.get((k, i), EMPTY), c) or EMPTY for c in range(dim_v))
-                   for k in range(n)]
-        for j, k in itertools.product(range(n), repeat=2):
-            s2 = koszul_sign(par[k], par[i] + par[j])
-            s = koszul_sign(par[i], par[j] + par[k])
-            # terms that read column c of a table: rho((xy)z) b_c and s rho(yz)rho(x) b_c
-            columns = ([(a, rho[l]) for l, a in mul(rows, rows.get((i, j), EMPTY), {k: 1}).items()]
-                       + [(s * a, right[l]) for l, a in rows.get((j, k), EMPTY).items()])
-            # terms that apply a table to a column: -rho(x)rho(y) rho(z)b_c,
-            # s2 rho(z)rho(x) rho(y)b_c and -s rho(y) rho(zx)b_c
-            applied = ((-1, rho[k], left[j]), (s2, rho[j], right[k]), (-s, times_x[k], rho[j]))
-            _witness_first_column(col, (i, j, k), R.space, D ** 3, columns, applied)
-        del left, right, times_x  # one block at a time
+        x_acts = acting[i]
+        left, right, times_x = _block(rows, rho, i)
+        for j in range(n):
+            xy, y_acts = rows.get((i, j)), acting[j]
+            if not (xy or x_acts or y_acts):
+                continue  # every term at (x, y, z) has a zero factor
+            for k in range(n):
+                yz, zx = x_acts and rows.get((j, k)), y_acts and rows.get((k, i))
+                every = x_acts and y_acts and acting[k]
+                if not (xy or yz or zx or every):
+                    continue
+                # the terms whose factors are all nonzero: rho((xy)z) b_c and
+                # s rho(yz)rho(x) b_c read column c of a table; -rho(x)rho(y) rho(z)b_c,
+                # s2 rho(z)rho(x) rho(y)b_c and -s rho(y) rho(zx)b_c apply one to a column
+                columns, applied = [], []
+                if xy:
+                    xyz: dict = {}
+                    for m, a in xy.items():
+                        for l, b in rows.get((m, k), EMPTY).items():
+                            xyz[l] = xyz.get(l, 0) + a * b
+                    columns = [(a, rho[l]) for l, a in xyz.items() if a]
+                if yz or zx:
+                    s = koszul_sign(par[i], par[j] + par[k])
+                    if yz:
+                        columns += [(s * a, right[l]) for l, a in yz.items()]
+                    if zx:
+                        applied.append((-s, times_x[k], rho[j]))
+                if every:
+                    applied += ((-1, rho[k], left[j]),
+                                (koszul_sign(par[k], par[i] + par[j]), rho[j], right[k]))
+                _witness_first_column(col, (i, j, k), R.space, scale, columns, applied)
     return col.report()
 
 
@@ -224,11 +278,14 @@ def check_alternative_bimodule(B: Bimodule,
                                         for q, column in zip(vpar, cols)) for cols in M)
                             for M in (L, R)))
     col.tally(n ** 2, 0)
+    acting = [any(left) or any(right) for left, right in zip(L, R)]
     for i, j in itertools.product(range(n), repeat=2):
+        xy, yx = rows.get((i, j), EMPTY).items(), rows.get((j, i), EMPTY).items()
+        if not (xy or yx or acting[i] and acting[j]):
+            continue  # every term at (x, y) has a zero factor
         s = koszul_sign(par[i], par[j])
         # t = (-1)^{|x||v|} and u = (-1)^{|v||y|} come with the copies Lt, Rt and Lu
         (Lt, Rt), (Lu, _) = signed[par[i]], signed[par[j]]
-        xy, yx = rows.get((i, j), EMPTY).items(), rows.get((j, i), EMPTY).items()
         minus_r_xy = [(-a, R[k]) for k, a in xy]
         identities = (
             # l(xy) + s l(yx) - l(x)l(y) - s l(y)l(x)

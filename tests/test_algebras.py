@@ -983,6 +983,31 @@ def test_every_unit_bracket_on_a_small_space_matches_the_oracle(shape, brackets,
     assert (len(found), sum(found)) == (brackets, members)
 
 
+def unit_products(space):
+    """Every product on ``space`` with each parity-allowed constant in
+    {-1, 0, 1}, anticommutative or not."""
+    par, n = space.parities(), space.dim
+    allowed = [(i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+               if par[k] == (par[i] + par[j]) % 2]
+    for values in itertools.product((-1, 0, 1), repeat=len(allowed)):
+        yield Superalgebra.from_entries(space, {"mul": {
+            key: c for key, c in zip(allowed, values) if c}})
+
+
+def test_every_unit_product_on_1_1_matches_the_oracles():
+    # 4 parity-allowed constants, so 81 products; Malcev needs
+    # anticommutativity, so its 5 are the Malcev brackets of the test above
+    holding = {name: 0 for name in ("left-alternative", "right-alternative", "malcev",
+                                    "pre-malcev")}
+    products = list(unit_products(SuperSpace(1, 1)))
+    for A in products:
+        for name in holding:
+            holding[name] += not assert_matches_the_oracle(A, name)
+    assert len(products) == 81
+    assert holding == {"left-alternative": 19, "right-alternative": 19, "malcev": 5,
+                       "pre-malcev": 21}
+
+
 def scaled_algebra(A, factor):
     return Superalgebra.from_entries(A.space, {
         name: {(i, j, k): factor * c for (i, j), row in A.rows(name).items()

@@ -34,6 +34,7 @@ from supermalcev import (
 )
 from supermalcev.reps import double_dual_identification
 from supermalcev import fixtures, reps
+from work_counts import walker_visits
 from rational_inputs import (
     algebra_constants,
     denominator,
@@ -847,31 +848,172 @@ def test_are_equivalent_matches_the_dense_oracle_on_odd_inputs(space, module, se
 
 
 def test_every_module_checker_walks_its_columns_in_the_one_walker(monkeypatch):
-    # each checker hands every tuple, in order, to reps._witness_first_column
-    # and loops over no module column of its own: n^3 calls for the
-    # representation identity, 4 n^2 for the bimodule ones, n for an equivalence
-    walked = []
-    walk = reps._witness_first_column
-
-    def counting(col, indices, *args):
-        walked.append(indices)
-        return walk(col, indices, *args)
-    monkeypatch.setattr(reps, "_witness_first_column", counting)
+    # on a dense input each checker hands every tuple, in order, to
+    # reps._witness_first_column and loops over no module column of its own:
+    # n^3 calls for the representation identity, 4 n^2 for the bimodule ones,
+    # n for an equivalence
     A, V = fixtures.random_product(SuperSpace(2, 1), 3), SuperSpace(1, 2)
     n = A.space.dim
     R = Representation(A, V, fixtures.random_action_maps(A, V, 13))
     B = Bimodule(A, V, R.action, fixtures.random_action_maps(A, V, 23))
-    for check, count, tuples in (
-            (lambda: check_malcev_representation(R), n ** 3,
-             itertools.product(range(n), repeat=3)),
-            (lambda: check_alternative_bimodule(B), 4 * n ** 2,
+    for check, args, count, tuples in (
+            (check_malcev_representation, (R,), n ** 3, itertools.product(range(n), repeat=3)),
+            (check_alternative_bimodule, (B,), 4 * n ** 2,
              ((q, i, j) for i, j in itertools.product(range(n), repeat=2) for q in range(4))),
-            (lambda: are_equivalent(R, R, GradedLinearMap.identity(V)), n,
-             ((i,) for i in range(n)))):
-        walked.clear()
-        check()
+            (are_equivalent, (R, R, GradedLinearMap.identity(V)), n, ((i,) for i in range(n)))):
+        _, walked = walker_visits(monkeypatch, check, *args)
         assert len(walked) == count
         assert walked == list(tuples)
+
+
+# -- the walkers visit only the tuples whose terms can be nonzero ---------------
+
+
+def one_bracket(space, x, y, z):
+    """The algebra whose only nonzero constants are [b_x, b_y] = b_z and its
+    mirror [b_y, b_x] = -(-1)^{|x||y|} b_z."""
+    par = space.parities()
+    return Superalgebra(space, {"mul": {(x, y): {z: 1}, (y, x): {z: -sgn(par[x], par[y])}}})
+
+
+def rep_tuples_with_a_nonzero_term(R):
+    """The triples at which some term of the representation identity has all
+    of its factors nonzero, in order, from the dense table and matrices: the
+    factor of rho((xy)z) is xy, those of rho(y)rho(zx) are rho(y) and zx."""
+    table, n = R.algebra.table("mul"), R.algebra.space.dim
+    acts = [not is_zero_matrix(m.matrix) for m in R.action]
+    found = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        xy, yz, zx = any(table[i][j]), any(table[j][k]), any(table[k][i])
+        terms = ((xy,), (acts[i], acts[j], acts[k]), (acts[j], zx), (yz, acts[i]))
+        if any(all(factors) for factors in terms):
+            found.append((i, j, k))
+    return found
+
+
+def bimodule_tuples_with_a_nonzero_term(B):
+    """The (identity#, i, j) of the pairs at which some term of some bimodule
+    identity has all of its factors nonzero, in order."""
+    table, n = B.algebra.table("mul"), B.algebra.space.dim
+    ls, rs = ([not is_zero_matrix(m.matrix) for m in maps] for maps in (B.left, B.right))
+    found = []
+    for i, j in itertools.product(range(n), repeat=2):
+        xy, yx = any(table[i][j]), any(table[j][i])
+        terms = ((xy,), (yx,), (ls[i], ls[j]), (rs[i], rs[j]), (rs[j], ls[i]))
+        if any(all(factors) for factors in terms):
+            found += [(q, i, j) for q in range(4)]
+    return found
+
+
+def test_the_module_walkers_visit_exactly_the_tuples_with_a_term_of_nonzero_factors(monkeypatch):
+    A = one_bracket(SuperSpace(4, 4), 0, 1, 2)
+    # (check, module, the brute force, tuples, walker calls on a dense input)
+    for check, M, brute_force, tuples, calls in (
+            (check_malcev_representation, adjoint_representation(A),
+             rep_tuples_with_a_nonzero_term, 8 ** 3, 8 ** 3),
+            (check_alternative_bimodule, regular_bimodule(A),
+             bimodule_tuples_with_a_nonzero_term, 8 ** 2, 4 * 8 ** 2)):
+        report, walked = walker_visits(monkeypatch, check, M)
+        assert report.ok and report.checked_tuples == tuples
+        assert walked == brute_force(M)
+        assert 0 < len(walked) < calls // 4
+
+
+def acting_on(maps, acting):
+    """``maps`` with the map of every basis element outside ``acting`` set to zero."""
+    return tuple(m if i in acting else GradedLinearMap.zero(m.domain, m.codomain, m.parity)
+                 for i, m in enumerate(maps))
+
+
+def some_rows(A, seed):
+    """A with a seeded half of its nonzero rows kept."""
+    rng = random.Random(seed)
+    return Superalgebra(A.space, {"mul": {key: row for key, row in A.rows().items()
+                                          if rng.random() < 0.5}})
+
+
+def partly_acting(space, module, seed, left, right=None):
+    """A seeded product with about half its rows kept, and a seeded action by
+    which only the basis elements in ``left`` act; with ``right``, a
+    bimodule whose right action is nonzero only there."""
+    A = some_rows(fixtures.random_product(space, seed), seed)
+    odd = {i for i, p in enumerate(space.parities()) if p}
+    assert 0 < len(A.rows()) < space.dim ** 2
+    for acting in (left, right or left):  # odd elements act, and odd elements do not
+        assert odd & acting and odd - acting
+    action = acting_on(fixtures.random_action_maps(A, module, seed + 10), left)
+    if right is None:
+        return Representation(A, module, action)
+    return Bimodule(A, module, action,
+                    acting_on(fixtures.random_action_maps(A, module, seed + 20), right))
+
+
+def dense_module(space, module, seed, bimodule=False):
+    """A seeded algebra with every parity-allowed constant and every
+    parity-allowed entry of every map 1 or 2: a small algebra on a larger
+    dense module builds whole pair tables while its walk stops early."""
+    A = fixtures.random_product(space, seed, 1, 2)
+    action = fixtures.random_action_maps(A, module, seed + 10, 1, 2)
+    if bimodule:
+        return Bimodule(A, module, action, fixtures.random_action_maps(A, module, seed + 20, 1, 2))
+    return Representation(A, module, action)
+
+
+def one_bracket_module(space, bracket, seed, bimodule=False):
+    """A seeded action on the one-bracket algebra by the elements of the
+    bracket and one more, on a 2|1 module."""
+    A, V = one_bracket(space, *bracket), SuperSpace(2, 1)
+    acting = {*bracket[:2], space.dim - 1}
+    action = acting_on(fixtures.random_action_maps(A, V, seed), acting)
+    if bimodule:
+        return Bimodule(A, V, action, acting_on(fixtures.random_action_maps(A, V, seed + 1),
+                                                acting))
+    return Representation(A, V, action)
+
+
+# (the one-bracket algebra's space, its bracket (x, y, z)); at 2|2 an even
+# and an odd element bracket to an odd one, at 3|3 two odd ones to an even one
+ONE_BRACKETS = [(SuperSpace(2, 2), (0, 2, 3)), (SuperSpace(3, 3), (0, 1, 2)),
+                (SuperSpace(3, 3), (3, 4, 0))]
+
+# (id, build, holds)
+WALK_INPUTS = [
+    ("rep 2|2 on 2|1", lambda: partly_acting(SuperSpace(2, 2), SuperSpace(2, 1), 3, {0, 2}),
+     False),
+    ("rep 3|3 on 1|2", lambda: partly_acting(SuperSpace(3, 3), SuperSpace(1, 2), 4,
+                                             {0, 2, 3, 5}), False),
+    ("bimodule 2|2 on 2|1", lambda: partly_acting(SuperSpace(2, 2), SuperSpace(2, 1), 5,
+                                                  {0, 2}, {0, 3}), False),
+    ("bimodule 3|3 on 1|2", lambda: partly_acting(SuperSpace(3, 3), SuperSpace(1, 2), 6,
+                                                  {0, 3}, {1, 3}), False),
+    ("dense rep 2|2 on 3|3", lambda: dense_module(SuperSpace(2, 2), SuperSpace(3, 3), 1), False),
+    ("dense bimodule 1|1 on 3|3", lambda: dense_module(SuperSpace(1, 1), SuperSpace(3, 3), 2,
+                                                       bimodule=True), False),
+] + [(f"{kind} one-bracket {space.even_dim}|{space.odd_dim} {bracket}", build, holds)
+     for space, bracket in ONE_BRACKETS
+     for kind, build, holds in (
+         ("adjoint", lambda s=space, b=bracket: adjoint_representation(one_bracket(s, *b)), True),
+         ("regular", lambda s=space, b=bracket: regular_bimodule(one_bracket(s, *b)), True),
+         ("seeded rep", lambda s=space, b=bracket: one_bracket_module(s, b, 7), False),
+         ("seeded bimodule", lambda s=space, b=bracket: one_bracket_module(s, b, 8, True),
+          False))]
+
+
+@pytest.mark.parametrize("build, holds", [pytest.param(build, holds, id=name)
+                                          for name, build, holds in WALK_INPUTS])
+def test_module_checkers_match_oracles_on_partly_acting_and_dense_inputs(build, holds):
+    M = build()
+    if isinstance(M, Representation):
+        check, oracle, degree = check_malcev_representation, oracle_rep_witnesses, 3
+    else:
+        check, oracle, degree = check_alternative_bimodule, oracle_bimodule_witnesses, 2
+    expected = oracle(M)
+    assert not expected if holds else expected
+    for limit in (1, 3, 10 ** 6):
+        report = check(M, witness_limit=limit)
+        assert report.violation_count == len(expected)
+        assert report.checked_tuples == M.algebra.space.dim ** degree
+        assert [(w, list(v.coords)) for w, v in report.witnesses] == expected[:limit]
 
 
 # -- metamorphic: the module verdicts in other bases ---------------------------
