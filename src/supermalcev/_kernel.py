@@ -17,6 +17,15 @@ of scaled factors, so the integer residual is exactly ``D**p`` times the
 rational one: it is zero exactly when the rational residual is, and
 ``unscaled`` gives back the rational leftover of a witness.  Nothing is
 cached beyond the call.
+
+The joins of the algebra checkers read each scaled row packed into one
+``int``: coefficient c of b_k becomes c * 2**(w k), in a signed slot of w
+bits (Kronecker substitution).  Packed vectors add and scale as integers,
+so a term of a join is one multiply-add, and a packed vector is zero
+exactly when its integer is.  The slot width w is not a setting:
+``slot_width`` derives it from a bound on every coefficient an identity
+can reach, so no slot overflows into the next and ``unpack`` reads each
+coefficient back exactly.  Only this module knows the packed format.
 """
 
 from __future__ import annotations
@@ -125,3 +134,55 @@ def scaled_columns(columns: Columns, D: int) -> tuple:
 def unscaled(vec: Mapping, scale: int) -> dict:
     """The rational vector whose ``scale`` multiple is vec."""
     return {k: Fraction(c, scale) for k, c in vec.items()}
+
+
+# -- one integer per vector ------------------------------------------------
+
+
+def slot_width(groups: Iterable[Rows], weight: int, depth: int) -> int:
+    """The bits of a signed slot that holds every coefficient of a sum of
+    products of ``depth`` rows of the groups each, whose coefficients,
+    written out over the products, have absolute values summing to
+    ``weight``.
+
+    With N the largest l1 norm of a row, |u v|_1 <= N |u|_1 |v|_1, so every
+    such coefficient is at most ``weight * N**depth`` in absolute value,
+    and that bound's bits plus a sign bit hold it."""
+    norm = 0
+    for rows in groups:
+        for row in rows.values():
+            size = sum(map(abs, row.values()))
+            if size > norm:
+                norm = size
+    return (weight * norm ** depth).bit_length() + 1
+
+
+def packed(rows: Rows, width: int) -> dict:
+    """Each ``int`` row packed into one integer, its coefficient c of b_k
+    as ``c * 2**(width * k)``."""
+    out = {}
+    for key, row in rows.items():
+        v = 0
+        for k, c in row.items():
+            v += c << width * k
+        out[key] = v
+    return out
+
+
+def unpack(value: int, width: int) -> dict:
+    """The sparse vector packed into ``value`` with slots of ``width`` bits;
+    each step finds the lowest nonzero slot from the lowest set bit, so the
+    cost follows the nonzero entries."""
+    out = {}
+    half, mask = 1 << width - 1, (1 << width) - 1
+    # one step per nonzero slot, and no slot above abs(value)'s top bit is nonzero
+    for _ in range(abs(value).bit_length() // width + 1):
+        if not value:
+            break
+        k = ((value & -value).bit_length() - 1) // width
+        c = value >> width * k & mask
+        if c >= half:
+            c -= mask + 1
+        out[k] = c
+        value -= c << width * k
+    return out

@@ -36,15 +36,17 @@ variables is the rows themselves.  The identity itself is summed one block
 of its first index at a time: each summand of a block joins the values of
 its side that holds the first index to the other side's values through
 the rows' partner lists and that side's index by support, and adds each
-term straight into the output vector of the tuple it changes (looked up
-once per pair of keys), with the Koszul sign of the two keys' parity
-masks.  Where the other side is not a single variable, as in J = (xz)(yt)
-and pre-Malcev's [y,z](xt), a driven value of several entries is first
-folded into one sum of rows per partner, which each other-side key adds once.
-No table over all n^d tuples is held (the Malcev walk holds the values it
-hands on until later blocks read them, below); the failing tuples of a
-block are its nonzero keys, and the witnesses are read off them in
-lexicographic order.
+term straight into the value of the tuple it changes, with the Koszul sign
+of the two keys' parity masks.  The joins read each row packed into one
+``int`` (``_kernel.packed``), so a term is one integer multiply-add and a
+value is one integer; only the tables of subexpressions, witness leftovers
+and the functors' rows are unpacked into sparse vectors.  Where the other
+side is not a single variable, as in J = (xz)(yt) and pre-Malcev's
+[y,z](xt), a driven value of several entries is first folded into one sum
+of rows per partner, which each other-side key adds once.  No table over
+all n^d tuples is held (the Malcev walk holds the values it hands on until
+later blocks read them, below); the failing tuples of a block are its
+nonzero keys, and the witnesses are read off them in lexicographic order.
 
 Four summands of the four-variable Malcev identity are the rotations of
 ((xy)z)t, so on every product their signed sum, the cyclic part C,
@@ -66,8 +68,8 @@ Public values (structure constants, ``mul``, ``mul_sparse``, witness
 leftovers) stay ``Fraction``.  A check call computes in integers instead:
 it scales the rows of the products it reads by their common denominator D
 (``_kernel``), so every residual of a degree-d identity is D^(d-1) times
-the rational one, and a witness's leftover is divided back before it is
-reported.
+the rational one, and a witness's leftover is unpacked and divided back
+before it is reported.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from ._kernel import Frozen, Rows, Vector, denominator, mul, scaled_rows, unscaled
+from ._kernel import (Frozen, Rows, Vector, denominator, mul, packed, scaled_rows,
+                      slot_width, unpack, unscaled)
 from ._linalg import ZERO, as_scalar
 from .graded import (
     DimensionMismatch,
@@ -308,6 +311,17 @@ def _renamed(expr, order: tuple[int, ...]):
 
 
 @functools.cache
+def _weight(expr) -> int:
+    """The sum of the absolute coefficients of ``expr`` written out as a sum
+    of products of variables."""
+    if isinstance(expr, int):
+        return 1
+    if isinstance(expr[0], str):
+        return _weight(expr[1]) * _weight(expr[2])
+    return sum(abs(coef) * _weight(sub) for coef, sub in expr)
+
+
+@functools.cache
 def _products(expr) -> tuple[str, ...]:
     """The product names an expression reads, in the order they occur."""
     if isinstance(expr, int):
@@ -389,9 +403,12 @@ class _Evaluator:
 
     The rows of every product the expressions read are scaled by their
     common denominator ``D`` into ``int``, so an expression of d variables
-    evaluates to D^(d-1) times its rational value.  ``plan`` binds the
-    summands of a sum or product to the call's tables, and ``block`` sums
-    them at one index of its first leaf."""
+    evaluates to D^(d-1) times its rational value.  The joins read each
+    row packed into one ``int`` with slots of ``width`` bits (``_kernel``),
+    wide enough for every value of the expressions, and every value they
+    return is packed too.  ``plan`` binds the summands of a sum or product
+    to the call's tables, and ``block`` sums them at one index of its
+    first leaf."""
 
     def __init__(self, A: Superalgebra, exprs):
         names = dict.fromkeys(name for expr in exprs for name in _products(expr))
@@ -400,13 +417,15 @@ class _Evaluator:
         self.D = denominator(*(r.values() for r in rows.values()))
         self.rows = {name: scaled_rows(r, self.D) for name, r in rows.items()}
         self.parities = par = A.space.parities()
+        degree = max(map(len, map(_leaves, exprs)))
+        self.width = slot_width(self.rows.values(), max(map(_weight, exprs)), degree - 1)
         # bits[p][i]: the parity of b_i at bit p of a key's parity mask
-        self.bits = [[b << p for b in par] for p in range(max(map(len, map(_leaves, exprs))))]
-        # name -> (right[i] = [(j, row (i, j))], left[j] = [(i, row (i, j))])
+        self.bits = [[b << p for b in par] for p in range(degree)]
+        # name -> (right[i] = [(j, row (i, j))], left[j] = [(i, row (i, j))]), packed
         self.partners = {}
         for name, r in self.rows.items():
             right, left = [[] for _ in par], [[] for _ in par]
-            for (i, j), row in r.items():
+            for (i, j), row in packed(r, self.width).items():
                 right[i].append((j, row))
                 left[j].append((i, row))
             self.partners[name] = right, left
@@ -419,7 +438,8 @@ class _Evaluator:
             else:
                 plans, values = self.plan(shape), {}
                 for a in range(len(self.parities)):
-                    values.update(self.block(plans, a))
+                    for key, v in self.block(plans, a).items():
+                        values[key] = unpack(v, self.width)
             self.tables[shape] = _Table(values, self.bits)
         return self.tables[shape]
 
@@ -430,51 +450,40 @@ class _Evaluator:
                 for name, flip, driven, p, other, rekey, signs, fold in _summands(expr)]
 
     def block(self, plans, a: int, low: int = 0, out: dict | None = None) -> dict:
-        """The nonzero values at the tuples whose first index is ``a`` and
-        whose indices are all at least ``low``, with no zero components,
-        plus the values ``out`` already holds (it is added to in place).
+        """The nonzero packed values at the tuples whose first index is
+        ``a`` and whose indices are all at least ``low``, plus the packed
+        values ``out`` already holds (it is added to in place).
 
-        Each term is added straight into the output vector it changes: per
-        driven key, the first term that reaches an other-side key looks up
-        its output vector, and every term adds sign * c * d * row into that
-        vector in place, the sign read off the two keys' parity masks.  A
-        folded value of several entries is first summed per partner j into
-        v_j = sum_i c * row (i, j), which each other-side key adds once.
-        Zeros are dropped in one pass at the end; a vector with none is
-        returned as it is, not copied."""
+        Each term is one multiply-add of a packed row: per driven key, every
+        term adds sign * c * d * row into the sum of its other-side key, the
+        sign read off the two keys' parity masks, and each sum is added once
+        into the value of its tuple.  A folded value of several entries is
+        first summed per partner j into v_j = sum_i c * row (i, j), which
+        each other-side key adds once."""
         out = {} if out is None else out
         for driven, at, partners, support, rekey, signs, fold in plans:
             for key in at.get(a, ()):
                 if low and min(key) < low:
                     continue
                 sign = signs[driven.masks[key]]
-                dsts: dict = {}  # the other side's key -> output vector
+                acc: dict = {}  # the other side's key -> the sum of its terms
                 items, walk = driven.values[key].items(), partners
                 if fold and len(items) > 1:
                     sums: dict = {}  # j -> v_j
                     for i, c in items:
                         for j, row in partners[i]:
-                            v = sums.setdefault(j, {})
-                            for k, r in row.items():
-                                v[k] = v.get(k, 0) + c * r
+                            sums[j] = sums.get(j, 0) + c * row
                     items, walk = ((0, 1),), (list(sums.items()),)  # 1 * each v_j
                 for i, c in items:
                     for j, row in walk[i]:
                         for okey, d, oleast, omask in support[j]:
                             if oleast < low:
                                 break
-                            dst = dsts.get(okey)
-                            if dst is None:
-                                full = rekey(key + okey)
-                                dst = out.get(full)
-                                if dst is None:
-                                    dst = out[full] = {}
-                                dsts[okey] = dst
-                            f = sign[omask] * c * d
-                            for k, r in row.items():
-                                dst[k] = dst.get(k, 0) + f * r
-        return {key: vec if all(vec.values()) else {k: c for k, c in vec.items() if c}
-                for key, vec in out.items() if any(vec.values())}
+                            acc[okey] = acc.get(okey, 0) + sign[omask] * c * d * row
+                for okey, v in acc.items():
+                    full = rekey(key + okey)
+                    out[full] = out.get(full, 0) + v
+        return {key: v for key, v in out.items() if v}
 
 
 def _rotations(idx: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
@@ -513,14 +522,13 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
         for a in range(n):
             values = ev.block(per_orbit, a, a)
             held, later[a] = later[a], {}
-            # J is added into held in place, so held takes copies of the values
-            held.update((key, dict(vec) if cut else vec) for key, vec in values.items())
+            held.update(values)
             # only a walk of one component is handed values
             found = [(key, q, vec) for q, plan in enumerate(plans)
                      for key, vec in ev.block(plan, a, 0, {} if q else held).items()]
             for key, q, vec in sorted(found) if room else ():
                 room = col.add((q,) + key if len(plans) > 1 else key, lambda: vector_from_sparse(
-                    A.space, unscaled(vec, scale)), failures=0)
+                    A.space, unscaled(unpack(vec, ev.width), scale)), failures=0)
                 if not room:
                     break
             past = 0  # later rotations counted here, past the last witness
@@ -532,7 +540,7 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
                     if r[0] != a and (cut or room):  # handed on, signed, to its block
                         sign = (-1) ** sum(par[x] * (par[y] + par[z] + par[t])
                                            for x, y, z, t in rots[:rots.index(r)])
-                        later[r[0]][r] = {k: sign * c for k, c in vec.items()}
+                        later[r[0]][r] = sign * vec
                     elif r[0] != a:
                         past += 1
             col.tally(0, len(found) + past)
@@ -604,7 +612,7 @@ def _derived(A: Superalgebra, expr) -> Superalgebra:
     ev = _Evaluator(A, [expr])
     plans = ev.plan(expr)
     return Superalgebra(A.space, {"mul": {
-        key: unscaled(vec, ev.D) for a in range(A.space.dim)
+        key: unscaled(unpack(vec, ev.width), ev.D) for a in range(A.space.dim)
         for key, vec in ev.block(plans, a).items()}})
 
 

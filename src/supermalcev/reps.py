@@ -23,9 +23,9 @@ the order of the full grid, and count the whole grid.  At (x, y, z) a term
 of the representation identity has a zero factor unless the row xy is
 nonzero, or rho(x), rho(y) and rho(z) all are, or rho(x) and the row yz
 are, or rho(y) and the row zx are; a bimodule pair (x, y) needs xy or yx
-nonzero, or both x and y acting by a nonzero l or r.  A visited triple
-builds only its terms whose factors are all nonzero, (xy)z straight off
-the rows.
+nonzero, or l(x) and one of l(y), r(y) nonzero, or r(x) and r(y).  A
+visited triple builds only its terms whose factors are all nonzero, (xy)z
+straight off the rows.
 
 The representation checker reads the composites rho(a)rho(b) from per-call
 tables, one block per first index i of the walk: the columns of
@@ -278,10 +278,11 @@ def check_alternative_bimodule(B: Bimodule,
                                         for q, column in zip(vpar, cols)) for cols in M)
                             for M in (L, R)))
     col.tally(n ** 2, 0)
-    acting = [any(left) or any(right) for left, right in zip(L, R)]
+    lacts, racts = ([any(cols) for cols in M] for M in (L, R))
     for i, j in itertools.product(range(n), repeat=2):
         xy, yx = rows.get((i, j), EMPTY).items(), rows.get((j, i), EMPTY).items()
-        if not (xy or yx or acting[i] and acting[j]):
+        # a term with two action factors reads l(x) l(y), r(x) r(y) or l(x) r(y)
+        if not (xy or yx or lacts[i] and (lacts[j] or racts[j]) or racts[i] and racts[j]):
             continue  # every term at (x, y) has a zero factor
         s = koszul_sign(par[i], par[j])
         # t = (-1)^{|x||v|} and u = (-1)^{|v||y|} come with the copies Lt, Rt and Lu

@@ -5,6 +5,8 @@ share no evaluation code with the library.
 """
 
 import itertools
+import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +33,7 @@ from supermalcev import (
     sum_pre_alternative,
 )
 from supermalcev import fixtures
+from supermalcev._kernel import packed, slot_width, unpack
 from supermalcev.algebras import _IDENTITIES, _Evaluator, _check
 from supermalcev.cli import MAX_DIM
 from rational_inputs import (
@@ -825,7 +828,8 @@ def test_the_cyclic_part_is_joined_once_per_rotation_orbit(monkeypatch):
 
     def recording(self, plans, a, low=0, out=None):
         values = block(self, plans, a, low, out)
-        calls.append((len(plans), a, low, values))
+        calls.append((len(plans), a, low,
+                      {key: unpack(v, self.width) for key, v in values.items()}))
         return values
     monkeypatch.setattr(_Evaluator, "block", recording)
     A = fixtures.random_product(SuperSpace(2, 2), 3, 1, 2)
@@ -911,8 +915,8 @@ def test_the_fold_matches_the_oracles_where_its_sums_cancel():
 
 
 def test_the_fold_cuts_the_multiply_adds_on_a_dense_product(monkeypatch):
-    # 4|4 with every parity-allowed constant nonzero: Malcev 353 792 -> 165 376
-    # multiply-adds, pre-Malcev 387 200 -> 287 872
+    # 4|4 with every parity-allowed constant nonzero: Malcev 91 232 -> 44 128
+    # packed multiply-adds, pre-Malcev 96 800 -> 71 968
     A = fixtures.random_product(SuperSpace(4, 4), 5, 1, 2)
     for check, most in ((check_malcev, Fraction(1, 2)), (check_pre_malcev, 1)):
         folded, work = multiply_adds(monkeypatch, check, A)
@@ -921,6 +925,66 @@ def test_the_fold_cuts_the_multiply_adds_on_a_dense_product(monkeypatch):
             per_entry, before = multiply_adds(patch, check, A)
         assert folded.violation_count == per_entry.violation_count > 0
         assert work <= most * before and work < before
+
+
+# -- packed vectors ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 61, 200])
+def test_a_packed_vector_round_trips_at_the_edges_of_its_slots(width):
+    # coefficients at +-(2^(width-1) - 1), sparse and dense, some with a
+    # negative top slot: a slot read one bit off turns one of them around
+    top = 2 ** (width - 1) - 1
+    assert slot_width([{(0, 0): {0: top}}], 1, 1) == width
+    assert slot_width([{(0, 0): {0: -top - 1}}], 1, 1) == width + 1
+    for vec in ({0: top}, {0: -top}, {3: -top}, {0: top, 9: -top}, {2: -1, 5: top, 7: -top},
+                {k: (-1) ** k * top for k in range(12)}, {**{k: top for k in range(5)}, 5: -top},
+                {k: -top for k in range(6)}, {}):
+        assert unpack(packed({(0, 0): vec}, width)[0, 0], width) == vec
+
+
+def equal_constants(space, c):
+    """The product whose every parity-allowed constant is c."""
+    par, n = space.parities(), space.dim
+    return Superalgebra(space, {"mul": {
+        (i, j): {k: c for k in range(n) if par[k] == (par[i] + par[j]) % 2}
+        for i, j in itertools.product(range(n), repeat=2)}})
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("top", [7, Fraction(-3, 2)])
+def test_a_dense_product_of_equal_constants_matches_the_oracles(shape, top):
+    # no two entries of a product of rows cancel, the worst case of the
+    # slot bound: on 1|1 a Malcev value reaches the bound 5 * top^3 itself
+    A = equal_constants(SuperSpace(*shape), top)
+    for name in ("left-alternative", "right-alternative", "malcev", "pre-malcev"):
+        expected = assert_matches_the_oracle(A, name)
+        if name == "malcev" and shape == (1, 1):
+            assert max(abs(c) for _, v in expected for c in v) == 5 * abs(top) ** 3
+
+
+def prime_denominators(A):
+    """A with the rows (i, j) and (j, i) of each pair i <= j divided by
+    their own 7-digit prime."""
+    primes = (p for p in itertools.count(10 ** 6)
+              if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    rows, n = A.rows(), A.space.dim
+    out = {}
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        p = next(primes)
+        for key in {(i, j), (j, i)} & rows.keys():
+            out[key] = {k: c / p for k, c in rows[key].items()}
+    return Superalgebra(A.space, {"mul": out})
+
+
+def test_rows_with_distinct_prime_denominators_match_the_oracles():
+    # ROADMAP item 12's shape at 2|2: the common denominator D is the
+    # product of the primes, so a slot is about three scaled entries wide
+    A = prime_denominators(commutator_superalgebra(fixtures.random_product(SuperSpace(2, 2), 1)))
+    primes = {c.denominator for c in algebra_constants(A)}
+    assert len(primes) == 7 and denominator(*algebra_constants(A)) == math.prod(primes)
+    for name in ("malcev", "pre-malcev"):
+        assert assert_matches_the_oracle(A, name)
 
 
 def unit_brackets(space):
@@ -955,15 +1019,13 @@ def parity_symmetries(space):
         yield perm, -1
 
 
-@pytest.mark.parametrize("shape, brackets, members", [((1, 1), 9, 5), ((2, 1), 729, 57)])
-def test_every_unit_bracket_on_a_small_space_matches_the_oracle(shape, brackets, members):
-    # the whole small scope; on 2|1 the rows have two entries, so the fold
-    # runs on J = (xz)(yt).  The oracle runs once per orbit of the parity
-    # symmetries, and each bracket of the orbit is checked against its
-    # failures relabelled and signed.
-    space = SuperSpace(*shape)
+def assert_unit_brackets_match_the_oracle(space, brackets):
+    """Check ``brackets`` and every image of theirs under the parity
+    symmetries against the oracle; the oracle runs once per orbit, and each
+    bracket of the orbit is checked against its failures relabelled and
+    signed.  Returns whether each bracket checked is Malcev."""
     seen, found = set(), []
-    for entries in unit_brackets(space):
+    for entries in brackets:
         if frozenset(entries.items()) in seen:
             continue
         pairs, quads = oracle_malcev_failures(Superalgebra.from_entries(space, {"mul": entries}))
@@ -980,7 +1042,25 @@ def test_every_unit_bracket_on_a_small_space_matches_the_oracle(shape, brackets,
             assert report.violation_count == len(expected)
             assert [(w, list(v.coords)) for w, v in report.witnesses] == expected
             found.append(report.ok)
+    return found
+
+
+@pytest.mark.parametrize("shape, brackets, members", [((1, 1), 9, 5), ((2, 1), 729, 57)])
+def test_every_unit_bracket_on_a_small_space_matches_the_oracle(shape, brackets, members):
+    # the whole small scope; on 2|1 the rows have two entries, so the fold
+    # runs on J = (xz)(yt)
+    found = assert_unit_brackets_match_the_oracle(SuperSpace(*shape), unit_brackets(SuperSpace(*shape)))
     assert (len(found), sum(found)) == (brackets, members)
+
+
+def test_a_seeded_sample_of_the_unit_brackets_on_1_2_matches_the_oracle():
+    # 155 of the 2187 brackets on 1|2 are Malcev; two of the three basis
+    # vectors are odd, so most slots and Koszul signs are odd.  A seeded 60
+    # and their images under the parity symmetries make 212 brackets
+    space = SuperSpace(1, 2)
+    sample = random.Random(12).sample(list(unit_brackets(space)), 60)
+    found = assert_unit_brackets_match_the_oracle(space, sample)
+    assert (len(found), sum(found)) == (212, 8)
 
 
 def unit_products(space):

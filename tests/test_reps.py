@@ -917,6 +917,13 @@ def test_the_module_walkers_visit_exactly_the_tuples_with_a_term_of_nonzero_fact
         assert report.ok and report.checked_tuples == tuples
         assert walked == brute_force(M)
         assert 0 < len(walked) < calls // 4
+    # x acting by r only and y by l only: every term at (x, y) has a zero factor
+    V, one = SuperSpace(1, 0), GradedLinearMap(SuperSpace(1, 0), SuperSpace(1, 0), ((1,),))
+    zero = GradedLinearMap.zero(V, V)
+    B = Bimodule(Superalgebra(SuperSpace(2, 0), {"mul": {}}), V, (zero, one), (one, zero))
+    report, walked = walker_visits(monkeypatch, check_alternative_bimodule, B)
+    assert walked == bimodule_tuples_with_a_nonzero_term(B)
+    assert (0, 0, 1) not in walked
 
 
 def acting_on(maps, acting):

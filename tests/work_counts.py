@@ -2,12 +2,13 @@
 multiply-adds of an algebra check, and the tuples a module check hands to
 its column walker.
 
-A check call scales the rows it reads into ``int`` (``_kernel.scaled_rows``).
-``multiply_adds`` has it scale them into ``Counted`` instead: an ``int``
-whose sums and products are ``Counted`` again and whose every addition is
-counted.  Every term of a join is a product of scaled entries and is added
-once into the vector it changes, so the additions are the join's
-multiply-adds.  ``walker_visits`` wraps ``reps._witness_first_column``, the
+A check call packs each row it joins into one ``int`` (``_kernel.packed``).
+``multiply_adds`` has it pack them into ``Counted`` instead: an ``int``
+whose sums and products are ``Counted`` again and whose every product is
+counted.  Each term of a join multiplies a packed row once and adds it to
+a sum, each step of a fold does the same, and each value handed on to a
+later block of the Malcev walk is multiplied by its sign once, so the
+products are the join's multiply-adds.  ``walker_visits`` wraps ``reps._witness_first_column``, the
 one loop over module columns, and records the index tuple of every call.
 The library holds no counter.
 """
@@ -21,22 +22,21 @@ def multiply_adds(monkeypatch, check, *args):
 
     class Counted(int):
         def __add__(self, other):
-            nonlocal count
-            count += 1
             return Counted(int.__add__(self, other))
 
         def __mul__(self, other):
+            nonlocal count
+            count += 1
             return Counted(int.__mul__(self, other))
 
         __radd__, __rmul__ = __add__, __mul__
 
-    scaled_rows = algebras.scaled_rows
+    packed = algebras.packed
 
-    def counted_rows(rows, D):
-        return {key: {k: Counted(c) for k, c in row.items()}
-                for key, row in scaled_rows(rows, D).items()}
+    def counted_rows(rows, width):
+        return {key: Counted(row) for key, row in packed(rows, width).items()}
     with monkeypatch.context() as patch:
-        patch.setattr(algebras, "scaled_rows", counted_rows)
+        patch.setattr(algebras, "packed", counted_rows)
         report = check(*args)
     return report, count
 
