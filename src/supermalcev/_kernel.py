@@ -18,14 +18,17 @@ rational one: it is zero exactly when the rational residual is, and
 ``unscaled`` gives back the rational leftover of a witness.  Nothing is
 cached beyond the call.
 
-The joins of the algebra checkers read each scaled row packed into one
-``int``: coefficient c of b_k becomes c * 2**(w k), in a signed slot of w
-bits (Kronecker substitution).  Packed vectors add and scale as integers,
-so a term of a join is one multiply-add, and a packed vector is zero
-exactly when its integer is.  The slot width w is not a setting:
-``slot_width`` derives it from a bound on every coefficient an identity
-can reach, so no slot overflows into the next and ``unpack`` reads each
-coefficient back exactly.  Only this module knows the packed format.
+A checker packs the scaled vectors it sums into one ``int`` each
+(``pack``): coefficient c of b_k becomes c * 2**(w k), in a signed slot of
+w bits (Kronecker substitution).  The joins of the algebra checkers pack
+each row (``packed``); the module checkers in ``reps`` pack the action
+columns a residual column sums, and the columns of an equivalence's
+phi.  Packed vectors add and scale as integers, so a term is one
+multiply-add, and a packed vector is zero exactly when its integer is.
+The slot width w is not a setting: ``slot_width`` derives it from a bound
+on every coefficient an identity can reach, so no slot overflows into the
+next and ``unpack`` reads each coefficient back exactly.  Only this module
+knows the packed format.
 """
 
 from __future__ import annotations
@@ -139,34 +142,38 @@ def unscaled(vec: Mapping, scale: int) -> dict:
 # -- one integer per vector ------------------------------------------------
 
 
-def slot_width(groups: Iterable[Rows], weight: int, depth: int) -> int:
+def slot_width(groups: Iterable[Iterable[Vector]], weight: int, depth: int) -> int:
     """The bits of a signed slot that holds every coefficient of a sum of
-    products of ``depth`` rows of the groups each, whose coefficients,
+    products of ``depth`` vectors of the groups each, whose coefficients,
     written out over the products, have absolute values summing to
-    ``weight``.
+    ``weight``.  A vector may be a row of structure constants, an action
+    column or a column of a map.
 
-    With N the largest l1 norm of a row, |u v|_1 <= N |u|_1 |v|_1, so every
-    such coefficient is at most ``weight * N**depth`` in absolute value,
-    and that bound's bits plus a sign bit hold it."""
+    With N the largest l1 norm of a vector, |u v|_1 <= N |u|_1 |v|_1 for a
+    row product and |f(v)|_1 <= N |v|_1 for a map f, so every such
+    coefficient is at most ``weight * N**depth`` in absolute value, and
+    that bound's bits plus a sign bit hold it."""
     norm = 0
-    for rows in groups:
-        for row in rows.values():
-            size = sum(map(abs, row.values()))
+    for vectors in groups:
+        for vec in vectors:
+            size = sum(map(abs, vec.values()))
             if size > norm:
                 norm = size
     return (weight * norm ** depth).bit_length() + 1
 
 
-def packed(rows: Rows, width: int) -> dict:
-    """Each ``int`` row packed into one integer, its coefficient c of b_k
+def pack(vec: Vector, width: int) -> int:
+    """The ``int`` vector packed into one integer, its coefficient c of b_k
     as ``c * 2**(width * k)``."""
-    out = {}
-    for key, row in rows.items():
-        v = 0
-        for k, c in row.items():
-            v += c << width * k
-        out[key] = v
-    return out
+    v = 0
+    for k, c in vec.items():
+        v += c << width * k
+    return v
+
+
+def packed(rows: Rows, width: int) -> dict:
+    """Each ``int`` row packed into one integer (``pack``)."""
+    return {key: pack(row, width) for key, row in rows.items()}
 
 
 def unpack(value: int, width: int) -> dict:

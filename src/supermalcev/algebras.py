@@ -156,22 +156,32 @@ class _WitnessCollector:
         )
 
 
+def _frozen_products(products: Mapping[str, Rows]) -> Frozen:
+    """The products sorted by name, each row by key and its entries by
+    index, all ``Frozen``: the one stored form of an algebra's rows."""
+    return Frozen({name: Frozen({key: Frozen(sorted(row.items()))
+                                 for key, row in sorted(rows.items())})
+                   for name, rows in sorted(products.items())})
+
+
 @dataclass(frozen=True)
 class Superalgebra:
     """Structure constants as sparse rows: ``products[name][(i, j)]`` maps
     each k with a nonzero coefficient of b_k in b_i * b_j to that
     coefficient.  Stored sorted (the products by name, the rows by key),
-    zeros dropped, read-only (``Frozen``).  The parser and every
-    construction hand it their rows as they build them."""
+    zeros dropped, read-only (``Frozen``).  The parser and
+    ``from_entries`` hand it their rows as they read them, and it checks
+    every entry; the package's constructions build theirs with
+    ``_from_rows``, which checks none."""
 
     space: SuperSpace
     products: Mapping[str, Rows]
 
     def __post_init__(self):
         par, n = self.space.parities(), self.space.dim
-        frozen = {}
+        cleaned: dict[str, dict[tuple[int, int], dict[int, Fraction]]] = {}
         for name, rows in sorted(self.products.items()):
-            cleaned: dict[tuple[int, int], dict[int, Fraction]] = {}
+            out = cleaned[name] = {}
             for (i, j), row in sorted(rows.items()):
                 for k, c in sorted(row.items()):
                     c = as_scalar(c)
@@ -183,9 +193,18 @@ class Superalgebra:
                             f"parities ({par[i]}, {par[j]}) to parity {par[k]}"
                         )
                     if c:
-                        cleaned.setdefault((i, j), {})[k] = c
-            frozen[name] = Frozen({key: Frozen(row) for key, row in cleaned.items()})
-        object.__setattr__(self, "products", Frozen(frozen))
+                        out.setdefault((i, j), {})[k] = c
+        object.__setattr__(self, "products", _frozen_products(cleaned))
+
+    @classmethod
+    def _from_rows(cls, space: SuperSpace, products: Mapping[str, Rows]) -> "Superalgebra":
+        """The algebra of rows the package has just computed: every index in
+        range, every coefficient a nonzero ``Fraction`` of the right parity,
+        no row empty.  Nothing is checked; the rows are sorted and frozen as
+        the public constructor does, so the value is the one it builds."""
+        algebra = object.__new__(cls)
+        algebra.__dict__.update(space=space, products=_frozen_products(products))
+        return algebra
 
     @staticmethod
     def from_entries(
@@ -418,7 +437,8 @@ class _Evaluator:
         self.rows = {name: scaled_rows(r, self.D) for name, r in rows.items()}
         self.parities = par = A.space.parities()
         degree = max(map(len, map(_leaves, exprs)))
-        self.width = slot_width(self.rows.values(), max(map(_weight, exprs)), degree - 1)
+        self.width = slot_width((r.values() for r in self.rows.values()),
+                                max(map(_weight, exprs)), degree - 1)
         # bits[p][i]: the parity of b_i at bit p of a key's parity mask
         self.bits = [[b << p for b in par] for p in range(degree)]
         # name -> (right[i] = [(j, row (i, j))], left[j] = [(i, row (i, j))]), packed
@@ -611,7 +631,7 @@ def _derived(A: Superalgebra, expr) -> Superalgebra:
     """The single-product algebra whose x.y is ``expr`` at (x, y) = (X, Y)."""
     ev = _Evaluator(A, [expr])
     plans = ev.plan(expr)
-    return Superalgebra(A.space, {"mul": {
+    return Superalgebra._from_rows(A.space, {"mul": {
         key: unscaled(unpack(vec, ev.width), ev.D) for a in range(A.space.dim)
         for key, vec in ev.block(plans, a).items()}})
 

@@ -14,9 +14,11 @@ identity between operators on V is decided column by column, on one
 module basis vector at a time, and a failing tuple is witnessed by its
 first nonzero residual column, in the one such walk for every identity
 (``_witness_first_column``).  A checker builds each tuple's terms once; the
-walk adds them into one dict per residual column in place, and drops the
-zeros that cancellation leaves only from a kept witness.  Signs that depend
-on the module vector come from copies of L and R with odd columns negated.
+walk sums each residual column as one integer, the columns it adds packed
+into one ``int`` each (``_kernel.pack``), so a term is one multiply-add of a
+packed column and a column is zero exactly when its integer is; only a
+kept witness's leftover is unpacked.  Signs that depend on the module
+vector come from copies of L and R with odd columns negated.
 
 Both checkers visit only the tuples at which some term can be nonzero, in
 the order of the full grid, and count the whole grid.  At (x, y, z) a term
@@ -31,10 +33,10 @@ The representation checker reads the composites rho(a)rho(b) from per-call
 tables, one block per first index i of the walk: the columns of
 rho(b_i)rho(b_b) and of rho(b_a)rho(b_i) for every a and b, and those of
 rho(b_k b_i).  Each is built when a visited triple first reads it, a pair
-table whole and rho(b_k b_i) one column at a time, and a block, at most
-O(n dim(V)^2) entries, is dropped before the next.  Each residual column
-is then one sparse sum over those columns, with no product of two
-operators rebuilt per triple.
+table whole and packed, and rho(b_k b_i) one sparse column at a time, and a
+block, at most O(n dim(V)^2) entries, is dropped before the next.
+Each residual column is then one integer sum over those columns, with no
+product of two operators rebuilt per triple.
 
 The constructions work on sparse columns too, each job in one place:
 multiplication columns off the rows (``_multiplication_columns``), the
@@ -49,7 +51,9 @@ in integers.  It scales the algebra's rows and the action columns it reads
 by their common denominator D (``_kernel``), so every term of a residual
 is D^p times the rational one, with p the number of scaled factors per
 term (3 for the representation identity, 2 for the bimodule identities and
-for an equivalence).
+for an equivalence).  Each checker's docstring states the bound on a
+residual coefficient that its packed slots are derived from
+(``_kernel.slot_width``).
 """
 
 from __future__ import annotations
@@ -65,11 +69,13 @@ from ._kernel import (
     Vector,
     act,
     add_scaled,
-    apply,
     denominator,
+    pack,
     scaled,
     scaled_columns,
     scaled_rows,
+    slot_width,
+    unpack,
     unscaled,
 )
 from .graded import (
@@ -133,9 +139,15 @@ def _columns(maps: tuple[GradedLinearMap, ...]) -> Columns:
     return tuple(m.columns for m in maps)
 
 
-def _pair_columns(f: tuple[Vector, ...], g: tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """The columns of the composite f g, zero columns shared as ``EMPTY``."""
-    return tuple(apply(f, column) or EMPTY for column in g)
+def _packed_columns(columns: Columns, width: int) -> tuple[tuple[int, ...], ...]:
+    """Each scaled column of an action packed into one ``int``."""
+    return tuple(tuple(pack(column, width) for column in cols) for cols in columns)
+
+
+def _pair_columns(f: tuple[int, ...], g: tuple[Vector, ...]) -> tuple[int, ...]:
+    """The packed columns of the composite f g, from f's packed columns and
+    g's sparse ones."""
+    return tuple(sum(a * f[r] for r, a in column.items()) for column in g)
 
 
 class _Lazy(dict):
@@ -152,43 +164,42 @@ class _Lazy(dict):
         return value
 
 
-def _block(rows: Rows, rho: Columns, i: int) -> tuple[_Lazy, _Lazy, _Lazy]:
+def _block(rows: Rows, rho: Columns, packed_rho: tuple[tuple[int, ...], ...],
+           i: int) -> tuple[_Lazy, _Lazy, _Lazy]:
     """The tables of the block of x = b_i, each built when first read:
-    ``left[b]`` = rho(x)rho(b_b) and ``right[a]`` = rho(b_a)rho(x) whole,
-    since rho(x)rho(y)rho(z) b_c and rho(z)rho(x)rho(y) b_c read them at
-    every vector that rho(z) b_c or rho(y) b_c holds, and ``times_x[k]`` =
-    rho(b_k x) a column at a time, since a triple reads it at the walk's
-    column only."""
-    x = rho[i]
-    left = _Lazy(lambda b: _pair_columns(x, rho[b]))
-    right = _Lazy(lambda a: _pair_columns(rho[a], x))
+    ``left[b]`` = rho(x)rho(b_b) and ``right[a]`` = rho(b_a)rho(x) whole and
+    packed, since rho(x)rho(y)rho(z) b_c and rho(z)rho(x)rho(y) b_c read
+    them at every vector that rho(z) b_c or rho(y) b_c holds, and
+    ``times_x[k]`` = rho(b_k x) a sparse column at a time, since a triple
+    reads it at the walk's column only, as the vector a packed rho(y) is
+    applied to."""
+    x, packed_x = rho[i], packed_rho[i]
+    left = _Lazy(lambda b: _pair_columns(packed_x, rho[b]))
+    right = _Lazy(lambda a: _pair_columns(packed_rho[a], x))
     times_x = _Lazy(lambda k: _Lazy(lambda c: act(rho, rows.get((k, i), EMPTY), c) or EMPTY))
     return left, right, times_x
 
 
 def _witness_first_column(col: _WitnessCollector, indices: tuple[int, ...],
-                          space: SuperSpace, scale: int, columns, applied):
+                          space: SuperSpace, scale: int, width: int, columns, applied):
     """Witness ``indices + (c,)`` for the first module basis vector b_c whose
     residual column is nonzero, if there is one; the one loop over module
-    columns.  Column c adds factor * ``table[c]`` for each (factor, table) of
-    ``columns`` and factor * (the map with columns ``table``) applied to
-    ``vectors[c]`` for each (factor, vectors, table) of ``applied``, each term
-    in place into one dict; its zeros are dropped only for a kept witness.
-    The residual is ``scale`` times the rational one."""
+    columns.  Every ``table`` holds packed columns with slots of ``width``
+    bits.  Column c adds factor * ``table[c]`` for each (factor, table) of
+    ``columns`` and factor * a * ``table[b]`` for each (factor, vectors,
+    table) of ``applied`` and each entry (b, a) of the sparse ``vectors[c]``,
+    so the residual column is one integer sum, zero exactly when the
+    integer is.  The residual is ``scale`` times the rational one."""
     for c in range(space.dim):
-        res: dict = {}
-        get = res.get
+        res = 0
         for factor, table in columns:
-            for r, v in table[c].items():
-                res[r] = get(r, 0) + factor * v
+            res += factor * table[c]
         for factor, vectors, table in applied:
             for b, a in vectors[c].items():
-                a *= factor
-                for r, v in table[b].items():
-                    res[r] = get(r, 0) + a * v
-        if any(res.values()):
+                res += factor * a * table[b]
+        if res:
             col.add(indices + (c,), lambda: vector_from_sparse(
-                space, unscaled({r: v for r, v in res.items() if v}, scale)))
+                space, unscaled(unpack(res, width), scale)))
             return
 
 
@@ -206,6 +217,11 @@ def check_malcev_representation(R: Representation,
     A failing triple (i,j,k) is witnessed as (i,j,k,col) together with the
     residual applied to the first module basis vector ``col`` it does not
     annihilate.
+
+    The packed slots hold every residual coefficient: with N the largest l1
+    norm of a scaled row of A or column of rho, each of the five terms
+    applied to b_c has l1 norm at most N^3 ((xy)z has at most N^2 and rho
+    of it multiplies by at most N), so a coefficient is at most 5 N^3.
     """
     col = _WitnessCollector("representation", witness_limit)
     A = R.algebra
@@ -214,11 +230,13 @@ def check_malcev_representation(R: Representation,
     rows, rho = A.rows(), _columns(R.action)
     D = denominator(rows.values(), *rho)
     rows, rho = scaled_rows(rows, D), scaled_columns(rho, D)
+    width = slot_width((rows.values(), *rho), 5, 3)
+    packed_rho = _packed_columns(rho, width)
     col.tally(n ** 3, 0)
     scale, acting = D ** 3, [any(cols) for cols in rho]
     for i in range(n):
         x_acts = acting[i]
-        left, right, times_x = _block(rows, rho, i)
+        left, right, times_x = _block(rows, rho, packed_rho, i)
         for j in range(n):
             xy, y_acts = rows.get((i, j)), acting[j]
             if not (xy or x_acts or y_acts):
@@ -237,17 +255,17 @@ def check_malcev_representation(R: Representation,
                     for m, a in xy.items():
                         for l, b in rows.get((m, k), EMPTY).items():
                             xyz[l] = xyz.get(l, 0) + a * b
-                    columns = [(a, rho[l]) for l, a in xyz.items() if a]
+                    columns = [(a, packed_rho[l]) for l, a in xyz.items() if a]
                 if yz or zx:
                     s = koszul_sign(par[i], par[j] + par[k])
                     if yz:
                         columns += [(s * a, right[l]) for l, a in yz.items()]
                     if zx:
-                        applied.append((-s, times_x[k], rho[j]))
+                        applied.append((-s, times_x[k], packed_rho[j]))
                 if every:
                     applied += ((-1, rho[k], left[j]),
                                 (koszul_sign(par[k], par[i] + par[j]), rho[j], right[k]))
-                _witness_first_column(col, (i, j, k), R.space, scale, columns, applied)
+                _witness_first_column(col, (i, j, k), R.space, scale, width, columns, applied)
     return col.report()
 
 
@@ -264,6 +282,11 @@ def check_alternative_bimodule(B: Bimodule,
     Witness index tuples are (identity#, i, j, col) with identity# in 0..3
     and ``col`` the first module basis vector the residual does not
     annihilate; ``checked_tuples`` counts basis pairs.
+
+    The packed slots hold every residual coefficient: with N the largest l1
+    norm of a scaled row of A or column of l or r, each of the four terms of
+    an identity applied to b_c has l1 norm at most N^2, so a coefficient is
+    at most 4 N^2.
     """
     col = _WitnessCollector("bimodule", witness_limit)
     A = B.algebra
@@ -273,10 +296,14 @@ def check_alternative_bimodule(B: Bimodule,
     D = denominator(rows.values(), *L, *R)
     rows, L, R = scaled_rows(rows, D), scaled_columns(L, D), scaled_columns(R, D)
     vpar = B.space.parities()
-    # signed[p] = (L, R) with column b_c times (-1)^{p|b_c|}: for p = 1 odd ones negated
+    width = slot_width((rows.values(), *L, *R), 4, 2)
+    # signed[p] = (L, R) with column b_c times (-1)^{p|b_c|}: for p = 1 odd ones
+    # negated; sparse, for the vectors of a term, and l's packed, for its tables
     signed = ((L, R), tuple(tuple(tuple({r: -v for r, v in column.items()} if q else column
                                         for q, column in zip(vpar, cols)) for cols in M)
                             for M in (L, R)))
+    packed_l = tuple(_packed_columns(Ls, width) for Ls, _ in signed)
+    PL, PR = packed_l[0], _packed_columns(R, width)
     col.tally(n ** 2, 0)
     lacts, racts = ([any(cols) for cols in M] for M in (L, R))
     for i, j in itertools.product(range(n), repeat=2):
@@ -285,25 +312,26 @@ def check_alternative_bimodule(B: Bimodule,
         if not (xy or yx or lacts[i] and (lacts[j] or racts[j]) or racts[i] and racts[j]):
             continue  # every term at (x, y) has a zero factor
         s = koszul_sign(par[i], par[j])
-        # t = (-1)^{|x||v|} and u = (-1)^{|v||y|} come with the copies Lt, Rt and Lu
+        # t = (-1)^{|x||v|} and u = (-1)^{|v||y|} come with the copies Lt, Rt, Lu and PLu
         (Lt, Rt), (Lu, _) = signed[par[i]], signed[par[j]]
-        minus_r_xy = [(-a, R[k]) for k, a in xy]
+        PLu = packed_l[par[j]]
+        minus_r_xy = [(-a, PR[k]) for k, a in xy]
         identities = (
             # l(xy) + s l(yx) - l(x)l(y) - s l(y)l(x)
-            ([(a, L[k]) for k, a in xy] + [(s * a, L[k]) for k, a in yx],
-             ((-1, L[j], L[i]), (-s, L[i], L[j]))),
+            ([(a, PL[k]) for k, a in xy] + [(s * a, PL[k]) for k, a in yx],
+             ((-1, L[j], PL[i]), (-s, L[i], PL[j]))),
             # r(y)r(x) + s r(x)r(y) - r(xy) - s r(yx)
-            (minus_r_xy + [(-s * a, R[k]) for k, a in yx],
-             ((1, R[i], R[j]), (s, R[j], R[i]))),
+            (minus_r_xy + [(-s * a, PR[k]) for k, a in yx],
+             ((1, R[i], PR[j]), (s, R[j], PR[i]))),
             # r(y)r(x) + t r(y)l(x) - t l(x)r(y) - r(xy)
             (minus_r_xy,
-             ((1, R[i], R[j]), (1, Lt[i], R[j]), (-1, Rt[j], L[i]))),
+             ((1, R[i], PR[j]), (1, Lt[i], PR[j]), (-1, Rt[j], PL[i]))),
             # r(y)l(x) + u l(xy) - u l(x)l(y) - l(x)r(y)
-            ([(a, Lu[k]) for k, a in xy],
-             ((1, L[i], R[j]), (-1, Lu[j], L[i]), (-1, R[j], L[i]))),
+            ([(a, PLu[k]) for k, a in xy],
+             ((1, L[i], PR[j]), (-1, Lu[j], PL[i]), (-1, R[j], PL[i]))),
         )
         for q, (columns, applied) in enumerate(identities):
-            _witness_first_column(col, (q, i, j), B.space, D ** 2, columns, applied)
+            _witness_first_column(col, (q, i, j), B.space, D ** 2, width, columns, applied)
     return col.report()
 
 
@@ -353,7 +381,7 @@ def _semidirect(A: Superalgebra, V: SuperSpace, left: Columns, right: Columns) -
                 rows[emb_a[i], emb_v[j]] = {emb_v[k]: c for k, c in lcol.items()}
             if rcol:
                 rows[emb_v[j], emb_a[i]] = {emb_v[k]: c for k, c in rcol.items()}
-    return Superalgebra(total, {"mul": rows})
+    return Superalgebra._from_rows(total, {"mul": rows})
 
 
 def semidirect_malcev(R: Representation) -> Superalgebra:
@@ -436,6 +464,10 @@ def are_equivalent(R: Representation, Rp: Representation,
     phi must be an even bijection V -> V'; a failing algebra index i is
     witnessed as (i, col) with the residual column.  Raises ``DimensionMismatch``
     if phi is not (even, odd)-shaped V -> V' or the algebras differ in size.
+
+    The packed slots hold every residual coefficient: with N the largest l1
+    norm of a scaled column of phi, rho or rho', both terms applied to b_c
+    have l1 norm at most N^2, so a coefficient is at most 2 N^2.
     """
     got = _shape(phi.domain), _shape(phi.codomain), R.algebra.space.dim
     want = _shape(R.space), _shape(Rp.space), Rp.algebra.space.dim
@@ -454,10 +486,13 @@ def are_equivalent(R: Representation, Rp: Representation,
     D = denominator(phi_cols, *rho, *rho_p)
     phi_cols = tuple(scaled(v, D) for v in phi_cols)
     rho, rho_p = scaled_columns(rho, D), scaled_columns(rho_p, D)
+    width = slot_width((phi_cols, *rho, *rho_p), 2, 2)
+    packed_phi = tuple(pack(v, width) for v in phi_cols)
+    packed_rho_p = _packed_columns(rho_p, width)
     col.tally(R.algebra.space.dim, 0)
     for i in range(R.algebra.space.dim):
-        _witness_first_column(col, (i,), Rp.space, D ** 2, (),
-                              ((1, rho[i], phi_cols), (-1, phi_cols, rho_p[i])))
+        _witness_first_column(col, (i,), Rp.space, D ** 2, width, (),
+                              ((1, rho[i], packed_phi), (-1, phi_cols, packed_rho_p[i])))
     return col.report()
 
 

@@ -134,6 +134,12 @@ def even_unimodular(space: SuperSpace, seed: int) -> tuple:
                  for i in range(n))
 
 
+def seven_digit_primes():
+    """The primes from 10**6 up, in order."""
+    return (p for p in itertools.count(10 ** 6)
+            if all(p % d for d in range(2, math.isqrt(p) + 1)))
+
+
 def denominator(*values) -> int:
     """The lcm of the denominators of the given constants."""
     return math.lcm(*(c.denominator for c in values))

@@ -6,6 +6,7 @@ share no evaluation code with the library.
 
 import itertools
 import math
+import pickle
 import random
 import time
 import tracemalloc
@@ -26,10 +27,14 @@ from supermalcev import (
     check_pre_malcev,
     check_right_alternative,
     check_rota_baxter,
+    coadjoint_representation,
     commutator_superalgebra,
     pre_malcev_from_pre_alternative,
     pre_malcev_from_rota_baxter,
+    regular_bimodule,
     search_rota_baxter,
+    semidirect_alternative,
+    semidirect_malcev,
     sum_pre_alternative,
 )
 from supermalcev import fixtures
@@ -43,6 +48,8 @@ from rational_inputs import (
     even_unimodular,
     rational_product,
     rebased,
+    seven_digit_primes,
+    shuffled,
     sparse_rational_product,
 )
 from work_counts import multiply_adds
@@ -331,6 +338,37 @@ def test_insertion_order_does_not_matter():
         assert serialize(AlgebraDocument(B)) == serialize(AlgebraDocument(A))
         for name in A.product_names():
             assert list(B.products[name]) == sorted(B.products[name])
+
+
+def constructed_algebras():
+    """Algebras the package builds from rows it has just computed: derived
+    products and semidirect products."""
+    O = fixtures.split_octonions()
+    P = fixtures.random_product(SuperSpace(2, 2), 4, two_products=True)
+    co = coadjoint_representation(commutator_superalgebra(O))
+    return [commutator_superalgebra(O),
+            commutator_superalgebra(rational_product(SuperSpace(2, 2), 3)),
+            sum_pre_alternative(P), pre_malcev_from_pre_alternative(P), semidirect_malcev(co),
+            semidirect_alternative(regular_bimodule(fixtures.zorn_split_octonions()))]
+
+
+def test_constructions_build_the_value_the_validating_constructor_builds():
+    # the trusted rows of a construction, checked and frozen again by the
+    # public constructor, and handed to _from_rows in another order
+    from supermalcev.serialize import AlgebraDocument, serialize
+
+    rng = random.Random(2)
+    for S in constructed_algebras():
+        rows = {name: {key: dict(row) for key, row in S.rows(name).items()}
+                for name in S.product_names()}
+        for B in (Superalgebra(S.space, rows), Superalgebra._from_rows(S.space, {
+                name: shuffled({key: shuffled(row, rng) for key, row in r.items()}, rng)
+                for name, r in reversed(rows.items())})):
+            assert B == S and hash(B) == hash(S) and repr(B) == repr(S)
+            assert pickle.dumps(B) == pickle.dumps(S)
+            assert serialize(AlgebraDocument(B)) == serialize(AlgebraDocument(S))
+            assert all(type(c) is Fraction for r in B.products.values()
+                       for row in r.values() for c in row.values())
 
 
 # -- alternativity ---------------------------------------------------------
@@ -935,8 +973,8 @@ def test_a_packed_vector_round_trips_at_the_edges_of_its_slots(width):
     # coefficients at +-(2^(width-1) - 1), sparse and dense, some with a
     # negative top slot: a slot read one bit off turns one of them around
     top = 2 ** (width - 1) - 1
-    assert slot_width([{(0, 0): {0: top}}], 1, 1) == width
-    assert slot_width([{(0, 0): {0: -top - 1}}], 1, 1) == width + 1
+    assert slot_width([[{0: top}]], 1, 1) == width
+    assert slot_width([[{0: -top - 1}]], 1, 1) == width + 1
     for vec in ({0: top}, {0: -top}, {3: -top}, {0: top, 9: -top}, {2: -1, 5: top, 7: -top},
                 {k: (-1) ** k * top for k in range(12)}, {**{k: top for k in range(5)}, 5: -top},
                 {k: -top for k in range(6)}, {}):
@@ -966,8 +1004,7 @@ def test_a_dense_product_of_equal_constants_matches_the_oracles(shape, top):
 def prime_denominators(A):
     """A with the rows (i, j) and (j, i) of each pair i <= j divided by
     their own 7-digit prime."""
-    primes = (p for p in itertools.count(10 ** 6)
-              if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    primes = seven_digit_primes()
     rows, n = A.rows(), A.space.dim
     out = {}
     for i, j in itertools.combinations_with_replacement(range(n), 2):

@@ -34,7 +34,7 @@ from supermalcev import (
 )
 from supermalcev.reps import double_dual_identification
 from supermalcev import fixtures, reps
-from work_counts import walker_visits
+from work_counts import multiply_adds, walker_visits
 from rational_inputs import (
     algebra_constants,
     denominator,
@@ -43,6 +43,7 @@ from rational_inputs import (
     rational_action,
     rational_product,
     rebased,
+    seven_digit_primes,
 )
 
 Z = Fraction(0)
@@ -1101,3 +1102,106 @@ def test_a_representation_transported_on_v_alone_is_equivalent_through_s(build):
     # b_{n-1} acts as a nonzero map in each case, and an odd one where A has odd elements
     changed = Representation(R.algebra, R.space, one_entry_changed(Rp.action, n - 1))
     assert not are_equivalent(changed, R, S).ok
+
+
+# -- packed residual columns ---------------------------------------------------
+
+EDGE = 3 ** 13  # an entry that is no power of 2, so no bound below is one
+
+
+def on_2_0(*matrices):
+    """Even maps on the module 2|0, one per matrix."""
+    V = SuperSpace(2, 0)
+    return tuple(GradedLinearMap(V, V, m) for m in matrices)
+
+
+def at_the_slot_bound(N):
+    """caller -> (check, its arguments, the oracle's witnesses, the slot
+    bound).  Every scaled row and column has one entry, of absolute value N,
+    so N is the largest l1 norm, and at one tuple every term adds N^k to
+    entry (0, 0) of column 0 with the same sign: the coefficient there is
+    the bound itself, and a slot one bit narrower does not hold it."""
+    swap, flip, one = ((0, N), (N, 0)), ((N, 0), (0, -N)), ((N, 0), (0, N))
+    minus_swap, minus_one = ((0, -N), (-N, 0)), ((-N, 0), (0, -N))
+    # at (0, 1, 0), in units of N with P the swap and Q the flip:
+    # rho((xy)z) = rho(b2), -rho(x)rho(y)rho(z) = -PQP = Q,
+    # rho(z)rho(x)rho(y) = PPQ = Q, -rho(y)rho(zx) = -Q rho(b3) = Q and
+    # rho(yz)rho(x) = PP, each 1 at (0, 0)
+    A = Superalgebra(SuperSpace(4, 0), {"mul": {
+        (0, 0): {3: N}, (0, 1): {2: N}, (1, 0): {0: N}, (2, 0): {2: N}}})
+    R = Representation(A, SuperSpace(2, 0), on_2_0(swap, flip, one, minus_one))
+    # at (0, 0), identity 0: 2 l(b0 b0) - 2 l(b0)^2 = -2 N^2 - 2 N^2 at (0, 0)
+    A = Superalgebra(SuperSpace(2, 0), {"mul": {(0, 0): {1: N}}})
+    B = Bimodule(A, SuperSpace(2, 0), on_2_0(swap, minus_one), on_2_0(flip, swap))
+    # phi rho(b0) - rho'(b0) phi = N^2 + N^2 at (0, 0)
+    A = Superalgebra(SuperSpace(1, 0), {"mul": {}})
+    R0, R1 = (Representation(A, SuperSpace(2, 0), on_2_0(m)) for m in (swap, minus_swap))
+    phi = on_2_0(swap)[0]
+    return {
+        "representation": (check_malcev_representation, (R,), oracle_rep_witnesses(R),
+                           5 * N ** 3),
+        "bimodule": (check_alternative_bimodule, (B,), oracle_bimodule_witnesses(B), 4 * N ** 2),
+        "equivalence": (are_equivalent, (R0, R1, phi), oracle_equivalence_witnesses(R0, R1, phi),
+                        2 * N ** 2),
+    }
+
+
+def witnesses(report):
+    return [(w, list(v.coords)) for w, v in report.witnesses]
+
+
+@pytest.mark.parametrize("caller", ["representation", "bimodule", "equivalence"])
+def test_module_walkers_match_the_oracles_at_the_edge_of_their_slot_bound(caller, monkeypatch):
+    check, args, expected, bound = at_the_slot_bound(EDGE)[caller]
+    assert max(abs(c) for _, column in expected for c in column) == bound
+    for limit in (1, 3, 10 ** 6):
+        report = check(*args, witness_limit=limit)
+        assert report.violation_count == len(expected)
+        assert witnesses(report) == expected[:limit]
+    # the input reaches the bound: one bit short, a slot overflows into the next
+    width = reps.slot_width
+    monkeypatch.setattr(reps, "slot_width", lambda *bound_args: width(*bound_args) - 1)
+    assert witnesses(check(*args, witness_limit=10 ** 6)) != expected
+
+
+def over_primes(maps, primes):
+    """``maps`` with each nonzero entry divided by the next of ``primes``."""
+    return tuple(GradedLinearMap(m.domain, m.codomain, [[x / next(primes) if x else x
+                                                          for x in row] for row in m.matrix],
+                                 m.parity) for m in maps)
+
+
+def test_module_walkers_match_the_oracles_on_actions_over_distinct_primes():
+    # every nonzero entry of the actions and of phi has its own 7-digit prime
+    # denominator, so D is their product and a packed slot several thousand bits
+    space, module = SuperSpace(2, 1), SuperSpace(1, 2)
+    A = fixtures.random_product(space, 3)
+    primes = seven_digit_primes()
+    left, right = (over_primes(fixtures.random_action_maps(A, module, seed), primes)
+                   for seed in (13, 23))
+    phi, = over_primes((GradedLinearMap(module, module, even_unimodular(module, 3)),), primes)
+    constants = [c for c in map_constants(*left, *right, phi) if c]
+    assert len({c.denominator for c in constants}) == len(constants) > 20
+    R, B = Representation(A, module, left), Bimodule(A, module, left, right)
+    Rp = Representation(A, module, right)
+    assert are_equivalent(R, conjugated(R, phi), phi).ok
+    for check, args, expected in (
+            (check_malcev_representation, (R,), oracle_rep_witnesses(R)),
+            (check_alternative_bimodule, (B,), oracle_bimodule_witnesses(B)),
+            (are_equivalent, (R, Rp, phi), oracle_equivalence_witnesses(R, Rp, phi))):
+        assert expected
+        for limit in (1, 3, 10 ** 6):
+            report = check(*args, witness_limit=limit)
+            assert report.violation_count == len(expected)
+            assert witnesses(report) == expected[:limit]
+
+
+def test_the_module_walkers_multiply_adds_are_pinned(monkeypatch):
+    # one product per packed term of a residual column and per entry summed
+    # into a packed pair column; the parent merged a sparse column per term
+    zorn = regular_bimodule(fixtures.zorn_split_octonions())
+    coadjoint = coadjoint_representation(commutator_superalgebra(fixtures.split_octonions()))
+    for check, module, count in ((check_alternative_bimodule, zorn, 4096),
+                                 (check_malcev_representation, coadjoint, 9660)):
+        report, work = multiply_adds(monkeypatch, check, module)
+        assert report.ok and work == count
