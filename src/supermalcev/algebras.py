@@ -169,9 +169,10 @@ class Superalgebra:
     """Structure constants as sparse rows: ``products[name][(i, j)]`` maps
     each k with a nonzero coefficient of b_k in b_i * b_j to that
     coefficient.  Stored sorted (the products by name, the rows by key),
-    zeros dropped, read-only (``Frozen``).  The parser and
-    ``from_entries`` hand it their rows as they read them, and it checks
-    every entry; the package's constructions build theirs with
+    zeros dropped, read-only (``Frozen``).  It checks every entry; in the
+    package only ``from_entries`` calls it, on hand-written constants.  The
+    constructions, whose rows are computed from checked values, and the
+    parser, which checks each entry as it reads it, build through
     ``_from_rows``, which checks none."""
 
     space: SuperSpace
@@ -198,10 +199,11 @@ class Superalgebra:
 
     @classmethod
     def _from_rows(cls, space: SuperSpace, products: Mapping[str, Rows]) -> "Superalgebra":
-        """The algebra of rows the package has just computed: every index in
-        range, every coefficient a nonzero ``Fraction`` of the right parity,
-        no row empty.  Nothing is checked; the rows are sorted and frozen as
-        the public constructor does, so the value is the one it builds."""
+        """The algebra of rows the package has computed or the parser has
+        checked: every index in range, every coefficient a nonzero
+        ``Fraction`` of the right parity, no row empty.  Nothing is checked;
+        the rows are sorted and frozen as the public constructor does, so
+        the value is the one it builds."""
         algebra = object.__new__(cls)
         algebra.__dict__.update(space=space, products=_frozen_products(products))
         return algebra

@@ -47,6 +47,11 @@ default witness limit, and raises ``IdentityViolation`` carrying that report
 instead of returning a broken algebra; otherwise it builds from what the
 check built: the context's action columns, or for a symplectic form the
 table of w(b_i, b_j b_k) and the elimination that decided nondegeneracy.
+Its rows go to ``Superalgebra._from_rows`` unchecked: the sparse helpers
+and the elimination compute them from stored ``Fraction``s and drop every
+coefficient that cancels, so no coefficient and no row is zero, and the
+operator or form and every action are even, so each entry has the parity
+of its row.
 """
 
 from __future__ import annotations
@@ -206,7 +211,7 @@ def _compatible_structure(ctx: _Context, T: GradedLinearMap, singular: str) -> S
     except ValueError:
         raise ValueError(singular) from None
     A = ctx.algebra
-    return Superalgebra(A.space, {"mul": {
+    return Superalgebra._from_rows(A.space, {"mul": {
         (i, j): row for i, j in itertools.product(range(A.space.dim), repeat=2)
         if (row := apply(T.columns, apply(ctx.left[i], tinv[j])))}})
 
@@ -285,7 +290,7 @@ def check_rota_baxter(Rop: GradedLinearMap, A: Superalgebra, sign_variant: bool 
 def pre_malcev_from_o_operator(T: GradedLinearMap, R: Representation) -> Superalgebra:
     """a.b = rho(T(a))b on V; requires T to be a super O-operator."""
     ctx = _checked(_rep_context(R), T)
-    return Superalgebra(R.space, {"mul": _induced_product(ctx.left, T.columns)})
+    return Superalgebra._from_rows(R.space, {"mul": _induced_product(ctx.left, T.columns)})
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ def induced_structure_on_image(T: GradedLinearMap, R: Representation) -> ImageSt
     coord_columns = _sparse_columns(
         {(k, j): x for k, row in enumerate(reduced) for j, x in row.items()}, n)
     rows = product.rows()
-    algebra = Superalgebra(image_space, {"mul": {
+    algebra = Superalgebra._from_rows(image_space, {"mul": {
         (a, b): row for (a, pa), (b, pb) in itertools.product(enumerate(pivots), repeat=2)
         if (row := apply(coord_columns, rows.get((pa, pb), EMPTY)))}})
     embedding = GradedLinearMap._from_columns(image_space, R.algebra.space,
@@ -338,7 +343,7 @@ def compatible_pre_malcev_from_invertible_oop(T: GradedLinearMap,
 def pre_malcev_from_rota_baxter(Rop: GradedLinearMap, A: Superalgebra) -> Superalgebra:
     """x.y = [R(x), y]; requires the (default-variant) Rota-Baxter identity."""
     ctx = _checked(_rota_baxter_context(A, False), Rop)
-    return Superalgebra(A.space, {"mul": _induced_product(ctx.left, Rop.columns)})
+    return Superalgebra._from_rows(A.space, {"mul": _induced_product(ctx.left, Rop.columns)})
 
 
 def pre_malcev_from_invertible_rota_baxter(Rop: GradedLinearMap,
@@ -352,7 +357,8 @@ def pre_alternative_from_o_operator(T: GradedLinearMap, B: Bimodule) -> Superalg
     """a succ b = l(T(a))b, a prec b = r(T(b))a on V."""
     ctx = _checked(_bimodule_context(B), T)
     prec = {(i, j): row for (j, i), row in _induced_product(ctx.right, T.columns).items()}
-    return Superalgebra(B.space, {"prec": prec, "succ": _induced_product(ctx.left, T.columns)})
+    return Superalgebra._from_rows(B.space, {"prec": prec,
+                                             "succ": _induced_product(ctx.left, T.columns)})
 
 
 # -- bilinear forms -------------------------------------------------------
@@ -467,7 +473,7 @@ def pre_malcev_from_symplectic(omega: BilinearForm, A: Superalgebra) -> Superalg
     par, rhs = A.space.parities(), {}
     for (j, z, i), c in table.items():
         rhs.setdefault((i, j), {})[z] = koszul_sign(par[i], par[j] + par[z]) * c
-    return Superalgebra(A.space, {"mul": {
+    return Superalgebra._from_rows(A.space, {"mul": {
         key: row for key, v in rhs.items() if (row := apply(inverse_t, v))}})
 
 

@@ -5,7 +5,10 @@ optional blocks: a representation, a bimodule, a linear map, a 2-tensor,
 and a bilinear form.  Output is canonical: fixed key order, product triples
 sorted lexicographically, scalars in reduced "p/q" form; parsing followed
 by serializing is the identity on canonical files.  Parsing reads the
-products straight into rows and the matrices into sparse entries.
+products straight into the stored rows and the matrices into sparse
+entries.  It checks each product entry once, and keeps only the nonzero
+ones, so the algebra is built from its rows with no second check
+(``Superalgebra._from_rows``).
 
 This module is the only reader of a document's fields.  ``parse`` takes
 any dimension unless given a cap, as the CLI gives it: then it refuses an
@@ -140,6 +143,7 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
         if not isinstance(triples, list):
             raise ParseError(f"products.{name}: expected a list of triples")
         rows = products[name] = {}
+        read: set[tuple[int, int, int]] = set()
         for idx, item in enumerate(triples):
             where = f"products.{name}[{idx}]"
             if not isinstance(item, list) or len(item) != 4:
@@ -149,16 +153,17 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
                 if type(v) is not int or not 0 <= v < n:
                     raise ParseError(f"{where}.{pos}: index out of range 0..{n - 1}")
             c = _parse_scalar(item[3], f"{where}.scalar")
-            row = rows.setdefault((i, j), {})
-            if k in row:
+            if (i, j, k) in read:
                 raise ParseError(f"{where}: duplicate entry ({i}, {j}, {k})")
-            if c != 0 and par[k] != (par[i] + par[j]) % 2:
-                raise ParseError(
-                    f"{where}: parity violation: entry ({i}, {j}, {k}) maps "
-                    f"parities ({par[i]}, {par[j]}) to parity {par[k]}"
-                )
-            row[k] = c  # a zero is kept to refuse its repeat; Superalgebra drops it
-    return Superalgebra(space, products)
+            read.add((i, j, k))
+            if c:  # a zero is only read, so that its repeat is refused
+                if par[k] != (par[i] + par[j]) % 2:
+                    raise ParseError(
+                        f"{where}: parity violation: entry ({i}, {j}, {k}) maps "
+                        f"parities ({par[i]}, {par[j]}) to parity {par[k]}"
+                    )
+                rows.setdefault((i, j), {})[k] = c
+    return Superalgebra._from_rows(space, products)
 
 
 def _maps_to_json(maps) -> list:

@@ -178,7 +178,7 @@ def pre_malcev_on_dual_from_r(c: MybeCandidate) -> Superalgebra:
     """x*.y* = ad*(r(x*))(y*) on the dual space; requires the operator form."""
     report, coad, columns = _operator_form(c, DEFAULT_WITNESS_LIMIT)
     _require(report)
-    return Superalgebra(coad.module, {"mul": _induced_product(coad.left, columns)})
+    return Superalgebra._from_rows(coad.module, {"mul": _induced_product(coad.left, columns)})
 
 
 def _double(algebra: Superalgebra, module: SuperSpace, action: Columns,

@@ -11,15 +11,18 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from supermalcev import (
+    GradedLinearMap,
     ParityViolation,
     SuperSpace,
     Superalgebra,
     adjoint_representation,
+    canonical_r,
     check_left_alternative,
     check_malcev,
     check_malcev_representation,
@@ -29,18 +32,28 @@ from supermalcev import (
     check_rota_baxter,
     coadjoint_representation,
     commutator_superalgebra,
+    compatible_pre_malcev_from_invertible_oop,
+    induced_structure_on_image,
+    left_multiplication_representation,
+    pre_alternative_from_o_operator,
+    pre_malcev_from_invertible_rota_baxter,
+    pre_malcev_from_o_operator,
     pre_malcev_from_pre_alternative,
     pre_malcev_from_rota_baxter,
+    pre_malcev_from_symplectic,
+    pre_malcev_on_dual_from_r,
     regular_bimodule,
     search_rota_baxter,
     semidirect_alternative,
     semidirect_malcev,
     sum_pre_alternative,
+    symplectic_from_r,
 )
 from supermalcev import fixtures
 from supermalcev._kernel import packed, slot_width, unpack
 from supermalcev.algebras import _IDENTITIES, _Evaluator, _check
 from supermalcev.cli import MAX_DIM
+from supermalcev.serialize import parse
 from rational_inputs import (
     algebra_constants,
     denominator,
@@ -55,6 +68,7 @@ from rational_inputs import (
 from work_counts import multiply_adds
 
 Z = Fraction(0)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # -- oracle helpers (raw-table arithmetic only) ---------------------------
@@ -341,15 +355,32 @@ def test_insertion_order_does_not_matter():
 
 
 def constructed_algebras():
-    """Algebras the package builds from rows it has just computed: derived
-    products and semidirect products."""
+    """Algebras the package builds with ``Superalgebra._from_rows``: derived
+    and semidirect products, the constructions from an operator, a form or
+    an r-matrix, and the algebra of every fixture document as parsed."""
     O = fixtures.split_octonions()
     P = fixtures.random_product(SuperSpace(2, 2), 4, two_products=True)
     co = coadjoint_representation(commutator_superalgebra(O))
+    sl2, pre_lie, heis = fixtures.sl2(), fixtures.pre_lie_sl2(), fixtures.heisenberg_1_1()
+    ad, rb = adjoint_representation(sl2), fixtures.rb_sl2_nilpotent()
+    L = left_multiplication_representation(pre_lie)
+    c = canonical_r(fixtures.pre_malcev_1_1())
+    zorn = parse((FIXTURES / "zorn_regular_rb.json").read_text(encoding="utf-8"))
+    image = induced_structure_on_image(rb, ad)
+    assert image.algebra.space.dim < sl2.space.dim  # rb is rank-deficient
     return [commutator_superalgebra(O),
             commutator_superalgebra(rational_product(SuperSpace(2, 2), 3)),
             sum_pre_alternative(P), pre_malcev_from_pre_alternative(P), semidirect_malcev(co),
-            semidirect_alternative(regular_bimodule(fixtures.zorn_split_octonions()))]
+            semidirect_alternative(regular_bimodule(fixtures.zorn_split_octonions())),
+            pre_malcev_from_o_operator(rb, ad), pre_malcev_from_rota_baxter(rb, sl2),
+            compatible_pre_malcev_from_invertible_oop(5 * GradedLinearMap.identity(L.space), L),
+            pre_malcev_from_invertible_rota_baxter(
+                GradedLinearMap(heis.space, heis.space, ((1, 0), (0, 2))), heis),
+            image.algebra, pre_alternative_from_o_operator(zorn.linear_map, zorn.bimodule),
+            pre_malcev_from_symplectic(symplectic_from_r(c), c.algebra),
+            pre_malcev_on_dual_from_r(canonical_r(pre_lie))] + [
+        parse(path.read_text(encoding="utf-8")).algebra
+        for path in sorted(FIXTURES.glob("*.json"))]
 
 
 def test_constructions_build_the_value_the_validating_constructor_builds():
@@ -359,6 +390,8 @@ def test_constructions_build_the_value_the_validating_constructor_builds():
 
     rng = random.Random(2)
     for S in constructed_algebras():
+        assert all(row and all(type(c) is Fraction and c for c in row.values())
+                   for r in S.products.values() for row in r.values())
         rows = {name: {key: dict(row) for key, row in S.rows(name).items()}
                 for name in S.product_names()}
         for B in (Superalgebra(S.space, rows), Superalgebra._from_rows(S.space, {

@@ -10,7 +10,10 @@ caller in the package, each with the reader outside it that needs it.
 
 The package builds every algebra from its rows: ``Superalgebra.from_entries``,
 which regroups (i, j, k) triples into rows, is kept for hand-written
-constants, and no module but ``fixtures`` calls it."""
+constants, and no module but ``fixtures`` calls it.  It is also the one
+caller of the validating constructor ``Superalgebra(...)``: the
+constructions and the parser, whose rows are computed or already checked,
+build through ``Superalgebra._from_rows``."""
 
 import ast
 import functools
@@ -134,3 +137,38 @@ def test_the_guard_sees_a_call_of_from_entries():
 
 def test_only_fixtures_build_an_algebra_from_triples():
     assert from_entries_calls(package()) == []
+
+
+def superalgebra_calls(modules: dict[str, str]) -> list[str]:
+    """``module:line`` for each call of a name or attribute ``Superalgebra``
+    in the ``modules`` sources, outside the method ``from_entries`` of the
+    class ``Superalgebra``."""
+    out = []
+    for module, source in modules.items():
+        tree = parsed(source)
+        exempt = {id(node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Superalgebra"
+                  for method in cls.body
+                  if isinstance(method, ast.FunctionDef) and method.name == "from_entries"
+                  for node in ast.walk(method)}
+        out += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and id(node) not in exempt and "Superalgebra" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    return out
+
+
+def test_the_guard_sees_a_call_of_the_validating_constructor():
+    modules = {
+        "algebras": "class Superalgebra:\n    def from_entries(space, entries):\n"
+                    "        return Superalgebra(space, entries)\n\n"
+                    "    def _from_rows(cls, space, rows):\n        return object.__new__(cls)\n",
+        "ops": "def build(s, rows):\n    return Superalgebra(s, rows)\n\n\n"
+               "def trusted(s, rows):\n    return Superalgebra._from_rows(s, rows)\n",
+        "parse": "from . import algebras\nA = algebras.Superalgebra(s, {})\n",
+        "other": "class Other:\n    def from_entries(s):\n        return Superalgebra(s, {})\n",
+    }
+    assert superalgebra_calls(modules) == ["ops:2", "parse:2", "other:3"]
+
+
+def test_only_from_entries_calls_the_validating_constructor():
+    assert superalgebra_calls(package()) == []

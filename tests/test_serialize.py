@@ -1,6 +1,7 @@
 """Round-trip and error-reporting behavior of the document format."""
 
 import json
+import pickle
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -102,6 +103,39 @@ def test_duplicate_entry_rejected():
         with pytest.raises(ParseError) as exc:
             parse(json.dumps(doc))
         assert str(exc.value) == "products.mul[1]: duplicate entry (0, 0, 0)"
+
+
+@pytest.mark.parametrize("products, rows", [
+    # a zero alone in its row, of the right parity and of the wrong one
+    ({"mul": [[0, 0, 0, "0"]]}, {"mul": {}}),
+    ({"mul": [[0, 0, 2, "0"], [0, 2, 2, "1"]]}, {"mul": {(0, 2): {2: 1}}}),
+    # a zero beside a nonzero entry of its row, read before it and after it
+    ({"mul": [[0, 0, 0, "0"], [0, 0, 1, "3"], [1, 1, 0, "1/2"], [1, 1, 1, "0"],
+              [1, 2, 2, "-2"]]},
+     {"mul": {(0, 0): {1: 3}, (1, 1): {0: Fraction(1, 2)}, (1, 2): {2: -2}}}),
+    # a prec list that is empty or all zero keeps its (empty) product
+    ({"prec": [], "succ": [[0, 0, 0, "1"]]}, {"prec": {}, "succ": {(0, 0): {0: 1}}}),
+    ({"prec": [[0, 0, 0, "0"], [2, 2, 1, "0"]], "succ": [[2, 2, 0, "7"]]},
+     {"prec": {}, "succ": {(2, 2): {0: 7}}}),
+])
+def test_zero_entries_are_read_and_not_stored(products, rows):
+    doc = {"format": "superalg/1", "even_dim": 2, "odd_dim": 1, "products": products}
+    algebra = parse(json.dumps(doc)).algebra
+    assert algebra.product_names() == tuple(sorted(products))
+    assert {name: algebra.rows(name) for name in algebra.product_names()} == rows
+    assert all(row and all(type(c) is Fraction and c for c in row.values())
+               for r in algebra.products.values() for row in r.values())
+    # the validating constructor, given every entry as written, zeros too
+    written = {name: {} for name in products}
+    for name, triples in products.items():
+        for i, j, k, c in triples:
+            written[name].setdefault((i, j), {})[k] = Fraction(c)
+    expected = Superalgebra(algebra.space, written)
+    assert algebra == expected and hash(algebra) == hash(expected)
+    assert repr(algebra) == repr(expected)
+    assert pickle.dumps(algebra) == pickle.dumps(expected)
+    text = serialize(AlgebraDocument(algebra))
+    assert parse(text).algebra == algebra and serialize(parse(text)) == text
 
 
 def test_index_out_of_range_rejected():
