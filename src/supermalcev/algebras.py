@@ -467,7 +467,7 @@ class _Evaluator:
 
     def plan(self, expr) -> list:
         """The summands of a sum or product bound to this call's tables."""
-        return [(self.table(driven), self.table(driven).at(p), self.partners[name][flip],
+        return [(table := self.table(driven), table.at(p), self.partners[name][flip],
                  self.table(other).support, rekey, signs, fold)
                 for name, flip, driven, p, other, rekey, signs, fold in _summands(expr)]
 
@@ -508,10 +508,11 @@ class _Evaluator:
         return {key: v for key, v in out.items() if v}
 
 
-def _rotations(idx: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
-    """idx = (x, y, z, t) and its rotations (y, z, t, x), (z, t, x, y), (t, x, y, z)."""
-    x, y, z, t = idx
-    return idx, (y, z, t, x), (z, t, x, y), (t, x, y, z)
+# _ROTATION_SIGNS[m][s]: C at the rotation idx[s:] + idx[:s] over C at idx, for a
+# quadruple idx whose bit v of the parity mask m is the parity of idx[v]
+_ROTATION_SIGNS = tuple(tuple(_koszul(tuple(range(s, 4)) + tuple(range(s)),
+                                      {v: m >> v & 1 for v in range(4)}) for s in range(4))
+                        for m in range(16))
 
 
 def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationReport:
@@ -527,7 +528,7 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
     col = _WitnessCollector(identity, witness_limit)
     walks = _IDENTITIES[identity]
     ev = _Evaluator(A, [expr for walk in walks for expr in walk])
-    n, par = A.space.dim, ev.parities
+    n = A.space.dim
     room = True
     for w, components in enumerate(walks):
         degree = len(_leaves(components[0]))
@@ -555,14 +556,15 @@ def _check(A: Superalgebra, identity: str, witness_limit: int) -> ViolationRepor
                     break
             past = 0  # later rotations counted here, past the last witness
             for key, vec in values.items():
-                rots = _rotations(key)
-                if key != min(rots):
+                # the distinct later rotations; two shifts that give one rotation
+                # have equal signs wherever the value is nonzero, by C's symmetry
+                rots = {key[s:] + key[:s]: s for s in (1, 2, 3)}
+                if min(rots) < key:
                     continue
-                for r in dict.fromkeys(rots):
+                signs = _ROTATION_SIGNS[sum(map(operator.getitem, ev.bits, key))]
+                for r, s in rots.items():
                     if r[0] != a and (cut or room):  # handed on, signed, to its block
-                        sign = (-1) ** sum(par[x] * (par[y] + par[z] + par[t])
-                                           for x, y, z, t in rots[:rots.index(r)])
-                        later[r[0]][r] = sign * vec
+                        later[r[0]][r] = signs[s] * vec
                     elif r[0] != a:
                         past += 1
             col.tally(0, len(found) + past)
@@ -632,10 +634,8 @@ def check_pre_alternative(A: Superalgebra,
 def _derived(A: Superalgebra, expr) -> Superalgebra:
     """The single-product algebra whose x.y is ``expr`` at (x, y) = (X, Y)."""
     ev = _Evaluator(A, [expr])
-    plans = ev.plan(expr)
     return Superalgebra._from_rows(A.space, {"mul": {
-        key: unscaled(unpack(vec, ev.width), ev.D) for a in range(A.space.dim)
-        for key, vec in ev.block(plans, a).items()}})
+        key: unscaled(vec, ev.D) for key, vec in ev.table(expr).values.items()}})
 
 
 def commutator_superalgebra(A: Superalgebra) -> Superalgebra:

@@ -115,8 +115,6 @@ def _format_vector(v: GradedVector) -> str:
             terms.append(f"- {-c}*{label}")
         else:
             terms.append(f"+ {c}*{label}")
-    if not terms:
-        return "0"
     head = terms[0][2:] if terms[0].startswith("+ ") else "-" + terms[0][2:]
     return " ".join([head] + terms[1:])
 

@@ -171,8 +171,8 @@ def _residuals(ctx: _Context, T: Sequence[Vector]) -> Iterator[tuple[int, int, V
             res = mul(ctx.rows, T[a], T[b])
             inner = act(ctx.left, T[a], b)
             add_scaled(inner, act(ctx.right, T[b], a), ctx.signs[par[a] & par[b]])
-            for k, c in inner.items():
-                add_scaled(res, T[k], -c)
+            if inner:
+                add_scaled(res, apply(T, inner), -1)
             yield a, b, res
 
 

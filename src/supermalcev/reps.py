@@ -305,6 +305,7 @@ def check_alternative_bimodule(B: Bimodule,
     packed_l = tuple(_packed_columns(Ls, width) for Ls, _ in signed)
     PL, PR = packed_l[0], _packed_columns(R, width)
     col.tally(n ** 2, 0)
+    scale = D ** 2
     lacts, racts = ([any(cols) for cols in M] for M in (L, R))
     for i, j in itertools.product(range(n), repeat=2):
         xy, yx = rows.get((i, j), EMPTY).items(), rows.get((j, i), EMPTY).items()
@@ -331,7 +332,7 @@ def check_alternative_bimodule(B: Bimodule,
              ((1, L[i], PR[j]), (-1, Lu[j], PL[i]), (-1, R[j], PL[i]))),
         )
         for q, (columns, applied) in enumerate(identities):
-            _witness_first_column(col, (q, i, j), B.space, D ** 2, width, columns, applied)
+            _witness_first_column(col, (q, i, j), B.space, scale, width, columns, applied)
     return col.report()
 
 
@@ -490,8 +491,9 @@ def are_equivalent(R: Representation, Rp: Representation,
     packed_phi = tuple(pack(v, width) for v in phi_cols)
     packed_rho_p = _packed_columns(rho_p, width)
     col.tally(R.algebra.space.dim, 0)
+    scale = D ** 2
     for i in range(R.algebra.space.dim):
-        _witness_first_column(col, (i,), Rp.space, D ** 2, width, (),
+        _witness_first_column(col, (i,), Rp.space, scale, width, (),
                               ((1, rho[i], packed_phi), (-1, phi_cols, packed_rho_p[i])))
     return col.report()
 

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from supermalcev import (SuperSpace, Tensor2, adjoint_representation, fixtures,
-                         regular_bimodule, search_o_operators_malcev, sigma)
+from supermalcev import (GradedLinearMap, SuperSpace, Tensor2, adjoint_representation,
+                         fixtures, regular_bimodule, search_o_operators_malcev, sigma)
 from supermalcev import cli
 from supermalcev.cli import MAX_DIM, main
 from supermalcev.serialize import AlgebraDocument, ParseError, parse, serialize
@@ -515,6 +515,51 @@ def test_timings_flag_fills_wall_time(capsys):
     assert code == 0
     payload = json.loads(out)
     assert isinstance(payload["wall_time_ms"], float)
+
+
+def test_timings_flag_in_text_mode_ends_the_report(capsys):
+    code, out, err = run(capsys, "check", str(FIX / "sl2.json"), "--identity", "malcev",
+                         "--timings")
+    assert (code, err) == (0, "")
+    report, timing = out.splitlines()
+    assert report == "malcev: pass, 81 quadruples"
+    assert timing.startswith("wall_time_ms: ")
+    assert float(timing.removeprefix("wall_time_ms: ")) >= 0
+
+
+def test_oop_check_on_an_odd_operator_prints_the_failed_precondition(capsys, tmp_path):
+    A = fixtures.heisenberg_1_1()
+    odd = GradedLinearMap(A.space, A.space, [[0, 1], [0, 0]], 1)
+    path = tmp_path / "odd_operator.json"
+    path.write_text(serialize(AlgebraDocument(A, representation=adjoint_representation(A),
+                                              linear_map=odd, linear_map_domain="module")))
+    code, out, err = run(capsys, "oop-check", str(path))
+    assert (code, out, err) == (
+        1, "o-operator: FAIL (precondition: operator candidate is not even)\n", "")
+
+
+def test_report_skips_a_tensor_that_is_not_skew_supersymmetric(capsys, tmp_path):
+    doc = parse((FIX / "sl2.json").read_bytes())
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]  # supersymmetric
+    path = tmp_path / "sl2_symmetric_r.json"
+    path.write_text(serialize(replace(doc, tensor2=Tensor2(doc.algebra.space, identity))))
+    code, out, err = run(capsys, "report", str(path), "--identities", "malcev,mybe")
+    assert (code, out, err) == (0, "malcev: pass, 81 quadruples\n", "")
+    # with the MYBE alone there is nothing left to check
+    code, out, err = run(capsys, "report", str(path), "--identities", "mybe")
+    assert (code, out, err) == (2, "", "error: nothing to check (empty identity selection?)\n")
+
+
+def test_build_r_out_writes_the_document_and_prints_only_the_report(capsys, tmp_path):
+    out_file = tmp_path / "r.json"
+    code, printed, _ = run(capsys, "build-r", str(FIX / "sl2_adjoint_rb.json"))
+    assert code == 0
+    code, out, err = run(capsys, "build-r", str(FIX / "sl2_adjoint_rb.json"),
+                         "--out", str(out_file))
+    assert (code, err) == (0, "")
+    written = out_file.read_text(encoding="utf-8")
+    assert out.endswith("agreement: yes\n") and printed == out + written
+    assert parse(written).tensor2.is_skew_supersymmetric()
 
 
 def prec_succ_document(dim, blocks):

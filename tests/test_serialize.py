@@ -299,9 +299,19 @@ _ZERO_2X2 = [["0", "0"], ["0", "0"]]
     ({"products": None}, "products: missing"),
     ({"bilinear_form": {"matrix": [["0", "1"], ["-1", "0"]]}},
      "bilinear_form.matrix: form entry (0, 1) = 1 violates parity 0"),
+    ({"linear_map": {"matrix": [["0"], ["0", "0"]]}}, "linear_map.matrix[0]: expected 2 entries"),
+    ({"basis_labels": "ef"}, "top level.basis_labels: expected a list of strings"),
+    ({"products": []}, "products: expected a nonempty object"),
+    ({"products": {"mul": {}}}, "products.mul: expected a list of triples"),
+    ({"products": {"mul": [[0, 1, 1]]}}, "products.mul[0]: expected [i, j, k, scalar]"),
+    ({"representation": {"even_dim": 1, "odd_dim": 0, "matrices": []}},
+     "representation.matrices: expected one matrix per algebra basis element (2)"),
+    ([], "top level: expected an object"),
 ])
 def test_parse_error_messages_in_full(edits, message):
     doc = _base()
+    if isinstance(edits, list):  # the whole document, not edits of the base one
+        doc, edits = edits, {}
     for key, value in edits.items():
         if value is None:
             del doc[key]
