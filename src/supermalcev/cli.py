@@ -19,6 +19,13 @@ One ordered table, ``_IDENTITIES``, lists the identities.  It drives
 ``--identities`` names; ``mybe`` is the entry for the tensor and operator
 forms of the MYBE.
 
+``main`` reads each document once and hands it to the subcommand's handler.
+Each subcommand declares the product its document must hold, as the parser
+default ``product``: ``"mul"``, or None for ``check`` and ``report``, which
+check the product per identity.  So every error comes in one order: the
+witness limit, the read, the parse and the product, then the handler's own
+block and domain checks.
+
 Reports on stdout are byte-identical across runs for the same input; the
 optional ``--timings`` flag fills the wall-time field and is therefore
 excluded from the byte-stability guarantee.
@@ -259,7 +266,7 @@ def _emit(args, checks: list[ViolationReport], agreement: bool | None = None,
     return status
 
 
-def _write_document(args, doc: AlgebraDocument) -> None:
+def _write_document(args, doc: AlgebraDocument) -> int:
     text = serialize(doc)
     if getattr(args, "out", None):
         try:
@@ -268,6 +275,7 @@ def _write_document(args, doc: AlgebraDocument) -> None:
             raise InputError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
+    return PASS
 
 
 def _has(doc: AlgebraDocument, product: str) -> bool:
@@ -280,8 +288,9 @@ def _need_product(doc: AlgebraDocument, product: str, what: str) -> None:
         raise InputError(f"{what} needs {noun}")
 
 
-def _load(args, product: str | None = "mul") -> AlgebraDocument:
-    """Parse the input document and check it has the product the command needs.
+def _load(args, product: str | None) -> AlgebraDocument:
+    """Parse the input document and check it has ``product``, the product the
+    subcommand declares (None: ``_run`` checks it per identity).
 
     The parser refuses a space over ``MAX_DIM`` dimensions before it builds it."""
     try:
@@ -329,18 +338,15 @@ def _run(doc: AlgebraDocument, name: str, limit: int) -> list[ViolationReport]:
 # -- subcommand handlers --------------------------------------------------
 
 
-def _cmd_check(args) -> int:
-    doc = _load(args, product=None)
+def _cmd_check(args, doc: AlgebraDocument) -> int:
     return _emit(args, _run(doc, args.identity, args.witness_limit))
 
 
-def _cmd_commutator(args) -> int:
-    _write_document(args, AlgebraDocument(commutator_superalgebra(_load(args).algebra)))
-    return PASS
+def _cmd_commutator(args, doc: AlgebraDocument) -> int:
+    return _write_document(args, AlgebraDocument(commutator_superalgebra(doc.algebra)))
 
 
-def _cmd_semidirect(args) -> int:
-    doc = _load(args)
+def _cmd_semidirect(args, doc: AlgebraDocument) -> int:
     kind = args.kind
     if kind == "auto":
         kind = "rep" if doc.representation is not None else "bimodule"
@@ -348,19 +354,15 @@ def _cmd_semidirect(args) -> int:
         result = semidirect_malcev(_need(doc, "representation"))
     else:
         result = semidirect_alternative(_need(doc, "bimodule"))
-    _write_document(args, AlgebraDocument(result))
-    return PASS
+    return _write_document(args, AlgebraDocument(result))
 
 
-def _cmd_dual_rep(args) -> int:
-    doc = _load(args)
+def _cmd_dual_rep(args, doc: AlgebraDocument) -> int:
     dual = dual_representation(_need(doc, "representation"))
-    _write_document(args, AlgebraDocument(doc.algebra, representation=dual))
-    return PASS
+    return _write_document(args, AlgebraDocument(doc.algebra, representation=dual))
 
 
-def _cmd_oop_check(args) -> int:
-    doc = _load(args)
+def _cmd_oop_check(args, doc: AlgebraDocument) -> int:
     _need(doc, "linear_map")
     if args.context == "rep" or (args.context == "auto" and doc.representation is not None):
         check, block = check_o_operator_malcev, "representation"
@@ -372,15 +374,13 @@ def _cmd_oop_check(args) -> int:
     return _emit(args, [check(T, module, witness_limit=args.witness_limit)])
 
 
-def _cmd_rb_check(args) -> int:
-    doc = _load(args)
+def _cmd_rb_check(args, doc: AlgebraDocument) -> int:
     Rop, = _linear_map(doc, "rb-check", "algebra")
     return _emit(args, [check_rota_baxter(Rop, doc.algebra, sign_variant=args.sign_variant,
                                           witness_limit=args.witness_limit)])
 
 
-def _cmd_construct(args) -> int:
-    doc = _load(args)
+def _cmd_construct(args, doc: AlgebraDocument) -> int:
     command = f"construct --via {args.via}"
     if args.via == "oop":
         result = pre_malcev_from_o_operator(
@@ -396,12 +396,10 @@ def _cmd_construct(args) -> int:
     else:  # prealt-oop
         result = pre_alternative_from_o_operator(
             *_linear_map(doc, command, "module", "bimodule"))
-    _write_document(args, AlgebraDocument(result))
-    return PASS
+    return _write_document(args, AlgebraDocument(result))
 
 
-def _cmd_mybe_check(args) -> int:
-    doc = _load(args)
+def _cmd_mybe_check(args, doc: AlgebraDocument) -> int:
     tensor = _need(doc, "tensor2")
     candidate = MybeCandidate(doc.algebra, tensor)
     if not tensor.is_skew_supersymmetric():
@@ -410,8 +408,7 @@ def _cmd_mybe_check(args) -> int:
     return _emit(args, checks, _mybe_agreement(checks))
 
 
-def _cmd_build_r(args) -> int:
-    doc = _load(args)
+def _cmd_build_r(args, doc: AlgebraDocument) -> int:
     T, = _linear_map(doc, "build-r", "module")
     R = _need(doc, "representation")
     oop_report = check_o_operator_malcev(T, R, witness_limit=args.witness_limit)
@@ -423,22 +420,20 @@ def _cmd_build_r(args) -> int:
                  AlgebraDocument(candidate.algebra, tensor2=candidate.r))
 
 
-def _cmd_canonical_r(args) -> int:
-    candidate = canonical_r(_load(args).algebra)
+def _cmd_canonical_r(args, doc: AlgebraDocument) -> int:
+    candidate = canonical_r(doc.algebra)
     checks = _mybe_reports(candidate, args.witness_limit)
     return _emit(args, checks, _mybe_agreement(checks),
                  AlgebraDocument(candidate.algebra, tensor2=candidate.r))
 
 
-def _cmd_symplectic(args) -> int:
-    doc = _load(args)
+def _cmd_symplectic(args, doc: AlgebraDocument) -> int:
     omega = symplectic_from_r(MybeCandidate(doc.algebra, _need(doc, "tensor2")))
     report = check_symplectic(omega, doc.algebra, witness_limit=args.witness_limit)
     return _emit(args, [report], document=AlgebraDocument(doc.algebra, bilinear_form=omega))
 
 
-def _cmd_report(args) -> int:
-    doc = _load(args, product=None)
+def _cmd_report(args, doc: AlgebraDocument) -> int:
     wanted = set(args.identities.split(",")) if args.identities else set(_IDENTITIES)
     unknown = sorted(wanted - _IDENTITIES.keys())
     if unknown:
@@ -468,10 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable report")
         p.add_argument("--timings", action="store_true",
                        help="fill wall_time_ms (breaks byte-stability)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, product="mul")
         return p
 
     p = add("check", _cmd_check, help="run one identity checker")
+    p.set_defaults(product=None)
     # mybe has its own subcommand, which also reports the agreement of its two forms
     p.add_argument("--identity", required=True,
                    choices=[name for name in _IDENTITIES if name != "mybe"])
@@ -510,6 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = add("report", _cmd_report, help="all applicable checks")
+    p.set_defaults(product=None)
     p.add_argument("--identities", default="",
                    help="comma-separated subset of identities to run")
 
@@ -522,7 +519,7 @@ def main(argv=None) -> int:
     try:
         if args.witness_limit < 1:
             raise InputError(f"--witness-limit must be at least 1, got {args.witness_limit}")
-        return args.handler(args)
+        return args.handler(args, _load(args, args.product))
     except IdentityViolation as exc:  # a construction's precondition fails
         return _emit(args, [exc.report])
     except (InputError, ValueError) as exc:

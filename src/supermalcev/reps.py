@@ -371,8 +371,9 @@ def _maps(algebra: SuperSpace, module: SuperSpace,
                  for p, cols in zip(algebra.parities(), columns))
 
 
-def _semidirect(A: Superalgebra, V: SuperSpace, left: Columns, right: Columns) -> Superalgebra:
-    """Product on A + V:  (x+a)(y+b) = xy + left(x)b + right(y)a."""
+def _semidirect(A: Superalgebra, V: SuperSpace, left: Columns, right: Columns) -> tuple:
+    """Product on A + V:  (x+a)(y+b) = xy + left(x)b + right(y)a; with the
+    index embeddings of A and V in the sum, as ``direct_sum`` returns them."""
     total, emb_a, emb_v = direct_sum(A.space, V)
     rows = {(emb_a[i], emb_a[j]): {emb_a[k]: c for k, c in row.items()}
             for (i, j), row in A.rows().items()}
@@ -382,18 +383,18 @@ def _semidirect(A: Superalgebra, V: SuperSpace, left: Columns, right: Columns) -
                 rows[emb_a[i], emb_v[j]] = {emb_v[k]: c for k, c in lcol.items()}
             if rcol:
                 rows[emb_v[j], emb_a[i]] = {emb_v[k]: c for k, c in rcol.items()}
-    return Superalgebra._from_rows(total, {"mul": rows})
+    return Superalgebra._from_rows(total, {"mul": rows}), emb_a, emb_v
 
 
 def semidirect_malcev(R: Representation) -> Superalgebra:
     """Bracket on A + V:  [x+a, y+b] = [x,y] + rho(x)b - (-1)^{|x||y|} rho(y)a."""
     rho = _columns(R.action)
-    return _semidirect(R.algebra, R.space, rho, _signed(R.algebra.space, R.space, rho))
+    return _semidirect(R.algebra, R.space, rho, _signed(R.algebra.space, R.space, rho))[0]
 
 
 def semidirect_alternative(B: Bimodule) -> Superalgebra:
     """Product on A + V:  (x+a)(y+b) = xy + l(x)b + r(y)a."""
-    return _semidirect(B.algebra, B.space, _columns(B.left), _columns(B.right))
+    return _semidirect(B.algebra, B.space, _columns(B.left), _columns(B.right))[0]
 
 
 def _dual_columns(columns: Columns, algebra: SuperSpace, module: SuperSpace) -> Columns:

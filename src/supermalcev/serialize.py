@@ -127,7 +127,9 @@ def _products_to_json(algebra: Superalgebra) -> dict:
     }
 
 
-def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
+def _product_names(obj: Any) -> set[str]:
+    """The product names of ``obj``, which a document holds only as
+    {'mul'} or {'prec', 'succ'}; the one rule of ``parse`` and ``serialize``."""
     if not isinstance(obj, Mapping) or not obj:
         raise ParseError("products: expected a nonempty object")
     names = set(obj)
@@ -136,6 +138,11 @@ def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
             "products: expected either {'mul'} or {'prec', 'succ'}, got "
             + repr(sorted(names))
         )
+    return names
+
+
+def _parse_products(obj: Any, space: SuperSpace) -> Superalgebra:
+    names = _product_names(obj)
     n, par = space.dim, space.parities()
     products: dict[str, dict[tuple[int, int], dict[int, Fraction]]] = {}
     for name in sorted(names):
@@ -194,7 +201,11 @@ def _parse_action(value: Any, algebra: Superalgebra, space: SuperSpace,
 
 
 def serialize(doc: AlgebraDocument) -> str:
+    """The canonical document of ``doc``.  An algebra whose products are
+    not {'mul'} or {'prec', 'succ'} is refused with the ``ParseError`` (a
+    ``ValueError``) that ``parse`` would raise on the document."""
     algebra = doc.algebra
+    _product_names(algebra.products)
     payload: dict[str, Any] = {"format": FORMAT}
     payload.update(_space_to_json(algebra.space))
     payload["products"] = _products_to_json(algebra)

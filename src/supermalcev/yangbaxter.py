@@ -43,7 +43,6 @@ from .graded import (
     Tensor3,
     _shape,
     _sparse_columns,
-    direct_sum,
     koszul_sign,
 )
 from .algebras import (
@@ -193,14 +192,13 @@ def _double(algebra: Superalgebra, module: SuperSpace, action: Columns,
     """
     A, dual = algebra.space, module.dual()
     rho_star = _dual_columns(action, A, module)
-    double = _semidirect(algebra, dual, rho_star, _signed(A, dual, rho_star))
-    total, emb_a, emb_v = direct_sum(A, dual)
+    double, emb_a, emb_v = _semidirect(algebra, dual, rho_star, _signed(A, dual, rho_star))
     par, signs, entries = A.parities(), _move_signs(module), {}
     for alpha, column in enumerate(T):
         for p, val in column.items():
             a, v = emb_a[p], emb_v[alpha]
             entries[a, v], entries[v, a] = val, signs[par[p]][alpha] * val
-    return MybeCandidate(double, Tensor2._from_entries(total, entries))
+    return MybeCandidate(double, Tensor2._from_entries(double.space, entries))
 
 
 def r_from_o_operator(T: GradedLinearMap, R: Representation) -> MybeCandidate:

@@ -125,6 +125,26 @@ def test_pair_dual_basis_gram_is_identity():
             assert value == (1 if i == j else 0)
 
 
+def test_basis_is_the_basis_vectors_in_order():
+    space = SuperSpace(2, 3)
+    basis = space.basis()
+    assert len(basis) == space.dim
+    for i, b in enumerate(basis):
+        assert b == space.basis_vector(i)
+        assert b.parity() == space.parity(i)
+
+
+# even, odd, zero and mixed vectors of a 1|2 space
+@pytest.mark.parametrize("coords", [
+    (3, 0, 0), (0, Fraction(-1, 2), 5), (0, 0, 0), (1, 2, 0)])
+def test_negation_negates_every_coordinate_and_keeps_the_parity(coords):
+    v = SuperSpace(1, 2).vector(coords)
+    assert (-v).space == v.space
+    assert (-v).coords == tuple(-c for c in v.coords)
+    assert (-v).parity() == v.parity()
+    assert (v + (-v)).is_zero()
+
+
 def test_pair_linearity_spec_example():
     space = SuperSpace(1, 1)
     dual = space.dual()

@@ -269,6 +269,23 @@ def test_unknown_product_names_rejected():
     assert "products" in str(exc.value)
 
 
+@pytest.mark.parametrize("products, message", [
+    ({}, "products: expected a nonempty object"),
+    ({"prec": {}}, "products: expected either {'mul'} or {'prec', 'succ'}, got ['prec']"),
+    ({"foo": {(0, 0): {0: 1}}},
+     "products: expected either {'mul'} or {'prec', 'succ'}, got ['foo']"),
+])
+def test_serialize_refuses_the_product_sets_parse_refuses(products, message):
+    with pytest.raises(ValueError) as exc:
+        serialize(AlgebraDocument(Superalgebra(SuperSpace(1, 0), products)))
+    assert str(exc.value) == message
+    doc = _base(1, 0)
+    doc["products"] = {name: [] for name in products}
+    with pytest.raises(ParseError) as exc:
+        parse(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_linear_map_module_requires_context():
     doc = _base()
     doc["linear_map"] = {"domain": "module", "parity": 0,
