@@ -255,7 +255,7 @@ class Superalgebra:
         if _shape(x.space) != _shape(self.space) or _shape(y.space) != _shape(self.space):
             raise DimensionMismatch("vectors do not live in the algebra's space")
         return vector_from_sparse(
-            self.space, self.mul_sparse(x.sparse(), y.sparse(), product)
+            self.space, self.mul_sparse(x._entries, y._entries, product)
         )
 
 

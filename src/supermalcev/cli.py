@@ -110,9 +110,7 @@ class InputError(Exception):
 
 def _format_vector(v: GradedVector) -> str:
     terms = []
-    for i, c in enumerate(v.coords):
-        if c == 0:
-            continue
+    for i, c in v._entries.items():
         label = v.space.labels[i]
         if c == 1:
             terms.append(f"+ {label}")

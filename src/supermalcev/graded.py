@@ -13,8 +13,9 @@ Conventions used throughout the package:
   a 2-tensor is skew-supersymmetric when ``r = -sigma(r)``;
 * the dual space carries the dual gradation (a dual basis vector has the
   parity of its primal partner) and ``pair(b_i*, b_j) = delta_ij``;
-* a linear map stores only its sparse columns, a 2-tensor or a form only
-  its nonzero entries; ``matrix`` and ``coeffs`` rebuild the dense matrix on
+* a vector stores only its nonzero coordinates, a linear map only its
+  sparse columns, a 2-tensor or a form only its nonzero entries;
+  ``coords``, ``matrix`` and ``coeffs`` rebuild the dense tuple or matrix on
   every read, for serialization and ``repr`` alone.
 """
 
@@ -91,18 +92,18 @@ class SuperSpace:
         )
 
     def zero(self) -> "GradedVector":
-        return GradedVector(self, (ZERO,) * self.dim)
+        return vector_from_sparse(self, EMPTY)
 
     def basis_vector(self, index: int) -> "GradedVector":
-        coords = [ZERO] * self.dim
-        coords[index] = ONE
-        return GradedVector(self, tuple(coords))
+        if not 0 <= index < self.dim:
+            raise IndexError(index)
+        return vector_from_sparse(self, {index: ONE})
 
     def basis(self) -> tuple["GradedVector", ...]:
         return tuple(self.basis_vector(i) for i in range(self.dim))
 
     def vector(self, coords: Iterable) -> "GradedVector":
-        return GradedVector(self, tuple(as_scalar(c) for c in coords))
+        return GradedVector(self, coords)
 
 
 def direct_sum(a: SuperSpace, b: SuperSpace) -> tuple[SuperSpace, tuple[int, ...], tuple[int, ...]]:
@@ -136,61 +137,65 @@ def direct_sum(a: SuperSpace, b: SuperSpace) -> tuple[SuperSpace, tuple[int, ...
     return total, embed_a, embed_b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedVector:
-    space: SuperSpace
-    coords: tuple[Fraction, ...]
+    """A vector stored as its nonzero coordinates keyed by basis index, in
+    index order; ``coords`` rebuilds the dense tuple on every read.  The
+    package builds vectors from entries with ``vector_from_sparse``."""
 
-    def __post_init__(self):
-        if len(self.coords) != self.space.dim:
-            raise DimensionMismatch(
-                f"{len(self.coords)} coordinates in a {self.space.dim}-dim space"
-            )
+    space: SuperSpace
+    _entries: Mapping[int, Fraction]
+
+    def __new__(cls, space: SuperSpace, coords: Iterable):
+        coords = tuple(map(as_scalar, coords))
+        if len(coords) != space.dim:
+            raise DimensionMismatch(f"{len(coords)} coordinates in a {space.dim}-dim space")
+        return vector_from_sparse(space, {i: c for i, c in enumerate(coords) if c})
+
+    def __reduce__(self):
+        return vector_from_sparse, (self.space, self._entries)
+
+    def __repr__(self):
+        return f"GradedVector(space={self.space!r}, coords={self.coords!r})"
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(self._entries.get(i, ZERO) for i in range(self.space.dim))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self._entries
 
     def parity(self) -> int | None:
         """Parity of a homogeneous vector; 0 for the zero vector, None if mixed."""
-        seen = {self.space.parity(i) for i, c in enumerate(self.coords) if c != 0}
-        if not seen:
-            return 0
-        if len(seen) == 1:
-            return seen.pop()
-        return None
+        seen = {self.space.parity(i) for i in self._entries}
+        return None if len(seen) > 1 else max(seen, default=0)
 
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        self._check_space(other)
-        return GradedVector(
-            self.space, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+    def _plus(self, other: "GradedVector", factor: int) -> "GradedVector":
+        if _shape(self.space) != _shape(other.space):
+            raise DimensionMismatch("vectors live in different spaces")
+        entries = dict(self._entries)
+        add_scaled(entries, other._entries, factor)
+        return vector_from_sparse(self.space, entries)
 
-    def __sub__(self, other: "GradedVector") -> "GradedVector":
-        self._check_space(other)
-        return GradedVector(
-            self.space, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+    __add__ = partialmethod(_plus, factor=1)
+    __sub__ = partialmethod(_plus, factor=-1)
 
     def __neg__(self) -> "GradedVector":
-        return GradedVector(self.space, tuple(-a for a in self.coords))
+        return vector_from_sparse(self.space, {i: -c for i, c in self._entries.items()})
 
     def __rmul__(self, scalar) -> "GradedVector":
         c = as_scalar(scalar)
-        return GradedVector(self.space, tuple(c * a for a in self.coords))
-
-    def _check_space(self, other: "GradedVector"):
-        if _shape(self.space) != _shape(other.space):
-            raise DimensionMismatch("vectors live in different spaces")
+        return vector_from_sparse(self.space, {i: c * x for i, x in self._entries.items() if c})
 
     def sparse(self) -> dict[int, Fraction]:
-        return {i: c for i, c in enumerate(self.coords) if c != 0}
+        return dict(self._entries)
 
 
 def vector_from_sparse(space: SuperSpace, entries: Mapping[int, Fraction]) -> GradedVector:
-    coords = [ZERO] * space.dim
-    for i, c in entries.items():
-        coords[i] = c
-    return GradedVector(space, tuple(coords))
+    """The vector with these nonzero ``Fraction`` coordinates."""
+    v = object.__new__(GradedVector)
+    v.__dict__.update(space=space, _entries=Frozen(sorted(entries.items())))
+    return v
 
 
 def _nonzero(matrix: Matrix) -> dict[tuple[int, int], Fraction]:
@@ -280,7 +285,7 @@ class GradedLinearMap:
     def __call__(self, v: GradedVector) -> GradedVector:
         if _shape(v.space) != _shape(self.domain):
             raise DimensionMismatch("vector not in the domain")
-        return vector_from_sparse(self.codomain, apply(self.columns, v.sparse()))
+        return vector_from_sparse(self.codomain, apply(self.columns, v._entries))
 
     def apply_sparse(self, entries: Mapping[int, Fraction]) -> dict[int, Fraction]:
         return apply(self.columns, entries)
@@ -442,9 +447,8 @@ def pair(x_star: GradedVector, y: GradedVector) -> Fraction:
     """Canonical pairing <x*, y>; on dual-basis pairs <b_i*, b_j> = delta_ij."""
     if _shape(x_star.space) != _shape(y.space):
         raise DimensionMismatch("pairing of incompatible spaces")
-    return sum(
-        (a * b for a, b in zip(x_star.coords, y.coords)), start=ZERO
-    )
+    entries = y._entries
+    return sum((c * entries[i] for i, c in x_star._entries.items() if i in entries), start=ZERO)
 
 
 def pair_tensor(s: Tensor2, t: Tensor2) -> Fraction:

@@ -243,8 +243,6 @@ def _dumps_canonical(value, indent: int = 0) -> str:
     one line; key order is insertion order."""
     pad = " " * indent
     if isinstance(value, Mapping):
-        if not value:
-            return "{}"
         items = [
             f'{pad}  {json.dumps(str(k))}: {_dumps_canonical(v, indent + 2)}'
             for k, v in value.items()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from supermalcev import (GradedLinearMap, SuperSpace, Tensor2, adjoint_representation,
+from supermalcev import (GradedLinearMap, SuperSpace, Tensor2, Tensor3, adjoint_representation,
                          fixtures, regular_bimodule, search_o_operators_malcev, sigma)
 from supermalcev import cli
 from supermalcev.cli import MAX_DIM, main
@@ -255,6 +255,41 @@ def test_symplectic_subcommand(capsys):
     code, out, _ = run(capsys, "symplectic", str(FIX / "abelian22_r.json"))
     assert code == 0
     assert "symplectic: pass" in out
+
+
+def test_the_symplectic_paths_read_a_written_form(capsys, tmp_path):
+    form = tmp_path / "form.json"
+    code, out, _ = run(capsys, "symplectic", str(FIX / "abelian22_r.json"), "--out", str(form))
+    assert code == 0 and out == "symplectic: pass, 64 triples\n"
+    code, out, _ = run(capsys, "check", str(form), "--identity", "symplectic")
+    assert code == 0 and out == "symplectic: pass, 64 triples\n"
+    code, out, _ = run(capsys, "report", str(form))
+    assert code == 0 and "symplectic: pass, 64 triples\n" in out
+    code, out, _ = run(capsys, "construct", str(form), "--via", "symplectic")
+    assert code == 0 and parse(out).algebra.space.dim == 4
+    # the zero form on the same algebra is degenerate
+    doc = json.loads(form.read_text(encoding="utf-8"))
+    doc["bilinear_form"]["matrix"] = [["0"] * 4 for _ in range(4)]
+    form.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["check", str(form), "--identity", "symplectic"], ["report", str(form)],
+                 ["construct", str(form), "--via", "symplectic"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and "symplectic: FAIL (precondition: form is degenerate)\n" in out
+
+
+def test_mybe_forms_that_disagree_raise_the_internal_alarm(capsys, monkeypatch):
+    # a tensor form that fails on a solution, whose operator form passes
+    monkeypatch.setattr(cli, "mybe_lhs", lambda candidate: Tensor3(
+        candidate.algebra.space, {(0, 0, 0): 1}))
+    path = str(FIX / "sl2_r_solution.json")
+    code, out, _ = run(capsys, "mybe-check", path)
+    assert code == 3
+    assert "mybe-tensor: FAIL" in out and "operator-form: pass" in out
+    assert "agreement: NO (internal alarm)\n" in out
+    code, out, _ = run(capsys, "mybe-check", path, "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["agreement"] is False and payload["exit_status"] == 3
 
 
 def test_report_subcommand(capsys):

@@ -35,8 +35,12 @@ def test_a_malformed_space_is_refused():
         SuperSpace(-1, 0)
     with pytest.raises(ValueError, match="^duplicate basis labels$"):
         SuperSpace(2, 0, ("e", "e"))
-    with pytest.raises(IndexError):
-        S11.parity(2)
+    # an index outside 0..dim-1, -1 too, has no parity and no basis vector
+    for index in (-1, S11.dim):
+        with pytest.raises(IndexError):
+            S11.parity(index)
+        with pytest.raises(IndexError):
+            S11.basis_vector(index)
 
 
 def test_vectors_and_maps_of_the_wrong_shape_are_refused():

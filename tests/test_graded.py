@@ -10,10 +10,12 @@ from hypothesis import given, strategies as st
 from supermalcev import (
     DimensionMismatch,
     GradedLinearMap,
+    GradedVector,
     ParityViolation,
     SuperSpace,
     Tensor2,
     Tensor3,
+    adjoint_representation,
     direct_sum,
     koszul_sign,
     pair,
@@ -338,6 +340,23 @@ def test_vector_parity_and_arithmetic():
     v = space.vector([1, 0]) + 2 * space.basis_vector(1)
     assert v.coords == (Fraction(1), Fraction(2))
     assert (v - v).is_zero()
+
+
+# a float, a string and a list of coordinates, each converted like a matrix entry
+@pytest.mark.parametrize("coords", [(0.5, 0, 0), ("1/3", "-2", "0"), [1, 2, 3]],
+                         ids=["float", "string", "list"])
+def test_a_vector_converts_its_coordinates_to_fractions_and_hashes(coords):
+    A = fixtures.sl2()
+    v = GradedVector(A.space, coords)
+    assert all(type(c) is Fraction for c in v.coords)
+    assert v.coords == tuple(map(Fraction, coords))
+    twin = A.space.vector(tuple(map(Fraction, coords)))
+    assert v == twin and hash(v) == hash(twin)
+    ad = adjoint_representation(A)
+    for w in (A.mul(v, A.space.basis_vector(1)), A.mul(A.space.basis_vector(2), v),
+              ad.action[0](v), GradedLinearMap.identity(A.space)(v)):
+        assert all(type(c) is Fraction for c in w.coords)
+        hash(w)
 
 
 def test_labels_given_as_a_list_are_stored_as_a_tuple():

@@ -4,8 +4,9 @@ No module of ``src/supermalcev`` mentions ``MappingProxyType``, and no
 class there but ``Frozen`` defines ``__hash__`` or ``__eq__``, by a ``def``
 or by an assignment: every value type takes the equality and hash that its
 dataclass generates from its fields.  No class there annotates a field with
-the dense ``Matrix`` type either: every value stores sparse entries, and a
-dense matrix is rebuilt on each read.  Read off the source text and its
+the dense ``Matrix`` type or a dense tuple of scalars, ``tuple[Fraction,
+...]``, either: every value stores sparse entries, and a dense matrix or
+coordinate tuple is rebuilt on each read.  Read off the source text and its
 syntax tree with ``ast``."""
 
 import ast
@@ -17,6 +18,8 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "supermalcev"
 MODULES = sorted(PACKAGE.glob("*.py"))
 READ_ONLY_MAPPING = "Frozen"
+# the dense annotations: a matrix, or a tuple of any number of scalars
+DENSE = re.compile(r"\bMatrix\b|\b[Tt]uple\[\s*Fraction\s*,\s*\.\.\.\s*\]")
 
 
 def defined_names(node: ast.ClassDef) -> set[str]:
@@ -31,10 +34,11 @@ def defined_names(node: ast.ClassDef) -> set[str]:
     return names
 
 
-def dense_fields(node: ast.ClassDef) -> list[ast.AnnAssign]:
-    """The fields of a class body whose annotation names ``Matrix``."""
-    return [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
-            and re.search(r"\bMatrix\b", ast.unparse(stmt.annotation))]
+def dense_fields(node: ast.ClassDef) -> list[tuple[ast.AnnAssign, str]]:
+    """The fields of a class body whose annotation names a dense type, each
+    with the dense type it names."""
+    return [(stmt, found.group()) for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+            and (found := DENSE.search(ast.unparse(stmt.annotation)))]
 
 
 def offences(source: str) -> list[str]:
@@ -42,8 +46,8 @@ def offences(source: str) -> list[str]:
            if "MappingProxyType" in line]
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ClassDef):
-            out += [f"line {stmt.lineno}: {node.name}.{ast.unparse(stmt.target)}: Matrix"
-                    for stmt in dense_fields(node)]
+            out += [f"line {stmt.lineno}: {node.name}.{ast.unparse(stmt.target)}: {dense}"
+                    for stmt, dense in dense_fields(node)]
         if isinstance(node, ast.ClassDef) and node.name != READ_ONLY_MAPPING:
             out += [f"line {node.lineno}: {node.name}.{name}"
                     for name in sorted(defined_names(node) & {"__eq__", "__hash__"})]
@@ -64,6 +68,14 @@ def test_the_guard_sees_a_dense_matrix_field():
               "class Map:\n    rows: 'Matrix | None' = None\n    n_matrix: int = 0\n"
               "    Matrix = tuple\n")
     assert offences(source) == ["line 3: Form.matrix: Matrix", "line 7: Map.rows: Matrix"]
+
+
+def test_the_guard_sees_a_dense_tuple_of_scalars():
+    source = ("class Vector:\n    space: int\n    coords: tuple[Fraction, ...]\n\n\n"
+              "class Old:\n    coords: 'Tuple[Fraction,...] | None' = None\n"
+              "    pair: tuple[Fraction, Fraction]\n    labels: tuple[str, ...] = ()\n")
+    assert offences(source) == ["line 3: Vector.coords: tuple[Fraction, ...]",
+                                "line 7: Old.coords: Tuple[Fraction,...]"]
 
 
 def test_the_read_only_mapping_is_the_one_that_hashes():
